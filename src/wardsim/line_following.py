@@ -143,13 +143,18 @@ def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
     Off-mat poses simply see no line."""
     vals = []
     half = track.line_width / 2.0
-    for sx, sy in sensor_positions(pose, geometry):
+    positions = sensor_positions(pose, geometry).tolist()
+    noisy = rng is not None and geometry.noise_frac > 0
+    if noisy:
+        # one draw per sensor, left to right: the same stream as drawing each alone
+        noise = rng.uniform(-geometry.noise_frac, geometry.noise_frac, size=len(positions)).tolist()
+    for k, (sx, sy) in enumerate(positions):
         if track.on_mat(sx, sy) and track.query(sx, sy).distance <= half:
             level = geometry.low_level
         else:
             level = geometry.high_level
-        if rng is not None and geometry.noise_frac > 0:
-            level += rng.uniform(-geometry.noise_frac, geometry.noise_frac)
+        if noisy:
+            level += noise[k]
         vals.append(min(max(level, 0.0), 1.0) * geometry.v_max)
     return IrArrayReading(tuple(vals), geometry.v_max)
 

@@ -210,7 +210,6 @@ class Leader:
         self.tasks: dict[int, Task] = {}
         self._next_task_id = 1
         self._cmd_seq: dict[int, int] = {}
-        self._out_seq: dict[int, int] = {}
         self._seq_to_task: dict[tuple[int, int], int] = {}
         self._fired_entries: set[int] = set()
         self._assigned: dict[int, int] = {}   # follower addr -> open task_id
@@ -464,11 +463,6 @@ class Leader:
                    "target": task.target, "emergency": task.emergency}
         outbox.append(Packet(self.address, addr, seq, PacketKind.COMMAND, payload, now))
         task.last_activity = now
-
-    # -- accounting ------------------------------------------------------
-
-    def open_tasks(self) -> list[Task]:
-        return [t for t in self.tasks.values() if t.state not in TERMINAL_STATES]
 
 
 @dataclass

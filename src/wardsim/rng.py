@@ -22,8 +22,3 @@ def derive_streams(root_seed: int) -> dict[str, np.random.Generator]:
     """Return one independent Generator per named subsystem stream."""
     children = np.random.SeedSequence(root_seed).spawn(len(_STREAMS))
     return {name: np.random.default_rng(seq) for name, seq in zip(_STREAMS, children)}
-
-
-def stream(root_seed: int, name: str) -> np.random.Generator:
-    """Single named stream; same sequence as derive_streams(root_seed)[name]."""
-    return derive_streams(root_seed)[name]

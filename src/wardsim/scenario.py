@@ -176,6 +176,8 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
     seed = _get(raw, "seed", 0, "top", errors, int)
     dt_ms = _get(raw, "dt_ms", 10, "top", errors, int)
     duration_ms = _get(raw, "duration_ms", 60000, "top", errors, int)
+    if seed < 0:
+        errors.append("top.seed: must be nonnegative")
     if dt_ms is not None and dt_ms <= 0:
         errors.append("top.dt_ms: must be positive")
     if duration_ms is not None and duration_ms < 0:
@@ -289,12 +291,18 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
     noise = _build_dataclass(SensorNoiseModel, raw.get("noise"), "noise", errors)
 
     fall_raw = dict(raw.get("fall_detector") or {})
-    fall_check_period_ms = 100
-    if "check_period_ms" in fall_raw:
-        fall_check_period_ms = int(fall_raw.pop("check_period_ms"))
+    fall_check_period_ms = _get(fall_raw, "check_period_ms", 100, "fall_detector", errors, int)
+    fall_raw.pop("check_period_ms", None)
     fall_detector = _build_dataclass(FallDetectorModel, fall_raw, "fall_detector", errors)
 
     vitals_sample_period_ms = _get(raw, "vitals_sample_period_ms", 100, "top", errors, int)
+    # the engine samples on ticks whose time is a multiple of the period, so
+    # any other period would silently sample less often than asked
+    if dt_ms > 0:
+        for path, period in (("fall_detector.check_period_ms", fall_check_period_ms),
+                             ("top.vitals_sample_period_ms", vitals_sample_period_ms)):
+            if period % dt_ms != 0:
+                errors.append(f"{path}: must be a multiple of dt_ms ({dt_ms})")
     timeout_policy = _build_dataclass(TimeoutPolicy, raw.get("timeout_policy"),
                                       "timeout_policy", errors)
 

@@ -4,6 +4,30 @@ A track is a closed polyline of waypoints with a per-segment tag
 ("straight" or "turn"). Queries return the perpendicular distance from a
 world point to the polyline, the closest point itself, the unit tangent of
 the closest segment, and that segment's tag.
+
+A query searches only the candidate segments of the grid cell that holds the
+point, and the grid never changes a result:
+
+- Lower bound: a segment lies inside its bounding box, so no point of a cell
+  is nearer to the segment than the cell is to that box.
+- Upper bound: distance to a segment is a convex function of the point, so
+  over a cell it is largest at a corner. No point of the cell is farther from
+  its nearest segment than the smallest worst-corner distance of any segment.
+- A cell keeps every segment whose lower bound is at most that smallest upper
+  bound plus a margin. A segment left out is farther from every point of the
+  cell than some kept one.
+- The margin, 1e-9 m times the longer mat side when that exceeds 1 m, absorbs
+  the rounding of the bounds and of a point on a cell edge, which may be
+  filed in either neighbouring cell.
+- Candidates keep index order and are measured with the same float
+  expressions as a full scan (t = (p - a).d / |d|^2 clipped to [0, 1], then
+  a + t d, then the squared distance), so the first segment at the smallest
+  distance wins exactly as it would in a full scan.
+- A point off the mat has no cell and scans all segments.
+
+The grid has about 0.2 m cells and at most 64 along either side of the mat,
+so a larger mat costs no more set-up time or memory than a 12.8 m one with
+the same segments.
 """
 
 from __future__ import annotations
@@ -16,6 +40,10 @@ import numpy as np
 from . import ConfigurationError
 
 DEFAULT_MAT = (3.5, 4.0)  # meters
+
+_CELL_M = 0.2        # target side of a candidate-grid cell
+_MAX_CELLS = 64      # per mat side, so a large mat cannot inflate set-up
+_MARGIN_M = 1e-9
 
 
 @dataclass
@@ -36,6 +64,10 @@ class Track:
         if line_width <= 0:
             raise ConfigurationError("line_width must be positive")
         w, h = mat_size
+        if not (math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0):
+            raise ConfigurationError("mat_size must be two positive finite numbers")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigurationError("track waypoints must be finite")
         if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > w) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > h):
             raise ConfigurationError("track waypoints must lie inside the mat bounds")
         self.waypoints = pts
@@ -44,12 +76,12 @@ class Track:
         self.mat_size = (float(w), float(h))
 
         if closed:
-            self._a = pts
-            self._b = np.roll(pts, -1, axis=0)
+            a = pts
+            b = np.roll(pts, -1, axis=0)
         else:
-            self._a = pts[:-1]
-            self._b = pts[1:]
-        n_seg = len(self._a)
+            a = pts[:-1]
+            b = pts[1:]
+        n_seg = len(a)
         tags = list(tags)
         if len(tags) != n_seg:
             raise ConfigurationError(f"expected {n_seg} segment tags, got {len(tags)}")
@@ -58,32 +90,84 @@ class Track:
                 raise ConfigurationError(f"unknown segment tag {t!r}")
         self.tags = tags
 
-        self._d = self._b - self._a
-        self._len2 = np.einsum("ij,ij->i", self._d, self._d)
-        self._len2[self._len2 == 0.0] = 1e-30
-        seg_len = np.sqrt(self._len2)
-        self._tangents = self._d / seg_len[:, None]
+        d = b - a
+        len2 = np.einsum("ij,ij->i", d, d)
+        len2[len2 == 0.0] = 1e-30
+        seg_len = np.sqrt(len2)
+        self._tangents = [tuple(row) for row in (d / seg_len[:, None]).tolist()]
         self.length = float(seg_len.sum())
 
+        # (index, ax, ay, dx, dy, len2) as Python floats: the query's scan
+        self._segs = [(i, *row) for i, row in enumerate(np.column_stack([a, d, len2]).tolist())]
+        nx = min(_MAX_CELLS, math.ceil(self.mat_size[0] / _CELL_M))
+        ny = min(_MAX_CELLS, math.ceil(self.mat_size[1] / _CELL_M))
+        rows = _candidate_grid(a, d, len2, self.mat_size, nx, ny)
+        # a point on the far border indexes one past the last cell, so the
+        # last column and row are repeated rather than clamped per query
+        rows.append(rows[-1])
+        cells = [[self._segs[i] for i in keep] for row in rows for keep in row + [row[-1]]]
+        self._grid = (*self.mat_size, nx / self.mat_size[0], ny / self.mat_size[1], nx + 1, cells)
+        self._nx, self._ny = nx, ny
+
     def query(self, x: float, y: float) -> TrackQuery:
-        """Closest point on the polyline to (x, y)."""
-        p = np.array([x, y])
-        t = np.clip(np.einsum("ij,ij->i", p[None, :] - self._a, self._d) / self._len2, 0.0, 1.0)
-        proj = self._a + t[:, None] * self._d
-        diff = proj - p
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        i = int(np.argmin(dist2))
-        return TrackQuery(
-            distance=float(math.sqrt(dist2[i])),
-            point=(float(proj[i, 0]), float(proj[i, 1])),
-            tangent=(float(self._tangents[i, 0]), float(self._tangents[i, 1])),
-            tag=self.tags[i],
-            segment=i,
-        )
+        """Closest point on the polyline to the finite point (x, y)."""
+        w, h, sx, sy, stride, cells = self._grid
+        if 0.0 <= x <= w and 0.0 <= y <= h:
+            segs = cells[int(y * sy) * stride + int(x * sx)]
+        else:
+            segs = self._segs
+        best, best_i = math.inf, -1
+        for i, ax, ay, dx, dy, l2 in segs:
+            t = ((x - ax) * dx + (y - ay) * dy) / l2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            px = ax + t * dx
+            py = ay + t * dy
+            ex = px - x
+            ey = py - y
+            dist2 = ex * ex + ey * ey
+            if dist2 < best:
+                best, best_i, best_x, best_y = dist2, i, px, py
+        if best_i < 0:
+            raise ValueError(f"track query at a non-finite point ({x}, {y})")
+        return TrackQuery(math.sqrt(best), (best_x, best_y), self._tangents[best_i],
+                          self.tags[best_i], best_i)
 
     def on_mat(self, x: float, y: float) -> bool:
         w, h = self.mat_size
         return 0.0 <= x <= w and 0.0 <= y <= h
+
+
+def _candidate_grid(a, d, len2, mat_size, nx: int, ny: int) -> list[list[list[int]]]:
+    """Candidate segment indices of each cell, as ny rows of nx cells from the
+    origin; see the module docstring for why the search stays exact."""
+    w, h = mat_size
+    margin = _MARGIN_M * max(1.0, w, h)
+    lo = np.minimum(a, a + d)
+    hi = np.maximum(a, a + d)
+    xs = np.linspace(0.0, w, nx + 1)
+    ys = np.linspace(0.0, h, ny + 1)
+
+    def corner_dist(y):  # (nx + 1, n_seg): grid corners on the line y to each segment
+        px = xs[:, None] - a[None, :, 0]
+        py = y - a[None, :, 1]
+        t = np.clip((px * d[:, 0] + py * d[:, 1]) / len2, 0.0, 1.0)
+        return np.hypot(px - t * d[:, 0], py - t * d[:, 1])
+
+    gap_x = np.maximum(0.0, np.maximum(lo[:, 0] - xs[1:, None], xs[:-1, None] - hi[:, 0]))
+    rows = []
+    below = corner_dist(ys[0])
+    for r in range(ny):
+        above = corner_dist(ys[r + 1])
+        upper = np.maximum(np.maximum(below[:-1], below[1:]), np.maximum(above[:-1], above[1:]))
+        gap_y = np.maximum(0.0, np.maximum(lo[:, 1] - ys[r + 1], ys[r] - hi[:, 1]))
+        lower = np.hypot(gap_x, gap_y)
+        keep = lower <= upper.min(axis=1, keepdims=True) + margin
+        rows.append([np.flatnonzero(cell).tolist() for cell in keep])
+        below = above
+    return rows
 
 
 def rounded_rect_track(x0: float = 0.6, y0: float = 0.6, x1: float = 2.9, y1: float = 3.4,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from wardsim.cli import main
 from wardsim.rf_channel import LinkCondition
 from wardsim.scenario import (DEFAULT_BUDGETS_MS, ScenarioValidationError,
                               load_preset, load_scenario, preset_names,
@@ -64,6 +65,23 @@ def test_pdr_ordering_violation_is_reported():
 def test_bool_is_not_accepted_as_int():
     with pytest.raises(ScenarioValidationError):
         validate({"seed": True})
+
+
+@pytest.mark.parametrize("text, error", [
+    ("seed: -1\n", "top.seed: must be nonnegative"),
+    ("vitals_sample_period_ms: 15\n", "top.vitals_sample_period_ms: must be a multiple of dt_ms (10)"),
+    ("fall_detector: {check_period_ms: 25}\n",
+     "fall_detector.check_period_ms: must be a multiple of dt_ms (10)"),
+    ("fall_detector: {check_period_ms: x}\n", "fall_detector.check_period_ms: expected"),
+], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int"])
+def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(path)
+    assert any(e.startswith(error) for e in exc.value.errors), exc.value.errors
+    assert main(["run", str(path)]) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_duplicate_addresses_rejected():

@@ -2,10 +2,42 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardsim import ConfigurationError
-from wardsim.track import Track, rounded_rect_track
+from wardsim.track import Track, TrackQuery, rounded_rect_track
+
+
+def reference_query(track, x, y):
+    """Full numpy scan over every segment. Track.query searches only a grid
+    cell's candidates and must return exactly this."""
+    pts = track.waypoints
+    a, b = (pts, np.roll(pts, -1, axis=0)) if track.closed else (pts[:-1], pts[1:])
+    d = b - a
+    len2 = np.einsum("ij,ij->i", d, d)
+    len2[len2 == 0.0] = 1e-30
+    tangents = d / np.sqrt(len2)[:, None]
+    p = np.array([x, y])
+    t = np.clip(np.einsum("ij,ij->i", p[None, :] - a, d) / len2, 0.0, 1.0)
+    proj = a + t[:, None] * d
+    diff = proj - p
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    i = int(np.argmin(dist2))
+    return TrackQuery(
+        distance=float(math.sqrt(dist2[i])),
+        point=(float(proj[i, 0]), float(proj[i, 1])),
+        tangent=(float(tangents[i, 0]), float(tangents[i, 1])),
+        tag=track.tags[i],
+        segment=i,
+    )
+
+
+def assert_matches_reference(track, x, y):
+    # dataclass equality: exact == on distance, point, tangent, tag and segment
+    assert track.query(x, y) == reference_query(track, x, y), (x, y)
 
 
 def square():
@@ -47,6 +79,10 @@ def test_validation_errors():
         Track([(0, 0), (5, 0)], ["straight"] * 2, mat_size=(2.0, 2.0))
     with pytest.raises(ConfigurationError):
         Track([(0, 0), (1, 0)], ["straight"] * 2, line_width=0.0)
+    with pytest.raises(ConfigurationError):
+        Track([(0, 0), (1, 0)], ["straight"] * 2, mat_size=(math.inf, 2.0))
+    with pytest.raises(ConfigurationError):
+        Track([(0, 0), (math.nan, 0)], ["straight"] * 2)
 
 
 def test_tag_count_matches_open_vs_closed():
@@ -79,3 +115,61 @@ def test_on_mat():
     assert t.on_mat(1.0, 1.0)
     assert not t.on_mat(-0.1, 0.5)
     assert not t.on_mat(0.5, 2.5)
+
+
+def test_query_rejects_a_non_finite_point():
+    with pytest.raises(ValueError):
+        square().query(math.inf, 0.5)
+
+
+@st.composite
+def tracks(draw):
+    w = draw(st.floats(0.05, 30.0))
+    h = draw(st.floats(0.05, 30.0))
+    point = st.tuples(st.floats(0.0, w), st.floats(0.0, h))
+    pts = draw(st.lists(point, min_size=1, max_size=10))
+    # repeat some waypoints: zero-length segments, whose len2 is clamped
+    for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3)):
+        pts.insert(i, pts[i])
+    if len(pts) < 2:
+        pts.append(pts[0])
+    closed = draw(st.booleans())
+    n_seg = len(pts) if closed else len(pts) - 1
+    tags = draw(st.lists(st.sampled_from(["straight", "turn"]), min_size=n_seg, max_size=n_seg))
+    return Track(pts, tags, mat_size=(w, h), closed=closed)
+
+
+@st.composite
+def query_points(draw, track):
+    """Points on and off the mat, on cell edges and the mat border, and on the line."""
+    w, h = track.mat_size
+    kind = draw(st.sampled_from(["anywhere", "edge", "line"]))
+    if kind == "anywhere":
+        return draw(st.floats(-w, 2 * w)), draw(st.floats(-h, 2 * h))
+    if kind == "edge":
+        x = draw(st.sampled_from([0.0, w]) | st.integers(0, track._nx).map(lambda k: k * w / track._nx))
+        y = draw(st.sampled_from([0.0, h]) | st.integers(0, track._ny).map(lambda k: k * h / track._ny))
+        return (x, draw(st.floats(0.0, h))) if draw(st.booleans()) else (draw(st.floats(0.0, w)), y)
+    i = draw(st.integers(0, len(track.waypoints) - 1))
+    j = (i + 1) % len(track.waypoints)
+    t = draw(st.floats(0.0, 1.0))
+    (ax, ay), (bx, by) = track.waypoints[i].tolist(), track.waypoints[j].tolist()
+    return ax + t * (bx - ax), ay + t * (by - ay)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grid_query_equals_full_scan(data):
+    track = data.draw(tracks())
+    for x, y in data.draw(st.lists(query_points(track), min_size=1, max_size=20)):
+        assert_matches_reference(track, x, y)
+
+
+def test_default_course_matches_full_scan_on_a_lattice():
+    track = rounded_rect_track()
+    w, h = track.mat_size
+    # quarter-cell steps from just off the mat to just past it, so the
+    # lattice holds every cell corner and the mat border
+    for i in range(-2, 4 * track._nx + 3):
+        for j in range(-2, 4 * track._ny + 3):
+            assert_matches_reference(track, i * w / (4 * track._nx), j * h / (4 * track._ny))
