@@ -30,6 +30,10 @@ def _load(name_or_path):
 
 
 def _cmd_run(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        # the override bypasses validate(), so check it as validate() would
+        print(ScenarioValidationError(["--seed: must be nonnegative"]), file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         config = _load(args.scenario)
     except (ScenarioValidationError, FileNotFoundError) as exc:

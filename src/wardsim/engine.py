@@ -10,6 +10,8 @@ determines the event log.
 from __future__ import annotations
 
 import csv
+import heapq
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -30,6 +32,7 @@ from .vitals import (FallOutcome, Flag, PatientState, Posture, TriageClass,
 # flags derived from noisy numeric channels; these are debounced before the
 # leader acts so single-sample noise spikes cannot trigger patrols
 _NUMERIC_FLAGS = (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR)
+_NUMERIC_FLAG_SET = frozenset(_NUMERIC_FLAGS)
 
 
 class EngineAbort(RuntimeError):
@@ -78,7 +81,11 @@ class Engine:
         self.log = EventLog()
         self.acc = MetricsAccumulator()
         self._inboxes: dict[int, list[Packet]] = {a: [] for a in addresses}
-        self._pending_triage: list[tuple[int, int, object]] = []  # (ready_ms, sample_time, decision)
+        # heap of (ready_ms, sample_time, push count, decision): it pops in
+        # the order of a stable sort on (ready_ms, sample_time), and the
+        # push count keeps the decisions themselves from being compared
+        self._pending_triage: list[tuple[int, int, int, TriageDecision]] = []
+        self._triage_pushes = itertools.count()
         self._last_triage_sample = -1
         self._script_idx = 0
         self._link_idx = 0
@@ -182,10 +189,15 @@ class Engine:
                      self._now)
         self._send(pkt, extra_delay_ms=cfg.latency.vitals_transmit_ms)
 
+    def _queue_triage(self, sample_time: int, decision: TriageDecision):
+        delay = triage_delay_ms(decision.flags, self.config.latency)
+        heapq.heappush(self._pending_triage, (self._now + delay, sample_time,
+                                              next(self._triage_pushes), decision))
+
     def _triage_ready(self):
-        ready = [x for x in self._pending_triage if x[0] <= self._now]
-        self._pending_triage = [x for x in self._pending_triage if x[0] > self._now]
-        for _, sample_time, decision in sorted(ready, key=lambda x: (x[0], x[1])):
+        pending = self._pending_triage
+        while pending and pending[0][0] <= self._now:
+            _, sample_time, _, decision = heapq.heappop(pending)
             self._deliver_triage(sample_time, decision)
 
     def _deliver_triage(self, sample_time: int, decision):
@@ -212,9 +224,7 @@ class Engine:
                 sample = Vitals(sample_time=pkt.payload["sample_time"], valid=True,
                                 spo2=pkt.payload["spo2"], bpm=pkt.payload["bpm"],
                                 temp=pkt.payload["temp"])
-                decision = self._debounce(classify(sample))
-                delay = triage_delay_ms(decision.flags, self.config.latency)
-                self._pending_triage.append((self._now + delay, sample.sample_time, decision))
+                self._queue_triage(sample.sample_time, self._debounce(classify(sample)))
             else:
                 self._inboxes[pkt.dst].append(pkt)
 
@@ -244,7 +254,7 @@ class Engine:
             self._severe_on = False
 
         flags = frozenset(f for f in _NUMERIC_FLAGS if self._flag_on[f])
-        flags |= decision.flags - set(_NUMERIC_FLAGS)
+        flags |= decision.flags - _NUMERIC_FLAG_SET
         if self._severe_on or Flag.FALL in flags:
             cls = TriageClass.GO_TO_HOSPITAL
         elif flags:

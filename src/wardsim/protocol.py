@@ -196,7 +196,13 @@ def _priority(task: Task) -> int:
 
 
 class Leader:
-    """Decision-making hub: owns the task table and the notification sink."""
+    """Decision-making hub: owns the task table and the notification sink.
+
+    `tasks` holds every task ever created. `_open` holds the tasks not yet
+    in a terminal state, in task-id order: a task enters it on creation and
+    leaves it on reaching a terminal state, which it never leaves, so the
+    per-step scans cost the open work, not the history of the shift.
+    """
 
     def __init__(self, address: int, roster: dict[int, RosterEntry],
                  schedule: MedicationSchedule | None = None,
@@ -208,10 +214,12 @@ class Leader:
         self.policy = policy
         self.sink = sink or NotificationSink()
         self.tasks: dict[int, Task] = {}
+        self._open: dict[int, Task] = {}
         self._next_task_id = 1
         self._cmd_seq: dict[int, int] = {}
         self._seq_to_task: dict[tuple[int, int], int] = {}
-        self._fired_entries: set[int] = set()
+        self._schedule_cursor = 0   # entries before it have fired
+        self._pending_resend: list[int] = []  # retried or reassigned this step
         self._assigned: dict[int, int] = {}   # follower addr -> open task_id
         self._prev_flags: frozenset[Flag] = frozenset()
         self.transition_hook = None  # callable(task, now) for event logging
@@ -220,6 +228,8 @@ class Leader:
 
     def _record(self, task: Task, new_state: TaskState, now: int):
         task.transition(new_state, now)
+        if new_state in TERMINAL_STATES:
+            del self._open[task.task_id]
         if self.transition_hook:
             self.transition_hook(task, now)
 
@@ -229,6 +239,7 @@ class Leader:
                     emergency=emergency, depends_on=depends_on)
         self._next_task_id += 1
         self.tasks[task.task_id] = task
+        self._open[task.task_id] = task
         if self.transition_hook:
             self.transition_hook(task, now)
         return task
@@ -243,17 +254,22 @@ class Leader:
                 return addr
         return None
 
-    def _send_command(self, task: Task, addr: int, now: int, outbox: list):
+    def _emit_command(self, task: Task, addr: int, now: int, outbox: list):
+        """Put one COMMAND for `task` to `addr` in the outbox under the next
+        sequence number of that link, and hold `addr` for the task."""
         seq = self._cmd_seq.get(addr, 0) + 1
         self._cmd_seq[addr] = seq
         self._seq_to_task[(addr, seq)] = task.task_id
-        task.assignee = addr
-        if addr not in task.tried_assignees:
-            task.tried_assignees.append(addr)
         self._assigned[addr] = task.task_id
         payload = {"task_id": task.task_id, "kind": task.kind.value,
                    "target": task.target, "emergency": task.emergency}
         outbox.append(Packet(self.address, addr, seq, PacketKind.COMMAND, payload, now))
+
+    def _send_command(self, task: Task, addr: int, now: int, outbox: list):
+        task.assignee = addr
+        if addr not in task.tried_assignees:
+            task.tried_assignees.append(addr)
+        self._emit_command(task, addr, now, outbox)
         self._record(task, TaskState.SENT, now)
 
     def _release(self, addr: int | None, task_id: int):
@@ -284,9 +300,8 @@ class Leader:
         """Emergency path for a relayed camera fall detection. Repeated
         alerts for the same incident are absorbed while a response task is
         still outstanding."""
-        for task in self.tasks.values():
-            if (task.origin is TaskOrigin.EMERGENCY_OVERRIDE
-                    and task.state not in TERMINAL_STATES):
+        for task in self._open.values():
+            if task.origin is TaskOrigin.EMERGENCY_OVERRIDE:
                 return
         self.sink.notify(now, "emergency", "fall detected by corridor camera",
                          cause=Flag.FALL.value)
@@ -360,17 +375,19 @@ class Leader:
                     self._resolve_timeout(task, now)
 
     def _fire_schedule(self, now: int):
-        for i, entry in enumerate(self.schedule.entries):
-            if i in self._fired_entries or entry.time_ms > now:
-                continue
-            self._fired_entries.add(i)
+        # entries are sorted by time, so the fired ones are a prefix
+        entries = self.schedule.entries
+        while self._schedule_cursor < len(entries) \
+                and entries[self._schedule_cursor].time_ms <= now:
+            entry = entries[self._schedule_cursor]
+            self._schedule_cursor += 1
             dispense = self._new_task(TaskKind.ARM_DISPENSE, TaskOrigin.SCHEDULED, now,
                                       target=entry.slot)
             self._new_task(TaskKind.DELIVER_MEDICINE, TaskOrigin.SCHEDULED, now,
                            target=entry.bed, depends_on=dispense.task_id)
 
     def _check_timeouts(self, now: int, outbox: list):
-        for task in list(self.tasks.values()):
+        for task in list(self._open.values()):
             if task.state is TaskState.SENT:
                 limit = self.policy.timeout_ms
             elif task.state in (TaskState.ACKED, TaskState.IN_PROGRESS):
@@ -389,13 +406,11 @@ class Leader:
         if decision is TimeoutDecision.RETRY:
             self._record(task, TaskState.SENT, now)
             # immediately goes back out; re-enter the dispatch queue via SENT
-            self._pending_resend = getattr(self, "_pending_resend", [])
             self._pending_resend.append(task.task_id)
         elif decision is TimeoutDecision.REASSIGN:
             self._record(task, TaskState.REASSIGNED, now)
             task.retry_count = 0
             task.assignee = addr
-            self._pending_resend = getattr(self, "_pending_resend", [])
             self._pending_resend.append(task.task_id)
         else:
             self._record(task, TaskState.ESCALATED, now)
@@ -405,14 +420,8 @@ class Leader:
                              cause="escalation")
 
     def _dep_satisfied(self, task: Task) -> bool:
-        if task.depends_on is None:
-            return True
-        dep = self.tasks[task.depends_on]
-        if dep.state is TaskState.ESCALATED and task.state is TaskState.CREATED:
-            # the dispense never happened, the delivery cannot either
-            self._escalate_created(task, dep.last_activity, "dependency escalated")
-            return False
-        return dep.state is TaskState.COMPLETED
+        return task.depends_on is None \
+            or self.tasks[task.depends_on].state is TaskState.COMPLETED
 
     def _escalate_created(self, task: Task, now: int, reason: str):
         self._record(task, TaskState.ESCALATED, now)
@@ -422,17 +431,24 @@ class Leader:
 
     def _dispatch(self, now: int, outbox: list):
         # resends decided by timeout handling this step
-        pending = getattr(self, "_pending_resend", [])
-        self._pending_resend = []
+        pending, self._pending_resend = self._pending_resend, []
         for task_id in pending:
             task = self.tasks[task_id]
             if task.state is TaskState.SENT:
                 # transitioned back to SENT by retry: emit the actual packet
-                self._emit_resend(task, now, outbox)
+                self._emit_command(task, task.assignee, now, outbox)
+                task.last_activity = now
             elif task.state is TaskState.REASSIGNED:
                 self._send_command(task, task.assignee, now, outbox)
+        # the dispense never happened, so the delivery that waits on it
+        # cannot either; stamped with the time the dependency escalated
+        for task in list(self._open.values()):
+            if task.state is TaskState.CREATED and task.depends_on is not None:
+                dep = self.tasks[task.depends_on]
+                if dep.state is TaskState.ESCALATED:
+                    self._escalate_created(task, dep.last_activity, "dependency escalated")
         # fresh tasks, emergencies first then scheduled then routine
-        created = [t for t in self.tasks.values()
+        created = [t for t in self._open.values()
                    if t.state is TaskState.CREATED and self._dep_satisfied(t)]
         for task in sorted(created, key=lambda t: (_priority(t), t.task_id)):
             if not any(task.kind in e.capabilities for e in self.roster.values()):
@@ -452,17 +468,6 @@ class Leader:
                     del self._assigned[addr]
             if addr is not None:
                 self._send_command(task, addr, now, outbox)
-
-    def _emit_resend(self, task: Task, now: int, outbox: list):
-        addr = task.assignee
-        seq = self._cmd_seq.get(addr, 0) + 1
-        self._cmd_seq[addr] = seq
-        self._seq_to_task[(addr, seq)] = task.task_id
-        self._assigned[addr] = task.task_id
-        payload = {"task_id": task.task_id, "kind": task.kind.value,
-                   "target": task.target, "emergency": task.emergency}
-        outbox.append(Packet(self.address, addr, seq, PacketKind.COMMAND, payload, now))
-        task.last_activity = now
 
 
 @dataclass

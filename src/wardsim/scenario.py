@@ -96,6 +96,26 @@ def _check_keys(section: dict, allowed, path: str, errors: list[str]):
             errors.append(f"{path}: unknown key {key!r}")
 
 
+def _mapping(value, path: str, errors: list[str]) -> dict:
+    """A section that must be a mapping; an absent (null) one is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        errors.append(f"{path}: expected a mapping, got {type(value).__name__}")
+        return {}
+    return value
+
+
+def _sequence(value, path: str, errors: list[str]) -> list:
+    """A section that must be a list; an absent (null) one is empty."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        errors.append(f"{path}: expected a list, got {type(value).__name__}")
+        return []
+    return value
+
+
 def _get(section: dict, key: str, default, path: str, errors: list[str], types, convert=None):
     value = section.get(key, default)
     if value is None:
@@ -131,7 +151,7 @@ def _build_track(raw, errors: list[str]) -> Track:
 
 
 def _build_dataclass(cls, raw, path, errors, casts=None):
-    raw = raw or {}
+    raw = _mapping(raw, path, errors)
     fields = {f for f in cls.__dataclass_fields__}
     _check_keys(raw, fields, path, errors)
     kwargs = {}
@@ -185,12 +205,12 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
 
     track = _build_track(raw.get("track"), errors)
 
-    robots = raw.get("robots") or {}
+    robots = _mapping(raw.get("robots"), "robots", errors)
     _check_keys(robots, {"leader", "corridor", "arm", "wearable"}, "robots", errors)
-    leader = robots.get("leader") or {}
-    corridor = robots.get("corridor") or {}
-    arm = robots.get("arm") or {}
-    wearable = robots.get("wearable") or {}
+    leader = _mapping(robots.get("leader"), "robots.leader", errors)
+    corridor = _mapping(robots.get("corridor"), "robots.corridor", errors)
+    arm = _mapping(robots.get("arm"), "robots.arm", errors)
+    wearable = _mapping(robots.get("wearable"), "robots.wearable", errors)
     _check_keys(leader, {"address"}, "robots.leader", errors)
     _check_keys(corridor, {"address", "chassis", "gains", "geometry", "base_rpm",
                            "start", "slip_halfwidth", "slip_bias_halfwidth"},
@@ -220,6 +240,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
         tx, ty = track._tangents[0]
         start_pose = Pose(float(wx), float(wy), math.atan2(ty, tx))
     else:
+        start_raw = _mapping(start_raw, "robots.corridor.start", errors)
         _check_keys(start_raw, {"x", "y", "theta"}, "robots.corridor.start", errors)
         try:
             start_pose = Pose(float(start_raw.get("x", 0.0)), float(start_raw.get("y", 0.0)),
@@ -232,7 +253,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
                                casts={"range_m": tuple})
 
     link_conditions = []
-    for i, item in enumerate(raw.get("link_conditions") or []):
+    for i, item in enumerate(_sequence(raw.get("link_conditions"), "link_conditions", errors)):
         path = f"link_conditions[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{path}: expected a mapping")
@@ -246,7 +267,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
             errors.append(f"{path}: {exc}")
 
     patient_script = []
-    for i, item in enumerate(raw.get("patient_script") or []):
+    for i, item in enumerate(_sequence(raw.get("patient_script"), "patient_script", errors)):
         path = f"patient_script[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{path}: expected a mapping")
@@ -272,7 +293,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
     patient_script.sort(key=lambda e: e.time_ms)
 
     entries = []
-    for i, item in enumerate(raw.get("schedule") or []):
+    for i, item in enumerate(_sequence(raw.get("schedule"), "schedule", errors)):
         path = f"schedule[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{path}: expected a mapping")
@@ -290,7 +311,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
         casts={"ai_flags": lambda flags: frozenset(Flag(f) for f in flags)})
     noise = _build_dataclass(SensorNoiseModel, raw.get("noise"), "noise", errors)
 
-    fall_raw = dict(raw.get("fall_detector") or {})
+    fall_raw = dict(_mapping(raw.get("fall_detector"), "fall_detector", errors))
     fall_check_period_ms = _get(fall_raw, "check_period_ms", 100, "fall_detector", errors, int)
     fall_raw.pop("check_period_ms", None)
     fall_detector = _build_dataclass(FallDetectorModel, fall_raw, "fall_detector", errors)
@@ -311,25 +332,32 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
         TaskKind.DELIVER_MEDICINE: 6000,
         TaskKind.ARM_DISPENSE: 2000,
     }
-    for k, v in (raw.get("exec_durations_ms") or {}).items():
+    durations_raw = _mapping(raw.get("exec_durations_ms"), "exec_durations_ms", errors)
+    for k in durations_raw:
         try:
-            exec_durations[TaskKind(k)] = int(v)
-        except (ValueError, TypeError) as exc:
+            kind = TaskKind(k)
+        except ValueError as exc:
             errors.append(f"exec_durations_ms.{k}: {exc}")
+            continue
+        exec_durations[kind] = _get(durations_raw, k, exec_durations[kind],
+                                    "exec_durations_ms", errors, int)
 
     budgets = dict(DEFAULT_BUDGETS_MS)
-    for k, v in (raw.get("budgets_ms") or {}).items():
+    budgets_raw = _mapping(raw.get("budgets_ms"), "budgets_ms", errors)
+    for k in budgets_raw:
         if k not in SCENARIO_KINDS:
             errors.append(f"budgets_ms: unknown scenario kind {k!r}")
             continue
-        budgets[k] = int(v)
+        budget = _get(budgets_raw, k, budgets.get(k), "budgets_ms", errors, int)
+        if budget is not None:
+            budgets[k] = budget
 
-    battery = raw.get("battery") or {}
+    battery = _mapping(raw.get("battery"), "battery", errors)
     _check_keys(battery, {"budget_units", "low_speed_factor"}, "battery", errors)
     battery_budget = float(_get(battery, "budget_units", 0.0, "battery", errors, (int, float)))
     battery_factor = float(_get(battery, "low_speed_factor", 0.5, "battery", errors, (int, float)))
 
-    correction = raw.get("correction") or {}
+    correction = _mapping(raw.get("correction"), "correction", errors)
     _check_keys(correction, {"enabled", "position_gain", "heading_gain"}, "correction", errors)
     correction_enabled = bool(correction.get("enabled", True))
     correction_pos = float(_get(correction, "position_gain", 0.1, "correction", errors, (int, float)))

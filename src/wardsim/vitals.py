@@ -33,6 +33,10 @@ class TriageClass(enum.Enum):
     MONITOR_AT_HOME = "monitor_at_home"
     NO_HOSPITAL = "no_hospital"
 
+    # members are singletons and compare by identity, so the identity hash
+    # is consistent with ==; Enum's own hashes the name in Python code
+    __hash__ = object.__hash__
+
 
 # most severe first; used for tie-breaking throughout
 SEVERITY_ORDER = (TriageClass.GO_TO_HOSPITAL, TriageClass.MONITOR_AT_HOME, TriageClass.NO_HOSPITAL)
@@ -44,6 +48,10 @@ class Flag(enum.Enum):
     ABNORMAL_HR = "abnormal_hr"
     FALL = "fall"
     NO_VITALS = "no_vitals"
+
+    # as for TriageClass; set order then follows addresses, so nothing may
+    # be written out in the iteration order of a set of flags
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -150,8 +158,12 @@ def class_from_probs(probs) -> TriageClass:
     raise AssertionError("unreachable")
 
 
+_ONE_HOT = {cls: tuple(1.0 if c is cls else 0.0 for c in SEVERITY_ORDER)
+            for cls in SEVERITY_ORDER}
+
+
 def one_hot(cls: TriageClass) -> tuple[float, float, float]:
-    return tuple(1.0 if c is cls else 0.0 for c in SEVERITY_ORDER)
+    return _ONE_HOT[cls]
 
 
 def classify(vitals: Vitals, fall_flag: bool = False,

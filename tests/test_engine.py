@@ -9,7 +9,9 @@ import pytest
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
 from wardsim.metrics import EventLog, MetricsAccumulator, replay_metrics
+from wardsim.protocol import TERMINAL_STATES
 from wardsim.scenario import load_preset, validate
+from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
 
 
 def short_config(**overrides):
@@ -126,6 +128,67 @@ def test_engine_abort_carries_partial_log():
     assert len(exc.value.log.records) >= 1
 
 
+def test_triage_results_are_delivered_by_ready_time_and_stale_ones_dropped():
+    engine = Engine(short_config(patient_script=[]))
+
+    def decision(*flags):
+        cls = TriageClass.MONITOR_AT_HOME if flags else TriageClass.NO_HOSPITAL
+        return TriageDecision(cls, one_hot(cls), frozenset(flags))
+
+    # (arrival time, sample time, decision); fever takes the 3200 ms AI path,
+    # the others the 900 ms threshold path
+    for now, sample_time, d in ((0, 0, decision(Flag.FEVER)),          # ready 3200
+                                (100, 100, decision(Flag.LOW_SPO2)),   # ready 1000
+                                (2500, 2450, decision()),              # ready 3400
+                                (2500, 2300, decision(Flag.LOW_SPO2))):  # ready 3400
+        engine._now = now
+        engine._queue_triage(sample_time, d)
+    delivered = []
+    for now in (999, 1000, 3200, 3400):
+        engine._now = now
+        engine._triage_ready()
+        delivered.append([r["payload"]["sample_time"] for r in engine.log.records
+                          if r["kind"] == "triage"])
+    # the AI result for sample 0 comes due after the fresher sample 100 and
+    # is dropped; on equal ready times the older sample goes first
+    assert delivered == [[], [100], [100], [100, 2300, 2450]]
+    assert not engine._pending_triage
+
+
+def test_open_task_index_matches_the_task_table_over_a_shift(monkeypatch):
+    schedule = [{"time_ms": t, "bed": 1 + (t // 5000) % 2, "slot": (t // 5000) % 2}
+                for t in range(5000, 30000, 5000)]
+    cfg = short_config(
+        duration_ms=25500, patrol_always=False, vitals_sample_period_ms=10,
+        exec_durations_ms={"patrol_check": 500, "deliver_medicine": 500, "arm_dispense": 500},
+        link_conditions=[{"time_ms": 0, "src": 1, "dst": 2, "condition": "obstructed"},
+                         {"time_ms": 0, "src": 2, "dst": 1, "condition": "obstructed"}],
+        schedule=schedule,
+        patient_script=[{"time_ms": 8000, "kind": "low_spo2", "spo2": 87},
+                        {"time_ms": 18000, "spo2": 98}])
+    engine = Engine(cfg)
+
+    def open_ids_are_the_non_terminal_tasks():
+        leader = engine.leader
+        return list(leader._open) == sorted(
+            i for i, t in leader.tasks.items() if t.state not in TERMINAL_STATES)
+
+    step = type(engine.leader).step
+    broken_at = []
+
+    def checked_step(leader, inbox, now):
+        out = step(leader, inbox, now)
+        if not open_ids_are_the_non_terminal_tasks():
+            broken_at.append(now)
+        return out
+
+    monkeypatch.setattr(type(engine.leader), "step", checked_step)
+    engine.run()
+    assert not broken_at
+    assert open_ids_are_the_non_terminal_tasks()
+    assert len(engine.leader.tasks) >= 10 and engine.leader._open
+
+
 def test_metrics_fold_is_pure():
     log, live = run(short_config())
     acc = MetricsAccumulator()
@@ -184,6 +247,11 @@ def test_cli_run_rejects_invalid_scenario(tmp_path, capsys):
 
 def test_cli_run_unknown_preset_exits_two(capsys):
     assert main(["run", "no_such_preset"]) == 2
+
+
+def test_cli_run_negative_seed_exits_two(capsys):
+    assert main(["run", "alert_no_vitals", "--seed", "-1"]) == 2
+    assert "--seed: must be nonnegative" in capsys.readouterr().err
 
 
 def test_cli_replay_round_trip(tmp_path, capsys):

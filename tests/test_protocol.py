@@ -153,6 +153,18 @@ def test_schedule_entries_fire_once():
     assert len(leader.tasks) == 2
 
 
+def test_schedule_entries_between_ticks_fire_once_on_the_next_tick():
+    sched = MedicationSchedule([ScheduleEntry(time_ms=25, bed=5, slot=2),
+                                ScheduleEntry(time_ms=15, bed=4, slot=1)])
+    leader = Leader(1, {2: RosterEntry(2, ALL)}, schedule=sched)
+    counts = []
+    for now in range(0, 60, 10):
+        leader.step([], now)
+        counts.append(len(leader.tasks))
+    assert counts == [0, 0, 2, 4, 4, 4]
+    assert [t.target for t in leader.tasks.values()] == [1, 4, 2, 5]
+
+
 # ---------------------------------------------------------------------------
 # follower behavior
 
@@ -325,6 +337,10 @@ def test_dependency_escalation_cascades_to_delivery():
     states = {t.kind: t.state for t in leader.tasks.values()}
     assert states[TaskKind.ARM_DISPENSE] is TaskState.ESCALATED
     assert states[TaskKind.DELIVER_MEDICINE] is TaskState.ESCALATED
+    # the dispense escalates at 0 and the next step (50) cascades it, with
+    # the time the dependency escalated
+    assert [(e.time_ms, e.text.split(":")[-1].strip()) for e in leader.sink.entries] == [
+        (0, "no follower is capable"), (0, "dependency escalated")]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +356,24 @@ def test_exchange_settles_and_executes_exactly_once(pdr):
             assert all(n == 1 for n in fol.execution_count.values())
         for task in leader.tasks.values():
             assert task.state in TERMINAL_STATES
+
+
+@pytest.mark.parametrize("pdr", [1.0, 0.7, 0.5, 0.3])
+def test_open_index_holds_the_non_terminal_tasks_after_every_step(monkeypatch, pdr):
+    step = Leader.step
+    checked = []
+
+    def checked_step(leader, inbox, now):
+        out = step(leader, inbox, now)
+        open_ids = [i for i, t in leader.tasks.items() if t.state not in TERMINAL_STATES]
+        assert list(leader._open) == sorted(open_ids), f"pdr={pdr} now={now}"
+        checked.append(now)
+        return out
+
+    monkeypatch.setattr(Leader, "step", checked_step)
+    for seed in range(8):
+        run_lossy_exchange(seed, pdr, n_entries=3)
+    assert checked
 
 
 def test_exchange_is_lossless_baseline_all_completed():

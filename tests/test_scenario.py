@@ -73,7 +73,17 @@ def test_bool_is_not_accepted_as_int():
     ("fall_detector: {check_period_ms: 25}\n",
      "fall_detector.check_period_ms: must be a multiple of dt_ms (10)"),
     ("fall_detector: {check_period_ms: x}\n", "fall_detector.check_period_ms: expected"),
-], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int"])
+    ("budgets_ms: {fall: abc}\n", "budgets_ms.fall: expected"),
+    ("exec_durations_ms: [1]\n", "exec_durations_ms: expected a mapping, got list"),
+    ("exec_durations_ms: {patrol_check: 1.5}\n", "exec_durations_ms.patrol_check: expected"),
+    ("fall_detector: [1]\n", "fall_detector: expected a mapping, got list"),
+    ("robots: [1]\n", "robots: expected a mapping, got list"),
+    ("robots: {corridor: 7}\n", "robots.corridor: expected a mapping, got int"),
+    ("budgets_ms: 5\n", "budgets_ms: expected a mapping, got int"),
+    ("schedule: 5\n", "schedule: expected a list, got int"),
+], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
+        "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
+        "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
