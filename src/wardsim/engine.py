@@ -13,6 +13,7 @@ import csv
 import heapq
 import itertools
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field
 
@@ -120,13 +121,8 @@ class Engine:
         }, "protocol")
 
     def _send(self, packet: Packet, extra_delay_ms: float = 0.0):
-        self.channel.send(packet, extra_delay_ms)
-        rec = self.channel.log[-1]
-        self._emit("packet_send", {
-            "src": rec.src, "dst": rec.dst, "packet_kind": rec.kind.value,
-            "seq": rec.seq, "condition": rec.condition.value,
-            "outcome": rec.outcome, "delay_ms": rec.delay_ms,
-        }, "channel")
+        rec = self.channel.send(packet, extra_delay_ms)
+        self._emit("packet_send", rec.payload(), "channel")
 
     def _drain_notifications(self):
         entries = self.leader.sink.entries
@@ -403,6 +399,18 @@ def run(config: ScenarioConfig) -> tuple[EventLog, RunMetrics]:
     return Engine(config).run()
 
 
+# one CSV per event kind: (file, event kind, header, payload keys); a row is
+# the event's time followed by those payload values
+_CSV_EXPORTS = (
+    ("channel.csv", "packet_send",
+     ("time_ms", "src", "dst", "kind", "seq", "condition", "outcome", "delay_ms"),
+     ("src", "dst", "packet_kind", "seq", "condition", "outcome", "delay_ms")),
+    ("tasks.csv", "task",
+     ("time_ms", "task_id", "kind", "origin", "assignee", "state", "retry_count"),
+     ("task_id", "kind", "origin", "assignee", "state", "retry_count")),
+)
+
+
 def export_outputs(log: EventLog, metrics: RunMetrics, out_dir):
     """Write the per-run artifacts: event log, metric summaries, CSVs."""
     import os
@@ -412,23 +420,13 @@ def export_outputs(log: EventLog, metrics: RunMetrics, out_dir):
         f.write(metrics.as_text())
     metrics.save_csv(os.path.join(out_dir, "metrics.csv"))
 
-    with open(os.path.join(out_dir, "channel.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time_ms", "src", "dst", "kind", "seq", "condition", "outcome", "delay_ms"])
-        for r in log.records:
-            if r["kind"] == "packet_send":
-                p = r["payload"]
-                w.writerow([r["time_ms"], p["src"], p["dst"], p["packet_kind"],
-                            p["seq"], p["condition"], p["outcome"], p["delay_ms"]])
-
-    with open(os.path.join(out_dir, "tasks.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time_ms", "task_id", "kind", "origin", "assignee", "state", "retry_count"])
-        for r in log.records:
-            if r["kind"] == "task":
-                p = r["payload"]
-                w.writerow([r["time_ms"], p["task_id"], p["kind"], p["origin"],
-                            p["assignee"], p["state"], p["retry_count"]])
+    for name, kind, header, keys in _CSV_EXPORTS:
+        row_of = operator.itemgetter(*keys)
+        with open(os.path.join(out_dir, name), "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows((r["time_ms"], *row_of(r["payload"]))
+                        for r in log.records if r["kind"] == kind)
 
     with open(os.path.join(out_dir, "vitals.csv"), "w", newline="") as f:
         w = csv.writer(f)

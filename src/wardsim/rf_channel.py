@@ -4,20 +4,23 @@ Delivery is decided per send from the packet delivery ratio of the current
 link condition; dropped packets vanish silently, so loss is only observable
 through protocol timeouts. One-way delay is half the configured round trip
 plus symmetric uniform jitter, floored at 1 ms.
+
+The channel keeps no delivery log: `send` returns the send's
+`DeliveryRecord`, whose `payload()` the engine logs as a `packet_send` event.
+`measure_pdr` and `measure_rtt` fold records through `MetricsAccumulator`,
+the same fold as the live and replayed metrics.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import heapq
-import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import AddressingError, ConfigurationError
+from .metrics import MetricsAccumulator, RunMetrics
 
 
 class PacketKind(enum.Enum):
@@ -49,7 +52,6 @@ class ChannelConfig:
     pdr_obstructed: float = 0.92
     rtt_ms: float = 37.0
     one_way_jitter_ms: float = 3.0
-    range_m: tuple[float, float] = (5.0, 8.0)
 
     def __post_init__(self):
         if not (0.0 < self.pdr_obstructed <= self.pdr_clear <= 1.0):
@@ -74,23 +76,22 @@ class DeliveryRecord:
     outcome: str          # "delivered" | "dropped"
     delay_ms: float       # one-way delay for delivered packets, 0 for drops
 
-    def as_row(self) -> list:
-        return [self.time_ms, self.src, self.dst, self.kind.value, self.seq,
-                self.condition.value, self.outcome, self.delay_ms]
-
-
-CSV_HEADER = ["time_ms", "src", "dst", "kind", "seq", "condition", "outcome", "delay_ms"]
+    def payload(self) -> dict:
+        """The payload of this send's `packet_send` event."""
+        return {"src": self.src, "dst": self.dst, "packet_kind": self.kind.value,
+                "seq": self.seq, "condition": self.condition.value,
+                "outcome": self.outcome, "delay_ms": self.delay_ms}
 
 
 class Channel:
-    """Owns link conditions, the in-flight queue, and the delivery log."""
+    """Owns link conditions and the in-flight queue; keeps no delivery log,
+    since each send returns its record."""
 
     def __init__(self, config: ChannelConfig, addresses, rng: np.random.Generator):
         self.config = config
         self.addresses = set(addresses)
         self.rng = rng
         self.conditions: dict[tuple[int, int], LinkCondition] = {}
-        self.log: list[DeliveryRecord] = []
         self._in_flight: list[tuple[float, int, Packet]] = []
         self._counter = 0
 
@@ -100,26 +101,24 @@ class Channel:
     def condition_for(self, src: int, dst: int) -> LinkCondition:
         return self.conditions.get((src, dst), LinkCondition.CLEAR)
 
-    def send(self, packet: Packet, extra_delay_ms: float = 0.0) -> bool:
-        """Submit a packet at packet.sent_at; returns True when delivered
-        (the caller must not peek — reliability belongs to the protocol)."""
+    def send(self, packet: Packet, extra_delay_ms: float = 0.0) -> DeliveryRecord:
+        """Submit a packet at packet.sent_at and return the record of what
+        became of it, for the event log (the protocol must not peek —
+        reliability belongs to the protocol)."""
         if packet.dst not in self.addresses:
             raise AddressingError(f"unknown destination address {packet.dst}")
         cond = self.condition_for(packet.src, packet.dst)
-        delivered = bool(self.rng.random() < self.config.pdr(cond))
-        if delivered:
-            j = self.config.one_way_jitter_ms
-            delay = self.config.rtt_ms / 2.0 + (self.rng.uniform(-j, j) if j > 0 else 0.0)
-            delay = max(delay, 1.0)
-            heapq.heappush(self._in_flight,
-                           (packet.sent_at + delay + extra_delay_ms, self._counter, packet))
-            self._counter += 1
-            self.log.append(DeliveryRecord(packet.sent_at, packet.src, packet.dst,
-                                           packet.kind, packet.seq, cond, "delivered", delay))
-        else:
-            self.log.append(DeliveryRecord(packet.sent_at, packet.src, packet.dst,
-                                           packet.kind, packet.seq, cond, "dropped", 0.0))
-        return delivered
+        if not self.rng.random() < self.config.pdr(cond):
+            return DeliveryRecord(packet.sent_at, packet.src, packet.dst,
+                                  packet.kind, packet.seq, cond, "dropped", 0.0)
+        j = self.config.one_way_jitter_ms
+        delay = self.config.rtt_ms / 2.0 + (self.rng.uniform(-j, j) if j > 0 else 0.0)
+        delay = max(delay, 1.0)
+        heapq.heappush(self._in_flight,
+                       (packet.sent_at + delay + extra_delay_ms, self._counter, packet))
+        self._counter += 1
+        return DeliveryRecord(packet.sent_at, packet.src, packet.dst,
+                              packet.kind, packet.seq, cond, "delivered", delay)
 
     def deliveries_due(self, now_ms: float) -> list[Packet]:
         """Pop all packets whose delivery time has arrived, in order."""
@@ -132,45 +131,29 @@ class Channel:
     def pending(self) -> int:
         return len(self._in_flight)
 
-    def export_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(CSV_HEADER)
-            for rec in self.log:
-                w.writerow(rec.as_row())
+
+def _fold(records) -> RunMetrics:
+    acc = MetricsAccumulator()
+    for r in records:
+        acc.consume({"kind": "packet_send", "time_ms": r.time_ms, "payload": r.payload()})
+    return acc.result()
 
 
-def measure_pdr(log) -> dict[LinkCondition, float]:
+def measure_pdr(records) -> dict[LinkCondition, float]:
     """Observed delivered/sent ratio per link condition bucket."""
-    if not log:
+    pdr = _fold(records).pdr
+    if not pdr:
         raise ValueError("no sends recorded; PDR undefined")
-    sent: dict[LinkCondition, int] = {}
-    delivered: dict[LinkCondition, int] = {}
-    for rec in log:
-        sent[rec.condition] = sent.get(rec.condition, 0) + 1
-        if rec.outcome == "delivered":
-            delivered[rec.condition] = delivered.get(rec.condition, 0) + 1
-    return {cond: delivered.get(cond, 0) / n for cond, n in sent.items()}
+    return {LinkCondition(cond): v for cond, v in pdr.items()}
 
 
-def measure_rtt(log) -> tuple[float, float]:
+def measure_rtt(records) -> tuple[float, float]:
     """Mean and stddev of command round trips over matched command/ack pairs.
 
-    A command record from (a -> b) with sequence s matches the first ack
-    record (b -> a) whose payload-independent seq equals s; both legs must
-    have been delivered. Unmatched commands are excluded."""
-    commands = {}
-    rtts = []
-    for rec in log:
-        if rec.kind is PacketKind.COMMAND and rec.outcome == "delivered":
-            commands[(rec.src, rec.dst, rec.seq)] = rec
-    for rec in log:
-        if rec.kind is PacketKind.ACK and rec.outcome == "delivered":
-            cmd = commands.pop((rec.dst, rec.src, rec.seq), None)
-            if cmd is not None:
-                rtts.append((rec.time_ms + rec.delay_ms) - cmd.time_ms)
-    if not rtts:
+    As in the live metrics, a delivered ack (b -> a) with sequence s pairs
+    with the latest delivered command (a -> b) with sequence s before it, and
+    each command pairs at most once. Unmatched commands are excluded."""
+    m = _fold(records)
+    if m.rtt_mean_ms is None:
         raise ValueError("no completed command/ack pairs; RTT undefined")
-    mean = statistics.fmean(rtts)
-    std = statistics.pstdev(rtts) if len(rtts) > 1 else 0.0
-    return mean, std
+    return m.rtt_mean_ms, m.rtt_std_ms

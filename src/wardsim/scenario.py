@@ -116,7 +116,9 @@ def _sequence(value, path: str, errors: list[str]) -> list:
     return value
 
 
-def _get(section: dict, key: str, default, path: str, errors: list[str], types, convert=None):
+def _get(section: dict, key: str, default, path: str, errors: list[str], types):
+    """A scalar that must already have one of `types`; it is never coerced,
+    so a wrong type is an error and the default stands in for it."""
     value = section.get(key, default)
     if value is None:
         return default
@@ -127,7 +129,13 @@ def _get(section: dict, key: str, default, path: str, errors: list[str], types, 
     if not ok:
         errors.append(f"{path}.{key}: expected {types}, got {type(value).__name__}")
         return default
-    return convert(value) if convert else value
+    return value
+
+
+def _float(section: dict, key: str, default, path: str, errors: list[str]):
+    """A number, as a float; an int is widened, nothing else is accepted."""
+    value = _get(section, key, default, path, errors, (int, float))
+    return None if value is None else float(value)
 
 
 def _build_track(raw, errors: list[str]) -> Track:
@@ -141,18 +149,22 @@ def _build_track(raw, errors: list[str]) -> Track:
         return Track(
             raw.get("waypoints", []),
             raw.get("tags", []),
-            line_width=float(raw.get("line_width", 0.018)),
+            line_width=_float(raw, "line_width", 0.018, "track", errors),
             mat_size=tuple(raw.get("mat_size", (3.5, 4.0))),
-            closed=bool(raw.get("closed", True)),
+            closed=_get(raw, "closed", True, "track", errors, bool),
         )
     except (ConfigurationError, TypeError, ValueError) as exc:
         errors.append(f"track: {exc}")
         return rounded_rect_track()
 
 
+# the scalar field annotations of the config dataclasses, as `_get` types
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
 def _build_dataclass(cls, raw, path, errors, casts=None):
     raw = _mapping(raw, path, errors)
-    fields = {f for f in cls.__dataclass_fields__}
+    fields = cls.__dataclass_fields__
     _check_keys(raw, fields, path, errors)
     kwargs = {}
     for k, v in raw.items():
@@ -163,6 +175,10 @@ def _build_dataclass(cls, raw, path, errors, casts=None):
                 v = casts[k](v)
             except (ValueError, TypeError, KeyError) as exc:
                 errors.append(f"{path}.{k}: {exc}")
+                continue
+        elif fields[k].type in _FIELD_TYPES:
+            v = _get(raw, k, None, path, errors, _FIELD_TYPES[fields[k].type])
+            if v is None:
                 continue
         kwargs[k] = v
     try:
@@ -192,6 +208,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ScenarioValidationError(["scenario file must be a mapping"])
     _check_keys(raw, _TOP_KEYS, "top level", errors)
+    name = _get(raw, "name", name, "top", errors, str)
 
     seed = _get(raw, "seed", 0, "top", errors, int)
     dt_ms = _get(raw, "dt_ms", 10, "top", errors, int)
@@ -229,10 +246,9 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
     chassis = _build_dataclass(ChassisParams, corridor.get("chassis"), "robots.corridor.chassis", errors)
     gains = _build_dataclass(PidGains, corridor.get("gains"), "robots.corridor.gains", errors)
     geometry = _build_dataclass(IrGeometry, corridor.get("geometry"), "robots.corridor.geometry", errors)
-    base_rpm = float(_get(corridor, "base_rpm", 50.0, "robots.corridor", errors, (int, float)))
-    slip_halfwidth = float(_get(corridor, "slip_halfwidth", 0.02, "robots.corridor", errors, (int, float)))
-    slip_bias_halfwidth = float(_get(corridor, "slip_bias_halfwidth", 0.01,
-                                     "robots.corridor", errors, (int, float)))
+    base_rpm = _float(corridor, "base_rpm", 50.0, "robots.corridor", errors)
+    slip_halfwidth = _float(corridor, "slip_halfwidth", 0.02, "robots.corridor", errors)
+    slip_bias_halfwidth = _float(corridor, "slip_bias_halfwidth", 0.01, "robots.corridor", errors)
 
     start_raw = corridor.get("start")
     if start_raw is None:
@@ -240,17 +256,16 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
         tx, ty = track._tangents[0]
         start_pose = Pose(float(wx), float(wy), math.atan2(ty, tx))
     else:
-        start_raw = _mapping(start_raw, "robots.corridor.start", errors)
-        _check_keys(start_raw, {"x", "y", "theta"}, "robots.corridor.start", errors)
+        path = "robots.corridor.start"
+        start_raw = _mapping(start_raw, path, errors)
+        _check_keys(start_raw, {"x", "y", "theta"}, path, errors)
         try:
-            start_pose = Pose(float(start_raw.get("x", 0.0)), float(start_raw.get("y", 0.0)),
-                              float(start_raw.get("theta", 0.0)))
-        except (ConfigurationError, TypeError, ValueError) as exc:
-            errors.append(f"robots.corridor.start: {exc}")
+            start_pose = Pose(*(_float(start_raw, k, 0.0, path, errors) for k in ("x", "y", "theta")))
+        except ConfigurationError as exc:
+            errors.append(f"{path}: {exc}")
             start_pose = Pose(0.0, 0.0, 0.0)
 
-    channel = _build_dataclass(ChannelConfig, raw.get("channel"), "channel", errors,
-                               casts={"range_m": tuple})
+    channel = _build_dataclass(ChannelConfig, raw.get("channel"), "channel", errors)
 
     link_conditions = []
     for i, item in enumerate(_sequence(raw.get("link_conditions"), "link_conditions", errors)):
@@ -259,11 +274,13 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
             errors.append(f"{path}: expected a mapping")
             continue
         _check_keys(item, {"time_ms", "src", "dst", "condition"}, path, errors)
+        ends = [_get(item, k, None, path, errors, int) for k in ("src", "dst")]
+        errors.extend(f"{path}.{k}: required" for k in ("src", "dst") if item.get(k) is None)
         try:
             link_conditions.append(LinkConditionEvent(
-                int(item.get("time_ms", 0)), int(item["src"]), int(item["dst"]),
-                LinkCondition(item.get("condition", "clear"))))
-        except (KeyError, ValueError, TypeError) as exc:
+                _get(item, "time_ms", 0, path, errors, int), *ends,
+                LinkCondition(_get(item, "condition", "clear", path, errors, str))))
+        except ValueError as exc:
             errors.append(f"{path}: {exc}")
 
     patient_script = []
@@ -274,21 +291,21 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
             continue
         _check_keys(item, {"time_ms", "kind", "spo2", "bpm", "temp", "posture", "wearing"},
                     path, errors)
-        kind = item.get("kind")
+        kind = _get(item, "kind", None, path, errors, str)
         if kind is not None and kind not in SCENARIO_KINDS:
             errors.append(f"{path}.kind: unknown scenario kind {kind!r}")
-        posture = item.get("posture")
+        posture = _get(item, "posture", None, path, errors, str)
         try:
             patient_script.append(PatientEvent(
-                time_ms=int(item.get("time_ms", 0)),
+                time_ms=_get(item, "time_ms", 0, path, errors, int),
                 kind=kind,
-                spo2=None if item.get("spo2") is None else float(item["spo2"]),
-                bpm=None if item.get("bpm") is None else float(item["bpm"]),
-                temp=None if item.get("temp") is None else float(item["temp"]),
+                spo2=_float(item, "spo2", None, path, errors),
+                bpm=_float(item, "bpm", None, path, errors),
+                temp=_float(item, "temp", None, path, errors),
                 posture=None if posture is None else Posture(posture),
-                wearing=None if item.get("wearing") is None else bool(item["wearing"]),
+                wearing=_get(item, "wearing", None, path, errors, bool),
             ))
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             errors.append(f"{path}: {exc}")
     patient_script.sort(key=lambda e: e.time_ms)
 
@@ -299,11 +316,9 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
             errors.append(f"{path}: expected a mapping")
             continue
         _check_keys(item, {"time_ms", "bed", "slot", "dose_note"}, path, errors)
-        try:
-            entries.append(ScheduleEntry(int(item.get("time_ms", 0)), int(item.get("bed", 1)),
-                                         int(item.get("slot", 0)), str(item.get("dose_note", ""))))
-        except (ValueError, TypeError) as exc:
-            errors.append(f"{path}: {exc}")
+        entries.append(ScheduleEntry(
+            _get(item, "time_ms", 0, path, errors, int), _get(item, "bed", 1, path, errors, int),
+            _get(item, "slot", 0, path, errors, int), _get(item, "dose_note", "", path, errors, str)))
     schedule = MedicationSchedule(entries)
 
     latency = _build_dataclass(
@@ -354,18 +369,18 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
 
     battery = _mapping(raw.get("battery"), "battery", errors)
     _check_keys(battery, {"budget_units", "low_speed_factor"}, "battery", errors)
-    battery_budget = float(_get(battery, "budget_units", 0.0, "battery", errors, (int, float)))
-    battery_factor = float(_get(battery, "low_speed_factor", 0.5, "battery", errors, (int, float)))
+    battery_budget = _float(battery, "budget_units", 0.0, "battery", errors)
+    battery_factor = _float(battery, "low_speed_factor", 0.5, "battery", errors)
 
     correction = _mapping(raw.get("correction"), "correction", errors)
     _check_keys(correction, {"enabled", "position_gain", "heading_gain"}, "correction", errors)
-    correction_enabled = bool(correction.get("enabled", True))
-    correction_pos = float(_get(correction, "position_gain", 0.1, "correction", errors, (int, float)))
-    correction_head = float(_get(correction, "heading_gain", 0.1, "correction", errors, (int, float)))
+    correction_enabled = _get(correction, "enabled", True, "correction", errors, bool)
+    correction_pos = _float(correction, "position_gain", 0.1, "correction", errors)
+    correction_head = _float(correction, "heading_gain", 0.1, "correction", errors)
 
-    patrol_always = bool(_get(raw, "patrol_always", True, "top", errors, bool))
-    detect_threshold = float(_get(raw, "detect_threshold", 0.5, "top", errors, (int, float)))
-    ir_enabled = bool(_get(raw, "ir_enabled", True, "top", errors, bool))
+    patrol_always = _get(raw, "patrol_always", True, "top", errors, bool)
+    detect_threshold = _float(raw, "detect_threshold", 0.5, "top", errors)
+    ir_enabled = _get(raw, "ir_enabled", True, "top", errors, bool)
     flag_confirm_samples = _get(raw, "flag_confirm_samples", 3, "top", errors, int)
     if flag_confirm_samples is not None and flag_confirm_samples < 1:
         errors.append("top.flag_confirm_samples: must be at least 1")
@@ -374,7 +389,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
         raise ScenarioValidationError(errors)
 
     return ScenarioConfig(
-        name=str(raw.get("name", name)),
+        name=name,
         seed=seed, dt_ms=dt_ms, duration_ms=duration_ms, track=track,
         leader_address=leader_address, corridor_address=corridor_address,
         arm_address=arm_address, wearable_address=wearable_address,

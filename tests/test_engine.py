@@ -1,6 +1,7 @@
 """End-to-end engine behavior: determinism, replay equality, event-log
 integrity, debouncing, and the CLI surface."""
 
+import csv
 import dataclasses
 import json
 
@@ -222,6 +223,22 @@ def test_export_outputs_writes_all_artifacts(tmp_path):
         assert (tmp_path / name).exists(), name
     first = json.loads((tmp_path / "events.jsonl").read_text().splitlines()[0])
     assert first["kind"] == "meta"
+    # the header, then one row per event of the kind, in log order
+    for name, kind, header, keys in (
+            ("channel.csv", "packet_send",
+             ["time_ms", "src", "dst", "kind", "seq", "condition", "outcome", "delay_ms"],
+             ("src", "dst", "packet_kind", "seq", "condition", "outcome", "delay_ms")),
+            ("tasks.csv", "task",
+             ["time_ms", "task_id", "kind", "origin", "assignee", "state", "retry_count"],
+             ("task_id", "kind", "origin", "assignee", "state", "retry_count"))):
+        with open(tmp_path / name, newline="") as f:
+            head, *rows = csv.reader(f)
+        assert head == header, name
+        events = [r for r in log.records if r["kind"] == kind]
+        assert events, name
+        assert rows == [[str(e["time_ms"])] + ["" if e["payload"][k] is None
+                                               else str(e["payload"][k]) for k in keys]
+                        for e in events], name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Golden digests: every shipped preset, run at its own seed, must write the
-same `events.jsonl` bytes as when its digest was committed.
+same `events.jsonl` bytes as when its digest was committed, and `task_suite`
+(the preset whose every export is non-empty) the same exported files.
 
 A digest file changes only together with a change that alters behaviour on
 purpose, and that change says why. To regenerate one:
@@ -7,6 +8,13 @@ purpose, and that change says why. To regenerate one:
     PYTHONPATH=src python -c "import hashlib; from wardsim.engine import run; \
 from wardsim.scenario import load_preset; \
 print(hashlib.sha256(run(load_preset('default'))[0].to_jsonl().encode()).hexdigest())"
+
+and the export digests, in `sha256sum` format:
+
+    PYTHONPATH=src python -c "from wardsim.engine import export_outputs, run; \
+from wardsim.scenario import load_preset; export_outputs(*run(load_preset('task_suite')), 'out')"
+    (cd out && sha256sum channel.csv tasks.csv vitals.csv notifications.log \
+metrics.csv metrics.txt) > tests/golden/exports/task_suite.sha256sum
 """
 
 import hashlib
@@ -14,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from wardsim.engine import run
+from wardsim.engine import export_outputs, run
 from wardsim.scenario import load_preset, preset_names
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,3 +37,10 @@ def test_preset_log_matches_golden_digest(name):
     log, _ = run(load_preset(name))
     digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
     assert digest == (GOLDEN / f"{name}.sha256").read_text().strip()
+
+
+def test_task_suite_exports_match_golden_digests(tmp_path):
+    export_outputs(*run(load_preset("task_suite")), tmp_path)
+    for line in (GOLDEN / "exports" / "task_suite.sha256sum").read_text().splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -1,4 +1,5 @@
-"""Channel loss/latency behavior and the measurement helpers."""
+"""Channel loss/latency behavior and the measurement helpers, checked on the
+records that `Channel.send` returns."""
 
 import numpy as np
 import pytest
@@ -18,18 +19,16 @@ def cmd(src, dst, seq, t):
 
 def test_pdr_one_delivers_everything():
     ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0)
-    for i in range(200):
-        assert ch.send(cmd(1, 2, i, i))
+    records = [ch.send(cmd(1, 2, i, i)) for i in range(200)]
     assert ch.pending() == 200
-    assert all(r.outcome == "delivered" for r in ch.log)
+    assert all(r.outcome == "delivered" for r in records)
 
 
 def test_pdr_near_zero_drops_almost_everything():
     ch = make_channel(pdr_clear=1e-9, pdr_obstructed=1e-9)
-    for i in range(200):
-        ch.send(cmd(1, 2, i, i))
+    records = [ch.send(cmd(1, 2, i, i)) for i in range(200)]
     assert ch.pending() == 0
-    assert all(r.outcome == "dropped" for r in ch.log)
+    assert all(r.outcome == "dropped" and r.delay_ms == 0.0 for r in records)
 
 
 def test_unknown_destination_raises():
@@ -50,9 +49,7 @@ def test_config_invariants():
 def test_delay_is_half_rtt_plus_bounded_jitter():
     ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0, rtt_ms=37.0,
                       one_way_jitter_ms=3.0)
-    for i in range(500):
-        ch.send(cmd(1, 2, i, 0))
-    delays = [r.delay_ms for r in ch.log]
+    delays = [ch.send(cmd(1, 2, i, 0)).delay_ms for i in range(500)]
     assert all(15.5 <= d <= 21.5 for d in delays)
     assert np.mean(delays) == pytest.approx(18.5, abs=0.2)
 
@@ -60,9 +57,7 @@ def test_delay_is_half_rtt_plus_bounded_jitter():
 def test_delay_floor_one_ms():
     ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0, rtt_ms=0.5,
                       one_way_jitter_ms=3.0)
-    for i in range(200):
-        ch.send(cmd(1, 2, i, 0))
-    assert all(r.delay_ms >= 1.0 for r in ch.log)
+    assert all(ch.send(cmd(1, 2, i, 0)).delay_ms >= 1.0 for i in range(200))
 
 
 def test_deliveries_due_ordering_and_exhaustion():
@@ -85,10 +80,9 @@ def test_extra_delay_shifts_arrival():
 
 def test_conservation_sent_equals_delivered_plus_dropped():
     ch = make_channel(seed=3)
-    for i in range(2000):
-        ch.send(cmd(1, 2, i, i))
-    delivered = sum(1 for r in ch.log if r.outcome == "delivered")
-    dropped = sum(1 for r in ch.log if r.outcome == "dropped")
+    records = [ch.send(cmd(1, 2, i, i)) for i in range(2000)]
+    delivered = sum(1 for r in records if r.outcome == "delivered")
+    dropped = sum(1 for r in records if r.outcome == "dropped")
     assert delivered + dropped == 2000
     assert ch.pending() == delivered
 
@@ -96,18 +90,16 @@ def test_conservation_sent_equals_delivered_plus_dropped():
 def test_condition_buckets_are_per_directed_link():
     ch = make_channel(seed=4)
     ch.set_condition(1, 2, LinkCondition.OBSTRUCTED)
-    ch.send(cmd(1, 2, 0, 0))
-    ch.send(cmd(2, 1, 0, 0))
-    assert ch.log[0].condition is LinkCondition.OBSTRUCTED
-    assert ch.log[1].condition is LinkCondition.CLEAR
+    records = [ch.send(cmd(1, 2, 0, 0)), ch.send(cmd(2, 1, 0, 0))]
+    assert records[0].condition is LinkCondition.OBSTRUCTED
+    assert records[1].condition is LinkCondition.CLEAR
+    assert set(measure_pdr(records)) == {LinkCondition.OBSTRUCTED, LinkCondition.CLEAR}
 
 
 def test_same_seed_same_outcomes():
     def outcomes(seed):
         ch = make_channel(seed=seed)
-        for i in range(300):
-            ch.send(cmd(1, 2, i, i))
-        return [r.outcome for r in ch.log]
+        return [ch.send(cmd(1, 2, i, i)).outcome for i in range(300)]
 
     assert outcomes(7) == outcomes(7)
     assert outcomes(7) != outcomes(8)
@@ -120,31 +112,34 @@ def test_measure_pdr_empty_log_raises():
 
 def test_measure_rtt_requires_matched_pairs():
     ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0)
-    ch.send(cmd(1, 2, 0, 0))
     with pytest.raises(ValueError):
-        measure_rtt(ch.log)   # command without an ack
+        measure_rtt([ch.send(cmd(1, 2, 0, 0))])   # command without an ack
 
 
 def test_measure_rtt_matches_command_ack_pairs():
     ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0, one_way_jitter_ms=0.0)
+    records = []
     for i in range(10):
-        ch.send(cmd(1, 2, i, i * 100))
+        records.append(ch.send(cmd(1, 2, i, i * 100)))
         # ack leaves the follower the moment the command arrives
-        ch.send(Packet(2, 1, i, PacketKind.ACK, {}, i * 100 + 18.5))
-    mean, std = measure_rtt(ch.log)
+        records.append(ch.send(Packet(2, 1, i, PacketKind.ACK, {}, i * 100 + 18.5)))
+    mean, std = measure_rtt(records)
     assert mean == pytest.approx(37.0)
     assert std == pytest.approx(0.0, abs=1e-9)
 
 
-def test_export_csv_round_trip(tmp_path):
-    import csv
+def test_measure_rtt_pairs_each_ack_with_the_latest_command_before_it():
+    ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0, one_way_jitter_ms=0.0)
+    records = []
+    for t in (0, 100):   # the same seq twice, each acked on arrival
+        records.append(ch.send(cmd(1, 2, 7, t)))
+        records.append(ch.send(Packet(2, 1, 7, PacketKind.ACK, {}, t + 18.5)))
+    assert measure_rtt(records) == (37.0, 0.0)
 
-    ch = make_channel(seed=1)
-    for i in range(20):
-        ch.send(cmd(1, 2, i, i))
-    path = tmp_path / "channel.csv"
-    ch.export_csv(path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0][:4] == ["time_ms", "src", "dst", "kind"]
-    assert len(rows) == 21
+
+def test_record_payload_is_the_packet_send_event_payload():
+    ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0, one_way_jitter_ms=0.0)
+    ch.set_condition(1, 2, LinkCondition.OBSTRUCTED)
+    assert ch.send(cmd(1, 2, 5, 40)).payload() == {
+        "src": 1, "dst": 2, "packet_kind": "command", "seq": 5,
+        "condition": "obstructed", "outcome": "delivered", "delay_ms": 18.5}

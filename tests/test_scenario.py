@@ -38,13 +38,13 @@ def test_unknown_keys_rejected_at_every_level():
     raw = {
         "tpyo": 1,
         "robots": {"corridor": {"adress": 5}},
-        "channel": {"pdr_claer": 0.9},
+        "channel": {"pdr_claer": 0.9, "range_m": [5.0, 8.0]},
         "patient_script": [{"time_ms": 0, "spoo2": 90}],
     }
     with pytest.raises(ScenarioValidationError) as exc:
         validate(raw)
     messages = "\n".join(exc.value.errors)
-    for fragment in ("'tpyo'", "'adress'", "'pdr_claer'", "'spoo2'"):
+    for fragment in ("'tpyo'", "'adress'", "'pdr_claer'", "'range_m'", "'spoo2'"):
         assert fragment in messages
 
 
@@ -81,9 +81,28 @@ def test_bool_is_not_accepted_as_int():
     ("robots: {corridor: 7}\n", "robots.corridor: expected a mapping, got int"),
     ("budgets_ms: 5\n", "budgets_ms: expected a mapping, got int"),
     ("schedule: 5\n", "schedule: expected a list, got int"),
+    # a value of the wrong type is an error, never coerced by bool(), int() or float()
+    ("patient_script: [{time_ms: 0, wearing: 'false'}]\n", "patient_script[0].wearing: expected"),
+    ("correction: {enabled: 'no'}\n", "correction.enabled: expected"),
+    ("track: {waypoints: [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2]], tags: [straight, straight, straight],"
+     " mat_size: [2.0, 2.0], closed: 'false'}\n", "track.closed: expected"),
+    ("link_conditions: [{time_ms: 0, src: 1.9, dst: 2}]\n", "link_conditions[0].src: expected"),
+    ("link_conditions: [{time_ms: 0, src: 1}]\n", "link_conditions[0].dst: required"),
+    ("schedule: [{time_ms: 99.99, bed: 1, slot: 0}]\n", "schedule[0].time_ms: expected"),
+    ("schedule: [{time_ms: 100, bed: 1, slot: 0, dose_note: 5}]\n", "schedule[0].dose_note: expected"),
+    ("patient_script: [{time_ms: 0, spo2: '90'}]\n", "patient_script[0].spo2: expected"),
+    ("track: {line_width: '0.02'}\n", "track.line_width: expected"),
+    ("robots: {corridor: {start: {x: '1.0'}}}\n", "robots.corridor.start.x: expected"),
+    ("name: 5\n", "top.name: expected"),
+    ("timeout_policy: {max_retries: '3'}\n", "timeout_policy.max_retries: expected"),
+    ("robots: {corridor: {geometry: {pitch: '0.01'}}}\n", "robots.corridor.geometry.pitch: expected"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
-        "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar"])
+        "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
+        "wearing_string", "correction_enabled_string", "track_closed_string", "link_src_float",
+        "link_dst_missing", "schedule_time_float", "dose_note_int", "spo2_string",
+        "line_width_string", "start_x_string", "name_int", "max_retries_string",
+        "geometry_pitch_string"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
