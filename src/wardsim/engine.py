@@ -26,14 +26,15 @@ from .protocol import (Availability, Follower, Leader, RosterEntry, StatusLight,
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
 from .scenario import ScenarioConfig
-from .vitals import (FallOutcome, Flag, PatientState, Posture, TriageClass,
-                     TriageDecision, Vitals, classify, detect_fall, one_hot,
-                     sample_vitals, triage_delay_ms)
+from .vitals import (FallOutcome, Flag, PatientState, Posture, TriageDecision,
+                     Vitals, classify, detect_fall, one_hot, sample_vitals,
+                     screen, triage_class, triage_delay_ms)
 
-# flags derived from noisy numeric channels; these are debounced before the
-# leader acts so single-sample noise spikes cannot trigger patrols
-_NUMERIC_FLAGS = (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR)
-_NUMERIC_FLAG_SET = frozenset(_NUMERIC_FLAGS)
+# what is debounced before the leader acts: the flags derived from noisy
+# numeric channels, and severity, so single-sample noise spikes trigger
+# neither a patrol nor a hospital class
+_SEVERE = "severe"
+_LATCH_KEYS = (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR, _SEVERE)
 
 
 class EngineAbort(RuntimeError):
@@ -95,10 +96,8 @@ class Engine:
         self._last_alert_ms = -10 ** 9
         self._last_light: StatusLight | None = None
         self._log_cursor = 0
-        self._flag_streaks = {f: 0 for f in _NUMERIC_FLAGS}  # signed run length
-        self._flag_on = {f: False for f in _NUMERIC_FLAGS}
-        self._severe_streak = 0
-        self._severe_on = False
+        self._streaks = dict.fromkeys(_LATCH_KEYS, 0)  # signed run length
+        self._latched: set = set()
         self._prev_corridor_task = None
         self._patrol_check_due = False
 
@@ -220,43 +219,27 @@ class Engine:
                 sample = Vitals(sample_time=pkt.payload["sample_time"], valid=True,
                                 spo2=pkt.payload["spo2"], bpm=pkt.payload["bpm"],
                                 temp=pkt.payload["temp"])
-                self._queue_triage(sample.sample_time, self._debounce(classify(sample)))
+                self._queue_triage(sample.sample_time, self._debounce(*screen(sample)))
             else:
                 self._inboxes[pkt.dst].append(pkt)
 
-    def _debounce(self, decision: TriageDecision) -> TriageDecision:
-        """Hysteresis over noisy flags: a flag latches on after K consecutive
-        flagged samples and off after K consecutive clear ones, so single
-        noise spikes or dips never flip the leader-visible state."""
+    def _debounce(self, flags: frozenset[Flag], severe: bool) -> TriageDecision:
+        """Hysteresis over one screened sample: a key latches on after K
+        consecutive raised samples and off after K consecutive clear ones,
+        so single noise spikes or dips never flip the leader-visible state."""
         need = self.config.flag_confirm_samples
-
-        def advance(streak, raised):
-            if raised:
-                return max(streak, 0) + 1
-            return min(streak, 0) - 1
-
-        for f in _NUMERIC_FLAGS:
-            s = advance(self._flag_streaks[f], f in decision.flags)
-            self._flag_streaks[f] = s
+        streaks, latched = self._streaks, self._latched
+        for key in _LATCH_KEYS:
+            raised = severe if key is _SEVERE else key in flags
+            s = streaks[key]
+            s = max(s, 0) + 1 if raised else min(s, 0) - 1
+            streaks[key] = s
             if s >= need:
-                self._flag_on[f] = True
+                latched.add(key)
             elif s <= -need:
-                self._flag_on[f] = False
-        severe = decision.triage_class is TriageClass.GO_TO_HOSPITAL
-        self._severe_streak = advance(self._severe_streak, severe)
-        if self._severe_streak >= need:
-            self._severe_on = True
-        elif self._severe_streak <= -need:
-            self._severe_on = False
-
-        flags = frozenset(f for f in _NUMERIC_FLAGS if self._flag_on[f])
-        flags |= decision.flags - _NUMERIC_FLAG_SET
-        if self._severe_on or Flag.FALL in flags:
-            cls = TriageClass.GO_TO_HOSPITAL
-        elif flags:
-            cls = TriageClass.MONITOR_AT_HOME
-        else:
-            cls = TriageClass.NO_HOSPITAL
+                latched.discard(key)
+        flags = frozenset(key for key in latched if key is not _SEVERE)
+        cls = triage_class(_SEVERE in latched, flags)
         return TriageDecision(cls, one_hot(cls), flags)
 
     def _camera_checks(self):

@@ -291,8 +291,9 @@ class Leader:
             self.sink.notify(now, severity,
                              f"{flag.value} detected; class {decision.triage_class.value}",
                              cause=flag.value)
-        if Flag.NO_VITALS in new_flags or any(
-                f in new_flags for f in (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR)):
+        # a fall gets its response through the camera alert path
+        # (handle_fall_alert); every other new flag gets a patrol check
+        if new_flags - {Flag.FALL}:
             self._new_task(TaskKind.PATROL_CHECK, TaskOrigin.LEADER_DECISION, now,
                            emergency=emergency)
 
@@ -470,6 +471,14 @@ class Leader:
                 self._send_command(task, addr, now, outbox)
 
 
+# how long a follower takes to carry out each kind of task, in ms
+DEFAULT_EXEC_DURATIONS_MS = {
+    TaskKind.PATROL_CHECK: 3000,
+    TaskKind.DELIVER_MEDICINE: 6000,
+    TaskKind.ARM_DISPENSE: 2000,
+}
+
+
 @dataclass
 class _Execution:
     task_id: int
@@ -489,11 +498,7 @@ class Follower:
         self.leader_address = leader_address
         self.capabilities = capabilities
         self.role = role
-        self.exec_duration_ms = exec_duration_ms or {
-            TaskKind.PATROL_CHECK: 3000,
-            TaskKind.DELIVER_MEDICINE: 6000,
-            TaskKind.ARM_DISPENSE: 2000,
-        }
+        self.exec_duration_ms = exec_duration_ms or dict(DEFAULT_EXEC_DURATIONS_MS)
         self.active: _Execution | None = None
         self.parked: list[_Execution] = []
         self.executed: set[int] = set()     # task ids whose action has started
@@ -592,8 +597,3 @@ class Follower:
                 PacketKind.STATUS, {"task_id": task_id, "status": "completed"}, now))
             if self.parked:
                 self.active = self.parked.pop()
-
-
-def status_light(follower: Follower) -> StatusLight:
-    """Pure mapping from follower state to the tower-light indication."""
-    return follower.status_light()

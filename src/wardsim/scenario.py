@@ -16,7 +16,8 @@ import yaml
 from . import ConfigurationError
 from .kinematics import ChassisParams, Pose
 from .line_following import IrGeometry, PidGains
-from .protocol import MedicationSchedule, ScheduleEntry, TaskKind, TimeoutPolicy
+from .protocol import (DEFAULT_EXEC_DURATIONS_MS, MedicationSchedule, ScheduleEntry,
+                       TaskKind, TimeoutPolicy)
 from .rf_channel import ChannelConfig, LinkCondition
 from .track import Track, rounded_rect_track
 from .vitals import FallDetectorModel, Flag, LatencyConfig, Posture, SensorNoiseModel
@@ -138,24 +139,46 @@ def _float(section: dict, key: str, default, path: str, errors: list[str]):
     return None if value is None else float(value)
 
 
+def _check_pair(value, path: str, errors: list[str]):
+    """A point or a size: a list of two numbers, each by `_float`'s rule."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        errors.append(f"{path}: expected a list of two numbers, got {value!r}")
+
+
 def _build_track(raw, errors: list[str]) -> Track:
     if raw in (None, "default"):
         return rounded_rect_track()
     if not isinstance(raw, dict):
         errors.append("track: expected 'default' or a mapping")
         return rounded_rect_track()
+    n_errors = len(errors)
     _check_keys(raw, {"waypoints", "tags", "line_width", "mat_size", "closed"}, "track", errors)
+    waypoints = _sequence(raw.get("waypoints"), "track.waypoints", errors)
+    for i, point in enumerate(waypoints):
+        _check_pair(point, f"track.waypoints[{i}]", errors)
+    tags = _sequence(raw.get("tags"), "track.tags", errors)
+    errors.extend(f"track.tags[{i}]: expected str, got {type(tag).__name__}"
+                  for i, tag in enumerate(tags) if not isinstance(tag, str))
+    mat_size = raw.get("mat_size")
+    mat_size = [3.5, 4.0] if mat_size is None else mat_size
+    _check_pair(mat_size, "track.mat_size", errors)
+    line_width = _float(raw, "line_width", 0.018, "track", errors)
+    closed = _get(raw, "closed", True, "track", errors, bool)
+    if len(errors) > n_errors:
+        return rounded_rect_track()
     try:
-        return Track(
-            raw.get("waypoints", []),
-            raw.get("tags", []),
-            line_width=_float(raw, "line_width", 0.018, "track", errors),
-            mat_size=tuple(raw.get("mat_size", (3.5, 4.0))),
-            closed=_get(raw, "closed", True, "track", errors, bool),
-        )
+        return Track(waypoints, tags, line_width=line_width, mat_size=tuple(mat_size),
+                     closed=closed)
     except (ConfigurationError, TypeError, ValueError) as exc:
         errors.append(f"track: {exc}")
         return rounded_rect_track()
+
+
+def _flag_names(value) -> frozenset[Flag]:
+    if not (isinstance(value, list) and all(isinstance(f, str) for f in value)):
+        raise TypeError(f"expected a list of flag names, got {value!r}")
+    return frozenset(Flag(f) for f in value)
 
 
 # the scalar field annotations of the config dataclasses, as `_get` types
@@ -323,7 +346,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
 
     latency = _build_dataclass(
         LatencyConfig, raw.get("latency"), "latency", errors,
-        casts={"ai_flags": lambda flags: frozenset(Flag(f) for f in flags)})
+        casts={"ai_flags": _flag_names})
     noise = _build_dataclass(SensorNoiseModel, raw.get("noise"), "noise", errors)
 
     fall_raw = dict(_mapping(raw.get("fall_detector"), "fall_detector", errors))
@@ -342,11 +365,7 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
     timeout_policy = _build_dataclass(TimeoutPolicy, raw.get("timeout_policy"),
                                       "timeout_policy", errors)
 
-    exec_durations: dict[TaskKind, int] = {
-        TaskKind.PATROL_CHECK: 3000,
-        TaskKind.DELIVER_MEDICINE: 6000,
-        TaskKind.ARM_DISPENSE: 2000,
-    }
+    exec_durations = dict(DEFAULT_EXEC_DURATIONS_MS)
     durations_raw = _mapping(raw.get("exec_durations_ms"), "exec_durations_ms", errors)
     for k in durations_raw:
         try:

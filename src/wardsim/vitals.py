@@ -1,11 +1,14 @@
 """Wearable vitals sampling with sensor noise, threshold triage, and the
-fall-detector and decision-latency models.
+fall-detector and triage-latency models.
 
 Screening bands (configurable): SpO2 below 90% flags low oxygen and below
 85% is severe; temperature at or above 38.0 C flags fever and 39.5 C is
-severe; heart rate outside [50, 120] BPM is abnormal. Severe conditions and
-falls classify as GoToHospital, any other flag as MonitorAtHome, a clean
-sample as NoHospital.
+severe; heart rate outside [50, 120] BPM is abnormal. `screen` applies the
+bands to one sample. `triage_class` is the one class rule: severe conditions
+and falls are GoToHospital, any other flag MonitorAtHome, no flag
+NoHospital. `classify` applies it to a single sample; the engine applies it
+to the debounced state instead, where each numeric flag and severity itself
+latch only after several consecutive samples agree.
 """
 
 from __future__ import annotations
@@ -166,40 +169,46 @@ def one_hot(cls: TriageClass) -> tuple[float, float, float]:
     return _ONE_HOT[cls]
 
 
+def triage_class(severe: bool, flags) -> TriageClass:
+    """The class rule: severe (or a fall) goes to hospital, any other flag
+    is monitored at home, a clean sample needs no hospital."""
+    if severe or Flag.FALL in flags:
+        return TriageClass.GO_TO_HOSPITAL
+    if flags:
+        return TriageClass.MONITOR_AT_HOME
+    return TriageClass.NO_HOSPITAL
+
+
+def screen(vitals: Vitals, thresholds: TriageThresholds = TriageThresholds()
+           ) -> tuple[frozenset[Flag], bool]:
+    """The threshold checks of one sample: its flags, and whether it is severe."""
+    if not vitals.valid:
+        return frozenset({Flag.NO_VITALS}), False
+    flags = set()
+    if vitals.spo2 < thresholds.low_spo2:
+        flags.add(Flag.LOW_SPO2)
+    if vitals.temp >= thresholds.fever:
+        flags.add(Flag.FEVER)
+    if not (thresholds.hr_low <= vitals.bpm <= thresholds.hr_high):
+        flags.add(Flag.ABNORMAL_HR)
+    severe = vitals.spo2 < thresholds.severe_spo2 or vitals.temp >= thresholds.severe_fever
+    return frozenset(flags), severe
+
+
 def classify(vitals: Vitals, fall_flag: bool = False,
              thresholds: TriageThresholds = TriageThresholds(),
              probs=None) -> TriageDecision:
     """Threshold triage. When ML probabilities are supplied they become the
     decision's probs and the class is their argmax; otherwise the rule-based
     class with one-hot probs."""
-    flags = set()
+    flags, severe = screen(vitals, thresholds)
     if fall_flag:
-        flags.add(Flag.FALL)
-    severe = fall_flag
-    if not vitals.valid:
-        flags.add(Flag.NO_VITALS)
-    else:
-        if vitals.spo2 < thresholds.low_spo2:
-            flags.add(Flag.LOW_SPO2)
-        if vitals.spo2 < thresholds.severe_spo2:
-            severe = True
-        if vitals.temp >= thresholds.fever:
-            flags.add(Flag.FEVER)
-        if vitals.temp >= thresholds.severe_fever:
-            severe = True
-        if not (thresholds.hr_low <= vitals.bpm <= thresholds.hr_high):
-            flags.add(Flag.ABNORMAL_HR)
-
+        flags |= {Flag.FALL}
     if probs is not None:
         p = tuple(float(x) for x in probs)
-        return TriageDecision(class_from_probs(p), p, frozenset(flags))
-    if severe:
-        cls = TriageClass.GO_TO_HOSPITAL
-    elif flags:
-        cls = TriageClass.MONITOR_AT_HOME
-    else:
-        cls = TriageClass.NO_HOSPITAL
-    return TriageDecision(cls, one_hot(cls), frozenset(flags))
+        return TriageDecision(class_from_probs(p), p, flags)
+    cls = triage_class(severe, flags)
+    return TriageDecision(cls, one_hot(cls), flags)
 
 
 class FallOutcome(enum.Enum):
@@ -228,13 +237,6 @@ def detect_fall(posture: Posture, model: FallDetectorModel, rng: np.random.Gener
     return FallOutcome.STANDING_DETECTED if correct else FallOutcome.MISCLASSIFIED
 
 
-class LatencyKind(enum.Enum):
-    VITALS_TRANSMIT = "vitals_transmit"
-    AI_DECISION = "ai_decision"
-    THRESHOLD_DECISION = "threshold_decision"
-    FALL_PATH = "fall_path"
-
-
 @dataclass(frozen=True)
 class LatencyConfig:
     vitals_transmit_ms: int = 1200
@@ -249,16 +251,6 @@ class LatencyConfig:
                   self.threshold_decision_ms, self.fall_path_ms):
             if v < 0:
                 raise ConfigurationError("latencies must be nonnegative")
-
-
-def decision_latency(kind: LatencyKind, config: LatencyConfig = LatencyConfig()) -> int:
-    """Deterministic configured delay in milliseconds for one pipeline stage."""
-    return {
-        LatencyKind.VITALS_TRANSMIT: config.vitals_transmit_ms,
-        LatencyKind.AI_DECISION: config.ai_decision_ms,
-        LatencyKind.THRESHOLD_DECISION: config.threshold_decision_ms,
-        LatencyKind.FALL_PATH: config.fall_path_ms,
-    }[kind]
 
 
 def triage_delay_ms(flags, config: LatencyConfig) -> int:

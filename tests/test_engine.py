@@ -6,13 +6,16 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
 from wardsim.metrics import EventLog, MetricsAccumulator, replay_metrics
 from wardsim.protocol import TERMINAL_STATES
 from wardsim.scenario import load_preset, validate
-from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
+from wardsim.vitals import (Flag, TriageClass, TriageDecision, Vitals, classify,
+                            one_hot, screen)
 
 
 def short_config(**overrides):
@@ -91,6 +94,85 @@ def test_flag_debounce_ignores_single_sample_spike():
     log, metrics = run(cfg)
     notes = [r for r in log.records if r["kind"] == "notification"]
     assert not any(r["payload"]["cause"] == "low_spo2" for r in notes)
+
+    # severity is debounced too: one severe sample is not a hospital case
+    cfg = short_config(patient_script=[
+        {"time_ms": 1000, "kind": "low_spo2", "spo2": 80},
+        {"time_ms": 1100, "spo2": 97},
+    ], noise={"spo2_tol": 0.0, "bpm_tol": 0.0, "temp_mean_abs_err": 0.0})
+    log, _ = run(cfg)
+    assert any(r["payload"]["spo2"] == 80 for r in log.records if r["kind"] == "vitals_sample")
+    assert not any(r["payload"]["class"] == "go_to_hospital"
+                   for r in log.records if r["kind"] == "triage")
+
+
+class ReferenceDebounce:
+    """The hysteresis latch as first written, with its own state per numeric
+    flag and for severity; `Engine._debounce` must decide exactly as this."""
+
+    NUMERIC = (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR)
+
+    def __init__(self, need):
+        self.need = need
+        self.flag_streaks = {f: 0 for f in self.NUMERIC}
+        self.flag_on = {f: False for f in self.NUMERIC}
+        self.severe_streak = 0
+        self.severe_on = False
+
+    def __call__(self, decision):
+        def advance(streak, raised):
+            if raised:
+                return max(streak, 0) + 1
+            return min(streak, 0) - 1
+
+        for f in self.NUMERIC:
+            s = advance(self.flag_streaks[f], f in decision.flags)
+            self.flag_streaks[f] = s
+            if s >= self.need:
+                self.flag_on[f] = True
+            elif s <= -self.need:
+                self.flag_on[f] = False
+        severe = decision.triage_class is TriageClass.GO_TO_HOSPITAL
+        self.severe_streak = advance(self.severe_streak, severe)
+        if self.severe_streak >= self.need:
+            self.severe_on = True
+        elif self.severe_streak <= -self.need:
+            self.severe_on = False
+
+        flags = frozenset(f for f in self.NUMERIC if self.flag_on[f])
+        flags |= decision.flags - frozenset(self.NUMERIC)
+        if self.severe_on or Flag.FALL in flags:
+            cls = TriageClass.GO_TO_HOSPITAL
+        elif flags:
+            cls = TriageClass.MONITOR_AT_HOME
+        else:
+            cls = TriageClass.NO_HOSPITAL
+        return TriageDecision(cls, one_hot(cls), flags)
+
+
+_DEBOUNCE_CONFIG = short_config(patient_script=[])
+
+
+def _reading(edges, lo, hi):
+    # values on and next to the thresholds, so flags and severity flip often
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+_SAMPLES = st.lists(st.builds(
+    lambda spo2, temp, bpm: Vitals(0, True, spo2=spo2, bpm=bpm, temp=temp),
+    _reading((80.0, 84.99, 85.0, 87.0, 89.99, 90.0, 97.0), 80.0, 100.0),
+    _reading((36.8, 37.99, 38.0, 39.2, 39.49, 39.5, 41.0), 36.0, 41.0),
+    _reading((40.0, 49.99, 50.0, 72.0, 120.0, 120.01, 130.0), 40.0, 130.0)), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), _SAMPLES)
+def test_debounce_decides_as_the_reference_latch(need, samples):
+    engine = Engine(dataclasses.replace(_DEBOUNCE_CONFIG, flag_confirm_samples=need))
+    reference = ReferenceDebounce(need)
+    for sample in samples:
+        got = engine._debounce(*screen(sample))
+        assert got == reference(classify(sample))
 
 
 def test_quiet_run_creates_no_incident_tasks():

@@ -10,7 +10,7 @@ from wardsim.protocol import (Availability, Follower, Leader,
                               RosterEntry, ScheduleEntry, StatusLight, Task,
                               TaskKind, TaskOrigin, TaskState, TimeoutDecision,
                               TimeoutPolicy, TERMINAL_STATES,
-                              liveness_bound_ms, on_timeout, status_light)
+                              liveness_bound_ms, on_timeout)
 from wardsim.rf_channel import Packet, PacketKind
 from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
 
@@ -219,7 +219,7 @@ def test_emergency_preempts_and_parks_without_cancelling():
     fol.step([cmd(2, 9, emergency=True)], 10)
     assert fol.active.task_id == 9
     assert [e.task_id for e in fol.parked] == [7]
-    assert status_light(fol) is StatusLight.EMERGENCY
+    assert fol.status_light() is StatusLight.EMERGENCY
     out = fol.step([], 1100)   # emergency finishes; parked work resumes
     assert out[0].payload == {"task_id": 9, "status": "completed"}
     assert fol.active.task_id == 7
@@ -237,12 +237,12 @@ def test_nav_fault_reports_failure_and_clears():
 
 def test_status_light_mapping():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
-    assert status_light(fol) is StatusLight.IDLE
+    assert fol.status_light() is StatusLight.IDLE
     fol.step([cmd(1, 7, kind=TaskKind.PATROL_CHECK)], 0)
-    assert status_light(fol) is StatusLight.PATROL
+    assert fol.status_light() is StatusLight.PATROL
     fol2 = Follower(3, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
     fol2.step([cmd(1, 8, kind=TaskKind.DELIVER_MEDICINE, dst=3)], 0)
-    assert status_light(fol2) is StatusLight.DELIVERY
+    assert fol2.status_light() is StatusLight.DELIVERY
 
 
 def test_misaddressed_packet_raises():

@@ -96,13 +96,23 @@ def test_bool_is_not_accepted_as_int():
     ("name: 5\n", "top.name: expected"),
     ("timeout_policy: {max_retries: '3'}\n", "timeout_policy.max_retries: expected"),
     ("robots: {corridor: {geometry: {pitch: '0.01'}}}\n", "robots.corridor.geometry.pitch: expected"),
+    ("track: {waypoints: [['0.2', 0.2], [1.2, 0.2], [1.2, 1.2]], tags: [straight, straight, straight],"
+     " mat_size: [2.0, 2.0]}\n", "track.waypoints[0]: expected a list of two numbers"),
+    ("track: {waypoints: [[true, 0.2], [1.2, 0.2], [1.2, 1.2]], tags: [straight, straight, straight],"
+     " mat_size: [2.0, 2.0]}\n", "track.waypoints[0]: expected a list of two numbers"),
+    ("track: {waypoints: [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2]], tags: [straight, straight, straight],"
+     " mat_size: [true, 2.0]}\n", "track.mat_size: expected a list of two numbers"),
+    ("track: {waypoints: [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2]], tags: [straight, 5, straight],"
+     " mat_size: [2.0, 2.0]}\n", "track.tags[1]: expected str"),
+    ("latency: {ai_flags: {fever: 1}}\n", "latency.ai_flags: expected a list of flag names"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
         "wearing_string", "correction_enabled_string", "track_closed_string", "link_src_float",
         "link_dst_missing", "schedule_time_float", "dose_note_int", "spo2_string",
         "line_width_string", "start_x_string", "name_int", "max_retries_string",
-        "geometry_pitch_string"])
+        "geometry_pitch_string", "waypoint_string", "waypoint_bool", "mat_size_bool",
+        "tag_int", "ai_flags_mapping"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
     path.write_text(text)

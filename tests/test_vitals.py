@@ -7,10 +7,9 @@ import pytest
 
 from wardsim import ConfigurationError
 from wardsim.vitals import (FallDetectorModel, FallOutcome, Flag, LatencyConfig,
-                            LatencyKind, PatientState, Posture, SensorNoiseModel,
-                            TriageClass, TriageDecision, Vitals, class_from_probs,
-                            classify, decision_latency, detect_fall, one_hot,
-                            sample_vitals, triage_delay_ms)
+                            PatientState, Posture, SensorNoiseModel, TriageClass,
+                            TriageDecision, Vitals, class_from_probs, classify,
+                            detect_fall, one_hot, sample_vitals, triage_delay_ms)
 
 
 def vit(spo2=98.0, bpm=72.0, temp=36.8):
@@ -189,8 +188,8 @@ def test_detector_model_validates_probabilities():
 
 
 def test_decision_latency_defaults():
-    assert decision_latency(LatencyKind.VITALS_TRANSMIT) == 1200
-    assert decision_latency(LatencyKind.AI_DECISION) == 3200
+    assert LatencyConfig().vitals_transmit_ms == 1200
+    assert LatencyConfig().ai_decision_ms == 3200
 
 
 def test_triage_delay_routes_fever_through_ai_path():
