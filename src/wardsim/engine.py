@@ -26,9 +26,9 @@ from .protocol import (Availability, Follower, Leader, RosterEntry, StatusLight,
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
 from .scenario import ScenarioConfig
-from .vitals import (FallOutcome, Flag, PatientState, Posture, TriageDecision,
-                     Vitals, classify, detect_fall, one_hot, sample_vitals,
-                     screen, triage_class, triage_delay_ms)
+from .vitals import (FallOutcome, Flag, PatientState, Posture, TriageClass,
+                     TriageDecision, Vitals, classify, detect_fall, one_hot,
+                     sample_vitals, triage_class, triage_delay_ms)
 
 # what is debounced before the leader acts: the flags derived from noisy
 # numeric channels, and severity, so single-sample noise spikes trigger
@@ -97,8 +97,10 @@ class Engine:
         self._last_light: StatusLight | None = None
         self._log_cursor = 0
         self._streaks = dict.fromkeys(_LATCH_KEYS, 0)  # signed run length
-        self._latched: set = set()
-        self._prev_corridor_task = None
+        # the latched keys, and the leader-visible decision they make
+        self._latched: frozenset = frozenset()
+        calm = triage_class(False, frozenset())
+        self._decision = TriageDecision(calm, one_hot(calm), frozenset())
         self._patrol_check_due = False
 
         self.leader.transition_hook = self._task_hook
@@ -173,8 +175,7 @@ class Engine:
         }, "wearable")
         if not sample.valid:
             # a disconnected wearable is noticed locally, with no radio leg
-            decision = classify(sample)
-            self._deliver_triage(sample.sample_time, decision)
+            self._deliver_triage(sample.sample_time, classify(sample))
             return
         seq = self._now // cfg.vitals_sample_period_ms
         pkt = Packet(cfg.wearable_address, cfg.leader_address, seq,
@@ -219,28 +220,33 @@ class Engine:
                 sample = Vitals(sample_time=pkt.payload["sample_time"], valid=True,
                                 spo2=pkt.payload["spo2"], bpm=pkt.payload["bpm"],
                                 temp=pkt.payload["temp"])
-                self._queue_triage(sample.sample_time, self._debounce(*screen(sample)))
+                self._queue_triage(sample.sample_time, self._debounce(classify(sample)))
             else:
                 self._inboxes[pkt.dst].append(pkt)
 
-    def _debounce(self, flags: frozenset[Flag], severe: bool) -> TriageDecision:
-        """Hysteresis over one screened sample: a key latches on after K
+    def _debounce(self, sample: TriageDecision) -> TriageDecision:
+        """Hysteresis over one classified sample: a key latches on after K
         consecutive raised samples and off after K consecutive clear ones,
-        so single noise spikes or dips never flip the leader-visible state."""
+        so single noise spikes or dips never flip the leader-visible
+        decision. That decision is rebuilt only when the latch changes."""
         need = self.config.flag_confirm_samples
         streaks, latched = self._streaks, self._latched
+        # a delivered report is valid and has no fall flag, so its class is
+        # GoToHospital exactly when it is severe
+        severe = sample.triage_class is TriageClass.GO_TO_HOSPITAL
         for key in _LATCH_KEYS:
-            raised = severe if key is _SEVERE else key in flags
+            raised = severe if key is _SEVERE else key in sample.flags
             s = streaks[key]
             s = max(s, 0) + 1 if raised else min(s, 0) - 1
             streaks[key] = s
-            if s >= need:
-                latched.add(key)
-            elif s <= -need:
-                latched.discard(key)
-        flags = frozenset(key for key in latched if key is not _SEVERE)
-        cls = triage_class(_SEVERE in latched, flags)
-        return TriageDecision(cls, one_hot(cls), flags)
+            if abs(s) >= need and (s > 0) is not (key in latched):
+                latched ^= {key}
+        if latched != self._latched:
+            self._latched = latched
+            flags = latched - {_SEVERE}
+            cls = triage_class(_SEVERE in latched, flags)
+            self._decision = TriageDecision(cls, one_hot(cls), flags)
+        return self._decision
 
     def _camera_checks(self):
         # One deliberate posture check per finished patrol task; while the

@@ -160,8 +160,7 @@ def _build_track(raw, errors: list[str]) -> Track:
     tags = _sequence(raw.get("tags"), "track.tags", errors)
     errors.extend(f"track.tags[{i}]: expected str, got {type(tag).__name__}"
                   for i, tag in enumerate(tags) if not isinstance(tag, str))
-    mat_size = raw.get("mat_size")
-    mat_size = [3.5, 4.0] if mat_size is None else mat_size
+    mat_size = _get(raw, "mat_size", [3.5, 4.0], "track", errors, list)
     _check_pair(mat_size, "track.mat_size", errors)
     line_width = _float(raw, "line_width", 0.018, "track", errors)
     closed = _get(raw, "closed", True, "track", errors, bool)
@@ -191,7 +190,7 @@ def _build_dataclass(cls, raw, path, errors, casts=None):
     _check_keys(raw, fields, path, errors)
     kwargs = {}
     for k, v in raw.items():
-        if k not in fields:
+        if k not in fields or v is None:  # null takes the field's default
             continue
         if casts and k in casts:
             try:

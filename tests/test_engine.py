@@ -14,8 +14,7 @@ from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
 from wardsim.metrics import EventLog, MetricsAccumulator, replay_metrics
 from wardsim.protocol import TERMINAL_STATES
 from wardsim.scenario import load_preset, validate
-from wardsim.vitals import (Flag, TriageClass, TriageDecision, Vitals, classify,
-                            one_hot, screen)
+from wardsim.vitals import Flag, TriageClass, TriageDecision, Vitals, classify, one_hot
 
 
 def short_config(**overrides):
@@ -171,7 +170,7 @@ def test_debounce_decides_as_the_reference_latch(need, samples):
     engine = Engine(dataclasses.replace(_DEBOUNCE_CONFIG, flag_confirm_samples=need))
     reference = ReferenceDebounce(need)
     for sample in samples:
-        got = engine._debounce(*screen(sample))
+        got = engine._debounce(classify(sample))
         assert got == reference(classify(sample))
 
 

@@ -7,7 +7,7 @@ from wardsim.rf_channel import LinkCondition
 from wardsim.scenario import (DEFAULT_BUDGETS_MS, ScenarioValidationError,
                               load_preset, load_scenario, preset_names,
                               validate)
-from wardsim.vitals import Posture
+from wardsim.vitals import LatencyConfig, Posture
 
 
 def test_empty_mapping_fills_documented_defaults():
@@ -121,6 +121,15 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
     assert any(e.startswith(error) for e in exc.value.errors), exc.value.errors
     assert main(["run", str(path)]) == 2
     assert error in capsys.readouterr().err
+
+
+def test_null_fields_take_their_defaults():
+    track = {"waypoints": [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2], [0.2, 1.2]],
+             "tags": ["straight"] * 4}
+    cfg = validate({"latency": {"ai_flags": None, "ai_decision_ms": None},
+                    "track": dict(track, mat_size=None)})
+    assert cfg.latency == LatencyConfig()
+    assert cfg.track.mat_size == validate({"track": track}).track.mat_size
 
 
 def test_duplicate_addresses_rejected():
