@@ -497,8 +497,8 @@ def run_suite(configs: list[ScenarioConfig], trials: int = 5) -> SuiteResult:
             std = statistics.pstdev(values) if len(values) > 1 else 0.0
             row.latencies_ms[kind] = (mean, std)
         for kind, verdicts in verdict_counts.items():
-            # majority verdict across trials
-            row.verdicts[kind] = max(set(verdicts), key=verdicts.count)
+            # majority verdict across trials; a tie is a fail
+            row.verdicts[kind] = "pass" if 2 * verdicts.count("pass") > len(verdicts) else "fail"
         row.tasks_completed = completed
         row.tasks_escalated = escalated
         if completed + escalated:

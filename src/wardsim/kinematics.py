@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigurationError
+from .rng import Doubles
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,6 +98,14 @@ def rpm_to_wheel_angle(rpm: float, dt: float) -> float:
     return rpm / 60.0 * TWO_PI * dt
 
 
+def check_slip(slip_halfwidth: float, slip_bias_halfwidth: float):
+    """The slip half-widths MotionSimulator accepts; raises ConfigurationError."""
+    if not 0.0 <= slip_halfwidth <= 0.1:
+        raise ConfigurationError("slip_halfwidth must be in [0, 0.1]")
+    if not 0.0 <= slip_bias_halfwidth <= 0.1:
+        raise ConfigurationError("slip_bias_halfwidth must be in [0, 0.1]")
+
+
 class MotionSimulator:
     """Ground-truth motion with slip plus quantized encoder readout.
 
@@ -109,19 +118,17 @@ class MotionSimulator:
     """
 
     def __init__(self, start: Pose, params: ChassisParams,
-                 slip_halfwidth: float = 0.02, rng: np.random.Generator | None = None,
+                 slip_halfwidth: float = 0.02, rng: Doubles | None = None,
                  slip_bias_halfwidth: float = 0.0):
-        if not 0.0 <= slip_halfwidth <= 0.1:
-            raise ConfigurationError("slip_halfwidth must be in [0, 0.1]")
-        if not 0.0 <= slip_bias_halfwidth <= 0.1:
-            raise ConfigurationError("slip_bias_halfwidth must be in [0, 0.1]")
+        check_slip(slip_halfwidth, slip_bias_halfwidth)
         self.pose = start
         self.params = params
         self.slip_halfwidth = slip_halfwidth
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else Doubles(np.random.default_rng(0))
+        # scalar draws, right then left: the values of one size=2 draw, as floats
         if slip_bias_halfwidth > 0.0:
-            self._bias_right, self._bias_left = self.rng.uniform(
-                -slip_bias_halfwidth, slip_bias_halfwidth, size=2)
+            self._bias_right = self.rng.uniform(-slip_bias_halfwidth, slip_bias_halfwidth)
+            self._bias_left = self.rng.uniform(-slip_bias_halfwidth, slip_bias_halfwidth)
         else:
             self._bias_right = self._bias_left = 0.0
         self._angle_right = 0.0  # cumulative commanded wheel angle, rad
@@ -139,8 +146,10 @@ class MotionSimulator:
         dth_r = rpm_to_wheel_angle(omega_right_rpm, dt)
         dth_l = rpm_to_wheel_angle(omega_left_rpm, dt)
 
-        if self.slip_halfwidth > 0.0:
-            s_r, s_l = self.rng.uniform(1.0 - self.slip_halfwidth, 1.0 + self.slip_halfwidth, size=2)
+        h = self.slip_halfwidth
+        if h > 0.0:
+            s_r = self.rng.uniform(1.0 - h, 1.0 + h)
+            s_l = self.rng.uniform(1.0 - h, 1.0 + h)
         else:
             s_r = s_l = 1.0
         s_r += self._bias_right

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import ConfigurationError
 from .kinematics import Pose
+from .rng import Doubles
 from .track import Track
 
 DEFAULT_WEIGHTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -126,37 +125,40 @@ class IrGeometry:
     noise_frac: float = 0.03      # additive noise, fraction of full scale
 
 
-def sensor_positions(pose: Pose, geometry: IrGeometry) -> np.ndarray:
-    """World (x, y) of the five sensors, left to right."""
+def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, float]]:
+    """World (x, y) of the five sensors, left to right: the array's centre
+    `forward_offset` ahead of the pose, sensor k (-2..2) `k * pitch` along
+    the robot's right-hand direction (sin, -cos)."""
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    heading = np.array([c, s])
-    right = np.array([s, -c])
-    center = np.array([pose.x, pose.y]) + geometry.forward_offset * heading
-    offsets = np.arange(-2, 3) * geometry.pitch
-    return center[None, :] + offsets[:, None] * right[None, :]
+    fo, pitch = geometry.forward_offset, geometry.pitch
+    cx = pose.x + fo * c
+    cy = pose.y + fo * s
+    return [(cx + (k * pitch) * s, cy + (k * pitch) * (-c)) for k in (-2, -1, 0, 1, 2)]
 
 
 def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
-                rng: np.random.Generator | None = None) -> IrArrayReading:
+                rng: Doubles | None = None) -> IrArrayReading:
     """Raw readings for a pose over the track: sensors within half a line
     width of the polyline read dark, others bright, plus bounded noise.
     Off-mat poses simply see no line."""
-    vals = []
     half = track.line_width / 2.0
-    positions = sensor_positions(pose, geometry).tolist()
-    noisy = rng is not None and geometry.noise_frac > 0
-    if noisy:
+    w, h = track.mat_size
+    low, high, v_max = geometry.low_level, geometry.high_level, geometry.v_max
+    noise = None
+    if rng is not None and geometry.noise_frac > 0:
         # one draw per sensor, left to right: the same stream as drawing each alone
-        noise = rng.uniform(-geometry.noise_frac, geometry.noise_frac, size=len(positions)).tolist()
-    for k, (sx, sy) in enumerate(positions):
-        if track.on_mat(sx, sy) and track.query(sx, sy).distance <= half:
-            level = geometry.low_level
+        noise = rng.uniform(-geometry.noise_frac, geometry.noise_frac, size=5)
+    query = track.query
+    vals = []
+    for k, (sx, sy) in enumerate(sensor_positions(pose, geometry)):
+        if 0.0 <= sx <= w and 0.0 <= sy <= h and query(sx, sy).distance <= half:
+            level = low
         else:
-            level = geometry.high_level
-        if noisy:
+            level = high
+        if noise is not None:
             level += noise[k]
-        vals.append(min(max(level, 0.0), 1.0) * geometry.v_max)
-    return IrArrayReading(tuple(vals), geometry.v_max)
+        vals.append(min(max(level, 0.0), 1.0) * v_max)
+    return IrArrayReading(tuple(vals), v_max)
 
 
 @dataclass
@@ -187,7 +189,7 @@ class LineFollower:
         self.faulted = False
 
     def step(self, track: Track, pose: Pose, dt: float,
-             rng: np.random.Generator | None = None) -> tuple[WheelCommand, float | None]:
+             rng: Doubles | None = None) -> tuple[WheelCommand, float | None]:
         """Returns the wheel command and the measured lateral error (None = lost)."""
         reading = simulate_ir(track, pose, self.geometry, rng)
         s = threshold(normalize(reading), self.detect_threshold)

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import yaml
 
 from . import ConfigurationError
-from .kinematics import ChassisParams, Pose
-from .line_following import IrGeometry, PidGains
+from .kinematics import ChassisParams, Pose, check_slip
+from .line_following import IrGeometry, PidGains, threshold
 from .protocol import (DEFAULT_EXEC_DURATIONS_MS, MedicationSchedule, ScheduleEntry,
                        TaskKind, TimeoutPolicy)
 from .rf_channel import ChannelConfig, LinkCondition
-from .track import Track, rounded_rect_track
+from .track import DEFAULT_LINE_WIDTH, DEFAULT_MAT, Track, rounded_rect_track
 from .vitals import FallDetectorModel, Flag, LatencyConfig, Posture, SensorNoiseModel
 
 
@@ -160,9 +160,9 @@ def _build_track(raw, errors: list[str]) -> Track:
     tags = _sequence(raw.get("tags"), "track.tags", errors)
     errors.extend(f"track.tags[{i}]: expected str, got {type(tag).__name__}"
                   for i, tag in enumerate(tags) if not isinstance(tag, str))
-    mat_size = _get(raw, "mat_size", [3.5, 4.0], "track", errors, list)
+    mat_size = _get(raw, "mat_size", list(DEFAULT_MAT), "track", errors, list)
     _check_pair(mat_size, "track.mat_size", errors)
-    line_width = _float(raw, "line_width", 0.018, "track", errors)
+    line_width = _float(raw, "line_width", DEFAULT_LINE_WIDTH, "track", errors)
     closed = _get(raw, "closed", True, "track", errors, bool)
     if len(errors) > n_errors:
         return rounded_rect_track()
@@ -271,6 +271,10 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
     base_rpm = _float(corridor, "base_rpm", 50.0, "robots.corridor", errors)
     slip_halfwidth = _float(corridor, "slip_halfwidth", 0.02, "robots.corridor", errors)
     slip_bias_halfwidth = _float(corridor, "slip_bias_halfwidth", 0.01, "robots.corridor", errors)
+    try:
+        check_slip(slip_halfwidth, slip_bias_halfwidth)
+    except ConfigurationError as exc:
+        errors.append(f"robots.corridor: {exc}")
 
     start_raw = corridor.get("start")
     if start_raw is None:
@@ -298,6 +302,9 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
         _check_keys(item, {"time_ms", "src", "dst", "condition"}, path, errors)
         ends = [_get(item, k, None, path, errors, int) for k in ("src", "dst")]
         errors.extend(f"{path}.{k}: required" for k in ("src", "dst") if item.get(k) is None)
+        errors.extend(f"{path}.{k}: {end} is not a robot address"
+                      for k, end in zip(("src", "dst"), ends)
+                      if end is not None and end not in addresses)
         try:
             link_conditions.append(LinkConditionEvent(
                 _get(item, "time_ms", 0, path, errors, int), *ends,
@@ -395,9 +402,18 @@ def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
     correction_enabled = _get(correction, "enabled", True, "correction", errors, bool)
     correction_pos = _float(correction, "position_gain", 0.1, "correction", errors)
     correction_head = _float(correction, "heading_gain", 0.1, "correction", errors)
+    # a gain outside [0, 1] moves the estimate past the line or away from it,
+    # and it diverges
+    for key, gain in (("position_gain", correction_pos), ("heading_gain", correction_head)):
+        if not 0.0 <= gain <= 1.0:
+            errors.append(f"correction.{key}: must be in [0, 1]")
 
     patrol_always = _get(raw, "patrol_always", True, "top", errors, bool)
     detect_threshold = _float(raw, "detect_threshold", 0.5, "top", errors)
+    try:
+        threshold((), detect_threshold)  # the range check alone: no readings
+    except ConfigurationError as exc:
+        errors.append(f"top.detect_threshold: {exc}")
     ir_enabled = _get(raw, "ir_enabled", True, "top", errors, bool)
     flag_confirm_samples = _get(raw, "flag_confirm_samples", 3, "top", errors, int)
     if flag_confirm_samples is not None and flag_confirm_samples < 1:

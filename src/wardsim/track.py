@@ -39,7 +39,8 @@ import numpy as np
 
 from . import ConfigurationError
 
-DEFAULT_MAT = (3.5, 4.0)  # meters
+DEFAULT_MAT = (3.5, 4.0)    # meters
+DEFAULT_LINE_WIDTH = 0.018  # meters
 
 _CELL_M = 0.2        # target side of a candidate-grid cell
 _MAX_CELLS = 64      # per mat side, so a large mat cannot inflate set-up
@@ -56,7 +57,7 @@ class TrackQuery:
 
 
 class Track:
-    def __init__(self, waypoints, tags, line_width: float = 0.018,
+    def __init__(self, waypoints, tags, line_width: float = DEFAULT_LINE_WIDTH,
                  mat_size: tuple[float, float] = DEFAULT_MAT, closed: bool = True):
         pts = np.asarray(waypoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -135,10 +136,6 @@ class Track:
         return TrackQuery(math.sqrt(best), (best_x, best_y), self._tangents[best_i],
                           self.tags[best_i], best_i)
 
-    def on_mat(self, x: float, y: float) -> bool:
-        w, h = self.mat_size
-        return 0.0 <= x <= w and 0.0 <= y <= h
-
 
 def _candidate_grid(a, d, len2, mat_size, nx: int, ny: int) -> list[list[list[int]]]:
     """Candidate segment indices of each cell, as ny rows of nx cells from the
@@ -172,7 +169,7 @@ def _candidate_grid(a, d, len2, mat_size, nx: int, ny: int) -> list[list[list[in
 
 def rounded_rect_track(x0: float = 0.6, y0: float = 0.6, x1: float = 2.9, y1: float = 3.4,
                        corner_radius: float = 0.35, arc_points: int = 6,
-                       line_width: float = 0.018, mat_size=DEFAULT_MAT) -> Track:
+                       line_width: float = DEFAULT_LINE_WIDTH, mat_size=DEFAULT_MAT) -> Track:
     """Rectangle with rounded corners; edges tagged straight, corner arcs turn."""
     r = corner_radius
     if 2 * r >= min(x1 - x0, y1 - y0):

@@ -4,11 +4,13 @@ integrity, debouncing, and the CLI surface."""
 import csv
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wardsim import engine as engine_module
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
 from wardsim.metrics import EventLog, MetricsAccumulator, replay_metrics
@@ -35,6 +37,16 @@ def test_same_config_and_seed_give_byte_identical_logs():
     log_a, _ = run(short_config())
     log_b, _ = run(short_config())
     assert log_a.to_jsonl() == log_b.to_jsonl()
+
+
+def test_true_pose_stays_in_plain_floats():
+    # numpy scalars in the pose would slow every track query and encode
+    cfg = dataclasses.replace(load_preset("default"), duration_ms=2000)
+    engine = Engine(cfg)
+    engine.run()
+    pose = engine.motion.pose
+    assert pose != cfg.start_pose
+    assert all(type(v) is float for v in (pose.x, pose.y, pose.theta))
 
 
 def test_different_seeds_diverge():
@@ -290,6 +302,24 @@ def test_suite_aggregates_over_trials():
     (row,) = result.rows
     assert row.runs == 2
     assert "no_vitals" in row.verdicts
+
+
+@pytest.mark.parametrize("verdicts, majority", [
+    (["pass", "fail"], "fail"), (["fail", "pass"], "fail"),
+    (["pass", "fail", "pass"], "pass"), (["fail", "pass", "fail", "pass"], "fail"),
+])
+def test_suite_verdict_is_the_majority_and_a_tie_fails(monkeypatch, verdicts, majority):
+    # the verdict must not follow set order, which varies with PYTHONHASHSEED
+    trial_verdicts = iter(verdicts)
+
+    def fake_run(_cfg):
+        return None, SimpleNamespace(alert_latency_ms={"fall": 1000.0},
+                                     alert_verdicts={"fall": next(trial_verdicts)},
+                                     tasks_completed=0, tasks_escalated=0)
+
+    monkeypatch.setattr(engine_module, "run", fake_run)
+    (row,) = run_suite([short_config()], trials=len(verdicts)).rows
+    assert row.verdicts == {"fall": majority}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from wardsim.line_following import (DEFAULT_WEIGHTS, IrArrayReading, IrGeometry,
                                     apply_control, line_error, normalize,
                                     pid_step, sensor_positions, simulate_ir,
                                     threshold)
-from wardsim.track import rounded_rect_track
+from wardsim.track import Track, rounded_rect_track
 
 
 def test_normalize_full_scale():
@@ -153,10 +153,31 @@ def test_apply_control_preserves_sum_when_uncapped(base, u):
 def test_sensor_positions_layout():
     geom = IrGeometry(pitch=0.015, forward_offset=0.05)
     pos = sensor_positions(Pose(1.0, 2.0, 0.0), geom)
-    assert pos.shape == (5, 2)
+    assert len(pos) == 5 and all(len(p) == 2 for p in pos)
     # facing +x: array sits 5 cm ahead; leftmost sensor is at +y
-    assert pos[:, 0] == pytest.approx(np.full(5, 1.05))
-    assert pos[:, 1] == pytest.approx([2.03, 2.015, 2.0, 1.985, 1.97])
+    assert [x for x, _ in pos] == pytest.approx(np.full(5, 1.05))
+    assert [y for _, y in pos] == pytest.approx([2.03, 2.015, 2.0, 1.985, 1.97])
+
+
+def reference_sensor_positions(pose, geometry):
+    """The numpy computation sensor_positions replaced, kept as its oracle."""
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    heading = np.array([c, s])
+    right = np.array([s, -c])
+    center = np.array([pose.x, pose.y]) + geometry.forward_offset * heading
+    offsets = np.arange(-2, 3) * geometry.pitch
+    return center[None, :] + offsets[:, None] * right[None, :]
+
+
+@given(x=st.floats(-50, 50), y=st.floats(-50, 50),
+       theta=st.floats(-math.pi, math.pi, exclude_min=True),
+       pitch=st.floats(0.0, 0.1), forward_offset=st.floats(-0.2, 0.2))
+def test_sensor_positions_equal_the_numpy_expression(x, y, theta, pitch, forward_offset):
+    pose = Pose(x, y, theta)
+    geom = IrGeometry(pitch=pitch, forward_offset=forward_offset)
+    got = sensor_positions(pose, geom)
+    assert got == [tuple(p) for p in reference_sensor_positions(pose, geom).tolist()]
+    assert all(type(v) is float for p in got for v in p)
 
 
 def test_simulate_ir_centered_on_line():
@@ -184,6 +205,17 @@ def test_simulate_ir_far_from_line_sees_nothing():
     geom = IrGeometry(noise_frac=0.0)
     s = threshold(normalize(simulate_ir(track, Pose(1.75, 2.0, 0.0), geom)), 0.5)
     assert line_error(s) is None
+
+
+def test_sensors_off_the_mat_see_no_line():
+    # a line along the mat's edge y = 0, wide enough to reach three sensors
+    track = Track([(0.2, 0.0), (1.2, 0.0), (1.2, 1.0), (0.2, 1.0)], ["straight"] * 4,
+                  line_width=0.04, mat_size=(2.0, 2.0))
+    geom = IrGeometry(noise_frac=0.0)
+    # sensors at y = 0.03, 0.015, 0, -0.015, -0.03: the one at -0.015 is
+    # within half a line width of the line but off the mat
+    s = threshold(normalize(simulate_ir(track, Pose(0.6, 0.0, 0.0), geom)), 0.5)
+    assert s == (0, 1, 1, 0, 0)
 
 
 def test_simulate_ir_noise_is_bounded():

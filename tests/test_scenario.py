@@ -105,6 +105,14 @@ def test_bool_is_not_accepted_as_int():
     ("track: {waypoints: [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2]], tags: [straight, 5, straight],"
      " mat_size: [2.0, 2.0]}\n", "track.tags[1]: expected str"),
     ("latency: {ai_flags: {fever: 1}}\n", "latency.ai_flags: expected a list of flag names"),
+    # ranges the engine's own constructors reject, and values that would run
+    # as a silently different scenario
+    ("robots: {corridor: {slip_halfwidth: 0.5}}\n",
+     "robots.corridor: slip_halfwidth must be in [0, 0.1]"),
+    ("detect_threshold: 7.0\n", "top.detect_threshold: threshold must be in (0, 1)"),
+    ("correction: {position_gain: 5.0}\n", "correction.position_gain: must be in [0, 1]"),
+    ("link_conditions: [{src: 9, dst: 1, condition: obstructed}]\n",
+     "link_conditions[0].src: 9 is not a robot address"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
@@ -112,7 +120,8 @@ def test_bool_is_not_accepted_as_int():
         "link_dst_missing", "schedule_time_float", "dose_note_int", "spo2_string",
         "line_width_string", "start_x_string", "name_int", "max_retries_string",
         "geometry_pitch_string", "waypoint_string", "waypoint_bool", "mat_size_bool",
-        "tag_int", "ai_flags_mapping"])
+        "tag_int", "ai_flags_mapping", "slip_out_of_range", "threshold_out_of_range",
+        "correction_gain_out_of_range", "link_end_not_a_robot"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
     path.write_text(text)

@@ -110,13 +110,6 @@ def test_default_course_straights_are_axis_aligned():
             assert min(abs(tx), abs(ty)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_on_mat():
-    t = square()
-    assert t.on_mat(1.0, 1.0)
-    assert not t.on_mat(-0.1, 0.5)
-    assert not t.on_mat(0.5, 2.5)
-
-
 def test_query_rejects_a_non_finite_point():
     with pytest.raises(ValueError):
         square().query(math.inf, 0.5)
