@@ -17,10 +17,9 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import AddressingError, ConfigurationError
 from .metrics import MetricsAccumulator, RunMetrics
+from .rng import Doubles
 
 
 class PacketKind(enum.Enum):
@@ -87,7 +86,7 @@ class Channel:
     """Owns link conditions and the in-flight queue; keeps no delivery log,
     since each send returns its record."""
 
-    def __init__(self, config: ChannelConfig, addresses, rng: np.random.Generator):
+    def __init__(self, config: ChannelConfig, addresses, rng: Doubles):
         self.config = config
         self.addresses = set(addresses)
         self.rng = rng

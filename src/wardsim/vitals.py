@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ConfigurationError
+from .rng import Doubles
 
 SPO2_RANGE = (50.0, 100.0)
 BPM_RANGE = (20.0, 220.0)
@@ -228,7 +229,7 @@ class FallDetectorModel:
                 raise ConfigurationError("sensitivities must be probabilities")
 
 
-def detect_fall(posture: Posture, model: FallDetectorModel, rng: np.random.Generator) -> FallOutcome:
+def detect_fall(posture: Posture, model: FallDetectorModel, rng: Doubles) -> FallOutcome:
     """One camera check: Bernoulli at the sensitivity for the true posture."""
     if posture is Posture.FALLEN:
         correct = rng.random() < model.sensitivity_fallen
