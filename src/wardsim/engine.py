@@ -21,8 +21,8 @@ from . import InvariantError
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
 from .metrics import EventLog, MetricsAccumulator, RunMetrics
-from .protocol import (Availability, Follower, Leader, RosterEntry, StatusLight,
-                       TaskKind, TimeoutPolicy)
+from .protocol import (Availability, Follower, Leader, MedicationSchedule, RosterEntry,
+                       StatusLight, TaskKind, TimeoutPolicy)
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
 from .scenario import ScenarioConfig
@@ -49,40 +49,39 @@ class Engine:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.streams = derive_streams(config.seed)
-        addresses = [config.leader_address, config.corridor_address,
-                     config.arm_address, config.wearable_address]
-        self.channel = Channel(config.channel, addresses, self.streams["channel"])
+        robots, corridor = config.robots, config.robots.corridor
+        self.channel = Channel(config.channel, robots.addresses, self.streams["channel"])
 
         roster = {
-            config.corridor_address: RosterEntry(
-                config.corridor_address,
+            corridor.address: RosterEntry(
+                corridor.address,
                 frozenset({TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE})),
-            config.arm_address: RosterEntry(
-                config.arm_address, frozenset({TaskKind.ARM_DISPENSE})),
+            robots.arm.address: RosterEntry(
+                robots.arm.address, frozenset({TaskKind.ARM_DISPENSE})),
         }
-        self.leader = Leader(config.leader_address, roster, config.schedule,
+        self.leader = Leader(robots.leader.address, roster, MedicationSchedule(config.schedule),
                              config.timeout_policy)
-        self.corridor = Follower(config.corridor_address, config.leader_address,
-                                 roster[config.corridor_address].capabilities,
+        self.corridor = Follower(corridor.address, robots.leader.address,
+                                 roster[corridor.address].capabilities,
                                  dict(config.exec_durations_ms), role="corridor")
-        self.arm = Follower(config.arm_address, config.leader_address,
-                            roster[config.arm_address].capabilities,
+        self.arm = Follower(robots.arm.address, robots.leader.address,
+                            roster[robots.arm.address].capabilities,
                             dict(config.exec_durations_ms), role="arm")
         self.followers = {f.address: f for f in (self.corridor, self.arm)}
 
         self.patient = PatientState()
-        self.motion = MotionSimulator(config.start_pose, config.chassis,
-                                      config.slip_halfwidth, self.streams["slip"],
-                                      slip_bias_halfwidth=config.slip_bias_halfwidth)
+        self.motion = MotionSimulator(config.start_pose, corridor.chassis,
+                                      corridor.slip_halfwidth, self.streams["slip"],
+                                      slip_bias_halfwidth=corridor.slip_bias_halfwidth)
         self.follower_ctl = LineFollower(
-            gains=config.gains, geometry=config.geometry, base_rpm=config.base_rpm,
+            gains=corridor.gains, geometry=corridor.geometry, base_rpm=corridor.base_rpm,
             detect_threshold=config.detect_threshold)
-        self.dr_raw = DeadReckoner(config.start_pose, config.chassis)
-        self.dr_corrected = DeadReckoner(config.start_pose, config.chassis)
+        self.dr_raw = DeadReckoner(self.motion.pose, corridor.chassis)
+        self.dr_corrected = DeadReckoner(self.motion.pose, corridor.chassis)
 
         self.log = EventLog()
         self.acc = MetricsAccumulator()
-        self._inboxes: dict[int, list[Packet]] = {a: [] for a in addresses}
+        self._inboxes: dict[int, list[Packet]] = {a: [] for a in robots.addresses}
         # heap of (ready_ms, sample_time, push count, decision): it pops in
         # the order of a stable sort on (ready_ms, sample_time), and the
         # push count keeps the decisions themselves from being compared
@@ -178,7 +177,7 @@ class Engine:
             self._deliver_triage(sample.sample_time, classify(sample))
             return
         seq = self._now // cfg.vitals_sample_period_ms
-        pkt = Packet(cfg.wearable_address, cfg.leader_address, seq,
+        pkt = Packet(cfg.robots.wearable.address, self.leader.address, seq,
                      PacketKind.VITALS_REPORT,
                      {"spo2": sample.spo2, "bpm": sample.bpm, "temp": sample.temp,
                       "sample_time": sample.sample_time},
@@ -216,7 +215,7 @@ class Engine:
                 "src": pkt.src, "dst": pkt.dst, "packet_kind": pkt.kind.value,
                 "seq": pkt.seq,
             }, "channel")
-            if pkt.kind is PacketKind.VITALS_REPORT and pkt.dst == self.config.leader_address:
+            if pkt.kind is PacketKind.VITALS_REPORT and pkt.dst == self.leader.address:
                 sample = Vitals(sample_time=pkt.payload["sample_time"], valid=True,
                                 spo2=pkt.payload["spo2"], bpm=pkt.payload["bpm"],
                                 temp=pkt.payload["temp"])
@@ -253,8 +252,8 @@ class Engine:
         # patient is actually down the camera also spots them periodically.
         cfg = self.config
         periodic = (self.patient.posture is Posture.FALLEN
-                    and cfg.fall_check_period_ms > 0
-                    and self._now % cfg.fall_check_period_ms == 0)
+                    and cfg.fall_detector.check_period_ms > 0
+                    and self._now % cfg.fall_detector.check_period_ms == 0)
         if not periodic and not self._patrol_check_due:
             return
         self._patrol_check_due = False
@@ -270,7 +269,7 @@ class Engine:
         responding = self.corridor.active is not None and self.corridor.active.emergency
         if fall_seen and not responding and self._now - self._last_alert_ms >= 300:
             self._last_alert_ms = self._now
-            pkt = Packet(cfg.corridor_address, cfg.leader_address, self._now,
+            pkt = Packet(self.corridor.address, self.leader.address, self._now,
                          PacketKind.ALERT, {"alert": "fall"}, self._now)
             self._send(pkt, extra_delay_ms=cfg.latency.fall_path_ms)
 
@@ -296,16 +295,16 @@ class Engine:
             self.motion.pose = Pose(q.point[0], q.point[1], heading)
             self.follower_ctl.reset()
             return
-        factor = cfg.battery_low_speed_factor if self._battery_low else 1.0
+        factor = cfg.battery.low_speed_factor if self._battery_low else 1.0
         pose, delta = self.motion.step(cmd.omega_right * factor, cmd.omega_left * factor, dt_s)
         raw = self.dr_raw.update(delta)
         corr = self.dr_corrected.update(delta)
-        if cfg.ir_enabled and cfg.correction_enabled and err is not None:
+        if cfg.ir_enabled and cfg.correction.enabled and err is not None:
             corr = self._correct_estimate(corr)
             self.dr_corrected.pose = corr
         self._energy += (abs(cmd.omega_right) + abs(cmd.omega_left)) * factor * dt_s / 60.0
-        if cfg.battery_budget_units > 0 and not self._battery_low \
-                and self._energy > cfg.battery_budget_units:
+        if cfg.battery.budget_units > 0 and not self._battery_low \
+                and self._energy > cfg.battery.budget_units:
             self._battery_low = True
             self._emit("battery_low", {"energy": self._energy}, "power")
         q = cfg.track.query(pose.x, pose.y)
@@ -321,14 +320,14 @@ class Engine:
     def _correct_estimate(self, est: Pose) -> Pose:
         cfg = self.config
         q = cfg.track.query(est.x, est.y)
-        gx = est.x + cfg.correction_position_gain * (q.point[0] - est.x)
-        gy = est.y + cfg.correction_position_gain * (q.point[1] - est.y)
+        gx = est.x + cfg.correction.position_gain * (q.point[0] - est.x)
+        gy = est.y + cfg.correction.position_gain * (q.point[1] - est.y)
         tangent_heading = math.atan2(q.tangent[1], q.tangent[0])
         dh = normalize_angle(tangent_heading - est.theta)
         if abs(dh) > math.pi / 2:
             # robot may legitimately face the other way along the segment
             dh = normalize_angle(dh + math.pi)
-        gtheta = normalize_angle(est.theta + cfg.correction_heading_gain * dh)
+        gtheta = normalize_angle(est.theta + cfg.correction.heading_gain * dh)
         return Pose(gx, gy, gtheta)
 
     def _status_light(self):
@@ -356,8 +355,8 @@ class Engine:
 
                 for addr, entry in self.leader.roster.items():
                     entry.availability = self.followers[addr].availability
-                leader_out = self.leader.step(self._inboxes[cfg.leader_address], self._now)
-                self._inboxes[cfg.leader_address] = []
+                leader_out = self.leader.step(self._inboxes[self.leader.address], self._now)
+                self._inboxes[self.leader.address] = []
                 for pkt in leader_out:
                     self._send(pkt)
 

@@ -18,6 +18,7 @@ from . import ConfigurationError
 from .rng import Doubles
 
 TWO_PI = 2.0 * math.pi
+DEFAULT_SLIP_HALFWIDTH = 0.02  # per-step multiplicative slip jitter, either way
 
 
 def normalize_angle(theta: float) -> float:
@@ -32,9 +33,9 @@ def normalize_angle(theta: float) -> float:
 class Pose:
     """Planar robot state: position in meters, heading in radians (-pi, pi]."""
 
-    x: float
-    y: float
-    theta: float
+    x: float = 0.0
+    y: float = 0.0
+    theta: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
@@ -117,8 +118,9 @@ class MotionSimulator:
     read time, so no fractional rotation is permanently lost.
     """
 
+    # no bias by default, for use on its own; scenario.Corridor models its chassis' bias
     def __init__(self, start: Pose, params: ChassisParams,
-                 slip_halfwidth: float = 0.02, rng: Doubles | None = None,
+                 slip_halfwidth: float = DEFAULT_SLIP_HALFWIDTH, rng: Doubles | None = None,
                  slip_bias_halfwidth: float = 0.0):
         check_slip(slip_halfwidth, slip_bias_halfwidth)
         self.pose = start

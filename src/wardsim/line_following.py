@@ -23,6 +23,8 @@ from .track import Track
 
 DEFAULT_WEIGHTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 DEFAULT_SPEED_CAP_RPM = 85.0
+DEFAULT_BASE_RPM = 50.0
+DEFAULT_DETECT_THRESHOLD = 0.5  # normalised reading below which a sensor sees the line
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,11 @@ class IrGeometry:
     high_level: float = 0.9       # normalised reading on the bare floor
     noise_frac: float = 0.03      # additive noise, fraction of full scale
 
+    def __post_init__(self):
+        if not (self.v_max > 0 and self.noise_frac >= 0
+                and 0.0 <= self.low_level < self.high_level <= 1.0):
+            raise ConfigurationError("require v_max > 0, noise_frac >= 0, 0 <= low_level < high_level <= 1")
+
 
 def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, float]]:
     """World (x, y) of the five sensors, left to right: the array's centre
@@ -171,9 +178,9 @@ class LineFollower:
 
     gains: PidGains = field(default_factory=PidGains)
     geometry: IrGeometry = field(default_factory=IrGeometry)
-    base_rpm: float = 50.0
+    base_rpm: float = DEFAULT_BASE_RPM
     cap_rpm: float = DEFAULT_SPEED_CAP_RPM
-    detect_threshold: float = 0.5
+    detect_threshold: float = DEFAULT_DETECT_THRESHOLD
     hold_lost_s: float = 0.5
 
     def __post_init__(self):

@@ -172,9 +172,9 @@ class NotificationSink:
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    time_ms: int
-    bed: int
-    slot: int
+    time_ms: int = 0
+    bed: int = 1
+    slot: int = 0
     dose_note: str = ""
 
 

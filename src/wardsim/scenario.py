@@ -1,26 +1,37 @@
 """Scenario files: schema, validation, and shipped presets.
 
-A scenario is a YAML mapping that fully determines one run. Validation
-fills documented defaults, rejects unknown keys (typo protection), and
-reports every violation it finds, not just the first.
+A scenario is a YAML mapping that fully determines one run. The dataclasses
+here and the parameter dataclasses they hold are its schema: each key is a
+field, and an absent or null key takes the field's default. One walker
+reads any of them from a mapping; it rejects unknown keys (typo protection),
+type-checks values without coercing them, and reports every violation it
+finds, not just the first.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import importlib.resources
 import math
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
 from . import ConfigurationError
-from .kinematics import ChassisParams, Pose, check_slip
-from .line_following import IrGeometry, PidGains, threshold
-from .protocol import (DEFAULT_EXEC_DURATIONS_MS, MedicationSchedule, ScheduleEntry,
-                       TaskKind, TimeoutPolicy)
+from .kinematics import DEFAULT_SLIP_HALFWIDTH, ChassisParams, Pose, check_slip
+from .line_following import (DEFAULT_BASE_RPM, DEFAULT_DETECT_THRESHOLD, IrGeometry,
+                             PidGains, threshold)
+from .protocol import DEFAULT_EXEC_DURATIONS_MS, ScheduleEntry, TaskKind, TimeoutPolicy
 from .rf_channel import ChannelConfig, LinkCondition
-from .track import DEFAULT_LINE_WIDTH, DEFAULT_MAT, Track, rounded_rect_track
+from .track import Track, rounded_rect_track
 from .vitals import FallDetectorModel, Flag, LatencyConfig, Posture, SensorNoiseModel
+
+SCENARIO_KINDS = ("fall", "low_spo2", "high_temp", "no_vitals", "battery_low")
+
+DEFAULT_BUDGETS_MS = {"fall": 3000, "low_spo2": 3000, "high_temp": 4000, "no_vitals": 500}
 
 
 class ScenarioValidationError(ValueError):
@@ -31,17 +42,17 @@ class ScenarioValidationError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {e}" for e in errors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LinkConditionEvent:
-    time_ms: int
+    time_ms: int = 0
     src: int
     dst: int
-    condition: LinkCondition
+    condition: LinkCondition = LinkCondition.CLEAR
 
 
 @dataclass(frozen=True)
 class PatientEvent:
-    time_ms: int
+    time_ms: int = 0
     kind: str | None = None      # scenario label used for alert-latency budgets
     spo2: float | None = None
     bpm: float | None = None
@@ -49,402 +60,291 @@ class PatientEvent:
     posture: Posture | None = None
     wearing: bool | None = None
 
+    def __post_init__(self):
+        if self.kind is not None and self.kind not in SCENARIO_KINDS:
+            raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class Robot:
+    address: int
+
+
+@dataclass(frozen=True)
+class Corridor:
+    """The corridor Assistant Robot: a line follower on a slipping chassis."""
+    address: int
+    chassis: ChassisParams = ChassisParams()
+    gains: PidGains = PidGains()
+    geometry: IrGeometry = IrGeometry()
+    base_rpm: float = DEFAULT_BASE_RPM
+    start: Pose | None = None  # None: on the first waypoint, facing along the course
+    slip_halfwidth: float = DEFAULT_SLIP_HALFWIDTH
+    slip_bias_halfwidth: float = 0.01  # this chassis' tyre and motor asymmetry
+
+    def __post_init__(self):
+        check_slip(self.slip_halfwidth, self.slip_bias_halfwidth)
+
+
+@dataclass(frozen=True)
+class Robots:
+    """The addressed parts of the swarm. A section's absent keys take the
+    values of its default here, so these are the default addresses."""
+    leader: Robot = Robot(1)
+    corridor: Corridor = Corridor(2)
+    arm: Robot = Robot(3)
+    wearable: Robot = Robot(4)
+
+    @property
+    def addresses(self) -> tuple[int, ...]:
+        return (self.leader.address, self.corridor.address, self.arm.address,
+                self.wearable.address)
+
+
+@dataclass(frozen=True)
+class Battery:
+    budget_units: float = 0.0  # 0 = unlimited
+    low_speed_factor: float = 0.5
+
+
+@dataclass(frozen=True)
+class Correction:
+    """Pulls the corrected odometry estimate toward the line the IR array sees."""
+    enabled: bool = True
+    position_gain: float = 0.1
+    heading_gain: float = 0.1
+
 
 @dataclass
 class ScenarioConfig:
-    name: str
-    seed: int
-    dt_ms: int
-    duration_ms: int
-    track: Track
-    leader_address: int
-    corridor_address: int
-    arm_address: int
-    wearable_address: int
-    chassis: ChassisParams
-    gains: PidGains
-    geometry: IrGeometry
-    base_rpm: float
-    start_pose: Pose
-    slip_halfwidth: float
-    slip_bias_halfwidth: float
-    channel: ChannelConfig
-    link_conditions: list[LinkConditionEvent]
-    patient_script: list[PatientEvent]
-    schedule: MedicationSchedule
-    latency: LatencyConfig
-    noise: SensorNoiseModel
-    fall_detector: FallDetectorModel
-    fall_check_period_ms: int
-    vitals_sample_period_ms: int
-    timeout_policy: TimeoutPolicy
-    exec_durations_ms: dict[TaskKind, int]
-    budgets_ms: dict[str, int]
-    battery_budget_units: float      # 0 = unlimited
-    battery_low_speed_factor: float
-    correction_enabled: bool
-    correction_position_gain: float
-    correction_heading_gain: float
-    patrol_always: bool
-    detect_threshold: float
-    ir_enabled: bool            # False: steer from the odometry estimate only
-    flag_confirm_samples: int   # consecutive flagged samples before the leader acts
+    name: str = "<scenario>"
+    seed: int = 0
+    dt_ms: int = 10
+    duration_ms: int = 60000
+    track: Track = field(default_factory=rounded_rect_track)
+    robots: Robots = Robots()
+    channel: ChannelConfig = ChannelConfig()
+    link_conditions: list[LinkConditionEvent] = field(default_factory=list)
+    patient_script: list[PatientEvent] = field(default_factory=list)
+    schedule: list[ScheduleEntry] = field(default_factory=list)
+    latency: LatencyConfig = LatencyConfig()
+    noise: SensorNoiseModel = SensorNoiseModel()
+    fall_detector: FallDetectorModel = FallDetectorModel()
+    vitals_sample_period_ms: int = 100
+    timeout_policy: TimeoutPolicy = TimeoutPolicy()
+    exec_durations_ms: dict[TaskKind, int] = field(default_factory=DEFAULT_EXEC_DURATIONS_MS.copy)
+    budgets_ms: dict[str, int] = field(default_factory=DEFAULT_BUDGETS_MS.copy)
+    battery: Battery = Battery()
+    correction: Correction = Correction()
+    patrol_always: bool = True
+    detect_threshold: float = DEFAULT_DETECT_THRESHOLD
+    ir_enabled: bool = True        # False: steer from the odometry estimate only
+    flag_confirm_samples: int = 3  # consecutive flagged samples before the leader acts
+
+    @property
+    def start_pose(self) -> Pose:
+        """The corridor robot's start: as given, else on the first waypoint along the course."""
+        start = self.robots.corridor.start
+        if start is None:
+            (wx, wy), (tx, ty) = self.track.waypoints[0], self.track._tangents[0]
+            start = Pose(float(wx), float(wy), math.atan2(ty, tx))
+        return start
 
 
-def _check_keys(section: dict, allowed, path: str, errors: list[str]):
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{path}: unknown key {key!r}")
+# what the walker returns for a value it could not read; the error is listed
+_FAIL = object()
 
 
-def _mapping(value, path: str, errors: list[str]) -> dict:
-    """A section that must be a mapping; an absent (null) one is empty."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        errors.append(f"{path}: expected a mapping, got {type(value).__name__}")
-        return {}
-    return value
+def _shape(value, kind: type, path: str, errors: list[str]):
+    """`value` if it is a `kind` (dict or list), else _FAIL."""
+    if isinstance(value, kind):
+        return value
+    expected = "a mapping" if kind is dict else "a list"
+    errors.append(f"{path}: expected {expected}, got {type(value).__name__}")
+    return _FAIL
 
 
-def _sequence(value, path: str, errors: list[str]) -> list:
-    """A section that must be a list; an absent (null) one is empty."""
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        errors.append(f"{path}: expected a list, got {type(value).__name__}")
-        return []
-    return value
+@functools.cache
+def _schema(cls) -> dict:
+    """Each field of a dataclass: name -> (annotation, default). The default
+    is MISSING for a field without one and None for a default factory."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default if f.default_factory is MISSING else None)
+            for f in fields(cls)}
 
 
-def _get(section: dict, key: str, default, path: str, errors: list[str], types):
-    """A scalar that must already have one of `types`; it is never coerced,
-    so a wrong type is an error and the default stands in for it."""
-    value = section.get(key, default)
-    if value is None:
-        return default
-    if types is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = isinstance(value, types) and not isinstance(value, bool)
-    if not ok:
-        errors.append(f"{path}.{key}: expected {types}, got {type(value).__name__}")
-        return default
-    return value
+def _build(cls, raw, path: str, errors: list[str], base=None):
+    """An instance of the dataclass `cls` from the mapping `raw`. An absent or
+    null key takes its value from `base` when given, else its field default;
+    a field with neither is required."""
+    if _shape(raw, dict, path, errors) is _FAIL:
+        return _FAIL
+    schema = _schema(cls)
+    errors.extend(f"{path or 'top level'}: unknown key {k!r}" for k in raw if k not in schema)
+    kwargs = {}
+    for name, (hint, default) in schema.items():
+        if raw.get(name) is None:
+            if base is None and default is MISSING:
+                errors.append(f"{path}.{name}: required")
+            continue
+        # the top level's own scalars are reported as "top.<key>"
+        sub = f"{path}.{name}" if path else f"top.{name}" if hint in (bool, int, float, str) else name
+        value = _read(hint, raw[name], sub, errors, default if base is None else getattr(base, name))
+        if value is not _FAIL:
+            kwargs[name] = value
+    if base is None and any(d is MISSING and k not in kwargs for k, (_, d) in schema.items()):
+        return _FAIL
+    try:
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except ConfigurationError as exc:
+        errors.append(f"{path}: {exc}")
+        return _FAIL
 
 
-def _float(section: dict, key: str, default, path: str, errors: list[str]):
-    """A number, as a float; an int is widened, nothing else is accepted."""
-    value = _get(section, key, default, path, errors, (int, float))
-    return None if value is None else float(value)
-
-
-def _check_pair(value, path: str, errors: list[str]):
-    """A point or a size: a list of two numbers, each by `_float`'s rule."""
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+def _read(hint, value, path: str, errors: list[str], base=None):
+    """A non-null `value` as the annotation `hint`, or _FAIL. A scalar must
+    have its type already, except that an int is widened to a float, and a
+    float must be finite. A list is read whole or not at all. `base` is
+    the value whose fields a section's absent keys take."""
+    if hint in _PARSERS:
+        return _PARSERS[hint](value, path, errors)
+    if type(None) in typing.get_args(hint):  # X | None; a null took the default already
+        hint = typing.get_args(hint)[0]
+    if is_dataclass(hint):
+        return _build(hint, value, path, errors, base)
+    origin = typing.get_origin(hint)
+    if origin is list:
+        if _shape(value, list, path, errors) is _FAIL:
+            return _FAIL
+        (item,) = typing.get_args(hint)
+        items = [_read(item, v, f"{path}[{i}]", errors) for i, v in enumerate(value)]
+        return _FAIL if any(v is _FAIL for v in items) else items
+    if origin is tuple:  # a point or a size
+        if isinstance(value, list) and len(value) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            return tuple(value)
         errors.append(f"{path}: expected a list of two numbers, got {value!r}")
+        return _FAIL
+    if issubclass(hint, enum.Enum):
+        value = _read(str, value, path, errors)
+        try:
+            return _FAIL if value is _FAIL else hint(value)
+        except ValueError as exc:
+            errors.append(f"{path}: {exc}")
+            return _FAIL
+    if not (isinstance(value, (int, float) if hint is float else hint)
+            and isinstance(value, bool) == (hint is bool)):
+        errors.append(f"{path}: expected {hint.__name__}, got {type(value).__name__}")
+        return _FAIL
+    if hint is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        errors.append(f"{path}: must be a finite number, got {value!r}")  # nan, inf, a huge int
+        return _FAIL
+    return float(value) if hint is float else value
 
 
-def _build_track(raw, errors: list[str]) -> Track:
-    if raw in (None, "default"):
+# an inline track's keys as annotations; an absent one takes Track's default
+_TRACK_KEYS = {"waypoints": list[tuple[float, float]], "tags": list[str], "line_width": float,
+               "mat_size": tuple[float, float], "closed": bool}
+
+
+def _build_track(raw, path: str, errors: list[str]):
+    if raw == "default":
         return rounded_rect_track()
     if not isinstance(raw, dict):
-        errors.append("track: expected 'default' or a mapping")
-        return rounded_rect_track()
+        errors.append(f"{path}: expected 'default' or a mapping")
+        return _FAIL
     n_errors = len(errors)
-    _check_keys(raw, {"waypoints", "tags", "line_width", "mat_size", "closed"}, "track", errors)
-    waypoints = _sequence(raw.get("waypoints"), "track.waypoints", errors)
-    for i, point in enumerate(waypoints):
-        _check_pair(point, f"track.waypoints[{i}]", errors)
-    tags = _sequence(raw.get("tags"), "track.tags", errors)
-    errors.extend(f"track.tags[{i}]: expected str, got {type(tag).__name__}"
-                  for i, tag in enumerate(tags) if not isinstance(tag, str))
-    mat_size = _get(raw, "mat_size", list(DEFAULT_MAT), "track", errors, list)
-    _check_pair(mat_size, "track.mat_size", errors)
-    line_width = _float(raw, "line_width", DEFAULT_LINE_WIDTH, "track", errors)
-    closed = _get(raw, "closed", True, "track", errors, bool)
+    errors.extend(f"{path}: unknown key {k!r}" for k in raw if k not in _TRACK_KEYS)
+    kwargs = {k: _read(hint, raw[k], f"{path}.{k}", errors)
+              for k, hint in _TRACK_KEYS.items() if raw.get(k) is not None}
     if len(errors) > n_errors:
-        return rounded_rect_track()
+        return _FAIL
     try:
-        return Track(waypoints, tags, line_width=line_width, mat_size=tuple(mat_size),
-                     closed=closed)
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        errors.append(f"track: {exc}")
-        return rounded_rect_track()
-
-
-def _flag_names(value) -> frozenset[Flag]:
-    if not (isinstance(value, list) and all(isinstance(f, str) for f in value)):
-        raise TypeError(f"expected a list of flag names, got {value!r}")
-    return frozenset(Flag(f) for f in value)
-
-
-# the scalar field annotations of the config dataclasses, as `_get` types
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
-
-
-def _build_dataclass(cls, raw, path, errors, casts=None):
-    raw = _mapping(raw, path, errors)
-    fields = cls.__dataclass_fields__
-    _check_keys(raw, fields, path, errors)
-    kwargs = {}
-    for k, v in raw.items():
-        if k not in fields or v is None:  # null takes the field's default
-            continue
-        if casts and k in casts:
-            try:
-                v = casts[k](v)
-            except (ValueError, TypeError, KeyError) as exc:
-                errors.append(f"{path}.{k}: {exc}")
-                continue
-        elif fields[k].type in _FIELD_TYPES:
-            v = _get(raw, k, None, path, errors, _FIELD_TYPES[fields[k].type])
-            if v is None:
-                continue
-        kwargs[k] = v
-    try:
-        return cls(**kwargs)
-    except (ConfigurationError, TypeError) as exc:
+        return Track(**{"waypoints": [], "tags": [], **kwargs})
+    except (ValueError, OverflowError) as exc:
         errors.append(f"{path}: {exc}")
-        return cls()
+        return _FAIL
 
 
-_TOP_KEYS = {
-    "name", "seed", "dt_ms", "duration_ms", "track", "robots", "channel",
-    "link_conditions", "patient_script", "schedule", "latency", "noise",
-    "fall_detector", "vitals_sample_period_ms", "timeout_policy",
-    "exec_durations_ms", "budgets_ms", "battery", "correction", "patrol_always",
-    "detect_threshold", "ir_enabled", "flag_confirm_samples",
+def _flag_names(raw, path: str, errors: list[str]):
+    if not (isinstance(raw, list) and all(isinstance(f, str) for f in raw)):
+        errors.append(f"{path}: expected a list of flag names, got {raw!r}")
+        return _FAIL
+    flags = _read(list[Flag], raw, path, errors)
+    return _FAIL if flags is _FAIL else frozenset(flags)
+
+
+def _table(defaults: dict, keys: dict, raw, path: str, errors: list[str]):
+    """A table of ints over `keys` (a YAML name for each table key); a key
+    left out keeps its value in `defaults`."""
+    if _shape(raw, dict, path, errors) is _FAIL:
+        return _FAIL
+    table = dict(defaults)
+    for name, value in raw.items():
+        if name not in keys:
+            errors.append(f"{path}: unknown key {name!r}")
+        elif value is not None and (value := _read(int, value, f"{path}.{name}", errors)) is not _FAIL:
+            table[keys[name]] = value
+    return table
+
+
+# values whose YAML form is not a mapping of their fields
+_PARSERS = {
+    Track: _build_track,
+    frozenset[Flag]: _flag_names,
+    dict[TaskKind, int]: functools.partial(_table, DEFAULT_EXEC_DURATIONS_MS,
+                                           {k.value: k for k in TaskKind}),
+    dict[str, int]: functools.partial(_table, DEFAULT_BUDGETS_MS,  # budgets_ms
+                                      {k: k for k in SCENARIO_KINDS}),
 }
 
-SCENARIO_KINDS = ("fall", "low_spo2", "high_temp", "no_vitals", "battery_low")
 
-DEFAULT_BUDGETS_MS = {"fall": 3000, "low_spo2": 3000, "high_temp": 4000, "no_vitals": 500}
-
-
-def validate(raw: dict, name: str = "<scenario>") -> ScenarioConfig:
+def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
     """Validate a raw scenario mapping; raises ScenarioValidationError with
-    every problem found."""
-    errors: list[str] = []
+    every problem found. `name` names a scenario that does not name itself."""
     if not isinstance(raw, dict):
         raise ScenarioValidationError(["scenario file must be a mapping"])
-    _check_keys(raw, _TOP_KEYS, "top level", errors)
-    name = _get(raw, "name", name, "top", errors, str)
+    if name is not None and raw.get("name") is None:
+        raw = {**raw, "name": name}
+    errors: list[str] = []
+    cfg = _build(ScenarioConfig, raw, "", errors)
 
-    seed = _get(raw, "seed", 0, "top", errors, int)
-    dt_ms = _get(raw, "dt_ms", 10, "top", errors, int)
-    duration_ms = _get(raw, "duration_ms", 60000, "top", errors, int)
-    if seed < 0:
+    if cfg.seed < 0:
         errors.append("top.seed: must be nonnegative")
-    if dt_ms is not None and dt_ms <= 0:
+    if cfg.dt_ms <= 0:
         errors.append("top.dt_ms: must be positive")
-    if duration_ms is not None and duration_ms < 0:
+    if cfg.duration_ms < 0:
         errors.append("top.duration_ms: must be nonnegative")
-
-    track = _build_track(raw.get("track"), errors)
-
-    robots = _mapping(raw.get("robots"), "robots", errors)
-    _check_keys(robots, {"leader", "corridor", "arm", "wearable"}, "robots", errors)
-    leader = _mapping(robots.get("leader"), "robots.leader", errors)
-    corridor = _mapping(robots.get("corridor"), "robots.corridor", errors)
-    arm = _mapping(robots.get("arm"), "robots.arm", errors)
-    wearable = _mapping(robots.get("wearable"), "robots.wearable", errors)
-    _check_keys(leader, {"address"}, "robots.leader", errors)
-    _check_keys(corridor, {"address", "chassis", "gains", "geometry", "base_rpm",
-                           "start", "slip_halfwidth", "slip_bias_halfwidth"},
-                "robots.corridor", errors)
-    _check_keys(arm, {"address"}, "robots.arm", errors)
-    _check_keys(wearable, {"address"}, "robots.wearable", errors)
-
-    leader_address = _get(leader, "address", 1, "robots.leader", errors, int)
-    corridor_address = _get(corridor, "address", 2, "robots.corridor", errors, int)
-    arm_address = _get(arm, "address", 3, "robots.arm", errors, int)
-    wearable_address = _get(wearable, "address", 4, "robots.wearable", errors, int)
-    addresses = [leader_address, corridor_address, arm_address, wearable_address]
-    if len(set(addresses)) != 4:
+    addresses = cfg.robots.addresses
+    if len(set(addresses)) != len(addresses):
         errors.append("robots: addresses must be unique")
-
-    chassis = _build_dataclass(ChassisParams, corridor.get("chassis"), "robots.corridor.chassis", errors)
-    gains = _build_dataclass(PidGains, corridor.get("gains"), "robots.corridor.gains", errors)
-    geometry = _build_dataclass(IrGeometry, corridor.get("geometry"), "robots.corridor.geometry", errors)
-    base_rpm = _float(corridor, "base_rpm", 50.0, "robots.corridor", errors)
-    slip_halfwidth = _float(corridor, "slip_halfwidth", 0.02, "robots.corridor", errors)
-    slip_bias_halfwidth = _float(corridor, "slip_bias_halfwidth", 0.01, "robots.corridor", errors)
-    try:
-        check_slip(slip_halfwidth, slip_bias_halfwidth)
-    except ConfigurationError as exc:
-        errors.append(f"robots.corridor: {exc}")
-
-    start_raw = corridor.get("start")
-    if start_raw is None:
-        wx, wy = track.waypoints[0]
-        tx, ty = track._tangents[0]
-        start_pose = Pose(float(wx), float(wy), math.atan2(ty, tx))
-    else:
-        path = "robots.corridor.start"
-        start_raw = _mapping(start_raw, path, errors)
-        _check_keys(start_raw, {"x", "y", "theta"}, path, errors)
-        try:
-            start_pose = Pose(*(_float(start_raw, k, 0.0, path, errors) for k in ("x", "y", "theta")))
-        except ConfigurationError as exc:
-            errors.append(f"{path}: {exc}")
-            start_pose = Pose(0.0, 0.0, 0.0)
-
-    channel = _build_dataclass(ChannelConfig, raw.get("channel"), "channel", errors)
-
-    link_conditions = []
-    for i, item in enumerate(_sequence(raw.get("link_conditions"), "link_conditions", errors)):
-        path = f"link_conditions[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: expected a mapping")
-            continue
-        _check_keys(item, {"time_ms", "src", "dst", "condition"}, path, errors)
-        ends = [_get(item, k, None, path, errors, int) for k in ("src", "dst")]
-        errors.extend(f"{path}.{k}: required" for k in ("src", "dst") if item.get(k) is None)
-        errors.extend(f"{path}.{k}: {end} is not a robot address"
-                      for k, end in zip(("src", "dst"), ends)
-                      if end is not None and end not in addresses)
-        try:
-            link_conditions.append(LinkConditionEvent(
-                _get(item, "time_ms", 0, path, errors, int), *ends,
-                LinkCondition(_get(item, "condition", "clear", path, errors, str))))
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-
-    patient_script = []
-    for i, item in enumerate(_sequence(raw.get("patient_script"), "patient_script", errors)):
-        path = f"patient_script[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: expected a mapping")
-            continue
-        _check_keys(item, {"time_ms", "kind", "spo2", "bpm", "temp", "posture", "wearing"},
-                    path, errors)
-        kind = _get(item, "kind", None, path, errors, str)
-        if kind is not None and kind not in SCENARIO_KINDS:
-            errors.append(f"{path}.kind: unknown scenario kind {kind!r}")
-        posture = _get(item, "posture", None, path, errors, str)
-        try:
-            patient_script.append(PatientEvent(
-                time_ms=_get(item, "time_ms", 0, path, errors, int),
-                kind=kind,
-                spo2=_float(item, "spo2", None, path, errors),
-                bpm=_float(item, "bpm", None, path, errors),
-                temp=_float(item, "temp", None, path, errors),
-                posture=None if posture is None else Posture(posture),
-                wearing=_get(item, "wearing", None, path, errors, bool),
-            ))
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-    patient_script.sort(key=lambda e: e.time_ms)
-
-    entries = []
-    for i, item in enumerate(_sequence(raw.get("schedule"), "schedule", errors)):
-        path = f"schedule[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: expected a mapping")
-            continue
-        _check_keys(item, {"time_ms", "bed", "slot", "dose_note"}, path, errors)
-        entries.append(ScheduleEntry(
-            _get(item, "time_ms", 0, path, errors, int), _get(item, "bed", 1, path, errors, int),
-            _get(item, "slot", 0, path, errors, int), _get(item, "dose_note", "", path, errors, str)))
-    schedule = MedicationSchedule(entries)
-
-    latency = _build_dataclass(
-        LatencyConfig, raw.get("latency"), "latency", errors,
-        casts={"ai_flags": _flag_names})
-    noise = _build_dataclass(SensorNoiseModel, raw.get("noise"), "noise", errors)
-
-    fall_raw = dict(_mapping(raw.get("fall_detector"), "fall_detector", errors))
-    fall_check_period_ms = _get(fall_raw, "check_period_ms", 100, "fall_detector", errors, int)
-    fall_raw.pop("check_period_ms", None)
-    fall_detector = _build_dataclass(FallDetectorModel, fall_raw, "fall_detector", errors)
-
-    vitals_sample_period_ms = _get(raw, "vitals_sample_period_ms", 100, "top", errors, int)
+    errors.extend(f"link_conditions[{i}].{k}: {end} is not a robot address"
+                  for i, event in enumerate(cfg.link_conditions)
+                  for k, end in (("src", event.src), ("dst", event.dst)) if end not in addresses)
     # the engine samples on ticks whose time is a multiple of the period, so
     # any other period would silently sample less often than asked
-    if dt_ms > 0:
-        for path, period in (("fall_detector.check_period_ms", fall_check_period_ms),
-                             ("top.vitals_sample_period_ms", vitals_sample_period_ms)):
-            if period % dt_ms != 0:
-                errors.append(f"{path}: must be a multiple of dt_ms ({dt_ms})")
-    timeout_policy = _build_dataclass(TimeoutPolicy, raw.get("timeout_policy"),
-                                      "timeout_policy", errors)
-
-    exec_durations = dict(DEFAULT_EXEC_DURATIONS_MS)
-    durations_raw = _mapping(raw.get("exec_durations_ms"), "exec_durations_ms", errors)
-    for k in durations_raw:
-        try:
-            kind = TaskKind(k)
-        except ValueError as exc:
-            errors.append(f"exec_durations_ms.{k}: {exc}")
-            continue
-        exec_durations[kind] = _get(durations_raw, k, exec_durations[kind],
-                                    "exec_durations_ms", errors, int)
-
-    budgets = dict(DEFAULT_BUDGETS_MS)
-    budgets_raw = _mapping(raw.get("budgets_ms"), "budgets_ms", errors)
-    for k in budgets_raw:
-        if k not in SCENARIO_KINDS:
-            errors.append(f"budgets_ms: unknown scenario kind {k!r}")
-            continue
-        budget = _get(budgets_raw, k, budgets.get(k), "budgets_ms", errors, int)
-        if budget is not None:
-            budgets[k] = budget
-
-    battery = _mapping(raw.get("battery"), "battery", errors)
-    _check_keys(battery, {"budget_units", "low_speed_factor"}, "battery", errors)
-    battery_budget = _float(battery, "budget_units", 0.0, "battery", errors)
-    battery_factor = _float(battery, "low_speed_factor", 0.5, "battery", errors)
-
-    correction = _mapping(raw.get("correction"), "correction", errors)
-    _check_keys(correction, {"enabled", "position_gain", "heading_gain"}, "correction", errors)
-    correction_enabled = _get(correction, "enabled", True, "correction", errors, bool)
-    correction_pos = _float(correction, "position_gain", 0.1, "correction", errors)
-    correction_head = _float(correction, "heading_gain", 0.1, "correction", errors)
+    if cfg.dt_ms > 0:
+        for path, period in (("fall_detector.check_period_ms", cfg.fall_detector.check_period_ms),
+                             ("top.vitals_sample_period_ms", cfg.vitals_sample_period_ms)):
+            if period % cfg.dt_ms != 0:
+                errors.append(f"{path}: must be a multiple of dt_ms ({cfg.dt_ms})")
     # a gain outside [0, 1] moves the estimate past the line or away from it,
     # and it diverges
-    for key, gain in (("position_gain", correction_pos), ("heading_gain", correction_head)):
-        if not 0.0 <= gain <= 1.0:
+    for key in ("position_gain", "heading_gain"):
+        if not 0.0 <= getattr(cfg.correction, key) <= 1.0:
             errors.append(f"correction.{key}: must be in [0, 1]")
-
-    patrol_always = _get(raw, "patrol_always", True, "top", errors, bool)
-    detect_threshold = _float(raw, "detect_threshold", 0.5, "top", errors)
     try:
-        threshold((), detect_threshold)  # the range check alone: no readings
+        threshold((), cfg.detect_threshold)  # the range check alone: no readings
     except ConfigurationError as exc:
         errors.append(f"top.detect_threshold: {exc}")
-    ir_enabled = _get(raw, "ir_enabled", True, "top", errors, bool)
-    flag_confirm_samples = _get(raw, "flag_confirm_samples", 3, "top", errors, int)
-    if flag_confirm_samples is not None and flag_confirm_samples < 1:
+    if cfg.flag_confirm_samples < 1:
         errors.append("top.flag_confirm_samples: must be at least 1")
 
     if errors:
         raise ScenarioValidationError(errors)
-
-    return ScenarioConfig(
-        name=name,
-        seed=seed, dt_ms=dt_ms, duration_ms=duration_ms, track=track,
-        leader_address=leader_address, corridor_address=corridor_address,
-        arm_address=arm_address, wearable_address=wearable_address,
-        chassis=chassis, gains=gains, geometry=geometry, base_rpm=base_rpm,
-        start_pose=start_pose, slip_halfwidth=slip_halfwidth,
-        slip_bias_halfwidth=slip_bias_halfwidth, channel=channel,
-        link_conditions=link_conditions, patient_script=patient_script,
-        schedule=schedule, latency=latency, noise=noise,
-        fall_detector=fall_detector, fall_check_period_ms=fall_check_period_ms,
-        vitals_sample_period_ms=vitals_sample_period_ms,
-        timeout_policy=timeout_policy, exec_durations_ms=exec_durations,
-        budgets_ms=budgets, battery_budget_units=battery_budget,
-        battery_low_speed_factor=battery_factor,
-        correction_enabled=correction_enabled,
-        correction_position_gain=correction_pos,
-        correction_heading_gain=correction_head,
-        patrol_always=patrol_always,
-        detect_threshold=detect_threshold,
-        ir_enabled=ir_enabled,
-        flag_confirm_samples=flag_confirm_samples,
-    )
+    for events in (cfg.patient_script, cfg.schedule):
+        events.sort(key=lambda e: e.time_ms)
+    return cfg
 
 
 def load_scenario(path) -> ScenarioConfig:

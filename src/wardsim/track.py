@@ -132,7 +132,12 @@ class Track:
             if dist2 < best:
                 best, best_i, best_x, best_y = dist2, i, px, py
         if best_i < 0:
-            raise ValueError(f"track query at a non-finite point ({x}, {y})")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"track query at a non-finite point ({x}, {y})")
+            # so far off that every squared distance overflows: in floats each
+            # point of the track is then about as near as any other; take the first
+            _, ax, ay, _, _, _ = self._segs[0]
+            return TrackQuery(math.hypot(ax - x, ay - y), (ax, ay), self._tangents[0], self.tags[0], 0)
         return TrackQuery(math.sqrt(best), (best_x, best_y), self._tangents[best_i],
                           self.tags[best_i], best_i)
 

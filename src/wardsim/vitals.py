@@ -222,6 +222,7 @@ class FallOutcome(enum.Enum):
 class FallDetectorModel:
     sensitivity_fallen: float = 0.80
     sensitivity_standing: float = 0.20
+    check_period_ms: int = 100  # periodic checks while the patient is down
 
     def __post_init__(self):
         for p in (self.sensitivity_fallen, self.sensitivity_standing):

@@ -1,13 +1,25 @@
 """Scenario schema: defaults, typo protection, and the shipped presets."""
 
+import dataclasses
+import enum
+import math
+import typing
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wardsim.cli import main
+from wardsim.engine import Engine, EngineAbort
+from wardsim.kinematics import ChassisParams, MotionSimulator, Pose
+from wardsim.line_following import LineFollower
+from wardsim.protocol import TaskKind
 from wardsim.rf_channel import LinkCondition
-from wardsim.scenario import (DEFAULT_BUDGETS_MS, ScenarioValidationError,
-                              load_preset, load_scenario, preset_names,
-                              validate)
-from wardsim.vitals import LatencyConfig, Posture
+from wardsim.scenario import (DEFAULT_BUDGETS_MS, SCENARIO_KINDS, Battery, Correction, Robots,
+                              ScenarioConfig, ScenarioValidationError, load_preset,
+                              load_scenario, preset_names, validate)
+from wardsim.track import Track
+from wardsim.vitals import FallDetectorModel, Flag, LatencyConfig, Posture
 
 
 def test_empty_mapping_fills_documented_defaults():
@@ -15,18 +27,27 @@ def test_empty_mapping_fills_documented_defaults():
     assert cfg.seed == 0
     assert cfg.dt_ms == 10
     assert cfg.duration_ms == 60000
-    assert (cfg.leader_address, cfg.corridor_address,
-            cfg.arm_address, cfg.wearable_address) == (1, 2, 3, 4)
-    assert cfg.base_rpm == 50.0
+    assert cfg.robots.addresses == (1, 2, 3, 4)
+    assert cfg.robots.corridor.base_rpm == 50.0
     assert cfg.channel.pdr_clear == pytest.approx(0.96)
     assert cfg.channel.pdr_obstructed == pytest.approx(0.92)
     assert cfg.channel.rtt_ms == pytest.approx(37.0)
     assert cfg.budgets_ms == DEFAULT_BUDGETS_MS
-    assert cfg.ir_enabled and cfg.correction_enabled
+    assert cfg.ir_enabled and cfg.correction.enabled
     assert cfg.flag_confirm_samples == 3
     # default start pose sits on the first waypoint facing along the course
     q = cfg.track.query(cfg.start_pose.x, cfg.start_pose.y)
     assert q.distance == pytest.approx(0.0, abs=1e-9)
+    # each default is written once: in its dataclass, and the runtime
+    # objects' defaults are the scenario's where they mean the same thing
+    assert cfg.robots == Robots()
+    assert cfg.battery == Battery()
+    assert cfg.correction == Correction()
+    assert cfg.fall_detector == FallDetectorModel()
+    corridor, follower = cfg.robots.corridor, LineFollower()
+    assert (follower.gains, follower.geometry, follower.base_rpm, follower.detect_threshold) \
+        == (corridor.gains, corridor.geometry, corridor.base_rpm, cfg.detect_threshold)
+    assert MotionSimulator(Pose(), ChassisParams()).slip_halfwidth == corridor.slip_halfwidth
 
 
 def test_non_mapping_input_rejected():
@@ -113,6 +134,21 @@ def test_bool_is_not_accepted_as_int():
     ("correction: {position_gain: 5.0}\n", "correction.position_gain: must be in [0, 1]"),
     ("link_conditions: [{src: 9, dst: 1, condition: obstructed}]\n",
      "link_conditions[0].src: 9 is not a robot address"),
+    # a number that is not finite, read anywhere in the schema
+    ("robots: {corridor: {geometry: {noise_frac: .inf}}}\n",
+     "robots.corridor.geometry.noise_frac: must be a finite number"),
+    ("channel: {one_way_jitter_ms: .inf}\n", "channel.one_way_jitter_ms: must be a finite number"),
+    ("robots: {corridor: {chassis: {wheel_radius_r: .inf}}}\n",
+     "robots.corridor.chassis.wheel_radius_r: must be a finite number"),
+    ("channel: {rtt_ms: .nan}\n", "channel.rtt_ms: must be a finite number"),
+    ("robots: {corridor: {base_rpm: .nan}}\n", "robots.corridor.base_rpm: must be a finite number"),
+    # the IR array's ranges
+    ("robots: {corridor: {geometry: {v_max: -5.0}}}\n",
+     "robots.corridor.geometry: require v_max > 0, noise_frac >= 0"),
+    ("robots: {corridor: {geometry: {noise_frac: -0.1}}}\n",
+     "robots.corridor.geometry: require v_max > 0, noise_frac >= 0"),
+    ("robots: {corridor: {geometry: {low_level: 0.9, high_level: 0.1}}}\n",
+     "robots.corridor.geometry: require v_max > 0, noise_frac >= 0"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
@@ -121,7 +157,9 @@ def test_bool_is_not_accepted_as_int():
         "line_width_string", "start_x_string", "name_int", "max_retries_string",
         "geometry_pitch_string", "waypoint_string", "waypoint_bool", "mat_size_bool",
         "tag_int", "ai_flags_mapping", "slip_out_of_range", "threshold_out_of_range",
-        "correction_gain_out_of_range", "link_end_not_a_robot"])
+        "correction_gain_out_of_range", "link_end_not_a_robot", "noise_frac_inf", "jitter_inf",
+        "wheel_radius_inf", "rtt_nan", "base_rpm_nan", "v_max_negative", "noise_frac_negative",
+        "ir_levels_inverted"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
@@ -187,7 +225,7 @@ def test_schedule_entries_sorted_by_time():
         {"time_ms": 9000, "bed": 5, "slot": 1},
         {"time_ms": 4000, "bed": 6, "slot": 2},
     ]})
-    assert [e.time_ms for e in cfg.schedule.entries] == [4000, 9000]
+    assert [e.time_ms for e in cfg.schedule] == [4000, 9000]
 
 
 def test_shipped_presets_all_validate():
@@ -210,3 +248,55 @@ def test_load_scenario_from_file(tmp_path):
     cfg = load_scenario(path)
     assert cfg.seed == 7
     assert cfg.duration_ms == 1000
+
+
+# -- the schema, walked ------------------------------------------------------
+
+_INTS = st.sampled_from([0, 1, -1, 10, 100]) | st.integers(-10**4, 10**5)
+_FLOATS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]) | st.floats() | _INTS
+_SCALARS = {bool: st.booleans(), int: _INTS, float: _FLOATS, str: st.text(max_size=4)}
+_WRONG = st.sampled_from(["x", True, 0.5, -3, [], {}, [1, 2]])
+_SQUARE = {"waypoints": [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2], [0.2, 1.2]],
+           "tags": ["straight"] * 4, "mat_size": [2.0, 2.0]}
+# the types the scenario reads with their own parsers
+_PARSED = {
+    Track: st.sampled_from(["default", _SQUARE]),
+    frozenset[Flag]: st.lists(st.sampled_from([f.value for f in Flag]), max_size=3),
+    dict[TaskKind, int]: st.dictionaries(st.sampled_from([k.value for k in TaskKind]), _INTS),
+    dict[str, int]: st.dictionaries(st.sampled_from(SCENARIO_KINDS), _INTS),
+}
+
+
+def _values(hint):
+    """YAML values for the schema annotation `hint`, drawn from the schema
+    dataclasses' own fields and annotations: mostly of the right type, edge
+    numbers among them, now and then a value of a wrong type."""
+    args = typing.get_args(hint)
+    if hint in _PARSED:
+        right = _PARSED[hint]
+    elif type(None) in args:
+        right = st.none() | _values(args[0])
+    elif dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        right = st.fixed_dictionaries({}, optional={
+            f.name: _values(hints[f.name]) for f in dataclasses.fields(hint)})
+    elif typing.get_origin(hint) is list:
+        right = st.lists(_values(args[0]), max_size=3)
+    elif issubclass(hint, enum.Enum):
+        right = st.sampled_from([m.value for m in hint])
+    else:
+        right = _SCALARS[hint]
+    return st.integers(0, 15).flatmap(lambda k: _WRONG if k == 0 else right)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=_values(ScenarioConfig))
+def test_a_scenario_drawn_from_the_schema_is_rejected_or_runs(raw):
+    try:
+        cfg = validate(raw)
+    except ScenarioValidationError:
+        return
+    try:
+        Engine(dataclasses.replace(cfg, duration_ms=2000)).run()
+    except EngineAbort:
+        pass

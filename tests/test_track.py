@@ -115,6 +115,13 @@ def test_query_rejects_a_non_finite_point():
         square().query(math.inf, 0.5)
 
 
+def test_query_far_off_the_mat_where_squared_distances_overflow():
+    # from this far every point of the track is about as near as any other
+    for x, y in ((1e200, 0.5), (-1e308, 1e308)):
+        q = square().query(x, y)
+        assert (q.segment, q.point, q.distance) == (0, (0.0, 0.0), math.hypot(x, y))
+
+
 @st.composite
 def tracks(draw):
     w = draw(st.floats(0.05, 30.0))
