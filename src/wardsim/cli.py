@@ -5,7 +5,8 @@
     wardsim replay <events.jsonl>
     wardsim mlbench [--n 1000] [--seed N]
 
-Exit codes: 0 success, 2 scenario validation error, 3 invariant abort.
+Exit codes: 0 success, 2 scenario validation error or malformed event log,
+3 invariant abort.
 """
 
 from __future__ import annotations

@@ -21,8 +21,7 @@ from . import InvariantError
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
 from .metrics import EventLog, MetricsAccumulator, RunMetrics
-from .protocol import (Availability, Follower, Leader, MedicationSchedule, RosterEntry,
-                       StatusLight, TaskKind, TimeoutPolicy)
+from .protocol import Follower, Leader, MedicationSchedule, RosterEntry, StatusLight, TaskKind
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
 from .scenario import ScenarioConfig

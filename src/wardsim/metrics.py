@@ -9,9 +9,13 @@ replayed metrics agree by construction.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
+import os
 import statistics
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 # notification cause -> scenario kind used for alert budgets
 _CAUSE_TO_KIND = {
@@ -22,8 +26,41 @@ _CAUSE_TO_KIND = {
 }
 
 
+# lines that EventLog.load decodes with one json.loads call
+_BATCH_LINES = 1024
+
+# json.dumps(record, sort_keys=True) builds this C encoder anew for every
+# record; to_jsonl builds it once. The arguments are the ones dumps passes,
+# except that markers is None: a shared markers dict would keep the ids of
+# the containers being encoded when an encode fails, and the engine's
+# records hold no cycles to detect.
+_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                         ": ", ", ", True, False, True)
+
+
+def _check_record(record):
+    """Raise ValueError (KeyError for a missing time) unless `record` has the
+    shape that EventLog.append and MetricsAccumulator.consume read."""
+    if type(record) is not dict:
+        raise ValueError(f"a record must be an object, not {type(record).__name__}")
+    t = record["time_ms"]
+    if not (type(t) is int or type(t) is float and math.isfinite(t)):
+        raise ValueError(f"time_ms must be a finite number, not {t!r}")
+    if type(record.get("payload", {})) is not dict:
+        raise ValueError("payload must be an object")
+
+
 class EventLog:
-    """Append-only, monotonically timestamped record list."""
+    """Append-only, monotonically timestamped record list.
+
+    Saved as JSON lines: one object per line, written with sorted keys, with
+    non-decreasing `time_ms`; `load` skips blank lines. `load` decodes
+    `_BATCH_LINES` lines with one `json.loads` of them joined into an array:
+    one call per line spends more time around json's C decoder than in it,
+    and one call shares the key strings of all its records. A batch that
+    does not decode to one object per line, or that holds a bad record, is
+    read again line by line, which names the first bad record.
+    """
 
     def __init__(self):
         self.records: list[dict] = []
@@ -37,7 +74,11 @@ class EventLog:
         self.records.append(record)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        parts = []
+        for r in self.records:
+            parts += _encode(r, 0)
+            parts.append("\n")
+        return "".join(parts)
 
     def save(self, path):
         with open(path, "w") as f:
@@ -46,16 +87,43 @@ class EventLog:
     @classmethod
     def load(cls, path) -> "EventLog":
         log = cls()
+        # a per-load random string between the lines: only a batch in which
+        # every line holds exactly one JSON value decodes to value, mark,
+        # value, ..., so a line with two values cannot offset a value split
+        # over two lines
+        mark = os.urandom(16).hex()
+        joint = f',"{mark}",'
         with open(path) as f:
-            for i, line in enumerate(f):
-                line = line.strip()
-                if not line:
-                    continue
+            first = 0
+            while lines := list(itertools.islice(f, _BATCH_LINES)):
+                texts = [line for line in lines if not line.isspace()]
+                size, last_time = len(log.records), log._last_time
                 try:
-                    log.append(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise ValueError(f"malformed event log at record {i}: {exc}") from exc
+                    values = json.loads("[" + joint.join(texts) + "]")
+                    n = len(texts)
+                    if len(values) != 2 * n - 1 or values[1::2].count(mark) != n - 1:
+                        raise ValueError("the batch does not decode to one value per line")
+                    for record in values[::2]:
+                        _check_record(record)
+                        log.append(record)
+                except (KeyError, ValueError):
+                    del log.records[size:]
+                    log._last_time = last_time
+                    log._load_lines(lines, first)
+                first += len(lines)
         return log
+
+    def _load_lines(self, lines, first):
+        for i, line in enumerate(lines, first):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                _check_record(record)
+                self.append(record)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"malformed event log at record {i}: {exc}") from exc
 
 
 @dataclass

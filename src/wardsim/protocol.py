@@ -181,7 +181,6 @@ class ScheduleEntry:
 @dataclass
 class MedicationSchedule:
     entries: list[ScheduleEntry] = field(default_factory=list)
-    emergency_override: bool = False
 
     def __post_init__(self):
         self.entries = sorted(self.entries, key=lambda e: e.time_ms)

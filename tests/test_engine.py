@@ -396,6 +396,27 @@ def test_cli_replay_malformed_log_exits_two(tmp_path, capsys):
     assert main(["replay", str(path)]) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    "[1, 2]",
+    "5",
+    '{"kind": "nav", "payload": {}, "source": "x", "time_ms": "10"}\n'
+    '{"kind": "nav", "payload": {}, "source": "x", "time_ms": 20}',
+    '{"kind": "nav", "payload": {}, "source": "x", "time_ms": true}',
+    '{"kind": "nav", "payload": {}, "source": "x", "time_ms": NaN}',
+    '{"kind": "script", "payload": [1], "source": "x", "time_ms": 20}',
+    '{"kind": "meta", "payload": "budgets", "source": "x", "time_ms": 20}',
+    '{"kind": "notification", "payload": 3, "source": "x", "time_ms": 20}',
+], ids=["array", "scalar", "string-time", "bool-time", "nan-time", "script-payload",
+        "meta-payload", "notification-payload"])
+def test_cli_replay_malformed_record_shape_exits_two(tmp_path, capsys, bad):
+    # a good record and a blank line come first, so the bad record is number 2
+    good = '{"kind": "meta", "payload": {}, "source": "engine", "time_ms": 0}'
+    path = tmp_path / "shape.jsonl"
+    path.write_text(f"{good}\n\n{bad}\n")
+    assert main(["replay", str(path)]) == 2
+    assert "malformed event log at record 2:" in capsys.readouterr().err
+
+
 def test_cli_suite_from_directory(tmp_path, capsys):
     scen = tmp_path / "scenarios"
     scen.mkdir()
