@@ -5,13 +5,16 @@ Used both by the protocol unit tests and the acceptance gate, so the loss
 sweep exercises exactly one implementation of the wiring.
 """
 
+import json
+
 import numpy as np
 
 from wardsim.protocol import (Follower, Leader, MedicationSchedule,
                               RosterEntry, ScheduleEntry, TaskKind,
                               TimeoutPolicy, TERMINAL_STATES,
                               liveness_bound_ms)
-from wardsim.rf_channel import Channel, ChannelConfig
+from wardsim.rf_channel import Channel, ChannelConfig, Packet, PacketKind
+from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
 
 ALL_KINDS = frozenset(TaskKind)
 LEADER = 1
@@ -62,3 +65,122 @@ def run_lossy_exchange(seed: int, pdr: float, n_entries: int = 1,
             break
         now += dt_ms
     return leader, followers, settled
+
+
+# A protocol transcript: richer exchanges whose every observable step is
+# written down, so that a rewrite of the protocol can be checked to keep
+# every decision, packet and notification in order.
+
+MOVE = frozenset({TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE})
+DISPENSE = frozenset({TaskKind.ARM_DISPENSE})
+
+# roster name -> (the capabilities the leader's roster claims, the ones each
+# follower really has), by follower address
+ROSTERS = {
+    "all_capable": ({2: ALL_KINDS, 3: ALL_KINDS},) * 2,
+    "engine_split": ({2: MOVE, 3: DISPENSE},) * 2,
+    "one_restricted": ({2: ALL_KINDS, 3: ALL_KINDS, 4: DISPENSE},) * 2,
+    "claims_too_much": ({2: ALL_KINDS, 3: ALL_KINDS}, {2: MOVE, 3: ALL_KINDS}),
+    "nobody_dispenses": ({2: MOVE, 3: MOVE},) * 2,
+}
+TRANSCRIPT_PDRS = (0.3, 0.5, 0.7, 0.9, 1.0)
+# execution times in ms by kind: a zero-time emergency patrol that preempts
+# a timed delivery resumes the parked work at once
+TRANSCRIPT_EXEC_MS = {
+    "instant": dict.fromkeys(TaskKind, 0),
+    "timed": dict.fromkeys(TaskKind, 300),
+    "mixed": {TaskKind.PATROL_CHECK: 0, TaskKind.DELIVER_MEDICINE: 600,
+              TaskKind.ARM_DISPENSE: 300},
+}
+
+
+def _decision(cls, *flags):
+    return TriageDecision(cls, one_hot(cls), frozenset(flags))
+
+
+# time -> triage result handed to the leader before its step at that time
+_TRIAGE = {
+    20: _decision(TriageClass.MONITOR_AT_HOME, Flag.LOW_SPO2),
+    400: _decision(TriageClass.GO_TO_HOSPITAL, Flag.LOW_SPO2, Flag.FEVER),
+    700: _decision(TriageClass.NO_HOSPITAL),
+    750: _decision(TriageClass.GO_TO_HOSPITAL, Flag.FALL),
+}
+_FALL_ALERTS = (300, 450)   # relayed camera detections, sent over the channel
+_NAV_FAULT_FROM = 500       # first time follower 2 may lose the line
+_LAST_INPUT = 800
+
+
+def _packet_line(now, pkt):
+    payload = json.dumps(pkt.payload, sort_keys=True)
+    return f"{now} packet {pkt.src}->{pkt.dst} seq={pkt.seq} {pkt.kind.value} {payload}"
+
+
+def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str,
+                        dt_ms: int = 10, deadline_ms: int = 60_000) -> list[str]:
+    """One lossy exchange, in the engine's tick order, written down as text:
+    every transition-hook call, every packet a leader or follower puts in
+    its outbox, each change of a follower's status light, then the
+    notifications and each follower's execution counts. Besides the medication schedule it feeds triage results and
+    fall alerts, faults follower 2's navigation once, and hands the leader
+    a stale ack, a status for an unknown task and follower 2 a command of
+    an unknown kind."""
+    claimed, actual = ROSTERS[roster_name]
+    policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=1000, max_retries=2)
+    roster = {a: RosterEntry(a, caps) for a, caps in claimed.items()}
+    schedule = MedicationSchedule([ScheduleEntry(time_ms=0, bed=4, slot=0),
+                                   ScheduleEntry(time_ms=150, bed=5, slot=1)])
+    leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
+    followers = {a: Follower(a, LEADER, caps, exec_duration_ms=TRANSCRIPT_EXEC_MS[exec_name])
+                 for a, caps in actual.items()}
+    channel = Channel(ChannelConfig(pdr_clear=pdr, pdr_obstructed=pdr),
+                      [LEADER, *followers], np.random.default_rng(seed))
+    lines = []
+    leader.transition_hook = lambda task, now: lines.append(
+        f"{now} task {task.task_id} {task.kind.value} {task.origin.value} "
+        f"{task.state.value} assignee={task.assignee} retries={task.retry_count} "
+        f"emergency={task.emergency}")
+
+    inboxes: dict[int, list] = {LEADER: [], **{a: [] for a in followers}}
+    lights = dict.fromkeys(followers)
+    faulted = False
+    now = 0
+    while now <= deadline_ms:
+        if now == 100:
+            inboxes[LEADER] += [
+                Packet(2, LEADER, 10 ** 6, PacketKind.ACK, {"task_id": 1}, now),
+                Packet(2, LEADER, 10 ** 6, PacketKind.STATUS,
+                       {"task_id": 10 ** 6, "status": "completed"}, now)]
+            inboxes[2].append(Packet(LEADER, 2, 10 ** 6, PacketKind.COMMAND,
+                                     {"task_id": 10 ** 6, "kind": "sweep"}, now))
+        if now in _FALL_ALERTS:
+            channel.send(Packet(2, LEADER, now, PacketKind.ALERT, {"alert": "fall"}, now))
+        if now in _TRIAGE:
+            leader.handle_triage(_TRIAGE[now], now)
+        for addr, fol in followers.items():
+            roster[addr].availability = fol.availability
+        for pkt in leader.step(inboxes[LEADER], now):
+            lines.append(_packet_line(now, pkt))
+            channel.send(pkt)
+        inboxes[LEADER] = []
+        for pkt in channel.deliveries_due(now):
+            inboxes[pkt.dst].append(pkt)
+        for addr, fol in followers.items():
+            for pkt in fol.step(inboxes[addr], now):
+                lines.append(_packet_line(now, pkt))
+                channel.send(pkt)
+            inboxes[addr] = []
+            if fol.status_light() is not lights[addr]:
+                lights[addr] = fol.status_light()
+                lines.append(f"{now} light {addr} {lights[addr].value}")
+        # as in the engine, the fault shows in the next tick's roster
+        if not faulted and now >= _NAV_FAULT_FROM and followers[2].active is not None:
+            followers[2].nav_fault = faulted = True
+        if now >= _LAST_INPUT and all(t.state in TERMINAL_STATES
+                                      for t in leader.tasks.values()):
+            break
+        now += dt_ms
+    lines += [f"{e.time_ms} notify {e.severity} {e.cause} {e.recipients} {e.text}"
+              for e in leader.sink.entries]
+    lines += [f"executed {addr} {sorted(fol.execution_count.items())}"
+              for addr, fol in followers.items()]
+    return lines

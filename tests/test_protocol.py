@@ -1,9 +1,14 @@
 """Task state machine, timeout ladder, follower idempotence, and the full
 leader/follower exchange under packet loss."""
 
+import hashlib
+import itertools
+from pathlib import Path
+
 import pytest
 
-from _exchange import run_lossy_exchange
+from _exchange import (ROSTERS, TRANSCRIPT_EXEC_MS, TRANSCRIPT_PDRS,
+                       protocol_transcript, run_lossy_exchange)
 from wardsim import InvariantError
 from wardsim.protocol import (Availability, Follower, Leader,
                               MedicationSchedule, NotificationSink,
@@ -382,3 +387,32 @@ def test_exchange_is_lossless_baseline_all_completed():
     assert all(t.state is TaskState.COMPLETED for t in leader.tasks.values())
     total = sum(len(f.completed) for f in followers.values())
     assert total == len(leader.tasks)
+
+
+# ---------------------------------------------------------------------------
+# protocol transcript digest
+#
+# Every exchange of `_exchange.protocol_transcript` over the rosters,
+# execution times, delivery ratios and seeds below, written down and hashed.
+# The digest changes only with a change that alters the protocol's
+# behaviour on purpose, and that change says why. To regenerate it:
+#
+#     PYTHONPATH=src:tests python -c "import test_protocol as t; \
+# print(t.transcript_digest())" > tests/golden/protocol/exchange.sha256
+
+TRANSCRIPT_DIGEST = Path(__file__).parent / "golden" / "protocol" / "exchange.sha256"
+TRANSCRIPT_SEEDS = range(12)
+
+
+def transcript_digest() -> str:
+    digest = hashlib.sha256()
+    for roster, exec_name, pdr, seed in itertools.product(
+            ROSTERS, TRANSCRIPT_EXEC_MS, TRANSCRIPT_PDRS, TRANSCRIPT_SEEDS):
+        digest.update(f"== {roster} {exec_name} {pdr} {seed}\n".encode())
+        for line in protocol_transcript(seed, pdr, roster, exec_name):
+            digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_protocol_exchanges_match_golden_digest():
+    assert transcript_digest() == TRANSCRIPT_DIGEST.read_text().strip()
