@@ -21,7 +21,7 @@ from . import InvariantError
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
 from .metrics import EventLog, MetricsAccumulator, RunMetrics
-from .protocol import Follower, Leader, MedicationSchedule, RosterEntry, StatusLight, TaskKind
+from .protocol import Follower, Leader, RosterEntry, StatusLight, TaskKind
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
 from .scenario import ScenarioConfig
@@ -58,14 +58,14 @@ class Engine:
             robots.arm.address: RosterEntry(
                 robots.arm.address, frozenset({TaskKind.ARM_DISPENSE})),
         }
-        self.leader = Leader(robots.leader.address, roster, MedicationSchedule(config.schedule),
+        self.leader = Leader(robots.leader.address, roster, config.schedule,
                              config.timeout_policy)
         self.corridor = Follower(corridor.address, robots.leader.address,
                                  roster[corridor.address].capabilities,
-                                 dict(config.exec_durations_ms), role="corridor")
+                                 dict(config.exec_durations_ms))
         self.arm = Follower(robots.arm.address, robots.leader.address,
                             roster[robots.arm.address].capabilities,
-                            dict(config.exec_durations_ms), role="arm")
+                            dict(config.exec_durations_ms))
         self.followers = {f.address: f for f in (self.corridor, self.arm)}
 
         self.patient = PatientState()

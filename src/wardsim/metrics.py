@@ -38,6 +38,11 @@ _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
                          ": ", ", ", True, False, True)
 
 
+def _check_number(name: str, value):
+    if type(value) is not int and type(value) is not float:
+        raise ValueError(f"{name} must be a number, not {value!r}")
+
+
 def _check_record(record):
     """Raise ValueError (KeyError for a missing time) unless `record` has the
     shape that EventLog.append and MetricsAccumulator.consume read."""
@@ -243,6 +248,16 @@ class MetricsAccumulator:
                 self._latencies[sk] = t - self._onsets[sk]
 
     def result(self) -> RunMetrics:
+        # the values sorted here or formatted by RunMetrics.as_text must have
+        # the engine's types; checked once a log, not once a record
+        for what, keys in (("packet condition", self._sent), ("nav tag", self._nav_counts)):
+            for key in keys:
+                if type(key) is not str:
+                    raise ValueError(f"{what} must be a string, not {key!r}")
+        _check_number("nav energy", self._energy)
+        if self._drift_raw is not None:
+            _check_number("nav drift_raw", self._drift_raw)
+            _check_number("nav drift_corrected", self._drift_corr)
         m = RunMetrics()
         m.pdr = {c: self._delivered.get(c, 0) / n for c, n in sorted(self._sent.items())}
         if self._rtts:
@@ -260,6 +275,7 @@ class MetricsAccumulator:
             budget = self._budgets.get(sk)
             if budget is None:
                 continue
+            _check_number(f"budgets_ms[{sk}]", budget)
             latency = self._latencies.get(sk)
             m.alert_verdicts[sk] = "pass" if latency is not None and latency <= budget else "fail"
         m.drift_final_raw_m = self._drift_raw
@@ -275,4 +291,7 @@ def replay_metrics(log: EventLog) -> RunMetrics:
             acc.consume(record)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed event log at record {i}: {exc}") from exc
-    return acc.result()
+    try:
+        return acc.result()
+    except ValueError as exc:
+        raise ValueError(f"malformed event log: {exc}") from exc

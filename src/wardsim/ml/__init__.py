@@ -5,13 +5,11 @@ Classes are indexed by severity: 0 = go to hospital, 1 = monitor at home,
 ordering, and every argmax tie breaks toward the lower (more severe) index.
 """
 
-from .dataset import FEATURE_NAMES, LabeledDataset, generate_dataset, load_csv
+from .dataset import FEATURE_NAMES, N_CLASSES, LabeledDataset, generate_dataset, load_csv
 from .knn import KnnClassifier
 from .tree import DecisionTree
 from .forest import RandomForest
 from .evaluate import ModelReport, evaluate
-
-N_CLASSES = 3
 
 __all__ = [
     "FEATURE_NAMES", "LabeledDataset", "generate_dataset", "load_csv",

@@ -16,6 +16,9 @@ import numpy as np
 from ..vitals import SEVERITY_ORDER, TriageThresholds, Vitals, classify
 
 FEATURE_NAMES = ("spo2", "bpm", "temp", "fall_flag")
+# a label is an index into SEVERITY_ORDER
+N_CLASSES = len(SEVERITY_ORDER)
+CLASS_NAMES = tuple(cls.value for cls in SEVERITY_ORDER)
 CSV_HEADER = FEATURE_NAMES + ("label",)
 
 # regime name -> mixture weight
@@ -33,7 +36,7 @@ _REGIMES = (
 @dataclass(frozen=True)
 class LabeledDataset:
     features: np.ndarray  # (n, 4) float
-    labels: np.ndarray    # (n,) int in {0, 1, 2}, severity-ordered
+    labels: np.ndarray    # (n,) int, an index into SEVERITY_ORDER
     seed: int
     noise_rate: float
 
@@ -89,7 +92,7 @@ def generate_dataset(n: int = 1000, noise_rate: float = 0.05, seed: int = 0) -> 
     if noise_rate > 0:
         flip = rng.random(n) < noise_rate
         for i in np.flatnonzero(flip):
-            others = [c for c in range(3) if c != labels[i]]
+            others = [c for c in range(N_CLASSES) if c != labels[i]]
             labels[i] = others[rng.integers(len(others))]
     return LabeledDataset(features, labels, seed=seed, noise_rate=noise_rate)
 

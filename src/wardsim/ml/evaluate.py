@@ -7,10 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
-
-N_CLASSES = 3
-CLASS_NAMES = ("go_to_hospital", "monitor_at_home", "no_hospital")
+from .dataset import CLASS_NAMES, N_CLASSES, LabeledDataset
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import N_CLASSES
 from .tree import DecisionTree
 
 
@@ -45,7 +46,7 @@ class RandomForest:
     def predict_proba(self, query) -> np.ndarray:
         if not self.trees:
             raise ValueError("model is not fitted")
-        acc = np.zeros(3)
+        acc = np.zeros(N_CLASSES)
         for tree in self.trees:
             acc += tree.predict_proba(query)
         return acc / len(self.trees)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import N_CLASSES
+
 
 class KnnClassifier:
     def __init__(self, k: int = 5):
@@ -35,7 +37,7 @@ class KnnClassifier:
         d2 = np.einsum("ij,ij->i", self._x - q, self._x - q)
         # stable partial sort keeps neighbor choice deterministic under ties
         idx = np.argsort(d2, kind="stable")[: self.k]
-        probs = np.zeros(3)
+        probs = np.zeros(N_CLASSES)
         for label in self._y[idx]:
             probs[label] += 1.0
         return probs / self.k

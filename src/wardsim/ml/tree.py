@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-N_CLASSES = 3
+from .dataset import N_CLASSES
 
 
 def gini(counts: np.ndarray) -> float:

@@ -88,23 +88,17 @@ class Task:
     depends_on: int | None = None   # task that must complete before dispatch
     state: TaskState = TaskState.CREATED
     retry_count: int = 0
-    completed_at: int | None = None
     last_activity: int = 0
     tried_assignees: list[int] = field(default_factory=list)
-    history: list[tuple[int, TaskState]] = field(default_factory=list)
 
     def __post_init__(self):
         self.last_activity = self.created_at
-        self.history.append((self.created_at, self.state))
 
     def transition(self, new_state: TaskState, now: int):
         if new_state not in _LEGAL[self.state]:
             raise InvariantError(f"illegal task transition {self.state} -> {new_state}")
         self.state = new_state
         self.last_activity = now
-        if new_state is TaskState.COMPLETED:
-            self.completed_at = now
-        self.history.append((now, new_state))
 
 
 @dataclass(frozen=True)
@@ -112,28 +106,6 @@ class TimeoutPolicy:
     timeout_ms: int = 200        # waiting for an ack
     exec_timeout_ms: int = 15000  # waiting for completion after an ack
     max_retries: int = 5
-
-
-class TimeoutDecision(enum.Enum):
-    RETRY = "retry"
-    REASSIGN = "reassign"
-    ESCALATE = "escalate"
-
-
-def on_timeout(task: Task, roster: dict[int, "RosterEntry"],
-               policy: TimeoutPolicy) -> tuple[TimeoutDecision, int | None]:
-    """Decide what to do with a stalled task: retry with the same assignee
-    while retries remain, else hand it to another capable idle follower,
-    else escalate. Returns (decision, new assignee or None)."""
-    if task.retry_count < policy.max_retries:
-        return TimeoutDecision.RETRY, task.assignee
-    for addr in sorted(roster):
-        entry = roster[addr]
-        if addr in task.tried_assignees:
-            continue
-        if task.kind in entry.capabilities and entry.availability is Availability.IDLE:
-            return TimeoutDecision.REASSIGN, addr
-    return TimeoutDecision.ESCALATE, None
 
 
 def liveness_bound_ms(policy: TimeoutPolicy, n_capable: int) -> int:
@@ -155,8 +127,8 @@ class NotificationEntry:
     time_ms: int
     severity: str       # "info" | "warning" | "emergency"
     text: str
-    recipients: tuple[str, ...]
     cause: str          # flag/escalation tag for metric pairing
+    recipients = ("duty_staff",)  # every alert goes to the staff on duty
 
 
 class NotificationSink:
@@ -165,9 +137,8 @@ class NotificationSink:
     def __init__(self):
         self.entries: list[NotificationEntry] = []
 
-    def notify(self, time_ms: int, severity: str, text: str, cause: str,
-               recipients=("duty_staff",)):
-        self.entries.append(NotificationEntry(time_ms, severity, text, tuple(recipients), cause))
+    def notify(self, time_ms: int, severity: str, text: str, cause: str):
+        self.entries.append(NotificationEntry(time_ms, severity, text, cause))
 
 
 @dataclass(frozen=True)
@@ -176,14 +147,6 @@ class ScheduleEntry:
     bed: int = 1
     slot: int = 0
     dose_note: str = ""
-
-
-@dataclass
-class MedicationSchedule:
-    entries: list[ScheduleEntry] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.entries = sorted(self.entries, key=lambda e: e.time_ms)
 
 
 def _priority(task: Task) -> int:
@@ -197,31 +160,29 @@ def _priority(task: Task) -> int:
 class Leader:
     """Decision-making hub: owns the task table and the notification sink.
 
-    `tasks` holds every task ever created. `_open` holds the tasks not yet
-    in a terminal state, in task-id order: a task enters it on creation and
-    leaves it on reaching a terminal state, which it never leaves, so the
-    per-step scans cost the open work, not the history of the shift.
+    `tasks` holds every task ever created, under ids 1, 2, ... `_open` holds
+    the tasks not yet in a terminal state, in task-id order: a task enters it
+    on creation and leaves it on reaching a terminal state, which it never
+    leaves, so the per-step scans cost the open work, not the whole shift.
     """
 
     def __init__(self, address: int, roster: dict[int, RosterEntry],
-                 schedule: MedicationSchedule | None = None,
-                 policy: TimeoutPolicy = TimeoutPolicy(),
-                 sink: NotificationSink | None = None):
+                 schedule: list[ScheduleEntry] = (),
+                 policy: TimeoutPolicy = TimeoutPolicy()):
         self.address = address
         self.roster = roster
-        self.schedule = schedule or MedicationSchedule()
+        self.schedule = sorted(schedule, key=lambda e: e.time_ms)
         self.policy = policy
-        self.sink = sink or NotificationSink()
+        self.sink = NotificationSink()
         self.tasks: dict[int, Task] = {}
         self._open: dict[int, Task] = {}
-        self._next_task_id = 1
         self._cmd_seq: dict[int, int] = {}
         self._seq_to_task: dict[tuple[int, int], int] = {}
         self._schedule_cursor = 0   # entries before it have fired
         self._pending_resend: list[int] = []  # retried or reassigned this step
         self._assigned: dict[int, int] = {}   # follower addr -> open task_id
         self._prev_flags: frozenset[Flag] = frozenset()
-        self.transition_hook = None  # callable(task, now) for event logging
+        self.transition_hook = lambda task, now: None  # on each new task and transition
 
     # -- helpers ---------------------------------------------------------
 
@@ -229,25 +190,19 @@ class Leader:
         task.transition(new_state, now)
         if new_state in TERMINAL_STATES:
             del self._open[task.task_id]
-        if self.transition_hook:
-            self.transition_hook(task, now)
+        self.transition_hook(task, now)
 
     def _new_task(self, kind: TaskKind, origin: TaskOrigin, now: int, *,
                   target=None, emergency=False, depends_on=None) -> Task:
-        task = Task(self._next_task_id, kind, origin, now, target=target,
+        task = Task(len(self.tasks) + 1, kind, origin, now, target=target,
                     emergency=emergency, depends_on=depends_on)
-        self._next_task_id += 1
         self.tasks[task.task_id] = task
         self._open[task.task_id] = task
-        if self.transition_hook:
-            self.transition_hook(task, now)
+        self.transition_hook(task, now)
         return task
 
-    def _capable_idle(self, kind: TaskKind, exclude=()) -> int | None:
-        for addr in sorted(self.roster):
-            entry = self.roster[addr]
-            if addr in exclude:
-                continue
+    def _capable_idle(self, kind: TaskKind) -> int | None:
+        for addr, entry in sorted(self.roster.items()):
             if kind in entry.capabilities and entry.availability is Availability.IDLE \
                     and addr not in self._assigned:
                 return addr
@@ -300,9 +255,8 @@ class Leader:
         """Emergency path for a relayed camera fall detection. Repeated
         alerts for the same incident are absorbed while a response task is
         still outstanding."""
-        for task in self._open.values():
-            if task.origin is TaskOrigin.EMERGENCY_OVERRIDE:
-                return
+        if any(task.origin is TaskOrigin.EMERGENCY_OVERRIDE for task in self._open.values()):
+            return
         self.sink.notify(now, "emergency", "fall detected by corridor camera",
                          cause=Flag.FALL.value)
         self._new_task(TaskKind.PATROL_CHECK, TaskOrigin.EMERGENCY_OVERRIDE, now,
@@ -333,25 +287,20 @@ class Leader:
             # pipeline before reaching leader.step; anything else is dropped.
 
     def _on_ack(self, pkt: Packet, now: int):
-        task_id = self._seq_to_task.get((pkt.src, pkt.seq))
-        if task_id is None:
-            return  # stale or malformed ack
-        task = self.tasks[task_id]
-        if task.state is TaskState.SENT and task.assignee == pkt.src:
+        # an ack of no command we sent, or of one the task has moved past, is stale
+        task = self.tasks.get(self._seq_to_task.get((pkt.src, pkt.seq)))
+        if task is not None and task.state is TaskState.SENT and task.assignee == pkt.src:
             self._record(task, TaskState.ACKED, now)
             self._record(task, TaskState.IN_PROGRESS, now)
 
     def _on_status(self, pkt: Packet, now: int):
-        task_id = pkt.payload.get("task_id")
-        task = self.tasks.get(task_id)
-        if task is None:
+        task = self.tasks.get(pkt.payload.get("task_id"))
+        # unknown, settled (the first terminal report wins), or a stale executor's;
+        # an open task here is CREATED (no assignee), SENT, ACKED or IN_PROGRESS
+        if task is None or task.state in TERMINAL_STATES or pkt.src != task.assignee:
             return
         status = pkt.payload.get("status")
         if status == "completed":
-            if task.state in TERMINAL_STATES:
-                return  # duplicate or stale assignee; first completion wins
-            if pkt.src != task.assignee:
-                return  # reassigned away; ignore the stale executor
             # catch up the chain when the ack was lost
             if task.state is TaskState.SENT:
                 self._record(task, TaskState.ACKED, now)
@@ -359,27 +308,18 @@ class Leader:
                 self._record(task, TaskState.IN_PROGRESS, now)
             self._record(task, TaskState.COMPLETED, now)
             self._release(task.assignee, task.task_id)
-        elif status in ("rejected_busy", "rejected_unsupported", "failed"):
-            if task.state in TERMINAL_STATES or pkt.src != task.assignee:
-                return
-            if task.state in (TaskState.SENT, TaskState.ACKED, TaskState.IN_PROGRESS):
-                self._record(task, TaskState.TIMED_OUT, now)
-                self._release(task.assignee, task.task_id)
-                if status == "rejected_busy":
-                    # transient: retry the same follower later
-                    task.retry_count += 1
-                    self._resolve_timeout(task, now)
-                else:
-                    # this follower cannot do it; skip straight to reassignment
-                    task.retry_count = self.policy.max_retries
-                    self._resolve_timeout(task, now)
+        elif status == "rejected_busy":
+            # transient: retry the same follower later
+            self._time_out(task, now, task.retry_count + 1)
+        elif status in ("rejected_unsupported", "failed"):
+            # this follower cannot do it; skip straight to reassignment
+            self._time_out(task, now, self.policy.max_retries)
 
     def _fire_schedule(self, now: int):
         # entries are sorted by time, so the fired ones are a prefix
-        entries = self.schedule.entries
-        while self._schedule_cursor < len(entries) \
-                and entries[self._schedule_cursor].time_ms <= now:
-            entry = entries[self._schedule_cursor]
+        while self._schedule_cursor < len(self.schedule) \
+                and self.schedule[self._schedule_cursor].time_ms <= now:
+            entry = self.schedule[self._schedule_cursor]
             self._schedule_cursor += 1
             dispense = self._new_task(TaskKind.ARM_DISPENSE, TaskOrigin.SCHEDULED, now,
                                       target=entry.slot)
@@ -387,43 +327,37 @@ class Leader:
                            target=entry.bed, depends_on=dispense.task_id)
 
     def _check_timeouts(self, now: int, outbox: list):
+        # how long a task may wait in each state for an ack or a completion
+        limits = {TaskState.SENT: self.policy.timeout_ms,
+                  TaskState.ACKED: self.policy.exec_timeout_ms,
+                  TaskState.IN_PROGRESS: self.policy.exec_timeout_ms}
         for task in list(self._open.values()):
-            if task.state is TaskState.SENT:
-                limit = self.policy.timeout_ms
-            elif task.state in (TaskState.ACKED, TaskState.IN_PROGRESS):
-                limit = self.policy.exec_timeout_ms
-            else:
-                continue
-            if now - task.last_activity < limit:
-                continue
-            self._record(task, TaskState.TIMED_OUT, now)
-            self._release(task.assignee, task.task_id)
-            task.retry_count += 1
-            self._resolve_timeout(task, now)
+            limit = limits.get(task.state)
+            if limit is not None and now - task.last_activity >= limit:
+                self._time_out(task, now, task.retry_count + 1)
 
-    def _resolve_timeout(self, task: Task, now: int):
-        decision, addr = on_timeout(task, self.roster, self.policy)
-        if decision is TimeoutDecision.RETRY:
+    def _time_out(self, task: Task, now: int, retry_count: int):
+        """Record the timeout and free the follower; retry it while retries
+        remain, else reassign it to an untried capable idle follower (held
+        in `_assigned` or not), else escalate. Resends go out in `_dispatch`."""
+        self._record(task, TaskState.TIMED_OUT, now)
+        self._release(task.assignee, task.task_id)
+        task.retry_count = retry_count
+        if retry_count < self.policy.max_retries:
             self._record(task, TaskState.SENT, now)
-            # immediately goes back out; re-enter the dispatch queue via SENT
             self._pending_resend.append(task.task_id)
-        elif decision is TimeoutDecision.REASSIGN:
-            self._record(task, TaskState.REASSIGNED, now)
-            task.retry_count = 0
-            task.assignee = addr
-            self._pending_resend.append(task.task_id)
-        else:
-            self._record(task, TaskState.ESCALATED, now)
-            self.sink.notify(now, "emergency",
-                             f"task {task.task_id} ({task.kind.value}) escalated: "
-                             "no follower could complete it",
-                             cause="escalation")
+            return
+        for addr, entry in sorted(self.roster.items()):
+            if addr not in task.tried_assignees and task.kind in entry.capabilities \
+                    and entry.availability is Availability.IDLE:
+                self._record(task, TaskState.REASSIGNED, now)
+                task.retry_count = 0
+                task.assignee = addr
+                self._pending_resend.append(task.task_id)
+                return
+        self._escalate(task, now, "no follower could complete it")
 
-    def _dep_satisfied(self, task: Task) -> bool:
-        return task.depends_on is None \
-            or self.tasks[task.depends_on].state is TaskState.COMPLETED
-
-    def _escalate_created(self, task: Task, now: int, reason: str):
+    def _escalate(self, task: Task, now: int, reason: str):
         self._record(task, TaskState.ESCALATED, now)
         self.sink.notify(now, "emergency",
                          f"task {task.task_id} ({task.kind.value}) escalated: {reason}",
@@ -437,23 +371,24 @@ class Leader:
             if task.state is TaskState.SENT:
                 # transitioned back to SENT by retry: emit the actual packet
                 self._emit_command(task, task.assignee, now, outbox)
-                task.last_activity = now
             elif task.state is TaskState.REASSIGNED:
                 self._send_command(task, task.assignee, now, outbox)
-        # the dispense never happened, so the delivery that waits on it
-        # cannot either; stamped with the time the dependency escalated
+        created = []
         for task in list(self._open.values()):
-            if task.state is TaskState.CREATED and task.depends_on is not None:
-                dep = self.tasks[task.depends_on]
-                if dep.state is TaskState.ESCALATED:
-                    self._escalate_created(task, dep.last_activity, "dependency escalated")
+            if task.state is not TaskState.CREATED:
+                continue
+            dep = self.tasks.get(task.depends_on)
+            if dep is not None and dep.state is TaskState.ESCALATED:
+                # the dispense never happened, so the delivery that waits on
+                # it cannot either; stamped with the time the dependency escalated
+                self._escalate(task, dep.last_activity, "dependency escalated")
+            elif dep is None or dep.state is TaskState.COMPLETED:
+                created.append(task)
         # fresh tasks, emergencies first then scheduled then routine
-        created = [t for t in self._open.values()
-                   if t.state is TaskState.CREATED and self._dep_satisfied(t)]
         for task in sorted(created, key=lambda t: (_priority(t), t.task_id)):
             if not any(task.kind in e.capabilities for e in self.roster.values()):
                 # nobody on the roster can ever do this; waiting is pointless
-                self._escalate_created(task, now, "no follower is capable")
+                self._escalate(task, now, "no follower is capable")
                 continue
             addr = self._capable_idle(task.kind)
             if addr is None and task.emergency:
@@ -491,25 +426,32 @@ class Follower:
 
     def __init__(self, address: int, leader_address: int,
                  capabilities: frozenset[TaskKind],
-                 exec_duration_ms: dict[TaskKind, int] | None = None,
-                 role: str = "corridor"):
+                 exec_duration_ms: dict[TaskKind, int] | None = None):
         self.address = address
         self.leader_address = leader_address
         self.capabilities = capabilities
-        self.role = role
         self.exec_duration_ms = exec_duration_ms or dict(DEFAULT_EXEC_DURATIONS_MS)
         self.active: _Execution | None = None
         self.parked: list[_Execution] = []
-        self.executed: set[int] = set()     # task ids whose action has started
         self.completed: set[int] = set()
-        self.execution_count: dict[int, int] = {}  # exactly-once audit
+        self.execution_count: dict[int, int] = {}  # starts per task id: exactly-once audit
         self.nav_fault = False
         self._out_seq = 0
         self._last_now = None
 
-    def _send(self, kind: PacketKind, payload: dict, now: int) -> Packet:
+    def _report(self, task_id, status: str, now: int, outbox: list, **detail):
+        """Put one STATUS in the outbox under this follower's next sequence number."""
         self._out_seq += 1
-        return Packet(self.address, self.leader_address, self._out_seq, kind, payload, now)
+        outbox.append(Packet(self.address, self.leader_address, self._out_seq, PacketKind.STATUS,
+                             {"task_id": task_id, "status": status, **detail}, now))
+
+    def _complete(self, now: int, outbox: list):
+        """Finish the active execution, report it, and resume parked work."""
+        done, self.active = self.active, None
+        self.completed.add(done.task_id)
+        self._report(done.task_id, "completed", now, outbox)
+        if self.parked:
+            self.active = self.parked.pop()
 
     def status_light(self) -> StatusLight:
         if self.active is not None:
@@ -540,21 +482,12 @@ class Follower:
         if self.active is not None and dt_ms > 0:
             self.active.remaining_ms -= dt_ms
             if self.nav_fault:
-                failed = self.active
-                self.active = None
+                failed, self.active = self.active, None
                 self.nav_fault = False  # fault is per-task; robot recovers after re-placement
-                outbox.append(self._send(
-                    PacketKind.STATUS,
-                    {"task_id": failed.task_id, "status": "failed",
-                     "detail": "navigation fault: line lost"}, now))
+                self._report(failed.task_id, "failed", now, outbox,
+                             detail="navigation fault: line lost")
             elif self.active.remaining_ms <= 0:
-                done = self.active
-                self.active = None
-                self.completed.add(done.task_id)
-                outbox.append(self._send(
-                    PacketKind.STATUS, {"task_id": done.task_id, "status": "completed"}, now))
-                if self.parked:
-                    self.active = self.parked.pop()
+                self._complete(now, outbox)
         return outbox
 
     def _on_command(self, pkt: Packet, now: int, outbox: list):
@@ -568,31 +501,20 @@ class Follower:
         outbox.append(Packet(self.address, self.leader_address, pkt.seq,
                              PacketKind.ACK, {"task_id": task_id}, now))
         if task_id in self.completed:
-            outbox.append(self._send(
-                PacketKind.STATUS, {"task_id": task_id, "status": "completed"}, now))
+            self._report(task_id, "completed", now, outbox)
             return
-        if task_id in self.executed:
+        if task_id in self.execution_count:
             return  # retry crossed the ack; execution already under way
         if kind not in self.capabilities:
-            outbox.append(self._send(
-                PacketKind.STATUS, {"task_id": task_id, "status": "rejected_unsupported"}, now))
+            self._report(task_id, "rejected_unsupported", now, outbox)
             return
         if self.active is not None and not emergency:
-            outbox.append(self._send(
-                PacketKind.STATUS, {"task_id": task_id, "status": "rejected_busy"}, now))
+            self._report(task_id, "rejected_busy", now, outbox)
             return
-        if self.active is not None and emergency:
-            self.parked.append(self.active)  # park, never cancel
-            self.active = None
-        self.executed.add(task_id)
+        if self.active is not None:
+            self.parked.append(self.active)  # an emergency parks, never cancels
         self.execution_count[task_id] = self.execution_count.get(task_id, 0) + 1
         duration = self.exec_duration_ms.get(kind, 1000)
         self.active = _Execution(task_id, kind, float(max(duration, 0)), emergency)
         if duration <= 0:
-            # zero-duration execution completes immediately
-            self.active = None
-            self.completed.add(task_id)
-            outbox.append(self._send(
-                PacketKind.STATUS, {"task_id": task_id, "status": "completed"}, now))
-            if self.parked:
-                self.active = self.parked.pop()
+            self._complete(now, outbox)  # a zero-duration execution ends at once

@@ -1,9 +1,10 @@
 """Wearable vitals sampling with sensor noise, threshold triage, and the
 fall-detector and triage-latency models.
 
-Screening bands (configurable): SpO2 below 90% flags low oxygen and below
-85% is severe; temperature at or above 38.0 C flags fever and 39.5 C is
-severe; heart rate outside [50, 120] BPM is abnormal. `screen` applies the
+Screening bands (`TriageThresholds`; no scenario key sets them, so every
+run uses these defaults): SpO2 below 90% flags low oxygen and below 85% is
+severe; temperature at or above 38.0 C flags fever and 39.5 C is severe;
+heart rate outside [50, 120] BPM is abnormal. `screen` applies the
 bands to one sample. `triage_class` is the one class rule: severe conditions
 and falls are GoToHospital, any other flag MonitorAtHome, no flag
 NoHospital. `classify` applies it to a single sample; the engine applies it

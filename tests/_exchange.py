@@ -9,9 +9,8 @@ import json
 
 import numpy as np
 
-from wardsim.protocol import (Follower, Leader, MedicationSchedule,
-                              RosterEntry, ScheduleEntry, TaskKind,
-                              TimeoutPolicy, TERMINAL_STATES,
+from wardsim.protocol import (Follower, Leader, RosterEntry, ScheduleEntry,
+                              TaskKind, TimeoutPolicy, TERMINAL_STATES,
                               liveness_bound_ms)
 from wardsim.rf_channel import Channel, ChannelConfig, Packet, PacketKind
 from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
@@ -28,8 +27,7 @@ def run_lossy_exchange(seed: int, pdr: float, n_entries: int = 1,
     deadline passes. Returns (leader, followers dict, settled flag)."""
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=200, max_retries=5)
     roster = {a: RosterEntry(a, ALL_KINDS) for a in FOLLOWERS}
-    schedule = MedicationSchedule(
-        [ScheduleEntry(time_ms=0, bed=4 + i, slot=i) for i in range(n_entries)])
+    schedule = [ScheduleEntry(time_ms=0, bed=4 + i, slot=i) for i in range(n_entries)]
     leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
     followers = {
         a: Follower(a, LEADER, ALL_KINDS,
@@ -127,8 +125,7 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str,
     claimed, actual = ROSTERS[roster_name]
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=1000, max_retries=2)
     roster = {a: RosterEntry(a, caps) for a, caps in claimed.items()}
-    schedule = MedicationSchedule([ScheduleEntry(time_ms=0, bed=4, slot=0),
-                                   ScheduleEntry(time_ms=150, bed=5, slot=1)])
+    schedule = [ScheduleEntry(time_ms=0, bed=4, slot=0), ScheduleEntry(time_ms=150, bed=5, slot=1)]
     leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
     followers = {a: Follower(a, LEADER, caps, exec_duration_ms=TRANSCRIPT_EXEC_MS[exec_name])
                  for a, caps in actual.items()}

@@ -417,6 +417,38 @@ def test_cli_replay_malformed_record_shape_exits_two(tmp_path, capsys, bad):
     assert "malformed event log at record 2:" in capsys.readouterr().err
 
 
+def _nav(**fields):
+    payload = {"tag": "straight", "on_line": True, "drift_raw": 0.1,
+               "drift_corrected": 0.05, "energy": 1.5, **fields}
+    return {"kind": "nav", "payload": payload, "source": "navigation", "time_ms": 10}
+
+
+def _packet_send(condition):
+    return {"kind": "packet_send", "source": "channel", "time_ms": 10, "payload": {
+        "src": 1, "dst": 2, "packet_kind": "status", "seq": 1, "condition": condition,
+        "outcome": "dropped", "delay_ms": 0.0}}
+
+
+@pytest.mark.parametrize("records, message", [
+    ([_nav(energy="x")], "nav energy must be a number, not 'x'"),
+    ([_nav(drift_raw="y")], "nav drift_raw must be a number, not 'y'"),
+    ([{"kind": "meta", "source": "engine", "time_ms": 0,
+       "payload": {"budgets_ms": {"low_spo2": "x"}}},
+      {"kind": "script", "source": "script", "time_ms": 10,
+       "payload": {"scenario_kind": "low_spo2"}},
+      {"kind": "notification", "source": "leader", "time_ms": 20,
+       "payload": {"cause": "low_spo2"}}],
+     "budgets_ms[low_spo2] must be a number, not 'x'"),
+    ([_packet_send("clear"), _packet_send(5)], "packet condition must be a string, not 5"),
+], ids=["nav-energy", "nav-drift", "budget", "condition"])
+def test_cli_replay_malformed_payload_field_exits_two(tmp_path, capsys, records, message):
+    # the values are checked once a log, when the fold's result is taken
+    path = tmp_path / "fields.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["replay", str(path)]) == 2
+    assert f"malformed event log: {message}" in capsys.readouterr().err
+
+
 def test_cli_suite_from_directory(tmp_path, capsys):
     scen = tmp_path / "scenarios"
     scen.mkdir()

@@ -1,21 +1,21 @@
 """Task state machine, timeout ladder, follower idempotence, and the full
 leader/follower exchange under packet loss."""
 
+import ast
 import hashlib
 import itertools
+import trace
 from pathlib import Path
 
 import pytest
 
 from _exchange import (ROSTERS, TRANSCRIPT_EXEC_MS, TRANSCRIPT_PDRS,
                        protocol_transcript, run_lossy_exchange)
-from wardsim import InvariantError
-from wardsim.protocol import (Availability, Follower, Leader,
-                              MedicationSchedule, NotificationSink,
-                              RosterEntry, ScheduleEntry, StatusLight, Task,
-                              TaskKind, TaskOrigin, TaskState, TimeoutDecision,
-                              TimeoutPolicy, TERMINAL_STATES,
-                              liveness_bound_ms, on_timeout)
+from wardsim import InvariantError, protocol
+from wardsim.protocol import (Availability, Follower, Leader, RosterEntry,
+                              ScheduleEntry, StatusLight, Task, TaskKind,
+                              TaskOrigin, TaskState, TimeoutPolicy,
+                              TERMINAL_STATES, liveness_bound_ms)
 from wardsim.rf_channel import Packet, PacketKind
 from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
 
@@ -40,13 +40,11 @@ def decision(*flags, cls=TriageClass.MONITOR_AT_HOME):
 
 def test_happy_path_transitions():
     t = make_task()
-    for s in (TaskState.SENT, TaskState.ACKED, TaskState.IN_PROGRESS,
-              TaskState.COMPLETED):
-        t.transition(s, 100)
-    assert t.completed_at == 100
-    assert [s for _, s in t.history][1:] == [
-        TaskState.SENT, TaskState.ACKED, TaskState.IN_PROGRESS,
-        TaskState.COMPLETED]
+    assert t.last_activity == 0
+    for now, s in enumerate((TaskState.SENT, TaskState.ACKED, TaskState.IN_PROGRESS,
+                             TaskState.COMPLETED), start=100):
+        t.transition(s, now)
+        assert (t.state, t.last_activity) == (s, now)
 
 
 def test_illegal_transitions_raise():
@@ -73,23 +71,50 @@ def test_timed_out_can_retry_reassign_or_escalate_only():
 # timeout policy
 
 
-def test_on_timeout_retries_until_budget_spent():
+def unacked_patrol(roster, policy, times):
+    """Step a leader that never hears back over `times`, for one patrol
+    task; returns the leader, its task, the (time, state, assignee, retry
+    count) of every transition-hook call and the destinations sent to at
+    each step."""
+    leader = Leader(1, roster, policy=policy)
+    calls = []
+    leader.transition_hook = lambda task, now: calls.append(
+        (now, task.state, task.assignee, task.retry_count))
+    leader.handle_triage(decision(Flag.LOW_SPO2), 0)
+    sent = [(now, [p.dst for p in leader.step([], now)]) for now in times]
+    (task,) = leader.tasks.values()
+    return leader, task, calls, sent
+
+
+def test_timeouts_retry_until_budget_spent_then_reassign_to_an_untried_follower():
     roster = {2: RosterEntry(2, ALL), 3: RosterEntry(3, ALL)}
-    t = make_task(assignee=2, tried_assignees=[2])
-    policy = TimeoutPolicy(max_retries=2)
-    t.retry_count = 1
-    assert on_timeout(t, roster, policy) == (TimeoutDecision.RETRY, 2)
-    t.retry_count = 2
-    assert on_timeout(t, roster, policy) == (TimeoutDecision.REASSIGN, 3)
+    _, task, calls, sent = unacked_patrol(roster, TimeoutPolicy(timeout_ms=100, max_retries=2),
+                                          range(0, 500, 100))
+    S = TaskState
+    assert calls == [
+        (0, S.CREATED, None, 0), (0, S.SENT, 2, 0),
+        (100, S.TIMED_OUT, 2, 0), (100, S.SENT, 2, 1),      # retry
+        (200, S.TIMED_OUT, 2, 1), (200, S.REASSIGNED, 2, 2), (200, S.SENT, 3, 0),
+        (300, S.TIMED_OUT, 3, 0), (300, S.SENT, 3, 1),
+        # 2 is idle but was tried, so the spent budget escalates
+        (400, S.TIMED_OUT, 3, 1), (400, S.ESCALATED, 3, 2)]
+    assert sent == [(0, [2]), (100, [2]), (200, [3]), (300, [3]), (400, [])]
+    assert task.tried_assignees == [2, 3]
 
 
-def test_on_timeout_skips_busy_and_incapable_followers():
+def test_timeouts_skip_busy_and_incapable_followers_and_escalate_with_a_notification():
     roster = {2: RosterEntry(2, ALL),
               3: RosterEntry(3, ALL, availability=Availability.BUSY),
               4: RosterEntry(4, frozenset({TaskKind.ARM_DISPENSE}))}
-    t = make_task(assignee=2, tried_assignees=[2])
-    t.retry_count = 5
-    assert on_timeout(t, roster, TimeoutPolicy()) == (TimeoutDecision.ESCALATE, None)
+    leader, task, calls, sent = unacked_patrol(
+        roster, TimeoutPolicy(timeout_ms=100, max_retries=1), (0, 100))
+    assert sent == [(0, [2]), (100, [])]
+    assert calls[-2:] == [(100, TaskState.TIMED_OUT, 2, 0), (100, TaskState.ESCALATED, 2, 1)]
+    assert task.tried_assignees == [2]
+    last = leader.sink.entries[-1]
+    assert (last.time_ms, last.severity, last.cause, last.text) == (
+        100, "emergency", "escalation",
+        "task 1 (patrol_check) escalated: no follower could complete it")
 
 
 def test_liveness_bound_scales_with_roster():
@@ -135,7 +160,7 @@ def test_fall_alerts_deduplicate_while_response_is_open():
 
 
 def test_schedule_entry_spawns_dispense_then_delivery():
-    sched = MedicationSchedule([ScheduleEntry(time_ms=500, bed=4, slot=1)])
+    sched = [ScheduleEntry(time_ms=500, bed=4, slot=1)]
     leader = Leader(1, {2: RosterEntry(2, ALL)}, schedule=sched)
     leader.step([], 100)
     assert not leader.tasks
@@ -151,7 +176,7 @@ def test_schedule_entry_spawns_dispense_then_delivery():
 
 
 def test_schedule_entries_fire_once():
-    sched = MedicationSchedule([ScheduleEntry(time_ms=0, bed=4, slot=1)])
+    sched = [ScheduleEntry(time_ms=0, bed=4, slot=1)]
     leader = Leader(1, {2: RosterEntry(2, ALL)}, schedule=sched)
     leader.step([], 0)
     leader.step([], 100)
@@ -159,8 +184,7 @@ def test_schedule_entries_fire_once():
 
 
 def test_schedule_entries_between_ticks_fire_once_on_the_next_tick():
-    sched = MedicationSchedule([ScheduleEntry(time_ms=25, bed=5, slot=2),
-                                ScheduleEntry(time_ms=15, bed=4, slot=1)])
+    sched = [ScheduleEntry(time_ms=25, bed=5, slot=2), ScheduleEntry(time_ms=15, bed=4, slot=1)]
     leader = Leader(1, {2: RosterEntry(2, ALL)}, schedule=sched)
     counts = []
     for now in range(0, 60, 10):
@@ -215,7 +239,7 @@ def test_follower_rejects_second_routine_task_while_busy():
     out = fol.step([cmd(2, 8)], 10)
     statuses = [p for p in out if p.kind is PacketKind.STATUS]
     assert statuses[0].payload["status"] == "rejected_busy"
-    assert 8 not in fol.executed
+    assert 8 not in fol.execution_count
 
 
 def test_emergency_preempts_and_parks_without_cancelling():
@@ -333,7 +357,7 @@ def test_escalation_notifies_staff():
 
 
 def test_dependency_escalation_cascades_to_delivery():
-    sched = MedicationSchedule([ScheduleEntry(time_ms=0, bed=4, slot=1)])
+    sched = [ScheduleEntry(time_ms=0, bed=4, slot=1)]
     # nobody can dispense, so the delivery must never be attempted
     roster = {2: RosterEntry(2, frozenset({TaskKind.DELIVER_MEDICINE}))}
     leader = Leader(1, roster, sched, TimeoutPolicy(100, 100, 1))
@@ -416,3 +440,41 @@ def transcript_digest() -> str:
 
 def test_protocol_exchanges_match_golden_digest():
     assert transcript_digest() == TRANSCRIPT_DIGEST.read_text().strip()
+
+
+def statement_lines(*class_names) -> set[int]:
+    """First lines of the statements in the methods of the named classes of
+    `protocol`, without docstrings and the InvariantError raises."""
+    tree = ast.parse(Path(protocol.__file__).read_text())
+    lines = set()
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in class_names):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            body = method.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            stack = list(body)
+            while stack:
+                stmt = stack.pop()
+                if isinstance(stmt, ast.Raise) and "InvariantError" in ast.unparse(stmt):
+                    continue
+                lines.add(stmt.lineno)
+                for block in ("body", "orelse", "handlers", "finalbody"):
+                    stack += getattr(stmt, block, [])
+    return lines
+
+
+def test_the_transcript_exchanges_run_every_statement_of_leader_and_follower():
+    # every roster and execution-time set at PDR 0.7 for two of the seeds;
+    # between them they meet a busy rejection and a stale executor's status
+    tracer = trace.Trace(count=1, trace=0)
+    for roster, exec_name, seed in itertools.product(ROSTERS, TRANSCRIPT_EXEC_MS, (4, 10)):
+        tracer.runfunc(protocol_transcript, seed, 0.7, roster, exec_name)
+    ran = {line for path, line in tracer.results().counts if path == protocol.__file__}
+    source = Path(protocol.__file__).read_text().splitlines()
+    missed = [f"{n}: {source[n - 1].strip()}"
+              for n in sorted(statement_lines("Leader", "Follower") - ran)]
+    assert not missed
