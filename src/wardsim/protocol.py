@@ -1,10 +1,10 @@
 """Leader-follower task delegation over the lossy channel.
 
 The leader creates tasks from triage results and the medication schedule,
-dispatches them to capable idle followers, matches acks and status reports
-by sequence number, and on timeout retries, reassigns, or escalates.
-Followers ack every command receipt, execute each task id at most once, and
-re-send their last status when a retry crosses a completed execution.
+dispatches them to capable idle followers, matches acks by command sequence
+number and status reports by task id, and on timeout retries, reassigns, or
+escalates. Followers ack every command receipt, execute each task id at most
+once, and re-send their last status when a retry crosses a completed execution.
 
 Task lifecycle:
 
@@ -19,6 +19,7 @@ Task lifecycle:
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import InvariantError
@@ -167,7 +168,7 @@ class Leader:
     """
 
     def __init__(self, address: int, roster: dict[int, RosterEntry],
-                 schedule: list[ScheduleEntry] = (),
+                 schedule: Iterable[ScheduleEntry] = (),
                  policy: TimeoutPolicy = TimeoutPolicy()):
         self.address = address
         self.roster = roster

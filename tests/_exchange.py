@@ -118,10 +118,10 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str,
     """One lossy exchange, in the engine's tick order, written down as text:
     every transition-hook call, every packet a leader or follower puts in
     its outbox, each change of a follower's status light, then the
-    notifications and each follower's execution counts. Besides the medication schedule it feeds triage results and
-    fall alerts, faults follower 2's navigation once, and hands the leader
-    a stale ack, a status for an unknown task and follower 2 a command of
-    an unknown kind."""
+    notifications and each follower's execution counts. Besides the
+    medication schedule it feeds triage results and fall alerts, faults
+    follower 2's navigation once, and hands the leader a stale ack and a
+    status for an unknown task, and follower 2 a command of an unknown kind."""
     claimed, actual = ROSTERS[roster_name]
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=1000, max_retries=2)
     roster = {a: RosterEntry(a, caps) for a, caps in claimed.items()}
