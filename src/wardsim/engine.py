@@ -17,7 +17,7 @@ import operator
 import statistics
 from dataclasses import dataclass, field
 
-from . import InvariantError
+from . import ConfigurationError, InvariantError
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
 from .metrics import EventLog, MetricsAccumulator, RunMetrics
@@ -26,14 +26,17 @@ from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
 from .scenario import ScenarioConfig
 from .vitals import (FallOutcome, Flag, PatientState, Posture, TriageClass,
-                     TriageDecision, Vitals, classify, detect_fall, one_hot,
-                     sample_vitals, triage_class, triage_delay_ms)
+                     TriageDecision, Vitals, classify, detect_fall, rule_decision,
+                     sample_vitals, triage_delay_ms)
 
 # what is debounced before the leader acts: the flags derived from noisy
 # numeric channels, and severity, so single-sample noise spikes trigger
 # neither a patrol nor a hospital class
 _SEVERE = "severe"
 _LATCH_KEYS = (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR, _SEVERE)
+
+# the corridor drives while it carries out one of these
+_MOVING_KINDS = (TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE)
 
 
 class EngineAbort(RuntimeError):
@@ -52,11 +55,8 @@ class Engine:
         self.channel = Channel(config.channel, robots.addresses, self.streams["channel"])
 
         roster = {
-            corridor.address: RosterEntry(
-                corridor.address,
-                frozenset({TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE})),
-            robots.arm.address: RosterEntry(
-                robots.arm.address, frozenset({TaskKind.ARM_DISPENSE})),
+            corridor.address: RosterEntry(frozenset(_MOVING_KINDS)),
+            robots.arm.address: RosterEntry(frozenset({TaskKind.ARM_DISPENSE})),
         }
         self.leader = Leader(robots.leader.address, roster, config.schedule,
                              config.timeout_policy)
@@ -67,6 +67,10 @@ class Engine:
                             roster[robots.arm.address].capabilities,
                             dict(config.exec_durations_ms))
         self.followers = {f.address: f for f in (self.corridor, self.arm)}
+        # the followers by address, in the order they step, and each roster
+        # entry with the follower whose availability it mirrors
+        self._step_order = sorted(self.followers.items())
+        self._mirrors = [(entry, self.followers[a]) for a, entry in roster.items()]
 
         self.patient = PatientState()
         self.motion = MotionSimulator(config.start_pose, corridor.chassis,
@@ -94,11 +98,12 @@ class Engine:
         self._last_alert_ms = -10 ** 9
         self._last_light: StatusLight | None = None
         self._log_cursor = 0
-        self._streaks = dict.fromkeys(_LATCH_KEYS, 0)  # signed run length
+        # per latch key, the consecutive samples that disagree with its latch;
+        # a key that agrees is absent
+        self._against: dict = {}
         # the latched keys, and the leader-visible decision they make
         self._latched: frozenset = frozenset()
-        calm = triage_class(False, frozenset())
-        self._decision = TriageDecision(calm, one_hot(calm), frozenset())
+        self._decision = rule_decision(False, frozenset())
         self._patrol_check_due = False
 
         self.leader.transition_hook = self._task_hook
@@ -202,7 +207,7 @@ class Engine:
         self._last_triage_sample = sample_time
         self._emit("triage", {
             "sample_time": sample_time,
-            "flags": sorted(f.value for f in decision.flags),
+            "flags": list(decision.flag_names),
             "class": decision.triage_class.value,
             "probs": list(decision.probs),
         }, "leader")
@@ -226,24 +231,31 @@ class Engine:
         """Hysteresis over one classified sample: a key latches on after K
         consecutive raised samples and off after K consecutive clear ones,
         so single noise spikes or dips never flip the leader-visible
-        decision. That decision is rebuilt only when the latch changes."""
+        decision. That decision changes only when the latch does."""
+        if sample is self._decision:
+            # rule decisions are one object per (flags, severe): this sample
+            # raises exactly the latched keys, so every key agrees
+            self._against.clear()
+            return sample
         need = self.config.flag_confirm_samples
-        streaks, latched = self._streaks, self._latched
+        against, latched = self._against, self._latched
         # a delivered report is valid and has no fall flag, so its class is
         # GoToHospital exactly when it is severe
         severe = sample.triage_class is TriageClass.GO_TO_HOSPITAL
         for key in _LATCH_KEYS:
             raised = severe if key is _SEVERE else key in sample.flags
-            s = streaks[key]
-            s = max(s, 0) + 1 if raised else min(s, 0) - 1
-            streaks[key] = s
-            if abs(s) >= need and (s > 0) is not (key in latched):
+            if raised == (key in latched):
+                against.pop(key, None)
+                continue
+            n = against.get(key, 0) + 1
+            if n < need:
+                against[key] = n
+            else:
+                against.pop(key, None)
                 latched ^= {key}
         if latched != self._latched:
             self._latched = latched
-            flags = latched - {_SEVERE}
-            cls = triage_class(_SEVERE in latched, flags)
-            self._decision = TriageDecision(cls, one_hot(cls), flags)
+            self._decision = rule_decision(_SEVERE in latched, latched - {_SEVERE})
         return self._decision
 
     def _camera_checks(self):
@@ -274,9 +286,8 @@ class Engine:
 
     def _drive(self, dt_s: float):
         cfg = self.config
-        moving_kinds = (TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE)
         driving = cfg.patrol_always or (
-            self.corridor.active is not None and self.corridor.active.kind in moving_kinds)
+            self.corridor.active is not None and self.corridor.active.kind in _MOVING_KINDS)
         if not driving:
             return
         # with the IR array disabled the robot steers by its odometry estimate
@@ -352,8 +363,8 @@ class Engine:
                 self._sample_wearable()
                 self._triage_ready()
 
-                for addr, entry in self.leader.roster.items():
-                    entry.availability = self.followers[addr].availability
+                for entry, follower in self._mirrors:
+                    entry.availability = follower.availability
                 leader_out = self.leader.step(self._inboxes[self.leader.address], self._now)
                 self._inboxes[self.leader.address] = []
                 for pkt in leader_out:
@@ -362,8 +373,7 @@ class Engine:
                 self._route_deliveries()
 
                 prev_task = self.corridor.active
-                for addr in sorted(self.followers):
-                    follower = self.followers[addr]
+                for addr, follower in self._step_order:
                     out = follower.step(self._inboxes[addr], self._now)
                     self._inboxes[addr] = []
                     for pkt in out:
@@ -377,7 +387,10 @@ class Engine:
                 self._drive(dt_s)
                 self._status_light()
                 self._drain_notifications()
-        except InvariantError as exc:
+        except (InvariantError, ConfigurationError) as exc:
+            # a validated scenario can still drive the state out of range: a
+            # wheel radius near the float maximum overflows the pose, whose
+            # constructor refuses a non-finite coordinate
             raise EngineAbort(str(exc), self.log) from exc
         return self.log, self.acc.result()
 

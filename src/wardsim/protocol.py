@@ -32,6 +32,13 @@ class TaskKind(enum.Enum):
     DELIVER_MEDICINE = "deliver_medicine"
     ARM_DISPENSE = "arm_dispense"
 
+    # members are singletons and compare by identity, so the identity hash
+    # is consistent with ==; Enum's own hashes the name in Python code, and
+    # capability tests and state tables hash members every tick. Set order
+    # then follows addresses, so nothing may be written out in the iteration
+    # order of a set of members (as for vitals.Flag).
+    __hash__ = object.__hash__
+
 
 class TaskOrigin(enum.Enum):
     SCHEDULED = "scheduled"
@@ -48,6 +55,8 @@ class TaskState(enum.Enum):
     TIMED_OUT = "timed_out"
     REASSIGNED = "reassigned"
     ESCALATED = "escalated"
+
+    __hash__ = object.__hash__  # as for TaskKind
 
 
 _LEGAL = {
@@ -68,6 +77,8 @@ class Availability(enum.Enum):
     IDLE = "idle"
     BUSY = "busy"
     FAULTED = "faulted"
+
+    __hash__ = object.__hash__  # as for TaskKind
 
 
 class StatusLight(enum.Enum):
@@ -118,7 +129,7 @@ def liveness_bound_ms(policy: TimeoutPolicy, n_capable: int) -> int:
 
 @dataclass
 class RosterEntry:
-    address: int
+    """What the leader knows of one follower; the roster maps its address to it."""
     capabilities: frozenset[TaskKind]
     availability: Availability = Availability.IDLE
 
@@ -165,6 +176,8 @@ class Leader:
     the tasks not yet in a terminal state, in task-id order: a task enters it
     on creation and leaves it on reaching a terminal state, which it never
     leaves, so the per-step scans cost the open work, not the whole shift.
+    The roster's followers are fixed at construction (their availability is
+    not), so the leader sorts them by address once.
     """
 
     def __init__(self, address: int, roster: dict[int, RosterEntry],
@@ -172,8 +185,15 @@ class Leader:
                  policy: TimeoutPolicy = TimeoutPolicy()):
         self.address = address
         self.roster = roster
+        self._by_address = sorted(roster.items())
+        # the kinds some follower can do; any other is escalated at once
+        self._served = frozenset().union(*(e.capabilities for e in roster.values()))
         self.schedule = sorted(schedule, key=lambda e: e.time_ms)
         self.policy = policy
+        # how long a task may wait in each state for an ack or a completion
+        self._wait_limits = {TaskState.SENT: policy.timeout_ms,
+                             TaskState.ACKED: policy.exec_timeout_ms,
+                             TaskState.IN_PROGRESS: policy.exec_timeout_ms}
         self.sink = NotificationSink()
         self.tasks: dict[int, Task] = {}
         self._open: dict[int, Task] = {}
@@ -203,7 +223,7 @@ class Leader:
         return task
 
     def _capable_idle(self, kind: TaskKind) -> int | None:
-        for addr, entry in sorted(self.roster.items()):
+        for addr, entry in self._by_address:
             if kind in entry.capabilities and entry.availability is Availability.IDLE \
                     and addr not in self._assigned:
                 return addr
@@ -328,10 +348,7 @@ class Leader:
                            target=entry.bed, depends_on=dispense.task_id)
 
     def _check_timeouts(self, now: int, outbox: list):
-        # how long a task may wait in each state for an ack or a completion
-        limits = {TaskState.SENT: self.policy.timeout_ms,
-                  TaskState.ACKED: self.policy.exec_timeout_ms,
-                  TaskState.IN_PROGRESS: self.policy.exec_timeout_ms}
+        limits = self._wait_limits
         for task in list(self._open.values()):
             limit = limits.get(task.state)
             if limit is not None and now - task.last_activity >= limit:
@@ -348,7 +365,7 @@ class Leader:
             self._record(task, TaskState.SENT, now)
             self._pending_resend.append(task.task_id)
             return
-        for addr, entry in sorted(self.roster.items()):
+        for addr, entry in self._by_address:
             if addr not in task.tried_assignees and task.kind in entry.capabilities \
                     and entry.availability is Availability.IDLE:
                 self._record(task, TaskState.REASSIGNED, now)
@@ -387,7 +404,7 @@ class Leader:
                 created.append(task)
         # fresh tasks, emergencies first then scheduled then routine
         for task in sorted(created, key=lambda t: (_priority(t), t.task_id)):
-            if not any(task.kind in e.capabilities for e in self.roster.values()):
+            if task.kind not in self._served:
                 # nobody on the roster can ever do this; waiting is pointless
                 self._escalate(task, now, "no follower is capable")
                 continue
@@ -395,9 +412,9 @@ class Leader:
             if addr is None and task.emergency:
                 # preemption: hand the emergency to a busy capable follower;
                 # the follower parks its current work
-                for a in sorted(self.roster):
-                    if task.kind in self.roster[a].capabilities \
-                            and self.roster[a].availability is not Availability.FAULTED:
+                for a, entry in self._by_address:
+                    if task.kind in entry.capabilities \
+                            and entry.availability is not Availability.FAULTED:
                         addr = a
                         break
                 if addr is not None and addr in self._assigned:
@@ -473,6 +490,10 @@ class Follower:
         outbox: list[Packet] = []
         dt_ms = 0.0 if self._last_now is None else now - self._last_now
         self._last_now = now
+        if self.active is None:
+            # a fault with no task under way fails nothing: the robot is
+            # re-placed on the line and is available again
+            self.nav_fault = False
 
         for pkt in inbox:
             if pkt.dst != self.address:

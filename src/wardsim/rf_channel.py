@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import AddressingError, ConfigurationError
 from .metrics import MetricsAccumulator, RunMetrics
@@ -35,8 +36,11 @@ class LinkCondition(enum.Enum):
     OBSTRUCTED = "obstructed"
 
 
-@dataclass(frozen=True)
-class Packet:
+# Packet and DeliveryRecord are immutable records made for every send; as
+# NamedTuples they cost a third of a frozen dataclass, whose __init__ sets
+# each field through object.__setattr__.
+
+class Packet(NamedTuple):
     src: int
     dst: int
     seq: int
@@ -64,8 +68,7 @@ class ChannelConfig:
         return self.pdr_clear if condition is LinkCondition.CLEAR else self.pdr_obstructed
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     time_ms: int
     src: int
     dst: int

@@ -9,9 +9,11 @@ The streams that draw only doubles (`channel`, `slip`, `ir_noise` and
 `low + (high - low) * u` with `u` the same double that `random()` returns,
 so a block gives exactly the values of one scalar call per draw, as plain
 floats and at a fraction of a call's cost. `vitals_noise` keeps its
-`Generator`: `normal` takes a variable number of words from the bit
-generator, so it cannot be served from a block of doubles. `ml` and `misc`
-keep theirs too.
+`Generator` only for `normal`, which takes a variable number of words from
+the bit generator and so cannot be served from a block of doubles; its
+uniform draws interleave with those normals, so `sample_vitals` writes them
+out as `low + (high - low) * random()` on the same Generator. `ml` and
+`misc` keep their Generators too.
 """
 
 import math

@@ -9,14 +9,19 @@ bands to one sample. `triage_class` is the one class rule: severe conditions
 and falls are GoToHospital, any other flag MonitorAtHome, no flag
 NoHospital. `classify` applies it to a single sample; the engine applies it
 to the debounced state instead, where each numeric flag and severity itself
-latch only after several consecutive samples agree.
+latch only after several consecutive samples agree. Both take the rule's
+decision for a (flags, severe) pair from `rule_decision`, which builds each
+one once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +78,10 @@ class PatientState:
         self.true_temp = min(max(self.true_temp, TEMP_RANGE[0]), TEMP_RANGE[1])
 
 
-@dataclass(frozen=True)
-class Vitals:
+class Vitals(NamedTuple):
+    """One wearable sample. A NamedTuple, as Packet is: the engine makes two
+    per sample, and a frozen dataclass sets each field through
+    object.__setattr__, which costs more than the whole tuple."""
     sample_time: int
     valid: bool
     spo2: float | None = None
@@ -91,44 +98,55 @@ class SensorNoiseModel:
     def __post_init__(self):
         if self.spo2_tol < 0 or self.bpm_tol < 0 or self.temp_mean_abs_err < 0:
             raise ConfigurationError("noise tolerances must be nonnegative")
+        # the uniform draw spans twice the tolerance, which must be a finite
+        # float (Generator.uniform raises OverflowError for an infinite span)
+        if self.spo2_tol + self.spo2_tol == math.inf or self.bpm_tol + self.bpm_tol == math.inf:
+            raise ConfigurationError("noise tolerances must be at most half the float maximum")
 
-    @property
+    # computed once per model: cached_property keeps the value in the
+    # instance's __dict__, which a frozen dataclass leaves writable
+
+    @functools.cached_property
     def temp_sigma(self) -> float:
         # Gaussian with E|eps| = sigma*sqrt(2/pi); truncated at 3x mean abs
         return self.temp_mean_abs_err * math.sqrt(math.pi / 2.0)
 
-    @property
+    @functools.cached_property
     def temp_trunc(self) -> float:
         return 3.0 * self.temp_mean_abs_err
 
 
-def _clamp(v, lo, hi):
-    return min(max(v, lo), hi)
-
-
 def sample_vitals(patient: PatientState, noise: SensorNoiseModel,
                   rng: np.random.Generator, now_ms: int) -> Vitals:
-    """One wearable sample; invalid when the sensor is not worn."""
+    """One wearable sample; invalid when the sensor is not worn.
+
+    The draws are numpy's own formulas written out: `uniform(low, high)` is
+    `low + (high - low) * random()` and `normal(0.0, sigma)` is
+    `0.0 + sigma * standard_normal()`, so they take the same words from
+    `rng` and give the same values, at a fraction of a scalar call's cost.
+    Each clamp is `min(max(v, lo), hi)` written as comparisons."""
     if not patient.wearing_sensor:
         return Vitals(sample_time=now_ms, valid=False)
     spo2 = patient.true_spo2
     bpm = patient.true_bpm
     temp = patient.true_temp
-    if noise.spo2_tol > 0:
-        spo2 += rng.uniform(-noise.spo2_tol, noise.spo2_tol)
-    if noise.bpm_tol > 0:
-        bpm += rng.uniform(-noise.bpm_tol, noise.bpm_tol)
+    tol = noise.spo2_tol
+    if tol > 0:
+        spo2 += -tol + (tol + tol) * rng.random()
+    tol = noise.bpm_tol
+    if tol > 0:
+        bpm += -tol + (tol + tol) * rng.random()
     if noise.temp_mean_abs_err > 0:
-        eps = rng.normal(0.0, noise.temp_sigma)
-        eps = _clamp(eps, -noise.temp_trunc, noise.temp_trunc)
-        temp += eps
-    return Vitals(
-        sample_time=now_ms,
-        valid=True,
-        spo2=_clamp(spo2, *SPO2_RANGE),
-        bpm=_clamp(bpm, *BPM_RANGE),
-        temp=_clamp(temp, *TEMP_RANGE),
-    )
+        eps = noise.temp_sigma * rng.standard_normal()
+        trunc = noise.temp_trunc
+        temp += -trunc if eps < -trunc else trunc if eps > trunc else eps
+    lo, hi = SPO2_RANGE
+    spo2 = lo if spo2 < lo else hi if spo2 > hi else spo2
+    lo, hi = BPM_RANGE
+    bpm = lo if bpm < lo else hi if bpm > hi else bpm
+    lo, hi = TEMP_RANGE
+    temp = lo if temp < lo else hi if temp > hi else temp
+    return Vitals(sample_time=now_ms, valid=True, spo2=spo2, bpm=bpm, temp=temp)
 
 
 @dataclass(frozen=True)
@@ -152,6 +170,11 @@ class TriageDecision:
             raise ConfigurationError("probabilities must sum to 1")
         if class_from_probs(self.probs) is not self.triage_class:
             raise ConfigurationError("class must equal argmax of probs")
+
+    @functools.cached_property
+    def flag_names(self) -> tuple[str, ...]:
+        """The flags' values in sorted order, as the event log lists them."""
+        return tuple(sorted(f.value for f in self.flags))
 
 
 def class_from_probs(probs) -> TriageClass:
@@ -181,20 +204,46 @@ def triage_class(severe: bool, flags) -> TriageClass:
     return TriageClass.NO_HOSPITAL
 
 
+def _rule_decisions() -> dict[tuple[frozenset[Flag], bool], TriageDecision]:
+    table = {}
+    for n in range(len(Flag) + 1):
+        for flags in map(frozenset, itertools.combinations(Flag, n)):
+            for severe in (False, True):
+                cls = triage_class(severe, flags)
+                table[flags, severe] = TriageDecision(cls, one_hot(cls), flags)
+    return table
+
+
+# decisions are immutable and there are 64 (flags, severe) pairs, so each
+# decision is built, and checked, once
+_RULE_DECISIONS = _rule_decisions()
+
+
+def rule_decision(severe: bool, flags: frozenset[Flag]) -> TriageDecision:
+    """The class rule's decision, with one-hot probs, for a flag set and a
+    severity; the same object for the same pair."""
+    return _RULE_DECISIONS[flags, severe]
+
+
+# the flag set of each outcome of the three numeric checks, indexed by
+# LOW_SPO2 + 2 * FEVER + 4 * ABNORMAL_HR
+_NUMERIC_FLAGS = tuple(
+    frozenset(f for bit, f in enumerate((Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR))
+              if index >> bit & 1)
+    for index in range(8))
+_NO_VITALS = frozenset({Flag.NO_VITALS})
+
+
 def screen(vitals: Vitals, thresholds: TriageThresholds = TriageThresholds()
            ) -> tuple[frozenset[Flag], bool]:
     """The threshold checks of one sample: its flags, and whether it is severe."""
     if not vitals.valid:
-        return frozenset({Flag.NO_VITALS}), False
-    flags = set()
-    if vitals.spo2 < thresholds.low_spo2:
-        flags.add(Flag.LOW_SPO2)
-    if vitals.temp >= thresholds.fever:
-        flags.add(Flag.FEVER)
-    if not (thresholds.hr_low <= vitals.bpm <= thresholds.hr_high):
-        flags.add(Flag.ABNORMAL_HR)
-    severe = vitals.spo2 < thresholds.severe_spo2 or vitals.temp >= thresholds.severe_fever
-    return frozenset(flags), severe
+        return _NO_VITALS, False
+    spo2, temp = vitals.spo2, vitals.temp
+    flags = _NUMERIC_FLAGS[(spo2 < thresholds.low_spo2)
+                           + 2 * (temp >= thresholds.fever)
+                           + 4 * (not thresholds.hr_low <= vitals.bpm <= thresholds.hr_high)]
+    return flags, spo2 < thresholds.severe_spo2 or temp >= thresholds.severe_fever
 
 
 def classify(vitals: Vitals, fall_flag: bool = False,
@@ -209,8 +258,7 @@ def classify(vitals: Vitals, fall_flag: bool = False,
     if probs is not None:
         p = tuple(float(x) for x in probs)
         return TriageDecision(class_from_probs(p), p, flags)
-    cls = triage_class(severe, flags)
-    return TriageDecision(cls, one_hot(cls), flags)
+    return rule_decision(severe, flags)
 
 
 class FallOutcome(enum.Enum):
@@ -259,6 +307,6 @@ class LatencyConfig:
 def triage_delay_ms(flags, config: LatencyConfig) -> int:
     """Decision-stage delay for a flag set: the AI path when any flag is
     routed to it, else the fast threshold path."""
-    if any(f in config.ai_flags for f in flags):
+    if not config.ai_flags.isdisjoint(flags):
         return config.ai_decision_ms
     return config.threshold_decision_ms

@@ -26,7 +26,7 @@ def run_lossy_exchange(seed: int, pdr: float, n_entries: int = 1,
     the given delivery ratio until the task table settles or the liveness
     deadline passes. Returns (leader, followers dict, settled flag)."""
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=200, max_retries=5)
-    roster = {a: RosterEntry(a, ALL_KINDS) for a in FOLLOWERS}
+    roster = {a: RosterEntry(ALL_KINDS) for a in FOLLOWERS}
     schedule = [ScheduleEntry(time_ms=0, bed=4 + i, slot=i) for i in range(n_entries)]
     leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
     followers = {
@@ -124,7 +124,7 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str,
     status for an unknown task, and follower 2 a command of an unknown kind."""
     claimed, actual = ROSTERS[roster_name]
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=1000, max_retries=2)
-    roster = {a: RosterEntry(a, caps) for a, caps in claimed.items()}
+    roster = {a: RosterEntry(caps) for a, caps in claimed.items()}
     schedule = [ScheduleEntry(time_ms=0, bed=4, slot=0), ScheduleEntry(time_ms=150, bed=5, slot=1)]
     leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
     followers = {a: Follower(a, LEADER, caps, exec_duration_ms=TRANSCRIPT_EXEC_MS[exec_name])

@@ -382,6 +382,19 @@ def test_cli_run_negative_seed_exits_two(capsys):
     assert "--seed: must be nonnegative" in capsys.readouterr().err
 
 
+def test_cli_run_non_finite_pose_aborts_with_a_partial_log(tmp_path, capsys):
+    # validates, but a wheel radius near the float maximum overflows the pose
+    scenario = tmp_path / "huge_wheel.yaml"
+    scenario.write_text("duration_ms: 2000\n"
+                        "robots: {corridor: {chassis: {wheel_radius_r: 1.7976931348623157e+308}}}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 3
+    assert "pose coordinates must be finite" in capsys.readouterr().err
+    partial = EventLog.load(out / "events_partial.jsonl")
+    assert partial.records[0]["kind"] == "meta"
+    assert not (out / "events.jsonl").exists()
+
+
 def test_cli_replay_round_trip(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "alert_no_vitals", "--out", str(out)]) == 0

@@ -87,7 +87,7 @@ def unacked_patrol(roster, policy, times):
 
 
 def test_timeouts_retry_until_budget_spent_then_reassign_to_an_untried_follower():
-    roster = {2: RosterEntry(2, ALL), 3: RosterEntry(3, ALL)}
+    roster = {2: RosterEntry(ALL), 3: RosterEntry(ALL)}
     _, task, calls, sent = unacked_patrol(roster, TimeoutPolicy(timeout_ms=100, max_retries=2),
                                           range(0, 500, 100))
     S = TaskState
@@ -103,9 +103,9 @@ def test_timeouts_retry_until_budget_spent_then_reassign_to_an_untried_follower(
 
 
 def test_timeouts_skip_busy_and_incapable_followers_and_escalate_with_a_notification():
-    roster = {2: RosterEntry(2, ALL),
-              3: RosterEntry(3, ALL, availability=Availability.BUSY),
-              4: RosterEntry(4, frozenset({TaskKind.ARM_DISPENSE}))}
+    roster = {2: RosterEntry(ALL),
+              3: RosterEntry(ALL, availability=Availability.BUSY),
+              4: RosterEntry(frozenset({TaskKind.ARM_DISPENSE}))}
     leader, task, calls, sent = unacked_patrol(
         roster, TimeoutPolicy(timeout_ms=100, max_retries=1), (0, 100))
     assert sent == [(0, [2]), (100, [])]
@@ -128,7 +128,7 @@ def test_liveness_bound_scales_with_roster():
 
 
 def test_triage_rising_edge_creates_one_task_and_notification():
-    leader = Leader(1, {2: RosterEntry(2, ALL)})
+    leader = Leader(1, {2: RosterEntry(ALL)})
     leader.handle_triage(decision(Flag.LOW_SPO2), 1000)
     leader.handle_triage(decision(Flag.LOW_SPO2), 1100)   # still raised: no-op
     assert len(leader.tasks) == 1
@@ -141,7 +141,7 @@ def test_triage_rising_edge_creates_one_task_and_notification():
 
 
 def test_severe_triage_marks_task_emergency():
-    leader = Leader(1, {2: RosterEntry(2, ALL)})
+    leader = Leader(1, {2: RosterEntry(ALL)})
     leader.handle_triage(decision(Flag.LOW_SPO2, cls=TriageClass.GO_TO_HOSPITAL), 0)
     (task,) = leader.tasks.values()
     assert task.emergency
@@ -149,7 +149,7 @@ def test_severe_triage_marks_task_emergency():
 
 
 def test_fall_alerts_deduplicate_while_response_is_open():
-    leader = Leader(1, {2: RosterEntry(2, ALL)})
+    leader = Leader(1, {2: RosterEntry(ALL)})
     leader.handle_fall_alert(5000)
     leader.handle_fall_alert(5300)
     leader.handle_fall_alert(5600)
@@ -161,7 +161,7 @@ def test_fall_alerts_deduplicate_while_response_is_open():
 
 def test_schedule_entry_spawns_dispense_then_delivery():
     sched = [ScheduleEntry(time_ms=500, bed=4, slot=1)]
-    leader = Leader(1, {2: RosterEntry(2, ALL)}, schedule=sched)
+    leader = Leader(1, {2: RosterEntry(ALL)}, schedule=sched)
     leader.step([], 100)
     assert not leader.tasks
     out = leader.step([], 500)
@@ -177,7 +177,7 @@ def test_schedule_entry_spawns_dispense_then_delivery():
 
 def test_schedule_entries_fire_once():
     sched = [ScheduleEntry(time_ms=0, bed=4, slot=1)]
-    leader = Leader(1, {2: RosterEntry(2, ALL)}, schedule=sched)
+    leader = Leader(1, {2: RosterEntry(ALL)}, schedule=sched)
     leader.step([], 0)
     leader.step([], 100)
     assert len(leader.tasks) == 2
@@ -185,7 +185,7 @@ def test_schedule_entries_fire_once():
 
 def test_schedule_entries_between_ticks_fire_once_on_the_next_tick():
     sched = [ScheduleEntry(time_ms=25, bed=5, slot=2), ScheduleEntry(time_ms=15, bed=4, slot=1)]
-    leader = Leader(1, {2: RosterEntry(2, ALL)}, schedule=sched)
+    leader = Leader(1, {2: RosterEntry(ALL)}, schedule=sched)
     counts = []
     for now in range(0, 60, 10):
         leader.step([], now)
@@ -264,6 +264,19 @@ def test_nav_fault_reports_failure_and_clears():
     assert fol.availability is Availability.IDLE
 
 
+def test_nav_fault_while_idle_clears_on_the_next_step():
+    # the corridor can lose the line while it patrols with no task; nothing
+    # fails, and the robot is available again once re-placed
+    fol = Follower(2, 1, ALL)
+    fol.nav_fault = True
+    assert fol.availability is Availability.FAULTED
+    assert fol.step([], 0) == []
+    assert fol.availability is Availability.IDLE
+    # and a command then starts at once
+    assert [p.kind for p in fol.step([cmd(1, 7)], 10)] == [PacketKind.ACK]
+    assert fol.active is not None and fol.execution_count == {7: 1}
+
+
 def test_status_light_mapping():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
     assert fol.status_light() is StatusLight.IDLE
@@ -285,7 +298,7 @@ def test_misaddressed_packet_raises():
 
 
 def make_pair(exec_ms=0):
-    roster = {2: RosterEntry(2, ALL)}
+    roster = {2: RosterEntry(ALL)}
     leader = Leader(1, roster, policy=TimeoutPolicy(200, 200, 2))
     fol = Follower(2, 1, ALL, exec_duration_ms={k: exec_ms for k in TaskKind})
     return leader, fol, roster
@@ -318,7 +331,7 @@ def test_lossless_round_trip_completes_task():
 
 
 def test_completed_status_catches_up_lost_ack_chain():
-    leader = Leader(1, {2: RosterEntry(2, ALL)})
+    leader = Leader(1, {2: RosterEntry(ALL)})
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)
     out = leader.step([], 0)
     (task,) = leader.tasks.values()
@@ -331,7 +344,7 @@ def test_completed_status_catches_up_lost_ack_chain():
 
 
 def test_rejected_unsupported_forces_reassignment():
-    roster = {2: RosterEntry(2, ALL), 3: RosterEntry(3, ALL)}
+    roster = {2: RosterEntry(ALL), 3: RosterEntry(ALL)}
     leader = Leader(1, roster)
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)
     leader.step([], 0)
@@ -345,7 +358,7 @@ def test_rejected_unsupported_forces_reassignment():
 
 
 def test_escalation_notifies_staff():
-    roster = {2: RosterEntry(2, frozenset({TaskKind.ARM_DISPENSE}))}
+    roster = {2: RosterEntry(frozenset({TaskKind.ARM_DISPENSE}))}
     leader = Leader(1, roster, policy=TimeoutPolicy(100, 100, 1))
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)   # needs PATROL_CHECK
     for i in range(40):
@@ -359,7 +372,7 @@ def test_escalation_notifies_staff():
 def test_dependency_escalation_cascades_to_delivery():
     sched = [ScheduleEntry(time_ms=0, bed=4, slot=1)]
     # nobody can dispense, so the delivery must never be attempted
-    roster = {2: RosterEntry(2, frozenset({TaskKind.DELIVER_MEDICINE}))}
+    roster = {2: RosterEntry(frozenset({TaskKind.DELIVER_MEDICINE}))}
     leader = Leader(1, roster, sched, TimeoutPolicy(100, 100, 1))
     for i in range(60):
         leader.step([], i * 50)

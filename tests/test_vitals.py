@@ -1,15 +1,20 @@
 """Wearable noise models, threshold triage, fall detector, latency model."""
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wardsim import ConfigurationError
-from wardsim.vitals import (FallDetectorModel, FallOutcome, Flag, LatencyConfig,
-                            PatientState, Posture, SensorNoiseModel, TriageClass,
-                            TriageDecision, Vitals, class_from_probs, classify,
-                            detect_fall, one_hot, sample_vitals, triage_delay_ms)
+from wardsim import ConfigurationError, vitals
+from wardsim.vitals import (BPM_RANGE, SPO2_RANGE, TEMP_RANGE, FallDetectorModel,
+                            FallOutcome, Flag, LatencyConfig, PatientState, Posture,
+                            SensorNoiseModel, TriageClass, TriageDecision, Vitals,
+                            class_from_probs, classify, detect_fall, one_hot,
+                            rule_decision, sample_vitals, triage_class, triage_delay_ms)
 
 
 def vit(spo2=98.0, bpm=72.0, temp=36.8):
@@ -60,6 +65,54 @@ def test_temp_noise_mean_abs_error_near_target():
 def test_noise_model_rejects_negative_tolerance():
     with pytest.raises(ConfigurationError):
         SensorNoiseModel(spo2_tol=-1.0)
+
+
+def test_noise_model_rejects_a_tolerance_whose_span_overflows():
+    # Generator.uniform(-tol, tol) raises OverflowError when 2 * tol is infinite
+    largest = sys.float_info.max / 2
+    SensorNoiseModel(spo2_tol=largest, bpm_tol=largest)
+    for key in ("spo2_tol", "bpm_tol"):
+        with pytest.raises(ConfigurationError, match="half the float maximum"):
+            SensorNoiseModel(**{key: math.nextafter(largest, math.inf)})
+
+
+def _scalar_sample(patient, noise, rng, now_ms):
+    """sample_vitals as written with the Generator's scalar uniform and
+    normal calls, which it must match draw for draw."""
+    if not patient.wearing_sensor:
+        return Vitals(sample_time=now_ms, valid=False)
+    spo2, bpm, temp = patient.true_spo2, patient.true_bpm, patient.true_temp
+    if noise.spo2_tol > 0:
+        spo2 += rng.uniform(-noise.spo2_tol, noise.spo2_tol)
+    if noise.bpm_tol > 0:
+        bpm += rng.uniform(-noise.bpm_tol, noise.bpm_tol)
+    if noise.temp_mean_abs_err > 0:
+        eps = rng.normal(0.0, noise.temp_sigma)
+        temp += min(max(eps, -noise.temp_trunc), noise.temp_trunc)
+    return Vitals(sample_time=now_ms, valid=True,
+                  spo2=min(max(spo2, SPO2_RANGE[0]), SPO2_RANGE[1]),
+                  bpm=min(max(bpm, BPM_RANGE[0]), BPM_RANGE[1]),
+                  temp=min(max(temp, TEMP_RANGE[0]), TEMP_RANGE[1]))
+
+
+# 0 skips the draw; the largest tolerance still has a finite span
+_tolerance = st.one_of(st.just(0.0), st.floats(0.0, 50.0),
+                       st.floats(0.0, sys.float_info.max / 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), _tolerance, _tolerance, _tolerance,
+       st.floats(*SPO2_RANGE), st.floats(*BPM_RANGE), st.floats(*TEMP_RANGE))
+def test_sample_vitals_draws_what_scalar_uniform_and_normal_drew(
+        seed, spo2_tol, bpm_tol, temp_err, spo2, bpm, temp):
+    noise = SensorNoiseModel(spo2_tol=spo2_tol, bpm_tol=bpm_tol, temp_mean_abs_err=temp_err)
+    patient = PatientState(true_spo2=spo2, true_bpm=bpm, true_temp=temp)
+    ours, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for now in range(0, 300, 10):
+        sample = sample_vitals(patient, noise, ours, now)
+        assert repr(sample) == repr(_scalar_sample(patient, noise, scalar, now))
+    # the same words were taken from the stream
+    assert ours.bit_generator.state == scalar.bit_generator.state
 
 
 def test_patient_state_clamps_to_physiological_ranges():
@@ -149,6 +202,23 @@ def test_decision_invariants_enforced():
     with pytest.raises(ConfigurationError):
         # class must equal the argmax of probs
         TriageDecision(TriageClass.NO_HOSPITAL, (0.9, 0.05, 0.05), frozenset())
+
+
+def test_every_cached_rule_decision_equals_a_fresh_one():
+    pairs = [(frozenset(flags), severe) for n in range(len(Flag) + 1)
+             for flags in itertools.combinations(Flag, n) for severe in (False, True)]
+    assert set(vitals._RULE_DECISIONS) == set(pairs)
+    for flags, severe in pairs:
+        cls = triage_class(severe, flags)
+        decision = rule_decision(severe, frozenset(flags))
+        assert decision == TriageDecision(cls, one_hot(cls), flags)
+        assert decision.flag_names == tuple(sorted(f.value for f in flags))
+    # classify hands out the cached decisions
+    for v in (vit(), vit(spo2=87.0), vit(spo2=80.0, temp=40.0, bpm=130.0),
+              Vitals(sample_time=0, valid=False)):
+        flags, severe = vitals.screen(v)
+        assert classify(v) is rule_decision(severe, flags)
+        assert classify(v, fall_flag=True) is rule_decision(severe, flags | {Flag.FALL})
 
 
 def test_one_hot_layout():
