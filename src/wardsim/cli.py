@@ -6,7 +6,7 @@
     wardsim mlbench [--n 1000] [--seed N]
 
 Exit codes: 0 success, 2 scenario validation error or malformed event log,
-3 invariant abort.
+3 engine abort (an invariant violation, or a non-finite pose).
 """
 
 from __future__ import annotations

@@ -40,7 +40,8 @@ _MOVING_KINDS = (TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE)
 
 
 class EngineAbort(RuntimeError):
-    """An internal invariant failed; carries the log up to the failure."""
+    """An internal invariant failed, or the state left the range its
+    constructors accept; carries the log up to the failure."""
 
     def __init__(self, message: str, log: EventLog):
         super().__init__(message)
