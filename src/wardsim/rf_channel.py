@@ -37,8 +37,8 @@ class LinkCondition(enum.Enum):
 
 
 # Packet and DeliveryRecord are immutable records made for every send; as
-# NamedTuples they cost a third of a frozen dataclass, whose __init__ sets
-# each field through object.__setattr__.
+# NamedTuples they cost under half as much to build as a frozen dataclass,
+# whose __init__ sets each field through object.__setattr__.
 
 class Packet(NamedTuple):
     src: int

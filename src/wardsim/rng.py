@@ -56,10 +56,11 @@ class Doubles:
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):
         span = high - low
-        if not 0.0 <= span < math.inf:  # Generator.uniform's checks and messages
-            if span < 0.0:
+        if not 0.0 < span < math.inf:  # Generator.uniform's checks, in its order
+            if not math.isfinite(span):
+                raise OverflowError("high - low range exceeds valid bounds")
+            if math.copysign(1.0, span) < 0.0:  # the Generator tests the sign bit
                 raise ValueError("high - low < 0")
-            raise OverflowError("high - low range exceeds valid bounds")
         random = self.random
         if size is None:
             return low + span * random()

@@ -80,8 +80,8 @@ class PatientState:
 
 class Vitals(NamedTuple):
     """One wearable sample. A NamedTuple, as Packet is: the engine makes two
-    per sample, and a frozen dataclass sets each field through
-    object.__setattr__, which costs more than the whole tuple."""
+    per sample, and a NamedTuple costs under half as much to build as a
+    frozen dataclass."""
     sample_time: int
     valid: bool
     spo2: float | None = None
