@@ -6,7 +6,8 @@
     wardsim mlbench [--n 1000] [--seed N]
 
 Exit codes: 0 success, 2 scenario validation error or malformed event log,
-3 engine abort (an invariant violation, or a non-finite pose).
+3 engine abort (an invariant violation, a non-finite pose, or any other
+error in the tick loop; `run` still writes events_partial.jsonl).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _cmd_run(args) -> int:
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
         exc.log.save(os.path.join(out, "events_partial.jsonl"))
-        print(f"run aborted on invariant violation: {exc}", file=sys.stderr)
+        print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     if args.out:
         export_outputs(log, metrics, args.out)
@@ -75,7 +76,7 @@ def _cmd_suite(args) -> int:
     try:
         result = run_suite(configs, trials=args.trials)
     except EngineAbort as exc:
-        print(f"suite aborted on invariant violation: {exc}", file=sys.stderr)
+        print(f"suite aborted: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     text = result.as_text()
     if args.out:

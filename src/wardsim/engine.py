@@ -17,11 +17,10 @@ import operator
 import statistics
 from dataclasses import dataclass, field
 
-from . import ConfigurationError, InvariantError
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
 from .metrics import EventLog, MetricsAccumulator, RunMetrics
-from .protocol import Follower, Leader, RosterEntry, StatusLight, TaskKind
+from .protocol import Follower, Leader, StatusLight, TaskKind
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
 from .scenario import ScenarioConfig
@@ -40,8 +39,9 @@ _MOVING_KINDS = (TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE)
 
 
 class EngineAbort(RuntimeError):
-    """An internal invariant failed, or the state left the range its
-    constructors accept; carries the log up to the failure."""
+    """The tick loop stopped on an exception: an internal invariant failed,
+    the state left the range its constructors accept, or any other error.
+    Carries the log up to the failure."""
 
     def __init__(self, message: str, log: EventLog):
         super().__init__(message)
@@ -55,23 +55,16 @@ class Engine:
         robots, corridor = config.robots, config.robots.corridor
         self.channel = Channel(config.channel, robots.addresses, self.streams["channel"])
 
-        roster = {
-            corridor.address: RosterEntry(frozenset(_MOVING_KINDS)),
-            robots.arm.address: RosterEntry(frozenset({TaskKind.ARM_DISPENSE})),
-        }
-        self.leader = Leader(robots.leader.address, roster, config.schedule,
-                             config.timeout_policy)
         self.corridor = Follower(corridor.address, robots.leader.address,
-                                 roster[corridor.address].capabilities,
-                                 dict(config.exec_durations_ms))
+                                 frozenset(_MOVING_KINDS), dict(config.exec_durations_ms))
         self.arm = Follower(robots.arm.address, robots.leader.address,
-                            roster[robots.arm.address].capabilities,
-                            dict(config.exec_durations_ms))
+                            frozenset({TaskKind.ARM_DISPENSE}), dict(config.exec_durations_ms))
         self.followers = {f.address: f for f in (self.corridor, self.arm)}
-        # the followers by address, in the order they step, and each roster
-        # entry with the follower whose availability it mirrors
+        # the followers are the leader's roster: it reads their availability
+        self.leader = Leader(robots.leader.address, self.followers, config.schedule,
+                             config.timeout_policy)
+        # the followers by address, in the order they step
         self._step_order = sorted(self.followers.items())
-        self._mirrors = [(entry, self.followers[a]) for a, entry in roster.items()]
 
         self.patient = PatientState()
         self.motion = MotionSimulator(config.start_pose, corridor.chassis,
@@ -364,8 +357,6 @@ class Engine:
                 self._sample_wearable()
                 self._triage_ready()
 
-                for entry, follower in self._mirrors:
-                    entry.availability = follower.availability
                 leader_out = self.leader.step(self._inboxes[self.leader.address], self._now)
                 self._inboxes[self.leader.address] = []
                 for pkt in leader_out:
@@ -388,11 +379,12 @@ class Engine:
                 self._drive(dt_s)
                 self._status_light()
                 self._drain_notifications()
-        except (InvariantError, ConfigurationError) as exc:
-            # a validated scenario can still drive the state out of range: a
-            # wheel radius near the float maximum overflows the pose, whose
-            # constructor refuses a non-finite coordinate
-            raise EngineAbort(str(exc), self.log) from exc
+        except Exception as exc:
+            # an invariant can fail, and a validated scenario can still drive
+            # the state out of range (a wheel radius near the float maximum
+            # overflows the pose, whose constructor refuses a non-finite
+            # coordinate); whatever stops the loop, the log so far is kept
+            raise EngineAbort(f"{type(exc).__name__}: {exc}", self.log) from exc
         return self.log, self.acc.result()
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..vitals import SEVERITY_ORDER, TriageThresholds, Vitals, classify
+from ..vitals import SEVERITY_ORDER, Vitals, classify
 
 FEATURE_NAMES = ("spo2", "bpm", "temp", "fall_flag")
 # a label is an index into SEVERITY_ORDER
@@ -64,11 +64,10 @@ def _draw_row(name: str, rng: np.random.Generator) -> tuple[float, float, float,
     return spo2, bpm, temp, fall
 
 
-def rule_label(spo2: float, bpm: float, temp: float, fall: float,
-               thresholds: TriageThresholds = TriageThresholds()) -> int:
+def rule_label(spo2: float, bpm: float, temp: float, fall: float) -> int:
     """Severity-ordered class index from the threshold triage rule."""
     v = Vitals(sample_time=0, valid=True, spo2=spo2, bpm=bpm, temp=temp)
-    decision = classify(v, fall_flag=bool(fall), thresholds=thresholds)
+    decision = classify(v, fall_flag=bool(fall))
     return SEVERITY_ORDER.index(decision.triage_class)
 
 

@@ -19,7 +19,7 @@ Task lifecycle:
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from . import InvariantError
@@ -129,7 +129,9 @@ def liveness_bound_ms(policy: TimeoutPolicy, n_capable: int) -> int:
 
 @dataclass
 class RosterEntry:
-    """What the leader knows of one follower; the roster maps its address to it."""
+    """A stand-in for a follower on the leader's roster, which reads only a
+    value's `capabilities` and `availability`: for a leader stepped with no
+    followers, or one told other than a follower's own state."""
     capabilities: frozenset[TaskKind]
     availability: Availability = Availability.IDLE
 
@@ -176,15 +178,17 @@ class Leader:
     the tasks not yet in a terminal state, in task-id order: a task enters it
     on creation and leaves it on reaching a terminal state, which it never
     leaves, so the per-step scans cost the open work, not the whole shift.
-    The roster's followers are fixed at construction (their availability is
-    not), so the leader sorts them by address once.
+    The roster maps each follower's address to the follower itself (or a
+    `RosterEntry` stand-in); the leader reads its `capabilities` and, at
+    each step, its current `availability`, and changes neither. The roster's
+    members are fixed at construction (their availability is not), so the
+    leader sorts them by address once.
     """
 
-    def __init__(self, address: int, roster: dict[int, RosterEntry],
+    def __init__(self, address: int, roster: Mapping[int, Follower | RosterEntry],
                  schedule: Iterable[ScheduleEntry] = (),
                  policy: TimeoutPolicy = TimeoutPolicy()):
         self.address = address
-        self.roster = roster
         self._by_address = sorted(roster.items())
         # the kinds some follower can do; any other is escalated at once
         self._served = frozenset().union(*(e.capabilities for e in roster.values()))

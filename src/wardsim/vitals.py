@@ -1,11 +1,11 @@
 """Wearable vitals sampling with sensor noise, threshold triage, and the
 fall-detector and triage-latency models.
 
-Screening bands (`TriageThresholds`; no scenario key sets them, so every
-run uses these defaults): SpO2 below 90% flags low oxygen and below 85% is
-severe; temperature at or above 38.0 C flags fever and 39.5 C is severe;
-heart rate outside [50, 120] BPM is abnormal. `screen` applies the
-bands to one sample. `triage_class` is the one class rule: severe conditions
+Screening bands (`BANDS`, one fixed `TriageThresholds`; no scenario key
+sets them): SpO2 below 90% flags low oxygen and below 85% is severe;
+temperature at or above 38.0 C flags fever and 39.5 C is severe; heart
+rate outside [50, 120] BPM is abnormal. `screen` applies the bands to one
+sample. `triage_class` is the one class rule: severe conditions
 and falls are GoToHospital, any other flag MonitorAtHome, no flag
 NoHospital. `classify` applies it to a single sample; the engine applies it
 to the debounced state instead, where each numeric flag and severity itself
@@ -159,6 +159,10 @@ class TriageThresholds:
     hr_high: float = 120.0
 
 
+# the screening bands of every run
+BANDS = TriageThresholds()
+
+
 @dataclass(frozen=True)
 class TriageDecision:
     triage_class: TriageClass
@@ -234,30 +238,23 @@ _NUMERIC_FLAGS = tuple(
 _NO_VITALS = frozenset({Flag.NO_VITALS})
 
 
-def screen(vitals: Vitals, thresholds: TriageThresholds = TriageThresholds()
-           ) -> tuple[frozenset[Flag], bool]:
-    """The threshold checks of one sample: its flags, and whether it is severe."""
+def screen(vitals: Vitals) -> tuple[frozenset[Flag], bool]:
+    """The threshold checks of one sample against `BANDS`: its flags, and
+    whether it is severe."""
     if not vitals.valid:
         return _NO_VITALS, False
-    spo2, temp = vitals.spo2, vitals.temp
-    flags = _NUMERIC_FLAGS[(spo2 < thresholds.low_spo2)
-                           + 2 * (temp >= thresholds.fever)
-                           + 4 * (not thresholds.hr_low <= vitals.bpm <= thresholds.hr_high)]
-    return flags, spo2 < thresholds.severe_spo2 or temp >= thresholds.severe_fever
+    spo2, temp, bands = vitals.spo2, vitals.temp, BANDS
+    flags = _NUMERIC_FLAGS[(spo2 < bands.low_spo2)
+                           + 2 * (temp >= bands.fever)
+                           + 4 * (not bands.hr_low <= vitals.bpm <= bands.hr_high)]
+    return flags, spo2 < bands.severe_spo2 or temp >= bands.severe_fever
 
 
-def classify(vitals: Vitals, fall_flag: bool = False,
-             thresholds: TriageThresholds = TriageThresholds(),
-             probs=None) -> TriageDecision:
-    """Threshold triage. When ML probabilities are supplied they become the
-    decision's probs and the class is their argmax; otherwise the rule-based
-    class with one-hot probs."""
-    flags, severe = screen(vitals, thresholds)
+def classify(vitals: Vitals, fall_flag: bool = False) -> TriageDecision:
+    """Threshold triage: the rule-based class of one sample, with one-hot probs."""
+    flags, severe = screen(vitals)
     if fall_flag:
         flags |= {Flag.FALL}
-    if probs is not None:
-        p = tuple(float(x) for x in probs)
-        return TriageDecision(class_from_probs(p), p, flags)
     return rule_decision(severe, flags)
 
 

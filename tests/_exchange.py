@@ -9,9 +9,8 @@ import json
 
 import numpy as np
 
-from wardsim.protocol import (Follower, Leader, RosterEntry, ScheduleEntry,
-                              TaskKind, TimeoutPolicy, TERMINAL_STATES,
-                              liveness_bound_ms)
+from wardsim.protocol import (Follower, Leader, ScheduleEntry, TaskKind,
+                              TimeoutPolicy, TERMINAL_STATES, liveness_bound_ms)
 from wardsim.rf_channel import Channel, ChannelConfig, Packet, PacketKind
 from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
 
@@ -26,14 +25,13 @@ def run_lossy_exchange(seed: int, pdr: float, n_entries: int = 1,
     the given delivery ratio until the task table settles or the liveness
     deadline passes. Returns (leader, followers dict, settled flag)."""
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=200, max_retries=5)
-    roster = {a: RosterEntry(ALL_KINDS) for a in FOLLOWERS}
     schedule = [ScheduleEntry(time_ms=0, bed=4 + i, slot=i) for i in range(n_entries)]
-    leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
     followers = {
         a: Follower(a, LEADER, ALL_KINDS,
                     exec_duration_ms={k: 0 for k in TaskKind})
         for a in FOLLOWERS
     }
+    leader = Leader(LEADER, followers, schedule=schedule, policy=policy)
     channel = Channel(ChannelConfig(pdr_clear=pdr, pdr_obstructed=pdr),
                       [LEADER, *FOLLOWERS], np.random.default_rng(seed))
 
@@ -46,8 +44,6 @@ def run_lossy_exchange(seed: int, pdr: float, n_entries: int = 1,
     now = 0
     settled = False
     while now <= deadline:
-        for addr, fol in followers.items():
-            roster[addr].availability = fol.availability
         for pkt in channel.deliveries_due(now):
             inboxes[pkt.dst].append(pkt)
         for pkt in leader.step(inboxes[LEADER], now):
@@ -108,6 +104,19 @@ _NAV_FAULT_FROM = 500       # first time follower 2 may lose the line
 _LAST_INPUT = 800
 
 
+class _Claim:
+    """A roster value that claims `capabilities` for a follower and reads
+    the follower's own availability."""
+
+    def __init__(self, capabilities, follower):
+        self.capabilities = capabilities
+        self._follower = follower
+
+    @property
+    def availability(self):
+        return self._follower.availability
+
+
 def _packet_line(now, pkt):
     payload = json.dumps(pkt.payload, sort_keys=True)
     return f"{now} packet {pkt.src}->{pkt.dst} seq={pkt.seq} {pkt.kind.value} {payload}"
@@ -124,11 +133,11 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str,
     status for an unknown task, and follower 2 a command of an unknown kind."""
     claimed, actual = ROSTERS[roster_name]
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=1000, max_retries=2)
-    roster = {a: RosterEntry(caps) for a, caps in claimed.items()}
     schedule = [ScheduleEntry(time_ms=0, bed=4, slot=0), ScheduleEntry(time_ms=150, bed=5, slot=1)]
-    leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
     followers = {a: Follower(a, LEADER, caps, exec_duration_ms=TRANSCRIPT_EXEC_MS[exec_name])
                  for a, caps in actual.items()}
+    roster = {a: _Claim(caps, followers[a]) for a, caps in claimed.items()}
+    leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
     channel = Channel(ChannelConfig(pdr_clear=pdr, pdr_obstructed=pdr),
                       [LEADER, *followers], np.random.default_rng(seed))
     lines = []
@@ -153,8 +162,6 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str,
             channel.send(Packet(2, LEADER, now, PacketKind.ALERT, {"alert": "fall"}, now))
         if now in _TRIAGE:
             leader.handle_triage(_TRIAGE[now], now)
-        for addr, fol in followers.items():
-            roster[addr].availability = fol.availability
         for pkt in leader.step(inboxes[LEADER], now):
             lines.append(_packet_line(now, pkt))
             channel.send(pkt)
@@ -169,7 +176,7 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str,
             if fol.status_light() is not lights[addr]:
                 lights[addr] = fol.status_light()
                 lines.append(f"{now} light {addr} {lights[addr].value}")
-        # as in the engine, the fault shows in the next tick's roster
+        # as in the engine, the leader sees the fault at its next step
         if not faulted and now >= _NAV_FAULT_FROM and followers[2].active is not None:
             followers[2].nav_fault = faulted = True
         if now >= _LAST_INPUT and all(t.state in TERMINAL_STATES

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
@@ -222,6 +223,22 @@ def test_engine_abort_carries_partial_log():
     assert len(exc.value.log.records) >= 1
 
 
+def misaddressed_engine(config):
+    """An engine whose channel has forgotten the arm's address, so that the
+    first command to the arm raises AddressingError inside the tick loop."""
+    engine = Engine(config)
+    engine.channel.addresses.discard(config.robots.arm.address)
+    return engine
+
+
+def test_any_error_in_the_tick_loop_aborts_with_the_partial_log():
+    with pytest.raises(EngineAbort, match="^AddressingError: unknown destination address 3$") \
+            as exc:
+        misaddressed_engine(load_preset("task_suite")).run()
+    assert isinstance(exc.value.__cause__, AddressingError)
+    assert len(exc.value.log.records) == 672
+
+
 def test_triage_results_are_delivered_by_ready_time_and_stale_ones_dropped():
     engine = Engine(short_config(patient_script=[]))
 
@@ -392,6 +409,15 @@ def test_cli_run_non_finite_pose_aborts_with_a_partial_log(tmp_path, capsys):
     assert "pose coordinates must be finite" in capsys.readouterr().err
     partial = EventLog.load(out / "events_partial.jsonl")
     assert partial.records[0]["kind"] == "meta"
+    assert not (out / "events.jsonl").exists()
+
+
+def test_cli_run_any_engine_error_aborts_with_a_partial_log(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda config: misaddressed_engine(config).run())
+    out = tmp_path / "out"
+    assert main(["run", "task_suite", "--out", str(out)]) == 3
+    assert "unknown destination address 3" in capsys.readouterr().err
+    assert len(EventLog.load(out / "events_partial.jsonl").records) == 672
     assert not (out / "events.jsonl").exists()
 
 

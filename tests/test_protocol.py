@@ -298,17 +298,15 @@ def test_misaddressed_packet_raises():
 
 
 def make_pair(exec_ms=0):
-    roster = {2: RosterEntry(ALL)}
-    leader = Leader(1, roster, policy=TimeoutPolicy(200, 200, 2))
     fol = Follower(2, 1, ALL, exec_duration_ms={k: exec_ms for k in TaskKind})
-    return leader, fol, roster
+    leader = Leader(1, {2: fol}, policy=TimeoutPolicy(200, 200, 2))
+    return leader, fol
 
 
-def lossless_loop(leader, fol, roster, steps=200, dt=10):
+def lossless_loop(leader, fol, steps=200, dt=10):
     inbox_l, inbox_f = [], []
     for i in range(steps):
         now = i * dt
-        roster[2].availability = fol.availability
         out_l = leader.step(inbox_l, now)
         inbox_l = []
         inbox_f.extend(p for p in out_l)
@@ -322,12 +320,34 @@ def lossless_loop(leader, fol, roster, steps=200, dt=10):
 
 
 def test_lossless_round_trip_completes_task():
-    leader, fol, roster = make_pair()
+    leader, fol = make_pair()
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)
-    assert lossless_loop(leader, fol, roster)
+    assert lossless_loop(leader, fol)
     (task,) = leader.tasks.values()
     assert task.state is TaskState.COMPLETED
     assert fol.execution_count[task.task_id] == 1
+
+
+def test_a_roster_of_followers_is_read_at_each_step_with_no_copy():
+    followers = {a: Follower(a, 1, ALL, exec_duration_ms=dict.fromkeys(TaskKind, 1000))
+                 for a in (2, 3, 4)}
+    leader = Leader(1, followers)
+    # 2 is busy with a command the leader never sent, 3 has lost the line
+    followers[2].step([cmd(1, 70)], 0)
+    followers[3].nav_fault = True
+    leader.handle_triage(decision(Flag.LOW_SPO2), 0)
+    (command,) = leader.step([], 0)
+    assert command.dst == 4
+
+    # a fault set after the followers have stepped shows at the leader's next
+    # step; an idle robot is re-placed on the line by its own next step
+    followers[4].step([command], 0)
+    followers[3].step([], 0)
+    followers[3].nav_fault = True
+    leader.handle_triage(decision(Flag.LOW_SPO2, Flag.FEVER), 10)
+    assert leader.step([], 10) == []
+    followers[3].step([], 10)
+    assert [p.dst for p in leader.step([], 20)] == [3]
 
 
 def test_completed_status_catches_up_lost_ack_chain():

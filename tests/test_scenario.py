@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wardsim import ConfigurationError, InvariantError
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort
 from wardsim.kinematics import ChassisParams, MotionSimulator, Pose
@@ -298,5 +299,7 @@ def test_a_scenario_drawn_from_the_schema_is_rejected_or_runs(raw):
         return
     try:
         Engine(dataclasses.replace(cfg, duration_ms=2000)).run()
-    except EngineAbort:
-        pass
+    except EngineAbort as exc:
+        # the engine turns any error into an abort; a validated scenario may
+        # only end in an invariant failure or a state out of range
+        assert isinstance(exc.__cause__, (InvariantError, ConfigurationError)), exc

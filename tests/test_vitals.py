@@ -185,12 +185,6 @@ def test_flag_monotonicity_lower_spo2_never_less_severe():
         prev = rank
 
 
-def test_ml_probs_override_class():
-    d = classify(vit(), probs=(0.008, 0.990, 0.002))
-    assert d.triage_class is TriageClass.MONITOR_AT_HOME
-    assert d.probs == (0.008, 0.990, 0.002)
-
-
 def test_probs_ties_break_toward_severe():
     assert class_from_probs((0.4, 0.4, 0.2)) is TriageClass.GO_TO_HOSPITAL
     assert class_from_probs((0.1, 0.45, 0.45)) is TriageClass.MONITOR_AT_HOME
