@@ -7,7 +7,8 @@
 
 Exit codes: 0 success, 2 scenario validation error or malformed event log,
 3 engine abort (an invariant violation, a non-finite pose, or any other
-error in the tick loop; `run` still writes events_partial.jsonl).
+error in the tick loop; `run` still writes events_partial.jsonl, and
+`suite --out DIR` writes the aborted trial's, naming its scenario and seed).
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def _load(name_or_path):
     return load_preset(name_or_path)
 
 
+def _save_partial(exc: EngineAbort, out: str):
+    os.makedirs(out, exist_ok=True)
+    exc.log.save(os.path.join(out, "events_partial.jsonl"))
+
+
 def _cmd_run(args) -> int:
     if args.seed is not None and args.seed < 0:
         # the override bypasses validate(), so check it as validate() would
@@ -46,9 +52,7 @@ def _cmd_run(args) -> int:
     try:
         log, metrics = run(config)
     except EngineAbort as exc:
-        out = args.out or "."
-        os.makedirs(out, exist_ok=True)
-        exc.log.save(os.path.join(out, "events_partial.jsonl"))
+        _save_partial(exc, args.out or ".")
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     if args.out:
@@ -76,6 +80,8 @@ def _cmd_suite(args) -> int:
     try:
         result = run_suite(configs, trials=args.trials)
     except EngineAbort as exc:
+        if args.out:
+            _save_partial(exc, args.out)
         print(f"suite aborted: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     text = result.as_text()

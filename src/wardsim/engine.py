@@ -202,7 +202,7 @@ class Engine:
         self._emit("triage", {
             "sample_time": sample_time,
             "flags": list(decision.flag_names),
-            "class": decision.triage_class.value,
+            "class": decision.triage_class._value_,  # as in DeliveryRecord.payload
             "probs": list(decision.probs),
         }, "leader")
         self.leader.handle_triage(decision, self._now)
@@ -210,7 +210,7 @@ class Engine:
     def _route_deliveries(self):
         for pkt in self.channel.deliveries_due(self._now):
             self._emit("packet_deliver", {
-                "src": pkt.src, "dst": pkt.dst, "packet_kind": pkt.kind.value,
+                "src": pkt.src, "dst": pkt.dst, "packet_kind": pkt.kind._value_,
                 "seq": pkt.seq,
             }, "channel")
             if pkt.kind is PacketKind.VITALS_REPORT and pkt.dst == self.leader.address:
@@ -479,7 +479,9 @@ class SuiteResult:
 
 
 def run_suite(configs: list[ScenarioConfig], trials: int = 5) -> SuiteResult:
-    """Run each scenario `trials` times with derived seeds and aggregate."""
+    """Run each scenario `trials` times with derived seeds and aggregate. A
+    trial that aborts raises `EngineAbort` naming its scenario and seed, with
+    the trial's partial log."""
     import dataclasses
     rows = []
     for config in configs:
@@ -488,7 +490,11 @@ def run_suite(configs: list[ScenarioConfig], trials: int = 5) -> SuiteResult:
         completed = escalated = 0
         for trial in range(trials):
             trial_cfg = dataclasses.replace(config, seed=config.seed + trial)
-            _, metrics = run(trial_cfg)
+            try:
+                _, metrics = run(trial_cfg)
+            except EngineAbort as exc:
+                raise EngineAbort(f"scenario {config.name} seed {trial_cfg.seed}: {exc}",
+                                  exc.log) from exc
             for kind, lat in metrics.alert_latency_ms.items():
                 per_kind.setdefault(kind, []).append(lat)
             for kind, verdict in metrics.alert_verdicts.items():

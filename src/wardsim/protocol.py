@@ -19,6 +19,7 @@ Task lifecycle:
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -183,6 +184,17 @@ class Leader:
     each step, its current `availability`, and changes neither. The roster's
     members are fixed at construction (their availability is not), so the
     leader sorts them by address once.
+
+    The leader is event-driven: `step` does its full pass only when something
+    it waits on has changed since its last full pass, and otherwise returns
+    `[]` at once, which is what the full pass would return. What wakes it:
+    - a non-empty inbox;
+    - a new task or a task transition (`_new_task`, `_record`), from
+      `handle_triage`, `handle_fall_alert` or the previous step, so the
+      dependency cascade still runs one step after its escalation;
+    - `now` reaching the next schedule entry or the earliest wait deadline,
+      `last_activity + _wait_limits[state]`;
+    - a change in the availability of a roster member.
     """
 
     def __init__(self, address: int, roster: Mapping[int, Follower | RosterEntry],
@@ -207,12 +219,16 @@ class Leader:
         self._pending_resend: list[int] = []  # retried or reassigned this step
         self._assigned: dict[int, int] = {}   # follower addr -> open task_id
         self._prev_flags: frozenset[Flag] = frozenset()
+        self._seen: list[Availability] | None = None  # availabilities at the last full step
+        self._dirty = True   # a task was created or changed state since it began
+        self._wake = 0       # the earliest time a timeout or schedule entry is due
         self.transition_hook = lambda task, now: None  # on each new task and transition
 
     # -- helpers ---------------------------------------------------------
 
     def _record(self, task: Task, new_state: TaskState, now: int):
         task.transition(new_state, now)
+        self._dirty = True
         if new_state in TERMINAL_STATES:
             del self._open[task.task_id]
         self.transition_hook(task, now)
@@ -223,6 +239,7 @@ class Leader:
                     emergency=emergency, depends_on=depends_on)
         self.tasks[task.task_id] = task
         self._open[task.task_id] = task
+        self._dirty = True
         self.transition_hook(task, now)
         return task
 
@@ -290,11 +307,21 @@ class Leader:
     # -- main step -------------------------------------------------------
 
     def step(self, inbox: list[Packet], now: int) -> list[Packet]:
+        availability = [entry.availability for _, entry in self._by_address]
+        if not (inbox or self._dirty or now >= self._wake or availability != self._seen):
+            return []
+        self._seen, self._dirty = availability, False
         outbox: list[Packet] = []
         self._consume_inbox(inbox, now)
         self._fire_schedule(now)
         self._check_timeouts(now, outbox)
         self._dispatch(now, outbox)
+        limits = self._wait_limits
+        self._wake = min((task.last_activity + limits[task.state]
+                          for task in self._open.values() if task.state in limits),
+                         default=math.inf)
+        if self._schedule_cursor < len(self.schedule):
+            self._wake = min(self._wake, self.schedule[self._schedule_cursor].time_ms)
         return outbox
 
     def _consume_inbox(self, inbox: list[Packet], now: int):

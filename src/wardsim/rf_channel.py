@@ -80,8 +80,11 @@ class DeliveryRecord(NamedTuple):
 
     def payload(self) -> dict:
         """The payload of this send's `packet_send` event."""
-        return {"src": self.src, "dst": self.dst, "packet_kind": self.kind.value,
-                "seq": self.seq, "condition": self.condition.value,
+        # `_value_` is the plain attribute behind `.value`, which on Python
+        # 3.11 is a Python-level descriptor about four times slower to read;
+        # the engine reads it the same way on its other per-record paths
+        return {"src": self.src, "dst": self.dst, "packet_kind": self.kind._value_,
+                "seq": self.seq, "condition": self.condition._value_,
                 "outcome": self.outcome, "delay_ms": self.delay_ms}
 
 

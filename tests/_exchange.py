@@ -122,22 +122,27 @@ def _packet_line(now, pkt):
     return f"{now} packet {pkt.src}->{pkt.dst} seq={pkt.seq} {pkt.kind.value} {payload}"
 
 
-def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str,
-                        dt_ms: int = 10, deadline_ms: int = 60_000) -> list[str]:
+def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str | dict,
+                        dt_ms: int = 10, deadline_ms: int = 60_000,
+                        leader_cls: type[Leader] = Leader) -> list[str]:
     """One lossy exchange, in the engine's tick order, written down as text:
     every transition-hook call, every packet a leader or follower puts in
     its outbox, each change of a follower's status light, then the
     notifications and each follower's execution counts. Besides the
     medication schedule it feeds triage results and fall alerts, faults
     follower 2's navigation once, and hands the leader a stale ack and a
-    status for an unknown task, and follower 2 a command of an unknown kind."""
+    status for an unknown task, and follower 2 a command of an unknown kind.
+    `exec_name` names a set of execution times in TRANSCRIPT_EXEC_MS, or is
+    such a set itself; `leader_cls` builds the leader, so a test can swap in
+    a variant."""
     claimed, actual = ROSTERS[roster_name]
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=1000, max_retries=2)
     schedule = [ScheduleEntry(time_ms=0, bed=4, slot=0), ScheduleEntry(time_ms=150, bed=5, slot=1)]
-    followers = {a: Follower(a, LEADER, caps, exec_duration_ms=TRANSCRIPT_EXEC_MS[exec_name])
+    exec_ms = TRANSCRIPT_EXEC_MS[exec_name] if isinstance(exec_name, str) else exec_name
+    followers = {a: Follower(a, LEADER, caps, exec_duration_ms=exec_ms)
                  for a, caps in actual.items()}
     roster = {a: _Claim(caps, followers[a]) for a, caps in claimed.items()}
-    leader = Leader(LEADER, roster, schedule=schedule, policy=policy)
+    leader = leader_cls(LEADER, roster, schedule=schedule, policy=policy)
     channel = Channel(ChannelConfig(pdr_clear=pdr, pdr_obstructed=pdr),
                       [LEADER, *followers], np.random.default_rng(seed))
     lines = []

@@ -1,14 +1,18 @@
 """Hypothesis profiles. Tier-1 runs hypothesis' default budget; the
 `schema-fuzz` profile gives the schema-walking scenario test a larger one,
-and `log-fuzz` the event-log loader's property:
+`log-fuzz` the event-log loader's property, and `protocol-fuzz` the check
+that the event-driven leader equals one that does its full pass every step:
 
     python -m pytest --hypothesis-profile=schema-fuzz \
         "tests/test_scenario.py::test_a_scenario_drawn_from_the_schema_is_rejected_or_runs"
     python -m pytest --hypothesis-profile=log-fuzz \
         "tests/test_metrics.py::test_batch_load_equals_the_per_line_loop"
+    python -m pytest --hypothesis-profile=protocol-fuzz \
+        "tests/test_protocol.py::test_the_event_driven_leader_equals_one_that_steps_in_full"
 """
 
 from hypothesis import settings
 
 settings.register_profile("schema-fuzz", max_examples=2000)
 settings.register_profile("log-fuzz", max_examples=1000)
+settings.register_profile("protocol-fuzz", max_examples=1000)

@@ -421,6 +421,18 @@ def test_cli_run_any_engine_error_aborts_with_a_partial_log(tmp_path, capsys, mo
     assert not (out / "events.jsonl").exists()
 
 
+def test_cli_suite_abort_names_the_trial_and_saves_its_partial_log(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(engine_module, "run", lambda config: misaddressed_engine(config).run())
+    out = tmp_path / "out"
+    assert main(["suite", "task_suite", "--trials", "2", "--out", str(out)]) == 3
+    # task_suite's seed is 21, and its first trial aborts
+    assert capsys.readouterr().err == ("suite aborted: scenario task_suite seed 21: "
+                                       "AddressingError: unknown destination address 3\n")
+    assert len(EventLog.load(out / "events_partial.jsonl").records) == 672
+    assert not (out / "suite.txt").exists()
+
+
 def test_cli_replay_round_trip(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "alert_no_vitals", "--out", str(out)]) == 0
