@@ -1,5 +1,5 @@
-"""Task state machine, timeout ladder, follower idempotence, and the full
-leader/follower exchange under packet loss."""
+"""Task state machine, timeout ladder, follower idempotence, the full
+leader/follower exchange under packet loss, and the leader's skipped steps."""
 
 import ast
 import hashlib
