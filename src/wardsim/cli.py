@@ -5,10 +5,12 @@
     wardsim replay <events.jsonl>
     wardsim mlbench [--n 1000] [--seed N]
 
-Exit codes: 0 success, 2 scenario validation error or malformed event log,
-3 engine abort (an invariant violation, a non-finite pose, or any other
-error in the tick loop; `run` still writes events_partial.jsonl, and
-`suite --out DIR` writes the aborted trial's, naming its scenario and seed).
+Exit codes: 0 success, 2 scenario validation error, malformed event log, or
+invalid option (a negative `--seed`, `--trials` below 1, an `mlbench` `--n`
+below 10 or `--noise-rate` outside [0, 1)), 3 engine abort (an invariant
+violation, a non-finite pose, or any other error in the tick loop; `run`
+still writes events_partial.jsonl, and `suite --out DIR` writes the aborted
+trial's, naming its scenario and seed).
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    if args.trials < 1:
+        print("invalid suite option: --trials must be at least 1", file=sys.stderr)
+        return EXIT_VALIDATION
     configs = []
     try:
         for item in args.scenarios:
@@ -107,7 +112,11 @@ def _cmd_replay(args) -> int:
 def _cmd_mlbench(args) -> int:
     from .ml import KnnClassifier, DecisionTree, RandomForest, evaluate, generate_dataset
 
-    dataset = generate_dataset(n=args.n, noise_rate=args.noise_rate, seed=args.seed)
+    try:
+        dataset = generate_dataset(n=args.n, noise_rate=args.noise_rate, seed=args.seed)
+    except ValueError as exc:
+        print(f"invalid mlbench option: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     models = [
         ("knn", KnnClassifier(k=5)),
         ("decision_tree", DecisionTree(max_depth=8, min_leaf=5)),

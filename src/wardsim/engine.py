@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
-from .metrics import EventLog, MetricsAccumulator, RunMetrics
+from .metrics import EventLog, MetricsAccumulator, RunMetrics, success_rate
 from .protocol import Follower, Leader, StatusLight, TaskKind
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
@@ -447,9 +447,12 @@ class SuiteRow:
     runs: int
     latencies_ms: dict[str, tuple[float, float]] = field(default_factory=dict)  # kind -> (mean, std)
     verdicts: dict[str, str] = field(default_factory=dict)
-    success_rate: float | None = None
     tasks_completed: int = 0
     tasks_escalated: int = 0
+
+    @property
+    def success_rate(self) -> float | None:
+        return success_rate(self.tasks_completed, self.tasks_escalated)
 
 
 @dataclass
@@ -458,9 +461,8 @@ class SuiteResult:
 
     @property
     def overall_success_rate(self) -> float | None:
-        done = sum(r.tasks_completed for r in self.rows)
-        esc = sum(r.tasks_escalated for r in self.rows)
-        return done / (done + esc) if done + esc else None
+        return success_rate(sum(r.tasks_completed for r in self.rows),
+                            sum(r.tasks_escalated for r in self.rows))
 
     def as_text(self) -> str:
         lines = []
@@ -511,7 +513,5 @@ def run_suite(configs: list[ScenarioConfig], trials: int = 5) -> SuiteResult:
             row.verdicts[kind] = "pass" if 2 * verdicts.count("pass") > len(verdicts) else "fail"
         row.tasks_completed = completed
         row.tasks_escalated = escalated
-        if completed + escalated:
-            row.success_rate = completed / (completed + escalated)
         rows.append(row)
     return SuiteResult(rows)

@@ -131,6 +131,12 @@ class EventLog:
                 raise ValueError(f"malformed event log at record {i}: {exc}") from exc
 
 
+def success_rate(completed: int, escalated: int) -> float | None:
+    """The share of settled tasks that completed; None when none settled."""
+    settled = completed + escalated
+    return completed / settled if settled else None
+
+
 @dataclass
 class RunMetrics:
     pdr: dict[str, float] = field(default_factory=dict)          # per condition
@@ -140,12 +146,15 @@ class RunMetrics:
     tasks_created: int = 0
     tasks_completed: int = 0
     tasks_escalated: int = 0
-    task_success_rate: float | None = None
     alert_latency_ms: dict[str, float] = field(default_factory=dict)  # per scenario kind
     alert_verdicts: dict[str, str] = field(default_factory=dict)      # "pass" | "fail"
     drift_final_raw_m: float | None = None
     drift_final_corrected_m: float | None = None
     energy_units: float = 0.0
+
+    @property
+    def task_success_rate(self) -> float | None:
+        return success_rate(self.tasks_completed, self.tasks_escalated)
 
     def as_text(self) -> str:
         lines = []
@@ -267,9 +276,6 @@ class MetricsAccumulator:
         m.tasks_created = len(self._task_seen)
         m.tasks_completed = sum(1 for s in self._task_terminal.values() if s == "completed")
         m.tasks_escalated = sum(1 for s in self._task_terminal.values() if s == "escalated")
-        settled = m.tasks_completed + m.tasks_escalated
-        if settled:
-            m.task_success_rate = m.tasks_completed / settled
         m.alert_latency_ms = dict(sorted(self._latencies.items()))
         for sk, onset in self._onsets.items():
             budget = self._budgets.get(sk)

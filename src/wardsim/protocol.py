@@ -180,21 +180,22 @@ class Leader:
     on creation and leaves it on reaching a terminal state, which it never
     leaves, so the per-step scans cost the open work, not the whole shift.
     The roster maps each follower's address to the follower itself (or a
-    `RosterEntry` stand-in); the leader reads its `capabilities` and, at
-    each step, its current `availability`, and changes neither. The roster's
+    `RosterEntry` stand-in); the leader reads its `capabilities` and, in a
+    full pass, its current `availability`, and changes neither. The roster's
     members are fixed at construction (their availability is not), so the
     leader sorts them by address once.
 
-    The leader is event-driven: `step` does its full pass only when something
-    it waits on has changed since its last full pass, and otherwise returns
-    `[]` at once, which is what the full pass would return. What wakes it:
-    - a non-empty inbox;
-    - a new task or a task transition (`_new_task`, `_record`), from
-      `handle_triage`, `handle_fall_alert` or the previous step, so the
+    The leader is event-driven: `step` does its full pass only on a non-empty
+    inbox or once `now` reaches `_wake`, and otherwise returns `[]` at once,
+    which is what the full pass would return. `_wake` is set:
+    - to -inf by a new task or a task transition (`_new_task`, `_record`),
+      from `handle_triage`, `handle_fall_alert` or the previous step, so the
       dependency cascade still runs one step after its escalation;
-    - `now` reaching the next schedule entry or the earliest wait deadline,
-      `last_activity + _wait_limits[state]`;
-    - a change in the availability of a roster member.
+    - to -inf by a fresh task that found no follower while a capable one
+      could still turn idle, or recover from a fault, with no packet to say
+      so (see `_dispatch`);
+    - at the end of a full pass, to no later than the next schedule entry
+      and the earliest wait deadline, `last_activity + _wait_limits[state]`.
     """
 
     def __init__(self, address: int, roster: Mapping[int, Follower | RosterEntry],
@@ -219,16 +220,14 @@ class Leader:
         self._pending_resend: list[int] = []  # retried or reassigned this step
         self._assigned: dict[int, int] = {}   # follower addr -> open task_id
         self._prev_flags: frozenset[Flag] = frozenset()
-        self._seen: list[Availability] | None = None  # availabilities at the last full step
-        self._dirty = True   # a task was created or changed state since it began
-        self._wake = 0       # the earliest time a timeout or schedule entry is due
+        self._wake = -math.inf  # the next step at or after it does the full pass
         self.transition_hook = lambda task, now: None  # on each new task and transition
 
     # -- helpers ---------------------------------------------------------
 
     def _record(self, task: Task, new_state: TaskState, now: int):
         task.transition(new_state, now)
-        self._dirty = True
+        self._wake = -math.inf
         if new_state in TERMINAL_STATES:
             del self._open[task.task_id]
         self.transition_hook(task, now)
@@ -239,7 +238,7 @@ class Leader:
                     emergency=emergency, depends_on=depends_on)
         self.tasks[task.task_id] = task
         self._open[task.task_id] = task
-        self._dirty = True
+        self._wake = -math.inf
         self.transition_hook(task, now)
         return task
 
@@ -307,21 +306,20 @@ class Leader:
     # -- main step -------------------------------------------------------
 
     def step(self, inbox: list[Packet], now: int) -> list[Packet]:
-        availability = [entry.availability for _, entry in self._by_address]
-        if not (inbox or self._dirty or now >= self._wake or availability != self._seen):
+        if not inbox and now < self._wake:
             return []
-        self._seen, self._dirty = availability, False
+        self._wake = math.inf
         outbox: list[Packet] = []
         self._consume_inbox(inbox, now)
         self._fire_schedule(now)
         self._check_timeouts(now, outbox)
         self._dispatch(now, outbox)
         limits = self._wait_limits
-        self._wake = min((task.last_activity + limits[task.state]
-                          for task in self._open.values() if task.state in limits),
-                         default=math.inf)
+        wakes = [self._wake, *(task.last_activity + limits[task.state]
+                               for task in self._open.values() if task.state in limits)]
         if self._schedule_cursor < len(self.schedule):
-            self._wake = min(self._wake, self.schedule[self._schedule_cursor].time_ms)
+            wakes.append(self.schedule[self._schedule_cursor].time_ms)
+        self._wake = min(wakes)
         return outbox
 
     def _consume_inbox(self, inbox: list[Packet], now: int):
@@ -452,6 +450,12 @@ class Leader:
                     del self._assigned[addr]
             if addr is not None:
                 self._send_command(task, addr, now, outbox)
+            elif any(task.kind in entry.capabilities and (task.emergency or a not in self._assigned)
+                     for a, entry in self._by_address):
+                # a follower that no task holds (any, for an emergency, which
+                # preempts) can turn idle, or recover from a fault, with no
+                # packet to say so; any other is freed only by a transition
+                self._wake = -math.inf
 
 
 # how long a follower takes to carry out each kind of task, in ms

@@ -512,6 +512,22 @@ def test_cli_suite_from_directory(tmp_path, capsys):
     assert (tmp_path / "out" / "suite.txt").exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cli_suite_trials_below_one_exits_two(capsys, trials):
+    assert main(["suite", "default", "--trials", trials]) == 2
+    assert capsys.readouterr() == ("", "invalid suite option: --trials must be at least 1\n")
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--n", "5"], "n must be at least 10"),
+    (["--noise-rate", "1.5"], "noise_rate must be in [0, 1)"),
+    (["--noise-rate", "nan"], "noise_rate must be in [0, 1)"),
+])
+def test_cli_mlbench_invalid_option_exits_two(capsys, option, message):
+    assert main(["mlbench", *option]) == 2
+    assert capsys.readouterr() == ("", f"invalid mlbench option: {message}\n")
+
+
 def test_cli_mlbench_reports_three_models(capsys):
     assert main(["mlbench", "--n", "300", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -4,6 +4,7 @@ leader/follower exchange under packet loss, and the leader's skipped steps."""
 import ast
 import hashlib
 import itertools
+import math
 import trace
 from pathlib import Path
 
@@ -534,10 +535,15 @@ def statement_lines(*class_names) -> set[int]:
 
 def test_the_transcript_exchanges_run_every_statement_of_leader_and_follower():
     # every roster and execution-time set at PDR 0.7 for two of the seeds;
-    # between them they meet a busy rejection and a stale executor's status
+    # between them they meet a busy rejection and a stale executor's status.
+    # The leader reads availability only in a full pass, and none of those
+    # finds a faulted follower, so one more exchange, in which a full pass
+    # does, runs Follower.availability's FAULTED return
     tracer = trace.Trace(count=1, trace=0)
-    for roster, exec_name, seed in itertools.product(ROSTERS, TRANSCRIPT_EXEC_MS, (4, 10)):
-        tracer.runfunc(protocol_transcript, seed, 0.7, roster, exec_name)
+    exchanges = [(seed, 0.7, roster, exec_name) for roster, exec_name, seed
+                 in itertools.product(ROSTERS, TRANSCRIPT_EXEC_MS, (4, 10))]
+    for args in exchanges + [(4, 1.0, "all_capable", "mixed")]:
+        tracer.runfunc(protocol_transcript, *args)
     ran = {line for path, line in tracer.results().counts if path == protocol.__file__}
     source = Path(protocol.__file__).read_text().splitlines()
     missed = [f"{n}: {source[n - 1].strip()}"
@@ -566,7 +572,9 @@ def test_a_roster_member_turning_idle_wakes_the_leader_on_that_tick():
     entry.availability = Availability.IDLE
     (command,) = leader.step([], 20)
     assert (command.dst, command.sent_at) == (2, 20)
-    assert passes == [0, 20]   # the task waited CREATED, and nothing changed at 10
+    # no task holds 2, so it may turn idle with no packet to say so, and the
+    # leader looks at every step while the task waits
+    assert passes == [0, 10, 20]
 
 
 def test_a_sent_task_times_out_exactly_at_its_deadline():
@@ -600,7 +608,47 @@ def test_an_idle_nav_fault_that_clears_wakes_the_leader():
     assert leader.step([], 0) == [] and leader.step([], 10) == []
     fol.step([], 10)   # re-placed on the line: FAULTED -> IDLE
     assert [p.dst for p in leader.step([], 20)] == [2]
-    assert passes == [0, 20]
+    assert passes == [0, 10, 20]   # as above: no task holds 2
+
+
+def test_an_emergency_waits_on_a_faulted_held_follower_until_it_turns_busy():
+    # 2, the only follower, holds a routine task and has lost the line. An
+    # emergency preempts a held follower but not a faulted one, so it waits;
+    # no transition will say when 2 is back, and the leader looks at every step
+    entry = RosterEntry(ALL)
+    leader = Leader(1, {2: entry})
+    passes = full_passes(leader)
+    leader.handle_triage(decision(Flag.LOW_SPO2), 0)
+    (routine,) = leader.step([], 0)
+    entry.availability = Availability.FAULTED
+    leader.handle_fall_alert(10)
+    assert leader.step([], 10) == [] and leader.step([], 20) == []
+    entry.availability = Availability.BUSY   # re-placed, still on the routine task
+    (command,) = leader.step([], 30)
+    assert (routine.dst, command.dst, command.sent_at) == (2, 2, 30)
+    assert (command.payload["task_id"], command.payload["emergency"]) == (2, True)
+    assert passes == [0, 10, 20, 30]
+
+
+def test_a_task_waiting_on_a_held_follower_sleeps_until_the_hold_times_out():
+    # 2 finished task 1, but its completion status was lost, so the leader
+    # holds 2 for task 1 until the execution timeout; only a transition can
+    # free a held follower, so task 2 waits with no full pass until then
+    fol = Follower(2, 1, ALL, exec_duration_ms=dict.fromkeys(TaskKind, 0))
+    leader = Leader(1, {2: fol}, policy=TimeoutPolicy(timeout_ms=100, exec_timeout_ms=300))
+    passes = full_passes(leader)
+    leader.handle_triage(decision(Flag.LOW_SPO2), 0)
+    ack, _lost_status = fol.step(leader.step([], 0), 0)
+    assert leader.step([ack], 10) == []
+    leader.handle_triage(decision(Flag.LOW_SPO2, Flag.FEVER), 20)
+    assert [leader.step([], now) for now in range(20, 310, 10)] == [[]] * 29
+    (retry,) = leader.step([], 310)   # task 1's execution timeout
+    assert (retry.dst, retry.payload["task_id"]) == (2, 1)
+    # the retry crosses the completed execution, so 2 re-sends its status
+    (command,) = leader.step(fol.step([retry], 310), 320)
+    assert (command.dst, command.payload["task_id"]) == (2, 2)
+    assert [t.state for t in leader.tasks.values()] == [TaskState.COMPLETED, TaskState.SENT]
+    assert passes == [0, 10, 20, 310, 320]
 
 
 class EveryStepLeader(Leader):
@@ -608,7 +656,7 @@ class EveryStepLeader(Leader):
     the steps that nothing woke."""
 
     def step(self, inbox, now):
-        self._dirty = True
+        self._wake = -math.inf
         return super().step(inbox, now)
 
 
