@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import itertools
 import math
 import operator
 import statistics
@@ -25,7 +24,7 @@ from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
 from .scenario import ScenarioConfig
 from .vitals import (FallOutcome, Flag, PatientState, Posture, TriageClass,
-                     TriageDecision, Vitals, classify, detect_fall, rule_decision,
+                     TriageDecision, classify, detect_fall, rule_decision,
                      sample_vitals, triage_delay_ms)
 
 # what is debounced before the leader acts: the flags derived from noisy
@@ -79,11 +78,11 @@ class Engine:
         self.log = EventLog()
         self.acc = MetricsAccumulator()
         self._inboxes: dict[int, list[Packet]] = {a: [] for a in robots.addresses}
-        # heap of (ready_ms, sample_time, push count, decision): it pops in
-        # the order of a stable sort on (ready_ms, sample_time), and the
-        # push count keeps the decisions themselves from being compared
-        self._pending_triage: list[tuple[int, int, int, TriageDecision]] = []
-        self._triage_pushes = itertools.count()
+        # heap of (ready_ms, sample_time, decision). The wearable sends one
+        # report per sample and the channel never duplicates a packet, so a
+        # sample is queued at most once: two entries never tie on
+        # (ready_ms, sample_time), and no two decisions are compared
+        self._pending_triage: list[tuple[int, int, TriageDecision]] = []
         self._last_triage_sample = -1
         self._script_idx = 0
         self._link_idx = 0
@@ -176,21 +175,17 @@ class Engine:
             return
         seq = self._now // cfg.vitals_sample_period_ms
         pkt = Packet(cfg.robots.wearable.address, self.leader.address, seq,
-                     PacketKind.VITALS_REPORT,
-                     {"spo2": sample.spo2, "bpm": sample.bpm, "temp": sample.temp,
-                      "sample_time": sample.sample_time},
-                     self._now)
+                     PacketKind.VITALS_REPORT, {"sample": sample}, self._now)
         self._send(pkt, extra_delay_ms=cfg.latency.vitals_transmit_ms)
 
     def _queue_triage(self, sample_time: int, decision: TriageDecision):
         delay = triage_delay_ms(decision.flags, self.config.latency)
-        heapq.heappush(self._pending_triage, (self._now + delay, sample_time,
-                                              next(self._triage_pushes), decision))
+        heapq.heappush(self._pending_triage, (self._now + delay, sample_time, decision))
 
     def _triage_ready(self):
         pending = self._pending_triage
         while pending and pending[0][0] <= self._now:
-            _, sample_time, _, decision = heapq.heappop(pending)
+            _, sample_time, decision = heapq.heappop(pending)
             self._deliver_triage(sample_time, decision)
 
     def _deliver_triage(self, sample_time: int, decision):
@@ -214,9 +209,7 @@ class Engine:
                 "seq": pkt.seq,
             }, "channel")
             if pkt.kind is PacketKind.VITALS_REPORT and pkt.dst == self.leader.address:
-                sample = Vitals(sample_time=pkt.payload["sample_time"], valid=True,
-                                spo2=pkt.payload["spo2"], bpm=pkt.payload["bpm"],
-                                temp=pkt.payload["temp"])
+                sample = pkt.payload["sample"]
                 self._queue_triage(sample.sample_time, self._debounce(classify(sample)))
             else:
                 self._inboxes[pkt.dst].append(pkt)

@@ -1,9 +1,10 @@
 """5-way IR reflectance sensing and PID steering for line following.
 
-Raw sensor values are normalised against full scale, thresholded into
-binary detections (the dark line absorbs, so low reflectance means "on the
-line"), and reduced to a lateral error as the weighted average of the active
-sensors with weights (-2, -1, 0, +1, +2) ordered left to right.
+Each sensor reads a reflectance level in [0, 1], a fraction of full scale.
+The levels are thresholded into binary detections (the dark line absorbs,
+so low reflectance means "on the line"), and reduced to a lateral error as
+the weighted average of the active sensors with weights (-2, -1, 0, +1, +2)
+ordered left to right.
 
 Sign convention: positive error means the line lies to the robot's right.
 The mixer adds the control output to the right wheel and subtracts it from
@@ -24,30 +25,11 @@ from .track import Track
 DEFAULT_WEIGHTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 DEFAULT_SPEED_CAP_RPM = 85.0
 DEFAULT_BASE_RPM = 50.0
-DEFAULT_DETECT_THRESHOLD = 0.5  # normalised reading below which a sensor sees the line
-
-
-@dataclass(frozen=True)
-class IrArrayReading:
-    v: tuple[float, float, float, float, float]
-    v_max: float
-
-    def __post_init__(self):
-        if self.v_max <= 0:
-            raise ConfigurationError("v_max must be positive")
-        if len(self.v) != 5:
-            raise ConfigurationError("expected 5 sensor values")
-        if any(x < 0 or x > self.v_max for x in self.v):
-            raise ConfigurationError("raw values must lie in [0, v_max]")
-
-
-def normalize(reading: IrArrayReading) -> tuple[float, ...]:
-    """Scale raw values to [0, 1] fractions of full scale."""
-    return tuple(x / reading.v_max for x in reading.v)
+DEFAULT_DETECT_THRESHOLD = 0.5  # level below which a sensor sees the line
 
 
 def threshold(r, t: float) -> tuple[int, ...]:
-    """Binary detections: 1 where normalised reflectance is below t (dark line)."""
+    """Binary detections: 1 where the reflectance level is below t (dark line)."""
     if not 0.0 < t < 1.0:
         raise ConfigurationError("threshold must be in (0, 1)")
     return tuple(1 if ri < t else 0 for ri in r)
@@ -107,29 +89,27 @@ def pid_step(gains: PidGains, state: PidState, e: float, dt: float) -> float:
 class WheelCommand:
     omega_right: float
     omega_left: float
-    omega_base: float
 
 
 def apply_control(omega_base: float, u: float, cap: float = DEFAULT_SPEED_CAP_RPM) -> WheelCommand:
     """Differential mixing: right wheel gets +u, left gets -u, both capped."""
     clamp = lambda w: max(-cap, min(cap, w))
-    return WheelCommand(clamp(omega_base + u), clamp(omega_base - u), omega_base)
+    return WheelCommand(clamp(omega_base + u), clamp(omega_base - u))
 
 
 @dataclass(frozen=True)
 class IrGeometry:
-    """Physical layout of the sensor array on the chassis."""
+    """Physical layout of the sensor array on the chassis, and the levels
+    its sensors read, as fractions of full scale."""
     pitch: float = 0.015          # lateral spacing between adjacent sensors, m
     forward_offset: float = 0.05  # array distance ahead of the axle center, m
-    v_max: float = 1023.0
-    low_level: float = 0.1        # normalised reading on the dark line
-    high_level: float = 0.9       # normalised reading on the bare floor
+    low_level: float = 0.1        # level on the dark line
+    high_level: float = 0.9       # level on the bare floor
     noise_frac: float = 0.03      # additive noise, fraction of full scale
 
     def __post_init__(self):
-        if not (self.v_max > 0 and self.noise_frac >= 0
-                and 0.0 <= self.low_level < self.high_level <= 1.0):
-            raise ConfigurationError("require v_max > 0, noise_frac >= 0, 0 <= low_level < high_level <= 1")
+        if not (self.noise_frac >= 0 and 0.0 <= self.low_level < self.high_level <= 1.0):
+            raise ConfigurationError("require noise_frac >= 0, 0 <= low_level < high_level <= 1")
 
 
 def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, float]]:
@@ -144,13 +124,13 @@ def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, floa
 
 
 def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
-                rng: Doubles | None = None) -> IrArrayReading:
-    """Raw readings for a pose over the track: sensors within half a line
-    width of the polyline read dark, others bright, plus bounded noise.
-    Off-mat poses simply see no line."""
+                rng: Doubles | None = None) -> tuple[float, ...]:
+    """The five levels, left to right, for a pose over the track: sensors
+    within half a line width of the polyline read dark, others bright, plus
+    bounded noise, clamped to [0, 1]. Off-mat poses simply see no line."""
     half = track.line_width / 2.0
     w, h = track.mat_size
-    low, high, v_max = geometry.low_level, geometry.high_level, geometry.v_max
+    low, high = geometry.low_level, geometry.high_level
     noise = None
     if rng is not None and geometry.noise_frac > 0:
         # one draw per sensor, left to right: the same stream as drawing each alone
@@ -164,8 +144,8 @@ def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
             level = high
         if noise is not None:
             level += noise[k]
-        vals.append(min(max(level, 0.0), 1.0) * v_max)
-    return IrArrayReading(tuple(vals), v_max)
+        vals.append(min(max(level, 0.0), 1.0))
+    return tuple(vals)
 
 
 @dataclass
@@ -198,14 +178,13 @@ class LineFollower:
     def step(self, track: Track, pose: Pose, dt: float,
              rng: Doubles | None = None) -> tuple[WheelCommand, float | None]:
         """Returns the wheel command and the measured lateral error (None = lost)."""
-        reading = simulate_ir(track, pose, self.geometry, rng)
-        s = threshold(normalize(reading), self.detect_threshold)
+        s = threshold(simulate_ir(track, pose, self.geometry, rng), self.detect_threshold)
         e = line_error(s)
         if e is None:
             self._lost_for += dt
             if self._lost_for > self.hold_lost_s:
                 self.faulted = True
-                return WheelCommand(0.0, 0.0, self.base_rpm), None
+                return WheelCommand(0.0, 0.0), None
             return apply_control(self.base_rpm, self._last_u, self.cap_rpm), None
         self._lost_for = 0.0
         # line to the right (e > 0) needs the right wheel slower, hence -e

@@ -165,15 +165,16 @@ BANDS = TriageThresholds()
 
 @dataclass(frozen=True)
 class TriageDecision:
+    """A rule decision: a class and the flags behind it. Its probs are the
+    class's one-hot vector, so they follow from the class and are not
+    stored."""
     triage_class: TriageClass
-    probs: tuple[float, float, float]  # ordered per SEVERITY_ORDER
     flags: frozenset[Flag]
 
-    def __post_init__(self):
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ConfigurationError("probabilities must sum to 1")
-        if class_from_probs(self.probs) is not self.triage_class:
-            raise ConfigurationError("class must equal argmax of probs")
+    @property
+    def probs(self) -> tuple[float, float, float]:
+        """One-hot over the classes, ordered per SEVERITY_ORDER."""
+        return _ONE_HOT[self.triage_class]
 
     @functools.cached_property
     def flag_names(self) -> tuple[str, ...]:
@@ -213,13 +214,12 @@ def _rule_decisions() -> dict[tuple[frozenset[Flag], bool], TriageDecision]:
     for n in range(len(Flag) + 1):
         for flags in map(frozenset, itertools.combinations(Flag, n)):
             for severe in (False, True):
-                cls = triage_class(severe, flags)
-                table[flags, severe] = TriageDecision(cls, one_hot(cls), flags)
+                table[flags, severe] = TriageDecision(triage_class(severe, flags), flags)
     return table
 
 
 # decisions are immutable and there are 64 (flags, severe) pairs, so each
-# decision is built, and checked, once
+# decision is built once
 _RULE_DECISIONS = _rule_decisions()
 
 

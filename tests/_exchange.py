@@ -12,7 +12,7 @@ import numpy as np
 from wardsim.protocol import (Follower, Leader, ScheduleEntry, TaskKind,
                               TimeoutPolicy, TERMINAL_STATES, liveness_bound_ms)
 from wardsim.rf_channel import Channel, ChannelConfig, Packet, PacketKind
-from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
+from wardsim.vitals import Flag, TriageClass, TriageDecision
 
 ALL_KINDS = frozenset(TaskKind)
 LEADER = 1
@@ -89,7 +89,7 @@ TRANSCRIPT_EXEC_MS = {
 
 
 def _decision(cls, *flags):
-    return TriageDecision(cls, one_hot(cls), frozenset(flags))
+    return TriageDecision(cls, frozenset(flags))
 
 
 # time -> triage result handed to the leader before its step at that time

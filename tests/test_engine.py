@@ -17,7 +17,7 @@ from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
 from wardsim.metrics import EventLog, MetricsAccumulator, replay_metrics
 from wardsim.protocol import TERMINAL_STATES
 from wardsim.scenario import load_preset, validate
-from wardsim.vitals import Flag, TriageClass, TriageDecision, Vitals, classify, one_hot
+from wardsim.vitals import Flag, TriageClass, TriageDecision, Vitals, classify
 
 
 def short_config(**overrides):
@@ -159,7 +159,7 @@ class ReferenceDebounce:
             cls = TriageClass.MONITOR_AT_HOME
         else:
             cls = TriageClass.NO_HOSPITAL
-        return TriageDecision(cls, one_hot(cls), flags)
+        return TriageDecision(cls, flags)
 
 
 _DEBOUNCE_CONFIG = short_config(patient_script=[])
@@ -244,7 +244,7 @@ def test_triage_results_are_delivered_by_ready_time_and_stale_ones_dropped():
 
     def decision(*flags):
         cls = TriageClass.MONITOR_AT_HOME if flags else TriageClass.NO_HOSPITAL
-        return TriageDecision(cls, one_hot(cls), frozenset(flags))
+        return TriageDecision(cls, frozenset(flags))
 
     # (arrival time, sample time, decision); fever takes the 3200 ms AI path,
     # the others the 900 ms threshold path

@@ -9,24 +9,11 @@ from hypothesis import strategies as st
 
 from wardsim import ConfigurationError
 from wardsim.kinematics import Pose
-from wardsim.line_following import (DEFAULT_WEIGHTS, IrArrayReading, IrGeometry,
-                                    LineFollower, PidGains, PidState,
-                                    apply_control, line_error, normalize,
+from wardsim.line_following import (DEFAULT_WEIGHTS, IrGeometry, LineFollower,
+                                    PidGains, PidState, apply_control, line_error,
                                     pid_step, sensor_positions, simulate_ir,
                                     threshold)
 from wardsim.track import Track, rounded_rect_track
-
-
-def test_normalize_full_scale():
-    r = IrArrayReading((0.0, 255.75, 511.5, 767.25, 1023.0), 1023.0)
-    assert normalize(r) == pytest.approx((0.0, 0.25, 0.5, 0.75, 1.0))
-
-
-def test_reading_rejects_out_of_range():
-    with pytest.raises(ConfigurationError):
-        IrArrayReading((0.0, 0.0, 0.0, 0.0, 2000.0), 1023.0)
-    with pytest.raises(ConfigurationError):
-        IrArrayReading((0.0, 0.0, 0.0, 0.0), 1023.0)
 
 
 def test_threshold_dark_line_reads_active():
@@ -185,7 +172,7 @@ def test_simulate_ir_centered_on_line():
     geom = IrGeometry(noise_frac=0.0)
     # place the robot mid-bottom-edge heading along the track (+x)
     pose = Pose(1.75, 0.6, 0.0)
-    s = threshold(normalize(simulate_ir(track, pose, geom)), 0.5)
+    s = threshold(simulate_ir(track, pose, geom), 0.5)
     assert s == (0, 0, 1, 0, 0)
     assert line_error(s) == 0.0
 
@@ -196,14 +183,14 @@ def test_simulate_ir_offset_shifts_detection():
     # robot displaced 15 mm to the left of the line: line appears one
     # sensor to the right
     pose = Pose(1.75, 0.6 + 0.015, 0.0)
-    s = threshold(normalize(simulate_ir(track, pose, geom)), 0.5)
+    s = threshold(simulate_ir(track, pose, geom), 0.5)
     assert line_error(s) == 1.0
 
 
 def test_simulate_ir_far_from_line_sees_nothing():
     track = rounded_rect_track()
     geom = IrGeometry(noise_frac=0.0)
-    s = threshold(normalize(simulate_ir(track, Pose(1.75, 2.0, 0.0), geom)), 0.5)
+    s = threshold(simulate_ir(track, Pose(1.75, 2.0, 0.0), geom), 0.5)
     assert line_error(s) is None
 
 
@@ -214,7 +201,7 @@ def test_sensors_off_the_mat_see_no_line():
     geom = IrGeometry(noise_frac=0.0)
     # sensors at y = 0.03, 0.015, 0, -0.015, -0.03: the one at -0.015 is
     # within half a line width of the line but off the mat
-    s = threshold(normalize(simulate_ir(track, Pose(0.6, 0.0, 0.0), geom)), 0.5)
+    s = threshold(simulate_ir(track, Pose(0.6, 0.0, 0.0), geom), 0.5)
     assert s == (0, 1, 1, 0, 0)
 
 
@@ -223,10 +210,16 @@ def test_simulate_ir_noise_is_bounded():
     geom = IrGeometry(noise_frac=0.03)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        r = simulate_ir(track, Pose(1.75, 0.6, 0.0), geom, rng)
-        n = normalize(r)
+        n = simulate_ir(track, Pose(1.75, 0.6, 0.0), geom, rng)
+        assert len(n) == 5 and all(0.0 <= x <= 1.0 for x in n)
         assert n[2] <= geom.low_level + geom.noise_frac + 1e-12
         assert n[0] >= geom.high_level - geom.noise_frac - 1e-12
+    # levels at the ends of the scale with wide noise: the clamp keeps
+    # every level in [0, 1]
+    geom = IrGeometry(low_level=0.0, high_level=1.0, noise_frac=0.5)
+    levels = [x for _ in range(50) for x in simulate_ir(track, Pose(1.75, 0.6, 0.0), geom, rng)]
+    assert all(0.0 <= x <= 1.0 for x in levels)
+    assert 0.0 in levels and 1.0 in levels
 
 
 # ---------------------------------------------------------------------------

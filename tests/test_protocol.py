@@ -20,7 +20,7 @@ from wardsim.protocol import (Availability, Follower, Leader, RosterEntry,
                               TaskOrigin, TaskState, TimeoutPolicy,
                               TERMINAL_STATES, liveness_bound_ms)
 from wardsim.rf_channel import Packet, PacketKind
-from wardsim.vitals import Flag, TriageClass, TriageDecision, one_hot
+from wardsim.vitals import Flag, TriageClass, TriageDecision
 
 ALL = frozenset(TaskKind)
 
@@ -34,7 +34,7 @@ def make_task(**kw):
 
 
 def decision(*flags, cls=TriageClass.MONITOR_AT_HOME):
-    return TriageDecision(cls, one_hot(cls), frozenset(flags))
+    return TriageDecision(cls, frozenset(flags))
 
 
 # ---------------------------------------------------------------------------

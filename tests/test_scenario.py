@@ -145,11 +145,11 @@ def test_bool_is_not_accepted_as_int():
     ("robots: {corridor: {base_rpm: .nan}}\n", "robots.corridor.base_rpm: must be a finite number"),
     # the IR array's ranges
     ("robots: {corridor: {geometry: {v_max: -5.0}}}\n",
-     "robots.corridor.geometry: require v_max > 0, noise_frac >= 0"),
+     "robots.corridor.geometry: unknown key 'v_max'"),
     ("robots: {corridor: {geometry: {noise_frac: -0.1}}}\n",
-     "robots.corridor.geometry: require v_max > 0, noise_frac >= 0"),
+     "robots.corridor.geometry: require noise_frac >= 0, 0 <= low_level < high_level <= 1"),
     ("robots: {corridor: {geometry: {low_level: 0.9, high_level: 0.1}}}\n",
-     "robots.corridor.geometry: require v_max > 0, noise_frac >= 0"),
+     "robots.corridor.geometry: require noise_frac >= 0, 0 <= low_level < high_level <= 1"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",

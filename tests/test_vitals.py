@@ -190,14 +190,6 @@ def test_probs_ties_break_toward_severe():
     assert class_from_probs((0.1, 0.45, 0.45)) is TriageClass.MONITOR_AT_HOME
 
 
-def test_decision_invariants_enforced():
-    with pytest.raises(ConfigurationError):
-        TriageDecision(TriageClass.NO_HOSPITAL, (0.5, 0.2, 0.2), frozenset())
-    with pytest.raises(ConfigurationError):
-        # class must equal the argmax of probs
-        TriageDecision(TriageClass.NO_HOSPITAL, (0.9, 0.05, 0.05), frozenset())
-
-
 def test_every_cached_rule_decision_equals_a_fresh_one():
     pairs = [(frozenset(flags), severe) for n in range(len(Flag) + 1)
              for flags in itertools.combinations(Flag, n) for severe in (False, True)]
@@ -205,7 +197,9 @@ def test_every_cached_rule_decision_equals_a_fresh_one():
     for flags, severe in pairs:
         cls = triage_class(severe, flags)
         decision = rule_decision(severe, frozenset(flags))
-        assert decision == TriageDecision(cls, one_hot(cls), flags)
+        assert decision == TriageDecision(cls, flags)
+        assert decision.probs == one_hot(cls) == one_hot(decision.triage_class)
+        assert class_from_probs(decision.probs) is cls
         assert decision.flag_names == tuple(sorted(f.value for f in flags))
     # classify hands out the cached decisions
     for v in (vit(), vit(spo2=87.0), vit(spo2=80.0, temp=40.0, bpm=130.0),
