@@ -5,12 +5,14 @@
     wardsim replay <events.jsonl>
     wardsim mlbench [--n 1000] [--seed N]
 
-Exit codes: 0 success, 2 scenario validation error, malformed event log, or
-invalid option (a negative `--seed`, `--trials` below 1, an `mlbench` `--n`
-below 10 or `--noise-rate` outside [0, 1)), 3 engine abort (an invariant
-violation, a non-finite pose, or any other error in the tick loop; `run`
-still writes events_partial.jsonl, and `suite --out DIR` writes the aborted
-trial's, naming its scenario and seed).
+Exit codes: 0 success; 2 scenario validation error (a scenario file that
+is not YAML included), a scenario path that cannot be read (a directory for
+`run`), malformed event log, or invalid option (a negative `--seed`,
+`--trials` below 1, an `--out` that names an existing file, checked before
+the run, an `mlbench` `--n` below 10 or `--noise-rate` outside [0, 1)); 3
+engine abort (an invariant violation, a non-finite pose, or any other error
+in the tick loop; `run` still writes events_partial.jsonl, and `suite --out
+DIR` writes the aborted trial's, naming its scenario and seed).
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ def _load(name_or_path):
     return load_preset(name_or_path)
 
 
+def _out_error(out: str | None) -> bool:
+    """Report an --out that names an existing file, before any run starts."""
+    if out is not None and os.path.exists(out) and not os.path.isdir(out):
+        print(f"invalid option: --out {out} exists and is not a directory", file=sys.stderr)
+        return True
+    return False
+
+
 def _save_partial(exc: EngineAbort, out: str):
     os.makedirs(out, exist_ok=True)
     exc.log.save(os.path.join(out, "events_partial.jsonl"))
@@ -44,9 +54,11 @@ def _cmd_run(args) -> int:
         # the override bypasses validate(), so check it as validate() would
         print(ScenarioValidationError(["--seed: must be nonnegative"]), file=sys.stderr)
         return EXIT_VALIDATION
+    if _out_error(args.out):
+        return EXIT_VALIDATION
     try:
         config = _load(args.scenario)
-    except (ScenarioValidationError, FileNotFoundError) as exc:
+    except (ScenarioValidationError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     if args.seed is not None:
@@ -67,6 +79,8 @@ def _cmd_suite(args) -> int:
     if args.trials < 1:
         print("invalid suite option: --trials must be at least 1", file=sys.stderr)
         return EXIT_VALIDATION
+    if _out_error(args.out):
+        return EXIT_VALIDATION
     configs = []
     try:
         for item in args.scenarios:
@@ -76,7 +90,7 @@ def _cmd_suite(args) -> int:
                         configs.append(load_scenario(os.path.join(item, fn)))
             else:
                 configs.append(_load(item))
-    except (ScenarioValidationError, FileNotFoundError) as exc:
+    except (ScenarioValidationError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     if not configs:

@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from . import InvariantError
+from . import ConfigurationError, InvariantError
 from .rf_channel import Packet, PacketKind
 from .vitals import Flag, TriageClass, TriageDecision
 
@@ -119,6 +119,14 @@ class TimeoutPolicy:
     timeout_ms: int = 200        # waiting for an ack
     exec_timeout_ms: int = 15000  # waiting for completion after an ack
     max_retries: int = 5
+
+    def __post_init__(self):
+        # a wait that is over at once escalates every task
+        for key in ("timeout_ms", "exec_timeout_ms"):
+            if getattr(self, key) <= 0:
+                raise ConfigurationError(f"{key} must be positive")
+        if self.max_retries < 0:
+            raise ConfigurationError("max_retries must be nonnegative")
 
 
 def liveness_bound_ms(policy: TimeoutPolicy, n_capable: int) -> int:

@@ -106,6 +106,12 @@ class Battery:
     budget_units: float = 0.0  # 0 = unlimited
     low_speed_factor: float = 0.5
 
+    def __post_init__(self):
+        # a negative factor drives the robot backwards once the battery is low
+        for key in ("budget_units", "low_speed_factor"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(f"{key} must be nonnegative")
+
 
 @dataclass(frozen=True)
 class Correction:
@@ -275,8 +281,8 @@ def _flag_names(raw, path: str, errors: list[str]):
 
 
 def _table(defaults: dict, keys: dict, raw, path: str, errors: list[str]):
-    """A table of ints over `keys` (a YAML name for each table key); a key
-    left out keeps its value in `defaults`."""
+    """A table of nonnegative ints over `keys` (a YAML name for each table
+    key); a key left out keeps its value in `defaults`."""
     if _shape(raw, dict, path, errors) is _FAIL:
         return _FAIL
     table = dict(defaults)
@@ -284,6 +290,8 @@ def _table(defaults: dict, keys: dict, raw, path: str, errors: list[str]):
         if name not in keys:
             errors.append(f"{path}: unknown key {name!r}")
         elif value is not None and (value := _read(int, value, f"{path}.{name}", errors)) is not _FAIL:
+            if value < 0:
+                errors.append(f"{path}.{name}: must be nonnegative")
             table[keys[name]] = value
     return table
 
@@ -313,21 +321,22 @@ def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
         errors.append("top.seed: must be nonnegative")
     if cfg.dt_ms <= 0:
         errors.append("top.dt_ms: must be positive")
-    if cfg.duration_ms < 0:
-        errors.append("top.duration_ms: must be nonnegative")
     addresses = cfg.robots.addresses
     if len(set(addresses)) != len(addresses):
         errors.append("robots: addresses must be unique")
     errors.extend(f"link_conditions[{i}].{k}: {end} is not a robot address"
                   for i, event in enumerate(cfg.link_conditions)
                   for k, end in (("src", event.src), ("dst", event.dst)) if end not in addresses)
-    # the engine samples on ticks whose time is a multiple of the period, so
-    # any other period would silently sample less often than asked
-    if cfg.dt_ms > 0:
-        for path, period in (("fall_detector.check_period_ms", cfg.fall_detector.check_period_ms),
-                             ("top.vitals_sample_period_ms", cfg.vitals_sample_period_ms)):
-            if period % cfg.dt_ms != 0:
-                errors.append(f"{path}: must be a multiple of dt_ms ({cfg.dt_ms})")
+    # the engine samples on ticks whose time is a multiple of the period (a
+    # period of 0 turns it off), so any other period would silently sample
+    # less often than asked; a duration runs whole ticks only
+    for path, period in (("fall_detector.check_period_ms", cfg.fall_detector.check_period_ms),
+                         ("top.vitals_sample_period_ms", cfg.vitals_sample_period_ms),
+                         ("top.duration_ms", cfg.duration_ms)):
+        if period < 0:
+            errors.append(f"{path}: must be nonnegative")
+        elif cfg.dt_ms > 0 and period % cfg.dt_ms != 0:
+            errors.append(f"{path}: must be a multiple of dt_ms ({cfg.dt_ms})")
     # a gain outside [0, 1] moves the estimate past the line or away from it,
     # and it diverges
     for key in ("position_gain", "heading_gain"):
@@ -342,14 +351,22 @@ def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
 
     if errors:
         raise ScenarioValidationError(errors)
-    for events in (cfg.patient_script, cfg.schedule):
+    # the engine reads each list with a cursor; the sort is stable, so
+    # events at the same time keep their file order
+    for events in (cfg.patient_script, cfg.schedule, cfg.link_conditions):
         events.sort(key=lambda e: e.time_ms)
     return cfg
 
 
 def load_scenario(path) -> ScenarioConfig:
+    """Read and validate a scenario file. A file that is not UTF-8 YAML
+    raises ScenarioValidationError with the reader's message, which names
+    the line or byte."""
     with open(path) as f:
-        raw = yaml.safe_load(f)
+        try:
+            raw = yaml.safe_load(f)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ScenarioValidationError([f"{path}: {exc}"]) from exc
     return validate(raw, name=str(path))
 
 

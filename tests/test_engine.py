@@ -266,6 +266,25 @@ def test_triage_results_are_delivered_by_ready_time_and_stale_ones_dropped():
     assert not engine._pending_triage
 
 
+def test_link_conditions_apply_in_time_order_whatever_their_file_order():
+    # the wearable reports to the leader every 100 ms, each send naming the
+    # link's condition
+    obstructed = {"time_ms": 0, "src": 4, "dst": 1, "condition": "obstructed"}
+    clear = {"time_ms": 2000, "src": 4, "dst": 1, "condition": "clear"}
+
+    def log_of(link_conditions):
+        return run(short_config(duration_ms=4000, link_conditions=link_conditions))[0]
+
+    log = log_of([obstructed, clear])
+    assert log_of([clear, obstructed]).to_jsonl() == log.to_jsonl()
+    conditions = {(r["time_ms"] >= 2000, r["payload"]["condition"]) for r in log.records
+                  if r["kind"] == "packet_send" and r["payload"]["src"] == 4}
+    assert conditions == {(False, "obstructed"), (True, "clear")}
+    # the sort is stable: events at the same time keep their file order
+    cfg = short_config(link_conditions=[{**clear, "time_ms": 0}, obstructed])
+    assert [e.condition.value for e in cfg.link_conditions] == ["clear", "obstructed"]
+
+
 def test_open_task_index_matches_the_task_table_over_a_shift(monkeypatch):
     schedule = [{"time_ms": t, "bed": 1 + (t // 5000) % 2, "slot": (t // 5000) % 2}
                 for t in range(5000, 30000, 5000)]
@@ -388,6 +407,38 @@ def test_cli_run_rejects_invalid_scenario(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bogus_key" in err
+
+
+def test_cli_run_yaml_syntax_error_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: 1\nduration_ms: [1, 2\nfoo: 3\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "line 3" in err
+
+
+def test_cli_suite_yaml_syntax_error_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: 1\nduration_ms: [1, 2\nfoo: 3\n")
+    assert main(["suite", str(bad), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "line 3" in err
+
+
+def test_cli_run_directory_path_exits_two(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run", "alert_no_vitals"],
+                                     ["suite", "alert_no_vitals", "--trials", "1"]])
+def test_cli_out_naming_a_file_exits_two_before_the_run(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    out.write_text("")
+    monkeypatch.setattr(cli, "run", None)
+    monkeypatch.setattr(cli, "run_suite", None)  # the run never starts
+    assert main([*command, "--out", str(out)]) == 2
+    assert f"--out {out} exists and is not a directory" in capsys.readouterr().err
 
 
 def test_cli_run_unknown_preset_exits_two(capsys):

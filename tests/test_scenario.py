@@ -150,6 +150,22 @@ def test_bool_is_not_accepted_as_int():
      "robots.corridor.geometry: require noise_frac >= 0, 0 <= low_level < high_level <= 1"),
     ("robots: {corridor: {geometry: {low_level: 0.9, high_level: 0.1}}}\n",
      "robots.corridor.geometry: require noise_frac >= 0, 0 <= low_level < high_level <= 1"),
+    # values that would run as a silently different scenario
+    ("timeout_policy: {timeout_ms: 0}\n", "timeout_policy: timeout_ms must be positive"),
+    ("timeout_policy: {timeout_ms: -5}\n", "timeout_policy: timeout_ms must be positive"),
+    ("timeout_policy: {exec_timeout_ms: 0}\n", "timeout_policy: exec_timeout_ms must be positive"),
+    ("timeout_policy: {exec_timeout_ms: -5}\n",
+     "timeout_policy: exec_timeout_ms must be positive"),
+    ("timeout_policy: {max_retries: -1}\n", "timeout_policy: max_retries must be nonnegative"),
+    ("vitals_sample_period_ms: -10\n", "top.vitals_sample_period_ms: must be nonnegative"),
+    ("fall_detector: {check_period_ms: -100}\n",
+     "fall_detector.check_period_ms: must be nonnegative"),
+    ("exec_durations_ms: {patrol_check: -1}\n",
+     "exec_durations_ms.patrol_check: must be nonnegative"),
+    ("budgets_ms: {fall: -1}\n", "budgets_ms.fall: must be nonnegative"),
+    ("battery: {budget_units: -1}\n", "battery: budget_units must be nonnegative"),
+    ("battery: {low_speed_factor: -2.0}\n", "battery: low_speed_factor must be nonnegative"),
+    ("duration_ms: 25\n", "top.duration_ms: must be a multiple of dt_ms (10)"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
@@ -160,7 +176,10 @@ def test_bool_is_not_accepted_as_int():
         "tag_int", "ai_flags_mapping", "slip_out_of_range", "threshold_out_of_range",
         "correction_gain_out_of_range", "link_end_not_a_robot", "noise_frac_inf", "jitter_inf",
         "wheel_radius_inf", "rtt_nan", "base_rpm_nan", "v_max_negative", "noise_frac_negative",
-        "ir_levels_inverted"])
+        "ir_levels_inverted", "timeout_zero", "timeout_negative", "exec_timeout_zero",
+        "exec_timeout_negative", "max_retries_negative", "vitals_period_negative",
+        "fall_period_negative", "exec_duration_negative", "budget_negative",
+        "battery_budget_negative", "low_speed_factor_negative", "duration_off_tick"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
