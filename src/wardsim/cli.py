@@ -8,11 +8,11 @@
 Exit codes: 0 success; 2 scenario validation error (a scenario file that
 is not YAML included), a scenario path that cannot be read (a directory for
 `run`), malformed event log, or invalid option (a negative `--seed`,
-`--trials` below 1, an `--out` that names an existing file, checked before
-the run, an `mlbench` `--n` below 10 or `--noise-rate` outside [0, 1)); 3
-engine abort (an invariant violation, a non-finite pose, or any other error
-in the tick loop; `run` still writes events_partial.jsonl, and `suite --out
-DIR` writes the aborted trial's, naming its scenario and seed).
+`--trials` below 1, an `--out` that cannot be made a directory, checked
+before the run, an `mlbench` `--n` below 10 or `--noise-rate` outside
+[0, 1)); 3 engine abort (an invariant violation, a non-finite pose, or any
+other error in the tick loop; `run` still writes events_partial.jsonl, and
+`suite --out DIR` writes the aborted trial's, naming its scenario and seed).
 """
 
 from __future__ import annotations
@@ -36,12 +36,16 @@ def _load(name_or_path):
     return load_preset(name_or_path)
 
 
-def _out_error(out: str | None) -> bool:
-    """Report an --out that names an existing file, before any run starts."""
-    if out is not None and os.path.exists(out) and not os.path.isdir(out):
-        print(f"invalid option: --out {out} exists and is not a directory", file=sys.stderr)
-        return True
-    return False
+def _make_out(out: str | None) -> bool:
+    """Create the --out directory before a run starts; False, with the
+    error reported, when the path cannot be one (it names a file, say)."""
+    if out is not None:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            print(f"invalid option: --out {out}: {exc}", file=sys.stderr)
+            return False
+    return True
 
 
 def _save_partial(exc: EngineAbort, out: str):
@@ -54,12 +58,12 @@ def _cmd_run(args) -> int:
         # the override bypasses validate(), so check it as validate() would
         print(ScenarioValidationError(["--seed: must be nonnegative"]), file=sys.stderr)
         return EXIT_VALIDATION
-    if _out_error(args.out):
-        return EXIT_VALIDATION
     try:
         config = _load(args.scenario)
     except (ScenarioValidationError, OSError) as exc:
         print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
+    if not _make_out(args.out):
         return EXIT_VALIDATION
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -79,8 +83,6 @@ def _cmd_suite(args) -> int:
     if args.trials < 1:
         print("invalid suite option: --trials must be at least 1", file=sys.stderr)
         return EXIT_VALIDATION
-    if _out_error(args.out):
-        return EXIT_VALIDATION
     configs = []
     try:
         for item in args.scenarios:
@@ -96,6 +98,8 @@ def _cmd_suite(args) -> int:
     if not configs:
         print("no scenarios found", file=sys.stderr)
         return EXIT_VALIDATION
+    if not _make_out(args.out):
+        return EXIT_VALIDATION
     try:
         result = run_suite(configs, trials=args.trials)
     except EngineAbort as exc:
@@ -105,7 +109,6 @@ def _cmd_suite(args) -> int:
         return EXIT_INVARIANT
     text = result.as_text()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "suite.txt"), "w") as f:
             f.write(text)
     print(text, end="")

@@ -165,9 +165,8 @@ BANDS = TriageThresholds()
 
 @dataclass(frozen=True)
 class TriageDecision:
-    """A rule decision: a class and the flags behind it. Its probs are the
-    class's one-hot vector, so they follow from the class and are not
-    stored."""
+    """A rule decision: a class and the flags behind it. Its probs follow
+    from the class, as the class's one-hot vector."""
     triage_class: TriageClass
     flags: frozenset[Flag]
 

@@ -409,18 +409,11 @@ def test_cli_run_rejects_invalid_scenario(tmp_path, capsys):
     assert "bogus_key" in err
 
 
-def test_cli_run_yaml_syntax_error_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["run"], ["suite", "--trials", "1"]])
+def test_cli_yaml_syntax_error_exits_two_naming_the_line(tmp_path, capsys, command):
     bad = tmp_path / "bad.yaml"
     bad.write_text("seed: 1\nduration_ms: [1, 2\nfoo: 3\n")
-    assert main(["run", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert str(bad) in err and "line 3" in err
-
-
-def test_cli_suite_yaml_syntax_error_exits_two(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("seed: 1\nduration_ms: [1, 2\nfoo: 3\n")
-    assert main(["suite", str(bad), "--trials", "1"]) == 2
+    assert main([*command, str(bad)]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and "line 3" in err
 
@@ -432,13 +425,15 @@ def test_cli_run_directory_path_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["run", "alert_no_vitals"],
                                      ["suite", "alert_no_vitals", "--trials", "1"]])
-def test_cli_out_naming_a_file_exits_two_before_the_run(tmp_path, capsys, monkeypatch, command):
-    out = tmp_path / "out"
-    out.write_text("")
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_cli_out_naming_a_file_exits_two_before_the_run(tmp_path, capsys, monkeypatch,
+                                                        command, out):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / out
     monkeypatch.setattr(cli, "run", None)
     monkeypatch.setattr(cli, "run_suite", None)  # the run never starts
     assert main([*command, "--out", str(out)]) == 2
-    assert f"--out {out} exists and is not a directory" in capsys.readouterr().err
+    assert f"invalid option: --out {out}: " in capsys.readouterr().err
 
 
 def test_cli_run_unknown_preset_exits_two(capsys):
