@@ -53,34 +53,16 @@ class ChassisParams:
             raise ConfigurationError("chassis parameters must be strictly positive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EncoderDelta:
     dn_right: int
     dn_left: int
 
 
-@dataclass(frozen=True)
-class WheelArcs:
-    ds_right: float
-    ds_left: float
-
-
-def ticks_to_angles(delta: EncoderDelta, params: ChassisParams) -> tuple[float, float]:
-    """Encoder tick deltas to wheel rotation angles: dtheta = 2*pi*dN/C."""
-    scale = TWO_PI / params.ticks_per_rev_C
-    return delta.dn_right * scale, delta.dn_left * scale
-
-
-def angles_to_arcs(dtheta_right: float, dtheta_left: float, params: ChassisParams) -> WheelArcs:
-    """Wheel rotation angles to arc lengths: ds = r*dtheta."""
-    r = params.wheel_radius_r
-    return WheelArcs(r * dtheta_right, r * dtheta_left)
-
-
-def pose_update(pose: Pose, arcs: WheelArcs, params: ChassisParams) -> Pose:
+def pose_update(pose: Pose, ds_right: float, ds_left: float, params: ChassisParams) -> Pose:
     """Advance a pose by per-wheel arc lengths with the midpoint-heading rule."""
-    ds = 0.5 * (arcs.ds_right + arcs.ds_left)
-    dtheta = (arcs.ds_right - arcs.ds_left) / params.axle_length_L
+    ds = 0.5 * (ds_right + ds_left)
+    dtheta = (ds_right - ds_left) / params.axle_length_L
     mid = pose.theta + 0.5 * dtheta
     return Pose(
         pose.x + ds * math.cos(mid),
@@ -92,11 +74,6 @@ def pose_update(pose: Pose, arcs: WheelArcs, params: ChassisParams) -> Pose:
 def drift_error(estimate: Pose, truth: Pose) -> float:
     """Euclidean position error between two poses; heading is ignored."""
     return math.hypot(estimate.x - truth.x, estimate.y - truth.y)
-
-
-def rpm_to_wheel_angle(rpm: float, dt: float) -> float:
-    """Wheel rotation (rad) produced by a constant speed over dt seconds."""
-    return rpm / 60.0 * TWO_PI * dt
 
 
 def check_slip(slip_halfwidth: float, slip_bias_halfwidth: float):
@@ -138,15 +115,13 @@ class MotionSimulator:
         self._ticks_right = 0
         self._ticks_left = 0
 
-    def _quantize(self, angle: float) -> int:
-        return math.trunc(angle / TWO_PI * self.params.ticks_per_rev_C)
-
     def step(self, omega_right_rpm: float, omega_left_rpm: float, dt: float) -> tuple[Pose, EncoderDelta]:
-        """Advance truth by one timestep; returns (true pose, encoder delta)."""
+        """Advance truth by one timestep; returns (true pose, encoder delta).
+        A wheel at `rpm` turns rpm / 60 * 2 pi * dt rad and rolls r times that."""
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
-        dth_r = rpm_to_wheel_angle(omega_right_rpm, dt)
-        dth_l = rpm_to_wheel_angle(omega_left_rpm, dt)
+        dth_r = omega_right_rpm / 60.0 * TWO_PI * dt
+        dth_l = omega_left_rpm / 60.0 * TWO_PI * dt
 
         h = self.slip_halfwidth
         if h > 0.0:
@@ -156,13 +131,15 @@ class MotionSimulator:
             s_r = s_l = 1.0
         s_r += self._bias_right
         s_l += self._bias_left
-        true_arcs = angles_to_arcs(dth_r * s_r, dth_l * s_l, self.params)
-        self.pose = pose_update(self.pose, true_arcs, self.params)
+        params = self.params
+        r = params.wheel_radius_r
+        self.pose = pose_update(self.pose, r * (dth_r * s_r), r * (dth_l * s_l), params)
 
         self._angle_right += dth_r
         self._angle_left += dth_l
-        new_r = self._quantize(self._angle_right)
-        new_l = self._quantize(self._angle_left)
+        c = params.ticks_per_rev_C
+        new_r = math.trunc(self._angle_right / TWO_PI * c)
+        new_l = math.trunc(self._angle_left / TWO_PI * c)
         delta = EncoderDelta(new_r - self._ticks_right, new_l - self._ticks_left)
         self._ticks_right, self._ticks_left = new_r, new_l
         return self.pose, delta
@@ -176,7 +153,11 @@ class DeadReckoner:
         self.params = params
 
     def update(self, delta: EncoderDelta) -> Pose:
-        dth_r, dth_l = ticks_to_angles(delta, self.params)
-        arcs = angles_to_arcs(dth_r, dth_l, self.params)
-        self.pose = pose_update(self.pose, arcs, self.params)
+        """A wheel whose encoder moved dN ticks turned 2 pi dN / C rad and
+        rolled r times that."""
+        params = self.params
+        scale = TWO_PI / params.ticks_per_rev_C
+        r = params.wheel_radius_r
+        self.pose = pose_update(self.pose, r * (delta.dn_right * scale),
+                                r * (delta.dn_left * scale), params)
         return self.pose

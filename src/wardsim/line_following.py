@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, mul
 
 from . import ConfigurationError
 from .kinematics import Pose
@@ -30,9 +31,9 @@ DEFAULT_DETECT_THRESHOLD = 0.5  # level below which a sensor sees the line
 
 def threshold(r, t: float) -> tuple[int, ...]:
     """Binary detections: 1 where the reflectance level is below t (dark line)."""
-    if not 0.0 < t < 1.0:
-        raise ConfigurationError("threshold must be in (0, 1)")
-    return tuple(1 if ri < t else 0 for ri in r)
+    if not 0.0 < t <= 1.0:
+        raise ConfigurationError("threshold must be in (0, 1]")
+    return tuple([1 if ri < t else 0 for ri in r])
 
 
 def line_error(s, weights=DEFAULT_WEIGHTS) -> float | None:
@@ -42,7 +43,7 @@ def line_error(s, weights=DEFAULT_WEIGHTS) -> float | None:
     active = sum(s)
     if active == 0:
         return None
-    return sum(w * si for w, si in zip(weights, s)) / active
+    return sum(map(mul, weights, s)) / active
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def pid_step(gains: PidGains, state: PidState, e: float, dt: float) -> float:
     return gains.kp * e + gains.ki * state.integral_accum + gains.kd * de
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WheelCommand:
     omega_right: float
     omega_left: float
@@ -93,8 +94,7 @@ class WheelCommand:
 
 def apply_control(omega_base: float, u: float, cap: float = DEFAULT_SPEED_CAP_RPM) -> WheelCommand:
     """Differential mixing: right wheel gets +u, left gets -u, both capped."""
-    clamp = lambda w: max(-cap, min(cap, w))
-    return WheelCommand(clamp(omega_base + u), clamp(omega_base - u))
+    return WheelCommand(max(-cap, min(cap, omega_base + u)), max(-cap, min(cap, omega_base - u)))
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,11 @@ def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, floa
     fo, pitch = geometry.forward_offset, geometry.pitch
     cx = pose.x + fo * c
     cy = pose.y + fo * s
-    return [(cx + (k * pitch) * s, cy + (k * pitch) * (-c)) for k in (-2, -1, 0, 1, 2)]
+    nc = -c
+    # k * pitch for k = 0, 1, 2; -(k * pitch) is exactly -k * pitch
+    o0, o1, o2 = 0 * pitch, pitch, 2 * pitch
+    return [(cx + -o2 * s, cy + -o2 * nc), (cx + -o1 * s, cy + -o1 * nc), (cx + o0 * s, cy + o0 * nc),
+            (cx + o1 * s, cy + o1 * nc), (cx + o2 * s, cy + o2 * nc)]
 
 
 def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
@@ -131,21 +135,15 @@ def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
     half = track.line_width / 2.0
     w, h = track.mat_size
     low, high = geometry.low_level, geometry.high_level
-    noise = None
-    if rng is not None and geometry.noise_frac > 0:
-        # one draw per sensor, left to right: the same stream as drawing each alone
-        noise = rng.uniform(-geometry.noise_frac, geometry.noise_frac, size=5)
     query = track.query
-    vals = []
-    for k, (sx, sy) in enumerate(sensor_positions(pose, geometry)):
-        if 0.0 <= sx <= w and 0.0 <= sy <= h and query(sx, sy).distance <= half:
-            level = low
-        else:
-            level = high
-        if noise is not None:
-            level += noise[k]
-        vals.append(min(max(level, 0.0), 1.0))
-    return tuple(vals)
+    levels = [low if 0.0 <= sx <= w and 0.0 <= sy <= h and query(sx, sy).distance <= half else high
+              for sx, sy in sensor_positions(pose, geometry)]
+    if rng is None or not geometry.noise_frac > 0:
+        return tuple(levels)  # low and high lie in [0, 1]
+    # one draw per sensor, left to right: the same stream as drawing each alone
+    noise = rng.uniform(-geometry.noise_frac, geometry.noise_frac, size=5)
+    # clamped to [0, 1]
+    return tuple([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in map(add, levels, noise)])
 
 
 @dataclass

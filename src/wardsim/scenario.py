@@ -22,12 +22,12 @@ import yaml
 
 from . import ConfigurationError
 from .kinematics import DEFAULT_SLIP_HALFWIDTH, ChassisParams, Pose, check_slip
-from .line_following import (DEFAULT_BASE_RPM, DEFAULT_DETECT_THRESHOLD, IrGeometry,
-                             PidGains, threshold)
+from .line_following import DEFAULT_BASE_RPM, DEFAULT_DETECT_THRESHOLD, IrGeometry, PidGains
 from .protocol import DEFAULT_EXEC_DURATIONS_MS, ScheduleEntry, TaskKind, TimeoutPolicy
 from .rf_channel import ChannelConfig, LinkCondition
 from .track import Track, rounded_rect_track
-from .vitals import FallDetectorModel, Flag, LatencyConfig, Posture, SensorNoiseModel
+from .vitals import (BPM_RANGE, SPO2_RANGE, TEMP_RANGE, FallDetectorModel, Flag, LatencyConfig,
+                     Posture, SensorNoiseModel)
 
 SCENARIO_KINDS = ("fall", "low_spo2", "high_temp", "no_vitals", "battery_low")
 
@@ -63,6 +63,15 @@ class PatientEvent:
     def __post_init__(self):
         if self.kind is not None and self.kind not in SCENARIO_KINDS:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
+        # the patient model clamps to these ranges, so a value outside one
+        # would run as the range's end
+        out = [f"{key} must be in [{lo:g}, {hi:g}], got {value!r}"
+               for key, value, (lo, hi) in (("spo2", self.spo2, SPO2_RANGE),
+                                            ("bpm", self.bpm, BPM_RANGE),
+                                            ("temp", self.temp, TEMP_RANGE))
+               if value is not None and not lo <= value <= hi]
+        if out:
+            raise ConfigurationError("; ".join(out))
 
 
 @dataclass(frozen=True)
@@ -342,10 +351,13 @@ def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
     for key in ("position_gain", "heading_gain"):
         if not 0.0 <= getattr(cfg.correction, key) <= 1.0:
             errors.append(f"correction.{key}: must be in [0, 1]")
-    try:
-        threshold((), cfg.detect_threshold)  # the range check alone: no readings
-    except ConfigurationError as exc:
-        errors.append(f"top.detect_threshold: {exc}")
+    # only in this range does a sensor on the line always read dark, and one
+    # off it never, whatever its noise draw
+    geometry = cfg.robots.corridor.geometry
+    dark, bright = geometry.low_level + geometry.noise_frac, geometry.high_level - geometry.noise_frac
+    if not dark < cfg.detect_threshold <= bright:
+        errors.append("top.detect_threshold: must be in (low_level + noise_frac, high_level"
+                      f" - noise_frac], here ({dark:g}, {bright:g}]")
     if cfg.flag_confirm_samples < 1:
         errors.append("top.flag_confirm_samples: must be at least 1")
 

@@ -47,7 +47,7 @@ _MAX_CELLS = 64      # per mat side, so a large mat cannot inflate set-up
 _MARGIN_M = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class TrackQuery:
     distance: float
     point: tuple[float, float]

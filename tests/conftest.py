@@ -1,7 +1,10 @@
 """Hypothesis profiles. Tier-1 runs hypothesis' default budget; the
 `schema-fuzz` profile gives the schema-walking scenario test a larger one,
-`log-fuzz` the event-log loader's property, and `protocol-fuzz` the check
-that the event-driven leader equals one that does its full pass every step:
+`log-fuzz` the event-log loader's property, `protocol-fuzz` the check
+that the event-driven leader equals one that does its full pass every step,
+and `corridor-fuzz` the checks that the corridor tick's rewritten helpers,
+`MotionSimulator.step` and `DeadReckoner.update` equal the expressions they
+replaced:
 
     python -m pytest --hypothesis-profile=schema-fuzz \
         "tests/test_scenario.py::test_a_scenario_drawn_from_the_schema_is_rejected_or_runs"
@@ -9,6 +12,8 @@ that the event-driven leader equals one that does its full pass every step:
         "tests/test_metrics.py::test_batch_load_equals_the_per_line_loop"
     python -m pytest --hypothesis-profile=protocol-fuzz \
         "tests/test_protocol.py::test_the_event_driven_leader_equals_one_that_steps_in_full"
+    python -m pytest --hypothesis-profile=corridor-fuzz -k "equal_the or equals_the" \
+        tests/test_line_following.py tests/test_kinematics.py
 """
 
 from hypothesis import settings
@@ -16,3 +21,4 @@ from hypothesis import settings
 settings.register_profile("schema-fuzz", max_examples=2000)
 settings.register_profile("log-fuzz", max_examples=1000)
 settings.register_profile("protocol-fuzz", max_examples=1000)
+settings.register_profile("corridor-fuzz", max_examples=1000)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from _exchange import run_lossy_exchange
+from _odometry import angles_to_arcs
 from wardsim.engine import run, run_suite
-from wardsim.kinematics import ChassisParams, Pose, WheelArcs, angles_to_arcs, \
-    normalize_angle, pose_update
+from wardsim.kinematics import ChassisParams, Pose, normalize_angle, pose_update
 from wardsim.metrics import EventLog, replay_metrics
 from wardsim.ml import DecisionTree, KnnClassifier, RandomForest, evaluate, \
     generate_dataset
@@ -84,14 +84,14 @@ def test_criterion_03_odometry_matches_oracles():
     straight lines exactly, and closes a full circle within 0.5 %."""
     params = ChassisParams()
     arcs = angles_to_arcs(math.pi, math.pi / 2, params)
-    pose = pose_update(Pose(0, 0, 0), arcs, params)
+    pose = pose_update(Pose(0, 0, 0), *arcs, params)
     hand_ok = (abs(pose.x - 0.07019587279983032) < 1e-12
                and abs(pose.y - 0.008308229048451141) < 1e-12
                and abs(pose.theta - 0.23561944901923446) < 1e-12)
 
     straight = Pose(0, 0, 0)
     for _ in range(10_000):
-        straight = pose_update(straight, WheelArcs(0.001, 0.001), params)
+        straight = pose_update(straight, 0.001, 0.001, params)
     straight_ok = abs(straight.y) < 1e-12 and abs(straight.x - 10.0) < 1e-9
 
     dth = math.radians(5.0)
@@ -99,7 +99,7 @@ def test_criterion_03_odometry_matches_oracles():
     dsl = 0.01 - dth * params.axle_length_L / 2
     circle = Pose(0, 0, 0)
     for _ in range(72):
-        circle = pose_update(circle, WheelArcs(dsr, dsl), params)
+        circle = pose_update(circle, dsr, dsl, params)
     closure = math.hypot(circle.x, circle.y)
     circle_ok = closure < 0.005 * (0.01 * 72) \
         and abs(normalize_angle(circle.theta)) < 1e-9

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardsim import ConfigurationError
-from wardsim.kinematics import (ChassisParams, DeadReckoner, EncoderDelta,
-                                MotionSimulator, Pose, WheelArcs, angles_to_arcs,
-                                drift_error, normalize_angle, pose_update,
-                                rpm_to_wheel_angle, ticks_to_angles)
+from _odometry import (angles_to_arcs, reference_step, reference_update, rpm_to_wheel_angle,
+                       ticks_to_angles)
+from wardsim.kinematics import (ChassisParams, DeadReckoner, EncoderDelta, MotionSimulator,
+                                Pose, drift_error, normalize_angle, pose_update)
+from wardsim.rng import Doubles
 
 PARAMS = ChassisParams()  # r=0.03 m, L=0.20 m, C=1024 ticks/rev
 
@@ -23,9 +24,9 @@ def test_ticks_to_angles_half_and_quarter_rev():
 
 
 def test_angles_to_arcs_scales_by_wheel_radius():
-    arcs = angles_to_arcs(math.pi, math.pi / 2, PARAMS)
-    assert arcs.ds_right == pytest.approx(0.03 * math.pi)
-    assert arcs.ds_left == pytest.approx(0.015 * math.pi)
+    ds_right, ds_left = angles_to_arcs(math.pi, math.pi / 2, PARAMS)
+    assert ds_right == pytest.approx(0.03 * math.pi)
+    assert ds_left == pytest.approx(0.015 * math.pi)
 
 
 def test_pose_update_hand_worked_case():
@@ -36,7 +37,7 @@ def test_pose_update_hand_worked_case():
     # /0.2  = 0.117809724...*2 = 0.235619449...
     # midpoint heading 0.117809724 -> x = ds*cos, y = ds*sin
     arcs = angles_to_arcs(math.pi, math.pi / 2, PARAMS)
-    pose = pose_update(Pose(0.0, 0.0, 0.0), arcs, PARAMS)
+    pose = pose_update(Pose(0.0, 0.0, 0.0), *arcs, PARAMS)
     assert pose.x == pytest.approx(0.07019587279983032, abs=1e-12)
     assert pose.y == pytest.approx(0.008308229048451141, abs=1e-12)
     assert pose.theta == pytest.approx(0.23561944901923446, abs=1e-12)
@@ -44,10 +45,10 @@ def test_pose_update_hand_worked_case():
 
 def test_pose_update_agrees_with_exact_arc_for_small_steps():
     # closed-form ICC oracle: R = ds/dth; displacement (R sin, R(1-cos))
-    arcs = WheelArcs(0.0101, 0.0099)
-    pose = pose_update(Pose(0.0, 0.0, 0.0), arcs, PARAMS)
-    ds = 0.5 * (arcs.ds_right + arcs.ds_left)
-    dth = (arcs.ds_right - arcs.ds_left) / PARAMS.axle_length_L
+    ds_right, ds_left = 0.0101, 0.0099
+    pose = pose_update(Pose(0.0, 0.0, 0.0), ds_right, ds_left, PARAMS)
+    ds = 0.5 * (ds_right + ds_left)
+    dth = (ds_right - ds_left) / PARAMS.axle_length_L
     R = ds / dth
     assert pose.x == pytest.approx(R * math.sin(dth), rel=1e-6)
     assert pose.y == pytest.approx(R * (1 - math.cos(dth)), rel=1e-4)
@@ -56,7 +57,7 @@ def test_pose_update_agrees_with_exact_arc_for_small_steps():
 def test_straight_line_is_exact():
     pose = Pose(0.0, 0.0, 0.0)
     for _ in range(10_000):
-        pose = pose_update(pose, WheelArcs(0.001, 0.001), PARAMS)
+        pose = pose_update(pose, 0.001, 0.001, PARAMS)
     assert abs(pose.y) < 1e-12
     assert abs(pose.theta) < 1e-12
     assert pose.x == pytest.approx(10.0, abs=1e-9)
@@ -70,7 +71,7 @@ def test_circle_closure_within_half_percent():
     dsl = ds_step - dth_step * PARAMS.axle_length_L / 2
     pose = Pose(0.0, 0.0, 0.0)
     for _ in range(72):
-        pose = pose_update(pose, WheelArcs(dsr, dsl), PARAMS)
+        pose = pose_update(pose, dsr, dsl, PARAMS)
     circumference = ds_step * 72
     assert math.hypot(pose.x, pose.y) < 0.005 * circumference
     assert normalize_angle(pose.theta) == pytest.approx(0.0, abs=1e-9)
@@ -78,12 +79,11 @@ def test_circle_closure_within_half_percent():
 
 def test_zero_arcs_leave_pose_unchanged():
     p = Pose(1.0, 2.0, 0.5)
-    assert pose_update(p, WheelArcs(0.0, 0.0), PARAMS) == p
+    assert pose_update(p, 0.0, 0.0, PARAMS) == p
 
 
 def test_pure_rotation_keeps_position():
-    arcs = WheelArcs(0.01, -0.01)
-    p = pose_update(Pose(1.0, 2.0, 0.3), arcs, PARAMS)
+    p = pose_update(Pose(1.0, 2.0, 0.3), 0.01, -0.01, PARAMS)
     assert p.x == pytest.approx(1.0)
     assert p.y == pytest.approx(2.0)
     assert p.theta == pytest.approx(0.3 + 0.02 / PARAMS.axle_length_L)
@@ -103,8 +103,8 @@ def test_normalize_angle_range_and_identity(theta):
 def test_pose_update_reversibility(dsr, dsl, x, y, theta):
     """Driving an arc then the reversed arc returns to the start pose."""
     start = Pose(x, y, normalize_angle(theta))
-    fwd = pose_update(start, WheelArcs(dsr, dsl), PARAMS)
-    back = pose_update(fwd, WheelArcs(-dsr, -dsl), PARAMS)
+    fwd = pose_update(start, dsr, dsl, PARAMS)
+    back = pose_update(fwd, -dsr, -dsl, PARAMS)
     assert back.x == pytest.approx(start.x, abs=1e-12)
     assert back.y == pytest.approx(start.y, abs=1e-12)
     assert math.cos(back.theta) == pytest.approx(math.cos(start.theta), abs=1e-12)
@@ -211,3 +211,50 @@ def test_motion_is_deterministic_for_a_seed():
 
     assert run(9) == run(9)
     assert run(9) != run(10)
+
+
+# ---------------------------------------------------------------------------
+# step and update against the composed conversions they compute inline
+
+_COMMANDS = st.lists(st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+                     min_size=1, max_size=30)
+
+
+@given(commands=_COMMANDS, dt=st.floats(1e-4, 0.1),
+       slip=st.sampled_from([0.0, 0.02, 0.1]), bias=st.sampled_from([0.0, 0.01, 0.1]),
+       seed=st.integers(0, 2**32 - 1),
+       radius=st.floats(1e-3, 1.0), axle=st.floats(1e-2, 2.0), ticks=st.integers(1, 1 << 16))
+def test_motion_step_equals_the_composed_conversions(commands, dt, slip, bias, seed,
+                                                     radius, axle, ticks):
+    params = ChassisParams(radius, axle, ticks)
+    sims = [MotionSimulator(Pose(1.0, 2.0, 0.5), params, slip, Doubles(np.random.default_rng(seed)),
+                            slip_bias_halfwidth=bias) for _ in range(2)]
+    for omega_right, omega_left in commands:
+        pose, delta = sims[0].step(omega_right, omega_left, dt)
+        assert (pose, (delta.dn_right, delta.dn_left)) == reference_step(sims[1], omega_right,
+                                                                         omega_left, dt)
+
+
+@pytest.mark.parametrize("ticks", [100, 360, 1000])
+def test_motion_step_equals_the_composed_conversions_on_tick_boundaries(ticks):
+    """Whole speeds held over round timesteps bring the cumulative angle to
+    a tick boundary now and then, where the order of the quantizing float
+    operations shows in the tick count."""
+    params = ChassisParams(ticks_per_rev_C=ticks)
+    for rpm, dt in ((30.0, 0.1), (60.0, 0.01), (120.0, 0.1)):
+        sim, reference = (MotionSimulator(Pose(), params, 0.0) for _ in range(2))
+        for _ in range(1000):
+            pose, delta = sim.step(rpm, rpm / 2, dt)
+            assert (pose, (delta.dn_right, delta.dn_left)) == reference_step(reference, rpm,
+                                                                             rpm / 2, dt)
+
+
+@given(deltas=st.lists(st.tuples(st.integers(-5000, 5000), st.integers(-5000, 5000)),
+                       min_size=1, max_size=30),
+       radius=st.floats(1e-3, 1.0), axle=st.floats(1e-2, 2.0), ticks=st.integers(1, 1 << 16))
+def test_dead_reckoner_update_equals_the_composed_conversions(deltas, radius, axle, ticks):
+    params = ChassisParams(radius, axle, ticks)
+    reckoner, reference = (DeadReckoner(Pose(1.0, 2.0, 0.5), params) for _ in range(2))
+    for dn_right, dn_left in deltas:
+        delta = EncoderDelta(dn_right, dn_left)
+        assert reckoner.update(delta) == reference_update(reference, delta)

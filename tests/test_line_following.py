@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wardsim import ConfigurationError
 from wardsim.kinematics import Pose
+from wardsim.rng import Doubles
 from wardsim.line_following import (DEFAULT_WEIGHTS, IrGeometry, LineFollower,
                                     PidGains, PidState, apply_control, line_error,
                                     pid_step, sensor_positions, simulate_ir,
@@ -165,6 +166,87 @@ def test_sensor_positions_equal_the_numpy_expression(x, y, theta, pitch, forward
     got = sensor_positions(pose, geom)
     assert got == [tuple(p) for p in reference_sensor_positions(pose, geom).tolist()]
     assert all(type(v) is float for p in got for v in p)
+
+
+# ---------------------------------------------------------------------------
+# the rewritten helpers against the expressions they replaced, kept as
+# oracles; repr also tells -0.0 from 0.0 and a numpy float from a float
+
+
+def reference_threshold(r, t):
+    return tuple(1 if ri < t else 0 for ri in r)
+
+
+def reference_line_error(s, weights=DEFAULT_WEIGHTS):
+    active = sum(s)
+    if active == 0:
+        return None
+    return sum(w * si for w, si in zip(weights, s)) / active
+
+
+def reference_apply_control(omega_base, u, cap):
+    clamp = lambda w: max(-cap, min(cap, w))  # noqa: E731
+    return clamp(omega_base + u), clamp(omega_base - u)
+
+
+def reference_simulate_ir(track, pose, geometry, rng=None):
+    half = track.line_width / 2.0
+    w, h = track.mat_size
+    low, high = geometry.low_level, geometry.high_level
+    noise = None
+    if rng is not None and geometry.noise_frac > 0:
+        noise = rng.uniform(-geometry.noise_frac, geometry.noise_frac, size=5)
+    vals = []
+    for k, (sx, sy) in enumerate(reference_sensor_positions(pose, geometry).tolist()):
+        if 0.0 <= sx <= w and 0.0 <= sy <= h and track.query(sx, sy).distance <= half:
+            level = low
+        else:
+            level = high
+        if noise is not None:
+            level += noise[k]
+        vals.append(min(max(level, 0.0), 1.0))
+    return tuple(vals)
+
+
+_LEVELS = st.floats(-2.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
+
+
+@given(st.tuples(*[_LEVELS] * 5), st.floats(0.0, 1.0, exclude_min=True))
+def test_threshold_equals_the_generator_expression(r, t):
+    assert repr(threshold(r, t)) == repr(reference_threshold(r, t))
+
+
+@given(st.tuples(*[st.integers(0, 1)] * 5),
+       st.tuples(*[st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])] * 5))
+def test_line_error_equals_the_generator_expression(s, weights):
+    assert repr(line_error(s, weights)) == repr(reference_line_error(s, weights))
+    assert repr(line_error(s)) == repr(reference_line_error(s))
+
+
+@given(st.floats(-200.0, 200.0), st.floats(-300.0, 300.0) | st.sampled_from([0.0, -0.0]),
+       st.floats(0.0, 150.0))
+def test_apply_control_equals_the_lambda(omega_base, u, cap):
+    cmd = apply_control(omega_base, u, cap)
+    assert repr((cmd.omega_right, cmd.omega_left)) == repr(reference_apply_control(omega_base, u, cap))
+
+
+_TRACK = rounded_rect_track()
+
+
+@given(x=st.floats(-0.5, 4.0), y=st.floats(-0.5, 4.5), theta=st.floats(-math.pi, math.pi),
+       pitch=st.floats(0.0, 0.1), forward_offset=st.floats(-0.2, 0.2),
+       low=st.floats(0.0, 0.5), high=st.floats(0.5, 1.0, exclude_min=True),
+       noise_frac=st.sampled_from([0.0, 0.03, 0.5]), seed=st.none() | st.integers(0, 2**32 - 1))
+def test_simulate_ir_equals_the_per_sensor_loop(x, y, theta, pitch, forward_offset, low, high,
+                                               noise_frac, seed):
+    pose = Pose(x, y, theta)
+    geom = IrGeometry(pitch=pitch, forward_offset=forward_offset, low_level=low,
+                      high_level=high, noise_frac=noise_frac)
+    rngs = [None if seed is None else Doubles(np.random.default_rng(seed)) for _ in range(2)]
+    got = simulate_ir(_TRACK, pose, geom, rngs[0])
+    assert repr(got) == repr(reference_simulate_ir(_TRACK, pose, geom, rngs[1]))
+    if seed is not None:  # the same number of draws
+        assert rngs[0].random() == rngs[1].random()
 
 
 def test_simulate_ir_centered_on_line():

@@ -13,7 +13,7 @@ from wardsim import ConfigurationError, InvariantError
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort
 from wardsim.kinematics import ChassisParams, MotionSimulator, Pose
-from wardsim.line_following import LineFollower
+from wardsim.line_following import IrGeometry, LineFollower
 from wardsim.protocol import TaskKind
 from wardsim.rf_channel import LinkCondition
 from wardsim.scenario import (DEFAULT_BUDGETS_MS, SCENARIO_KINDS, Battery, Correction, Robots,
@@ -113,6 +113,9 @@ def test_bool_is_not_accepted_as_int():
     ("schedule: [{time_ms: 99.99, bed: 1, slot: 0}]\n", "schedule[0].time_ms: expected"),
     ("schedule: [{time_ms: 100, bed: 1, slot: 0, dose_note: 5}]\n", "schedule[0].dose_note: expected"),
     ("patient_script: [{time_ms: 0, spo2: '90'}]\n", "patient_script[0].spo2: expected"),
+    ("patient_script: [{time_ms: 0, spo2: -80, bpm: 5000}]\n",
+     "patient_script[0]: spo2 must be in [50, 100], got -80.0; bpm must be in [20, 220]"),
+    ("patient_script: [{time_ms: 0, temp: 33.9}]\n", "patient_script[0]: temp must be in [34, 43]"),
     ("track: {line_width: '0.02'}\n", "track.line_width: expected"),
     ("robots: {corridor: {start: {x: '1.0'}}}\n", "robots.corridor.start.x: expected"),
     ("name: 5\n", "top.name: expected"),
@@ -131,7 +134,15 @@ def test_bool_is_not_accepted_as_int():
     # as a silently different scenario
     ("robots: {corridor: {slip_halfwidth: 0.5}}\n",
      "robots.corridor: slip_halfwidth must be in [0, 0.1]"),
-    ("detect_threshold: 7.0\n", "top.detect_threshold: threshold must be in (0, 1)"),
+    ("detect_threshold: 7.0\n", "top.detect_threshold: must be in (low_level + noise_frac,"),
+    # at the default levels (0.1 and 0.9, noise 0.03) a threshold of 0.95 sees
+    # the line under every sensor and 0.05 under none
+    ("detect_threshold: 0.95\n", "top.detect_threshold: must be in (low_level + noise_frac,"
+     " high_level - noise_frac], here (0.13, 0.87]"),
+    ("detect_threshold: 0.05\n", "top.detect_threshold: must be in (low_level + noise_frac,"),
+    ("robots: {corridor: {geometry: {noise_frac: 0.45}}}\n",
+     "top.detect_threshold: must be in (low_level + noise_frac, high_level - noise_frac],"
+     " here (0.55, 0.45]"),
     ("correction: {position_gain: 5.0}\n", "correction.position_gain: must be in [0, 1]"),
     ("link_conditions: [{src: 9, dst: 1, condition: obstructed}]\n",
      "link_conditions[0].src: 9 is not a robot address"),
@@ -171,9 +182,12 @@ def test_bool_is_not_accepted_as_int():
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
         "wearing_string", "correction_enabled_string", "track_closed_string", "link_src_float",
         "link_dst_missing", "schedule_time_float", "dose_note_int", "spo2_string",
+        "spo2_bpm_out_of_range", "temp_out_of_range",
         "line_width_string", "start_x_string", "name_int", "max_retries_string",
         "geometry_pitch_string", "waypoint_string", "waypoint_bool", "mat_size_bool",
         "tag_int", "ai_flags_mapping", "slip_out_of_range", "threshold_out_of_range",
+        "threshold_above_the_bright_levels", "threshold_below_the_dark_levels",
+        "ir_levels_overlap_with_noise",
         "correction_gain_out_of_range", "link_end_not_a_robot", "noise_frac_inf", "jitter_inf",
         "wheel_radius_inf", "rtt_nan", "base_rpm_nan", "v_max_negative", "noise_frac_negative",
         "ir_levels_inverted", "timeout_zero", "timeout_negative", "exec_timeout_zero",
@@ -188,6 +202,31 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
     assert any(e.startswith(error) for e in exc.value.errors), exc.value.errors
     assert main(["run", str(path)]) == 2
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("geometry", [{}, {"low_level": 0.0, "high_level": 1.0, "noise_frac": 0.0},
+                                      {"low_level": 0.3, "high_level": 0.6, "noise_frac": 0.1}])
+def test_detect_threshold_edges(geometry):
+    """A threshold must lie above every level a sensor on the line reads and
+    at or below every level one off it reads: (low + noise, high - noise]."""
+    geom = IrGeometry(**geometry)
+    dark, bright = geom.low_level + geom.noise_frac, geom.high_level - geom.noise_frac
+    raw = {"robots": {"corridor": {"geometry": geometry}}, "duration_ms": 200}
+    for t in (math.nextafter(dark, 1.0), bright):
+        cfg = validate({**raw, "detect_threshold": t})
+        assert cfg.detect_threshold == t
+        Engine(cfg).run()  # and it runs
+    for t in (dark, math.nextafter(bright, 2.0)):
+        with pytest.raises(ScenarioValidationError) as exc:
+            validate({**raw, "detect_threshold": t})
+        assert [e for e in exc.value.errors if e.startswith("top.detect_threshold: ")], t
+
+
+def test_patient_values_at_the_model_ranges_validate():
+    cfg = validate({"patient_script": [{"spo2": 50, "bpm": 220, "temp": 34.0},
+                                       {"spo2": 100.0, "bpm": 20, "temp": 43}]})
+    assert [(e.spo2, e.bpm, e.temp) for e in cfg.patient_script] \
+        == [(50.0, 220.0, 34.0), (100.0, 20.0, 43.0)]
 
 
 def test_null_fields_take_their_defaults():
