@@ -24,14 +24,31 @@ and the ward-shift digest:
 from wardsim.engine import run; \
 print(hashlib.sha256(run(test_golden.ward_shift_config())[0].to_jsonl().encode()).hexdigest())" \
 > tests/golden/engine/ward_shift.sha256
+
+and a corpus digest, here of `lost_line`:
+
+    PYTHONPATH=src:tests python -c "import hashlib, test_golden; \
+from wardsim.engine import run; \
+print(hashlib.sha256(run(test_golden.corpus_config('lost_line'))[0].to_jsonl().encode()).hexdigest())" \
+> tests/golden/engine/lost_line.sha256
+
+The corpus (`CORPUS`) is a set of short runs, each aimed at a corridor path
+that no preset takes; `test_the_corpus_and_the_presets_run_every_statement_of_the_tick_paths`
+checks that together with the presets they leave no statement of those
+paths unrun.
 """
 
+import ast
+import dataclasses
 import hashlib
+import os
+import trace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wardsim import engine, kinematics, line_following
 from wardsim.engine import export_outputs, run
 from wardsim.scenario import load_preset, preset_names, validate
 
@@ -99,3 +116,106 @@ def test_ward_shift_log_matches_golden_digest():
     digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
     assert digest == (GOLDEN / "engine" / "ward_shift.sha256").read_text().strip(), \
         _numpy_hint()
+
+
+# Short scenarios on the default track, each aimed at a corridor path that no
+# preset takes: name -> the keys set over CORPUS_BASE.
+CORPUS_BASE = {"seed": 3, "duration_ms": 10_000}
+CORPUS = {
+    # off the line at the start: the line is lost, held, then the robot
+    # nav-faults and is re-placed on the line
+    "lost_line": {"robots": {"corridor": {"start": {"x": 0.1, "y": 0.1}}}},
+    # the battery runs low and the robot slows down
+    "battery_low": {"battery": {"budget_units": 5}},
+    # steering by the odometry estimate alone
+    "ir_off": {"ir_enabled": False},
+    # a chassis whose wheels never slip on a step
+    "no_slip": {"robots": {"corridor": {"slip_halfwidth": 0}}},
+    # a script event that sets the heart rate
+    "script_bpm": {"patient_script": [{"time_ms": 2000, "bpm": 130}]},
+    # on the right edge facing down it, against the course: the correction
+    # turns the line's tangent around
+    "against_course": {"robots": {"corridor": {
+        "start": {"x": 2.9, "y": 2.0, "theta": -1.5707963267948966}}}},
+}
+
+
+def corpus_config(name: str):
+    return validate({**CORPUS_BASE, "name": name, **CORPUS[name]})
+
+
+def test_every_engine_digest_belongs_to_a_run():
+    names = sorted(p.stem for p in (GOLDEN / "engine").glob("*.sha256"))
+    assert names == sorted([*CORPUS, "ward_shift"])
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_log_matches_golden_digest(name):
+    log, _ = run(corpus_config(name))
+    digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
+    assert digest == (GOLDEN / "engine" / f"{name}.sha256").read_text().strip(), \
+        name + _numpy_hint()
+
+
+# the tick paths whose every statement the corpus and the presets must run:
+# module -> its functions, as Class.method
+TICK_PATHS = {
+    engine: ("Engine._drive", "Engine._correct_estimate", "Engine._apply_script"),
+    kinematics: ("MotionSimulator.step",),
+    line_following: ("LineFollower.step", "LineFollower.reset"),
+}
+
+# the presets' script events are at 10 s, so their first 11 s run them
+TRACE_CUT_MS = 11_000
+
+
+def statement_lines(module, qualnames) -> set[int]:
+    """First lines of the statements of the named methods of `module`,
+    without docstrings and raises: a raise there checks an argument that a
+    validated scenario cannot make."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    wanted = {tuple(q.split(".")) for q in qualnames}
+    lines = set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and (cls.name, method.name) in wanted):
+                continue
+            wanted.discard((cls.name, method.name))
+            body = method.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            stack = list(body)
+            while stack:
+                stmt = stack.pop()
+                if isinstance(stmt, ast.Raise):
+                    continue
+                lines.add(stmt.lineno)
+                for block in ("body", "orelse", "handlers", "finalbody"):
+                    stack += getattr(stmt, block, [])
+    assert not wanted, f"{module.__name__} has no {wanted}"
+    return lines
+
+
+def test_the_corpus_and_the_presets_run_every_statement_of_the_tick_paths():
+    # only the three modules are counted line by line, which keeps the
+    # traced runs to a few seconds
+    counted = {m.__name__.rpartition(".")[2] for m in TICK_PATHS}
+    ignored = {Path(f).stem for f in os.listdir(Path(engine.__file__).parent)} - counted
+    tracer = trace.Trace(count=1, trace=0, ignoremods=sorted(ignored),
+                         ignoredirs=[os.path.dirname(np.__file__), os.path.dirname(os.__file__)])
+    configs = [corpus_config(name) for name in sorted(CORPUS)]
+    # the ward shift's link conditions, and its corridor that waits for a task
+    configs += [dataclasses.replace(config, duration_ms=TRACE_CUT_MS)
+                for config in [*map(load_preset, preset_names()), ward_shift_config()]]
+    for config in configs:
+        tracer.runfunc(run, config)
+    ran = {(path, line) for path, line in tracer.results().counts}
+    missed = []
+    for module, qualnames in TICK_PATHS.items():
+        source = Path(module.__file__).read_text().splitlines()
+        missed += [f"{module.__name__}:{n}: {source[n - 1].strip()}"
+                   for n in sorted(statement_lines(module, qualnames))
+                   if (module.__file__, n) not in ran]
+    assert not missed
