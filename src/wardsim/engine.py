@@ -2,9 +2,9 @@
 
 Tick order (one pass per dt): patient script, wearable sampling, triage
 pipeline, leader step, channel deliveries, follower steps, corridor motion
-with line following, metric accumulation. All randomness comes from named
-streams derived from the scenario seed, so a (config, seed) pair fully
-determines the event log.
+with line following; each record is folded into the metrics as it is made.
+All randomness comes from named streams derived from the scenario seed, so
+a (config, seed) pair fully determines the event log.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ class Engine:
 
         self.log = EventLog()
         self.acc = MetricsAccumulator()
+        self._append, self._fold_of = self.log.records.append, self.acc.folds.get
         self._inboxes: dict[int, list[Packet]] = {a: [] for a in robots.addresses}
         # heap of (ready_ms, sample_time, decision). The wearable sends one
         # report per sample and the channel never duplicates a packet, so a
@@ -105,9 +106,12 @@ class Engine:
     # -- event plumbing --------------------------------------------------
 
     def _emit(self, kind: str, payload: dict, source: str):
-        record = {"time_ms": self._now, "source": source, "kind": kind, "payload": payload}
-        self.log.append(record)
-        self.acc.consume(record)
+        # the clock never runs back, so EventLog.append's check is not needed;
+        # run() brings the log's last time up to date
+        self._append({"time_ms": self._now, "source": source, "kind": kind, "payload": payload})
+        fold = self._fold_of(kind)
+        if fold is not None:
+            fold(self._now, payload)
 
     def _task_hook(self, task, now):
         self._emit("task", {
@@ -378,6 +382,9 @@ class Engine:
             # overflows the pose, whose constructor refuses a non-finite
             # coordinate); whatever stops the loop, the log so far is kept
             raise EngineAbort(f"{type(exc).__name__}: {exc}", self.log) from exc
+        finally:
+            # _emit filled the list directly; EventLog.append checks from here
+            self.log._last_time = self.log.records[-1]["time_ms"]
         return self.log, self.acc.result()
 
 

@@ -20,6 +20,11 @@ from .rng import Doubles
 TWO_PI = 2.0 * math.pi
 DEFAULT_SLIP_HALFWIDTH = 0.02  # per-step multiplicative slip jitter, either way
 
+# Pose.__init__'s calls, bound once: its check, and the setter that a frozen
+# dataclass's own __init__ uses to get past its __setattr__
+_isfinite = math.isfinite
+_setattr = object.__setattr__
+
 
 def normalize_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -29,17 +34,25 @@ def normalize_angle(theta: float) -> float:
     return t - math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pose:
-    """Planar robot state: position in meters, heading in radians (-pi, pi]."""
+    """Planar robot state: position in meters, heading in radians (-pi, pi].
+
+    Its own `__init__` checks the coordinates and sets the slots directly,
+    at about three quarters of the cost of the generated one with a
+    `__post_init__`; the field defaults are what a scenario's absent keys
+    take."""
 
     x: float = 0.0
     y: float = 0.0
     theta: float = 0.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
+    def __init__(self, x: float = 0.0, y: float = 0.0, theta: float = 0.0):
+        if not (_isfinite(x) and _isfinite(y) and _isfinite(theta)):
             raise ConfigurationError("pose coordinates must be finite")
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "theta", theta)
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,10 @@ class MotionSimulator:
         self.pose = start
         self.params = params
         self.slip_halfwidth = slip_halfwidth
+        # a step's slip is uniform(1 - h, 1 + h), written out as numpy's
+        # low + (high - low) * u; check_slip keeps the range finite
+        h = slip_halfwidth
+        self._slip_low, self._slip_span = 1.0 - h, (1.0 + h) - (1.0 - h)
         self.rng = rng if rng is not None else Doubles(np.random.default_rng(0))
         # scalar draws, right then left: the values of one size=2 draw, as floats
         if slip_bias_halfwidth > 0.0:
@@ -123,10 +140,10 @@ class MotionSimulator:
         dth_r = omega_right_rpm / 60.0 * TWO_PI * dt
         dth_l = omega_left_rpm / 60.0 * TWO_PI * dt
 
-        h = self.slip_halfwidth
-        if h > 0.0:
-            s_r = self.rng.uniform(1.0 - h, 1.0 + h)
-            s_l = self.rng.uniform(1.0 - h, 1.0 + h)
+        if self.slip_halfwidth > 0.0:
+            low, span, random = self._slip_low, self._slip_span, self.rng.random
+            s_r = low + span * random()
+            s_l = low + span * random()
         else:
             s_r = s_l = 1.0
         s_r += self._bias_right

@@ -1,9 +1,9 @@
 """Event log and metrics.
 
-Every metric is a pure fold over the event stream: the engine feeds each
-record to a MetricsAccumulator as it appends it to the log, and
-replay_metrics folds a saved log through a fresh accumulator, so live and
-replayed metrics agree by construction.
+Every metric is a pure fold over the event stream: the engine hands each
+record to its kind's fold in a MetricsAccumulator's `folds` table, and
+replay_metrics feeds a saved log to a fresh accumulator's `consume`, which
+looks up the same table, so live and replayed metrics agree by construction.
 """
 
 from __future__ import annotations
@@ -216,45 +216,59 @@ class MetricsAccumulator:
         self._drift_raw = None
         self._drift_corr = None
         self._energy = 0.0
+        # kind -> its fold of a record's (time_ms, payload); others fold to nothing
+        self.folds = {"meta": self._meta, "packet_send": self._packet_send, "nav": self._nav,
+                      "task": self._task, "script": self._script,
+                      "notification": self._notification}
 
     def consume(self, record: dict):
-        kind = record["kind"]
-        t = record["time_ms"]
-        p = record.get("payload", {})
-        if kind == "meta":
-            self._budgets = dict(p.get("budgets_ms", {}))
-        elif kind == "packet_send":
-            cond = p["condition"]
-            self._sent[cond] = self._sent.get(cond, 0) + 1
-            if p["outcome"] == "delivered":
-                self._delivered[cond] = self._delivered.get(cond, 0) + 1
-                if p["packet_kind"] == "command":
-                    self._cmd_sends[(p["src"], p["dst"], p["seq"])] = t
-                elif p["packet_kind"] == "ack":
-                    send_t = self._cmd_sends.pop((p["dst"], p["src"], p["seq"]), None)
-                    if send_t is not None:
-                        self._rtts.append(t + p["delay_ms"] - send_t)
-        elif kind == "nav":
-            tag = p["tag"]
-            bucket = self._nav_counts.setdefault(tag, [0, 0])
-            bucket[1] += 1
-            if p["on_line"]:
-                bucket[0] += 1
-            self._drift_raw = p["drift_raw"]
-            self._drift_corr = p["drift_corrected"]
-            self._energy = p["energy"]
-        elif kind == "task":
-            self._task_seen.add(p["task_id"])
-            if p["state"] in ("completed", "escalated"):
-                self._task_terminal[p["task_id"]] = p["state"]
-        elif kind == "script":
-            sk = p.get("scenario_kind")
-            if sk and sk not in self._onsets:
-                self._onsets[sk] = t
-        elif kind == "notification":
-            sk = _CAUSE_TO_KIND.get(p.get("cause"))
-            if sk and sk in self._onsets and sk not in self._latencies:
-                self._latencies[sk] = t - self._onsets[sk]
+        kind, t, p = record["kind"], record["time_ms"], record.get("payload", {})
+        try:
+            fold = self.folds.get(kind)
+        except TypeError:  # an unhashable kind, such as a list, has no fold
+            return
+        if fold is not None:
+            fold(t, p)
+
+    def _meta(self, t, p):
+        self._budgets = dict(p.get("budgets_ms", {}))
+
+    def _packet_send(self, t, p):
+        cond = p["condition"]
+        self._sent[cond] = self._sent.get(cond, 0) + 1
+        if p["outcome"] == "delivered":
+            self._delivered[cond] = self._delivered.get(cond, 0) + 1
+            if p["packet_kind"] == "command":
+                self._cmd_sends[(p["src"], p["dst"], p["seq"])] = t
+            elif p["packet_kind"] == "ack":
+                send_t = self._cmd_sends.pop((p["dst"], p["src"], p["seq"]), None)
+                if send_t is not None:
+                    self._rtts.append(t + p["delay_ms"] - send_t)
+
+    def _nav(self, t, p):
+        tag = p["tag"]
+        bucket = self._nav_counts.setdefault(tag, [0, 0])
+        bucket[1] += 1
+        if p["on_line"]:
+            bucket[0] += 1
+        self._drift_raw = p["drift_raw"]
+        self._drift_corr = p["drift_corrected"]
+        self._energy = p["energy"]
+
+    def _task(self, t, p):
+        self._task_seen.add(p["task_id"])
+        if p["state"] in ("completed", "escalated"):
+            self._task_terminal[p["task_id"]] = p["state"]
+
+    def _script(self, t, p):
+        sk = p.get("scenario_kind")
+        if sk and sk not in self._onsets:
+            self._onsets[sk] = t
+
+    def _notification(self, t, p):
+        sk = _CAUSE_TO_KIND.get(p.get("cause"))
+        if sk and sk in self._onsets and sk not in self._latencies:
+            self._latencies[sk] = t - self._onsets[sk]
 
     def result(self) -> RunMetrics:
         # the values sorted here or formatted by RunMetrics.as_text must have

@@ -6,9 +6,9 @@ through protocol timeouts. One-way delay is half the configured round trip
 plus symmetric uniform jitter, floored at 1 ms.
 
 The channel keeps no delivery log: `send` returns the send's
-`DeliveryRecord`, whose `payload()` the engine logs as a `packet_send` event.
-`measure_pdr` and `measure_rtt` fold records through `MetricsAccumulator`,
-the same fold as the live and replayed metrics.
+`DeliveryRecord`, whose `payload()` the engine logs as a `packet_send` event,
+and the delivery ratio and round trip are folded from those events with the
+other metrics.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import AddressingError, ConfigurationError
-from .metrics import MetricsAccumulator, RunMetrics
 from .rng import Doubles
 
 
@@ -132,33 +131,3 @@ class Channel:
             _, _, pkt = heapq.heappop(self._in_flight)
             out.append(pkt)
         return out
-
-    def pending(self) -> int:
-        return len(self._in_flight)
-
-
-def _fold(records) -> RunMetrics:
-    acc = MetricsAccumulator()
-    for r in records:
-        acc.consume({"kind": "packet_send", "time_ms": r.time_ms, "payload": r.payload()})
-    return acc.result()
-
-
-def measure_pdr(records) -> dict[LinkCondition, float]:
-    """Observed delivered/sent ratio per link condition bucket."""
-    pdr = _fold(records).pdr
-    if not pdr:
-        raise ValueError("no sends recorded; PDR undefined")
-    return {LinkCondition(cond): v for cond, v in pdr.items()}
-
-
-def measure_rtt(records) -> tuple[float, float]:
-    """Mean and stddev of command round trips over matched command/ack pairs.
-
-    As in the live metrics, a delivered ack (b -> a) with sequence s pairs
-    with the latest delivered command (a -> b) with sequence s before it, and
-    each command pairs at most once. Unmatched commands are excluded."""
-    m = _fold(records)
-    if m.rtt_mean_ms is None:
-        raise ValueError("no completed command/ack pairs; RTT undefined")
-    return m.rtt_mean_ms, m.rtt_std_ms

@@ -16,6 +16,7 @@ out as `low + (high - low) * random()` on the same Generator. `ml` and
 `misc` keep their Generators too.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -43,16 +44,12 @@ class Doubles:
     as floats (a sized `uniform` gives a list)."""
 
     def __init__(self, gen: np.random.Generator, block: int = _BLOCK):
-        self._gen = gen
-        self._block = block
-        self._next = iter(()).__next__
-
-    def random(self) -> float:
-        try:
-            return self._next()
-        except StopIteration:
-            self._next = iter(self._gen.random(self._block).tolist()).__next__
-            return self._next()
+        if block < 1:  # empty blocks would chain forever
+            raise ValueError("block must be at least 1")
+        # the next double of an endless chain of blocks, each drawn when the
+        # one before runs out: one C call per draw
+        blocks = map(np.ndarray.tolist, map(gen.random, itertools.repeat(block)))
+        self.random = itertools.chain.from_iterable(blocks).__next__
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):
         span = high - low

@@ -34,6 +34,11 @@ SCENARIO_KINDS = ("fall", "low_spo2", "high_temp", "no_vitals", "battery_low")
 DEFAULT_BUDGETS_MS = {"fall": 3000, "low_spo2": 3000, "high_temp": 4000, "no_vitals": 500}
 
 
+# the `default` track, built once per process and shared by every scenario
+# that uses it; a Track is never changed once built
+default_track = functools.cache(rounded_rect_track)
+
+
 class ScenarioValidationError(ValueError):
     """Carries the full list of validation problems."""
 
@@ -136,7 +141,7 @@ class ScenarioConfig:
     seed: int = 0
     dt_ms: int = 10
     duration_ms: int = 60000
-    track: Track = field(default_factory=rounded_rect_track)
+    track: Track = field(default_factory=default_track)
     robots: Robots = Robots()
     channel: ChannelConfig = ChannelConfig()
     link_conditions: list[LinkConditionEvent] = field(default_factory=list)
@@ -264,7 +269,7 @@ _TRACK_KEYS = {"waypoints": list[tuple[float, float]], "tags": list[str], "line_
 
 def _build_track(raw, path: str, errors: list[str]):
     if raw == "default":
-        return rounded_rect_track()
+        return default_track()
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected 'default' or a mapping")
         return _FAIL

@@ -33,7 +33,7 @@ the same segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class TrackQuery:
 class Track:
     def __init__(self, waypoints, tags, line_width: float = DEFAULT_LINE_WIDTH,
                  mat_size: tuple[float, float] = DEFAULT_MAT, closed: bool = True):
-        pts = np.asarray(waypoints, dtype=float)
+        pts = np.array(waypoints, dtype=float)  # a copy, made read-only below
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ConfigurationError("track needs at least two 2-D waypoints")
         if line_width <= 0:
@@ -71,6 +71,7 @@ class Track:
             raise ConfigurationError("track waypoints must be finite")
         if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > w) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > h):
             raise ConfigurationError("track waypoints must lie inside the mat bounds")
+        pts.flags.writeable = False
         self.waypoints = pts
         self.closed = closed
         self.line_width = float(line_width)
@@ -83,7 +84,7 @@ class Track:
             a = pts[:-1]
             b = pts[1:]
         n_seg = len(a)
-        tags = list(tags)
+        tags = tuple(tags)
         if len(tags) != n_seg:
             raise ConfigurationError(f"expected {n_seg} segment tags, got {len(tags)}")
         for t in tags:

@@ -5,8 +5,8 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 
+from _channel import measure_pdr, measure_rtt
 from _exchange import run_lossy_exchange
 from _odometry import angles_to_arcs
 from wardsim.engine import run, run_suite
@@ -15,8 +15,7 @@ from wardsim.metrics import EventLog, replay_metrics
 from wardsim.ml import DecisionTree, KnnClassifier, RandomForest, evaluate, \
     generate_dataset
 from wardsim.protocol import TERMINAL_STATES
-from wardsim.rf_channel import Channel, ChannelConfig, LinkCondition, Packet, \
-    PacketKind, measure_pdr, measure_rtt
+from wardsim.rf_channel import Channel, ChannelConfig, LinkCondition, Packet, PacketKind
 from wardsim.scenario import load_preset, validate
 from wardsim.vitals import Flag, TriageClass, Vitals, class_from_probs, classify
 

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_golden import ward_shift_config
 from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
 from wardsim.metrics import EventLog, MetricsAccumulator, replay_metrics
 from wardsim.protocol import TERMINAL_STATES
-from wardsim.scenario import load_preset, validate
+from wardsim.scenario import load_preset, preset_names, validate
 from wardsim.vitals import Flag, TriageClass, TriageDecision, Vitals, classify
 
 
@@ -76,6 +77,23 @@ def test_log_rejects_time_travel():
     log.append({"time_ms": 100, "kind": "x", "payload": {}})
     with pytest.raises(ValueError):
         log.append({"time_ms": 99, "kind": "x", "payload": {}})
+
+
+def test_a_run_log_and_a_loaded_log_refuse_an_earlier_time(tmp_path):
+    # the engine appends its records without EventLog.append's check, which
+    # must still hold on the log it returns
+    log, _ = run(short_config())
+    last = log.records[-1]["time_ms"]
+    assert last > 0
+    path = tmp_path / "events.jsonl"
+    log.save(path)
+    for each in (log, EventLog.load(path)):
+        size = len(each.records)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            each.append({"time_ms": last - 1, "kind": "x", "payload": {}})
+        assert len(each.records) == size
+        each.append({"time_ms": last, "kind": "x", "payload": {}})
+        assert len(each.records) == size + 1
 
 
 def test_zero_duration_run_yields_only_the_meta_record():
@@ -320,16 +338,20 @@ def test_open_task_index_matches_the_task_table_over_a_shift(monkeypatch):
 
 
 def test_metrics_fold_is_pure():
-    log, live = run(short_config())
-    acc = MetricsAccumulator()
-    for r in log.records:
-        acc.consume(r)
-    assert acc.result() == live
-    # folding twice from scratch gives the same answer
-    acc2 = MetricsAccumulator()
-    for r in log.records:
-        acc2.consume(r)
-    assert acc2.result() == live
+    # the engine folds each record by its kind's fold as it emits it;
+    # consume, which replay uses, must give the same metrics, on every
+    # preset and the golden ward shift
+    for config in [*map(load_preset, preset_names()), ward_shift_config()]:
+        log, live = run(config)
+        acc = MetricsAccumulator()
+        for r in log.records:
+            acc.consume(r)
+        assert acc.result() == live, config.name
+        # folding twice from scratch gives the same answer
+        acc2 = MetricsAccumulator()
+        for r in log.records:
+            acc2.consume(r)
+        assert acc2.result() == live, config.name
 
 
 def test_suite_aggregates_over_trials():

@@ -1,10 +1,11 @@
 """Odometry unit tests against hand-worked and closed-form arc oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from wardsim import ConfigurationError
@@ -122,6 +123,23 @@ def test_pose_rejects_non_finite():
         Pose(float("nan"), 0.0, 0.0)
     with pytest.raises(ConfigurationError):
         Pose(0.0, float("inf"), 0.0)
+
+
+def test_pose_is_immutable():
+    pose = Pose(1.0, 2.0, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pose.x = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del pose.theta
+    assert (pose.x, pose.y, pose.theta) == (1.0, 2.0, 0.5)
+
+
+def test_pose_is_equal_and_hashable_by_value():
+    a, b = Pose(1.0, 2.0, 0.5), Pose(x=1.0, y=2.0, theta=0.5)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Pose(1.0, 2.0, -0.5)
+    assert Pose() == Pose(0.0, 0.0, 0.0) == dataclasses.replace(a, x=0.0, y=0.0, theta=0.0)
+    assert repr(a) == "Pose(x=1.0, y=2.0, theta=0.5)"
 
 
 def test_chassis_params_validate():

@@ -1,6 +1,7 @@
 """The event-log loader: batch-decoded `EventLog.load` accepts exactly the
 files that one `json.loads` per line accepts, with the same records, and
-names the same first bad record."""
+names the same first bad record. The metrics fold: `consume`'s table of
+folds skips and refuses the records that one `==` test per kind did."""
 
 import functools
 import json
@@ -145,3 +146,73 @@ def test_to_jsonl_writes_what_json_dumps_writes():
         log.append(r)
     assert log.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     assert EventLog().to_jsonl() == ""
+
+
+class ElifAccumulator(metrics.MetricsAccumulator):
+    """The fold with `consume` as it was before its table: one `==` test per
+    folded kind, in turn, so any kind that equals none of them is skipped."""
+
+    def consume(self, record):
+        kind = record["kind"]
+        t = record["time_ms"]
+        p = record.get("payload", {})
+        for name in ("meta", "packet_send", "nav", "task", "script", "notification"):
+            if kind == name:
+                getattr(self, "_" + name)(t, p)
+                break
+
+
+# kinds with no fold: JSON values that are not strings, and strings that
+# name no folded kind; each sits on a payload that a fold would read
+ODD_KINDS = [["nav"], [], 3, 2.5, 0, None, True, False, {"nav": 1}, "", "Nav", "nav ",
+             "navigation", "payload", "packet_deliver"]
+
+
+def with_odd_kinds(records) -> list[dict]:
+    """`records` with a record of each odd kind after every fifth, carrying
+    the payload and time of the record before it."""
+    out = []
+    odd = iter(ODD_KINDS * len(records))
+    for i, r in enumerate(records):
+        out.append(r)
+        if i % 5 == 0:
+            out.append({**r, "kind": next(odd)})
+    return out
+
+
+@pytest.mark.parametrize("preset", ["task_suite", "alert_fall"])
+def test_records_whose_kind_has_no_fold_replay_as_before(preset, tmp_path, monkeypatch):
+    log, live = run(load_preset(preset))
+    odd = EventLog()
+    for r in with_odd_kinds(log.records):
+        odd.append(r)
+    path = tmp_path / "events.jsonl"
+    odd.save(path)
+    loaded = EventLog.load(path)
+    assert loaded.records == odd.records
+    replayed = [metrics.replay_metrics(odd), metrics.replay_metrics(loaded)]
+    monkeypatch.setattr(metrics, "MetricsAccumulator", ElifAccumulator)
+    assert [metrics.replay_metrics(odd), metrics.replay_metrics(loaded)] == replayed
+    assert replayed == [live, live]
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": ["nav"], "payload": {}},           # no time
+    {"time_ms": 5, "payload": {}},              # no kind
+    {"time_ms": 5, "kind": "nav", "payload": {"tag": "straight"}},  # a fold's key missing
+    {"time_ms": 5, "kind": "packet_send", "payload": [1]},          # a payload that is no object
+    {"time_ms": 5, "kind": 7, "payload": [1]},  # the same, with no fold
+])
+def test_a_malformed_record_fails_replay_as_before(record, monkeypatch):
+    log = EventLog()
+    log.records += [{"time_ms": 0, "kind": "meta", "payload": {}}, record]
+
+    def replay():
+        try:
+            return metrics.replay_metrics(log)
+        except ValueError as exc:
+            return str(exc)
+
+    got = replay()
+    monkeypatch.setattr(metrics, "MetricsAccumulator", ElifAccumulator)
+    assert replay() == got

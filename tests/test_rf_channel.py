@@ -4,9 +4,9 @@ records that `Channel.send` returns."""
 import numpy as np
 import pytest
 
+from _channel import in_flight, measure_pdr, measure_rtt
 from wardsim import AddressingError, ConfigurationError
-from wardsim.rf_channel import (Channel, ChannelConfig, LinkCondition, Packet,
-                                PacketKind, measure_pdr, measure_rtt)
+from wardsim.rf_channel import Channel, ChannelConfig, LinkCondition, Packet, PacketKind
 
 
 def make_channel(seed=0, **kw):
@@ -20,14 +20,14 @@ def cmd(src, dst, seq, t):
 def test_pdr_one_delivers_everything():
     ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0)
     records = [ch.send(cmd(1, 2, i, i)) for i in range(200)]
-    assert ch.pending() == 200
+    assert in_flight(ch) == 200
     assert all(r.outcome == "delivered" for r in records)
 
 
 def test_pdr_near_zero_drops_almost_everything():
     ch = make_channel(pdr_clear=1e-9, pdr_obstructed=1e-9)
     records = [ch.send(cmd(1, 2, i, i)) for i in range(200)]
-    assert ch.pending() == 0
+    assert in_flight(ch) == 0
     assert all(r.outcome == "dropped" and r.delay_ms == 0.0 for r in records)
 
 
@@ -84,7 +84,7 @@ def test_conservation_sent_equals_delivered_plus_dropped():
     delivered = sum(1 for r in records if r.outcome == "delivered")
     dropped = sum(1 for r in records if r.outcome == "dropped")
     assert delivered + dropped == 2000
-    assert ch.pending() == delivered
+    assert in_flight(ch) == delivered
 
 
 def test_condition_buckets_are_per_directed_link():

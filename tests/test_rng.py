@@ -46,6 +46,12 @@ def test_block_server_gives_the_scalar_generators_values(seed, block, program):
         assert type(got) is type(want)
 
 
+@pytest.mark.parametrize("block", [0, -1])
+def test_a_block_below_one_is_refused(block):
+    with pytest.raises(ValueError, match="block must be at least 1"):
+        Doubles(np.random.default_rng(0), block=block)
+
+
 def test_uniform_rejects_what_the_generator_rejects():
     served = Doubles(np.random.default_rng(0))
     for low, high, error in ((1.0, 0.0, ValueError), (0.0, np.inf, OverflowError),

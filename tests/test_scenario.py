@@ -256,6 +256,23 @@ def test_track_default_shorthand_and_inline_track():
     assert inline.track.length == pytest.approx(4.0)
 
 
+def test_the_default_track_is_built_once_and_read_only():
+    track = validate({"track": "default"}).track
+    assert track is validate({}).track is ScenarioConfig().track is load_preset("default").track
+    with pytest.raises(ValueError, match="read-only"):
+        track.waypoints[0, 0] = 1.0
+
+
+def test_a_corridor_start_of_only_x_and_y_runs_from_heading_zero():
+    cfg = validate({"duration_ms": 1000,
+                    "robots": {"corridor": {"start": {"x": 0.1, "y": 0.1}}}})
+    assert cfg.start_pose == Pose(0.1, 0.1, 0.0)
+    engine = Engine(cfg)
+    assert engine.motion.pose == engine.dr_raw.pose == Pose(0.1, 0.1, 0.0)
+    log, _ = engine.run()
+    assert [r["kind"] for r in log.records].count("nav") > 0
+
+
 def test_patient_script_parsing_and_sorting():
     cfg = validate({"patient_script": [
         {"time_ms": 5000, "kind": "low_spo2", "spo2": 87},
