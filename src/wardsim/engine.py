@@ -106,8 +106,7 @@ class Engine:
     # -- event plumbing --------------------------------------------------
 
     def _emit(self, kind: str, payload: dict, source: str):
-        # the clock never runs back, so EventLog.append's check is not needed;
-        # run() brings the log's last time up to date
+        # the clock never runs back, so EventLog.append's check is not needed
         self._append({"time_ms": self._now, "source": source, "kind": kind, "payload": payload})
         fold = self._fold_of(kind)
         if fold is not None:
@@ -382,9 +381,6 @@ class Engine:
             # overflows the pose, whose constructor refuses a non-finite
             # coordinate); whatever stops the loop, the log so far is kept
             raise EngineAbort(f"{type(exc).__name__}: {exc}", self.log) from exc
-        finally:
-            # _emit filled the list directly; EventLog.append checks from here
-            self.log._last_time = self.log.records[-1]["time_ms"]
         return self.log, self.acc.result()
 
 

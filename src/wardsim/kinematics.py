@@ -116,15 +116,17 @@ class MotionSimulator:
         self.pose = start
         self.params = params
         self.slip_halfwidth = slip_halfwidth
-        # a step's slip is uniform(1 - h, 1 + h), written out as numpy's
-        # low + (high - low) * u; check_slip keeps the range finite
+        # a step's slip is uniform(1 - h, 1 + h) and each wheel's bias
+        # uniform(-b, b), written out as numpy's low + (high - low) * u;
+        # check_slip keeps both ranges finite
         h = slip_halfwidth
         self._slip_low, self._slip_span = 1.0 - h, (1.0 + h) - (1.0 - h)
         self.rng = rng if rng is not None else Doubles(np.random.default_rng(0))
-        # scalar draws, right then left: the values of one size=2 draw, as floats
-        if slip_bias_halfwidth > 0.0:
-            self._bias_right = self.rng.uniform(-slip_bias_halfwidth, slip_bias_halfwidth)
-            self._bias_left = self.rng.uniform(-slip_bias_halfwidth, slip_bias_halfwidth)
+        b = slip_bias_halfwidth
+        if b > 0.0:  # right, then left
+            low, span, random = -b, b - -b, self.rng.random
+            self._bias_right = low + span * random()
+            self._bias_left = low + span * random()
         else:
             self._bias_right = self._bias_left = 0.0
         self._angle_right = 0.0  # cumulative commanded wheel angle, rad

@@ -14,9 +14,10 @@ turn toward the line.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import mul
 
 from . import ConfigurationError
 from .kinematics import Pose
@@ -110,6 +111,15 @@ class IrGeometry:
     def __post_init__(self):
         if not (self.noise_frac >= 0 and 0.0 <= self.low_level < self.high_level <= 1.0):
             raise ConfigurationError("require noise_frac >= 0, 0 <= low_level < high_level <= 1")
+        # the noise draw spans twice noise_frac, which must be a finite float
+        if self.noise_frac + self.noise_frac == math.inf:
+            raise ConfigurationError("noise_frac must be at most half the float maximum")
+
+    @functools.cached_property
+    def noise_range(self) -> tuple[float, float]:
+        """A sensor's noise is uniform(-noise_frac, noise_frac), written out
+        as numpy's low + (high - low) * u: this is (low, high - low)."""
+        return -self.noise_frac, self.noise_frac - -self.noise_frac
 
 
 def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, float]]:
@@ -138,12 +148,13 @@ def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
     query = track.query
     levels = [low if 0.0 <= sx <= w and 0.0 <= sy <= h and query(sx, sy).distance <= half else high
               for sx, sy in sensor_positions(pose, geometry)]
-    if rng is None or not geometry.noise_frac > 0:
+    lo, span = geometry.noise_range
+    if rng is None or not span > 0:
         return tuple(levels)  # low and high lie in [0, 1]
-    # one draw per sensor, left to right: the same stream as drawing each alone
-    noise = rng.uniform(-geometry.noise_frac, geometry.noise_frac, size=5)
-    # clamped to [0, 1]
-    return tuple([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in map(add, levels, noise)])
+    random = rng.random
+    # one noise draw per sensor, left to right, each level clamped to [0, 1]
+    return tuple([0.0 if (v := level + (lo + span * random())) < 0.0 else 1.0 if v > 1.0 else v
+                  for level in levels])
 
 
 @dataclass

@@ -69,14 +69,13 @@ class EventLog:
 
     def __init__(self):
         self.records: list[dict] = []
-        self._last_time = None
 
     def append(self, record: dict):
         t = record["time_ms"]
-        if self._last_time is not None and t < self._last_time:
+        records = self.records
+        if records and t < records[-1]["time_ms"]:
             raise ValueError("event timestamps must be non-decreasing")
-        self._last_time = t
-        self.records.append(record)
+        records.append(record)
 
     def to_jsonl(self) -> str:
         parts = []
@@ -102,7 +101,7 @@ class EventLog:
             first = 0
             while lines := list(itertools.islice(f, _BATCH_LINES)):
                 texts = [line for line in lines if not line.isspace()]
-                size, last_time = len(log.records), log._last_time
+                size = len(log.records)
                 try:
                     values = json.loads("[" + joint.join(texts) + "]")
                     n = len(texts)
@@ -113,7 +112,6 @@ class EventLog:
                         log.append(record)
                 except (KeyError, ValueError):
                     del log.records[size:]
-                    log._last_time = last_time
                     log._load_lines(lines, first)
                 first += len(lines)
         return log

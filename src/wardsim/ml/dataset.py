@@ -8,7 +8,6 @@ the reported figures is unavailable, so this generator stands in for it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ FEATURE_NAMES = ("spo2", "bpm", "temp", "fall_flag")
 # a label is an index into SEVERITY_ORDER
 N_CLASSES = len(SEVERITY_ORDER)
 CLASS_NAMES = tuple(cls.value for cls in SEVERITY_ORDER)
-CSV_HEADER = FEATURE_NAMES + ("label",)
 
 # regime name -> mixture weight
 _REGIMES = (
@@ -94,24 +92,3 @@ def generate_dataset(n: int = 1000, noise_rate: float = 0.05, seed: int = 0) -> 
             others = [c for c in range(N_CLASSES) if c != labels[i]]
             labels[i] = others[rng.integers(len(others))]
     return LabeledDataset(features, labels, seed=seed, noise_rate=noise_rate)
-
-
-def save_csv(dataset: LabeledDataset, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_HEADER)
-        for row, label in zip(dataset.features, dataset.labels):
-            w.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
-def load_csv(path) -> LabeledDataset:
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = tuple(next(r))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        feats, labels = [], []
-        for row in r:
-            feats.append([float(v) for v in row[:4]])
-            labels.append(int(row[4]))
-    return LabeledDataset(np.array(feats), np.array(labels, dtype=int), seed=-1, noise_rate=float("nan"))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +28,6 @@ class ModelReport:
             lines.append(f"precision[{name}]: {self.precision[i]:.4f}")
             lines.append(f"recall[{name}]: {self.recall[i]:.4f}")
         return "\n".join(lines) + "\n"
-
-    def save_confusion_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["true\\pred"] + list(CLASS_NAMES))
-            for i, name in enumerate(CLASS_NAMES):
-                w.writerow([name] + [int(v) for v in self.confusion[i]])
 
 
 def stratified_split(labels: np.ndarray, test_frac: float, split_seed: int):

@@ -129,9 +129,3 @@ class DecisionTree:
     def predict(self, query) -> tuple[int, np.ndarray]:
         probs = self.predict_proba(query)
         return int(np.argmax(probs)), probs
-
-    def first_split(self) -> tuple[int, float] | None:
-        """(feature, threshold) at the root, for inspection; None if a leaf."""
-        if self._root is None or self._root.is_leaf:
-            return None
-        return self._root.feature, self._root.threshold

@@ -129,22 +129,6 @@ class TimeoutPolicy:
             raise ConfigurationError("max_retries must be nonnegative")
 
 
-def liveness_bound_ms(policy: TimeoutPolicy, n_capable: int) -> int:
-    """Upper bound on the time from creation to a terminal state, assuming
-    immediate execution: every assignee burns at most (max_retries + 1)
-    ack timeouts, plus one timeout of slack for the final status delivery."""
-    return policy.timeout_ms * (policy.max_retries + 1) * n_capable + policy.timeout_ms
-
-
-@dataclass
-class RosterEntry:
-    """A stand-in for a follower on the leader's roster, which reads only a
-    value's `capabilities` and `availability`: for a leader stepped with no
-    followers, or one told other than a follower's own state."""
-    capabilities: frozenset[TaskKind]
-    availability: Availability = Availability.IDLE
-
-
 @dataclass(frozen=True)
 class NotificationEntry:
     time_ms: int
@@ -187,11 +171,11 @@ class Leader:
     the tasks not yet in a terminal state, in task-id order: a task enters it
     on creation and leaves it on reaching a terminal state, which it never
     leaves, so the per-step scans cost the open work, not the whole shift.
-    The roster maps each follower's address to the follower itself (or a
-    `RosterEntry` stand-in); the leader reads its `capabilities` and, in a
-    full pass, its current `availability`, and changes neither. The roster's
-    members are fixed at construction (their availability is not), so the
-    leader sorts them by address once.
+    The roster maps each follower's address to the follower; the leader
+    reads its `capabilities` and, in a full pass, its current `availability`,
+    and changes neither. The roster's members and their capabilities are
+    fixed at construction (their availability is not), so the leader lists
+    the members that can do each kind, in address order, once.
 
     The leader is event-driven: `step` does its full pass only on a non-empty
     inbox or once `now` reaches `_wake`, and otherwise returns `[]` at once,
@@ -206,13 +190,15 @@ class Leader:
       and the earliest wait deadline, `last_activity + _wait_limits[state]`.
     """
 
-    def __init__(self, address: int, roster: Mapping[int, Follower | RosterEntry],
+    def __init__(self, address: int, roster: Mapping[int, Follower],
                  schedule: Iterable[ScheduleEntry] = (),
                  policy: TimeoutPolicy = TimeoutPolicy()):
         self.address = address
-        self._by_address = sorted(roster.items())
-        # the kinds some follower can do; any other is escalated at once
-        self._served = frozenset().union(*(e.capabilities for e in roster.values()))
+        # (address, follower) of each kind's capable followers; a kind that
+        # none can do is escalated at once
+        by_address = sorted(roster.items())
+        self._capable = {kind: tuple((a, f) for a, f in by_address if kind in f.capabilities)
+                         for kind in TaskKind}
         self.schedule = sorted(schedule, key=lambda e: e.time_ms)
         self.policy = policy
         # how long a task may wait in each state for an ack or a completion
@@ -251,9 +237,8 @@ class Leader:
         return task
 
     def _capable_idle(self, kind: TaskKind) -> int | None:
-        for addr, entry in self._by_address:
-            if kind in entry.capabilities and entry.availability is Availability.IDLE \
-                    and addr not in self._assigned:
+        for addr, follower in self._capable[kind]:
+            if follower.availability is Availability.IDLE and addr not in self._assigned:
                 return addr
         return None
 
@@ -402,9 +387,8 @@ class Leader:
             self._record(task, TaskState.SENT, now)
             self._pending_resend.append(task.task_id)
             return
-        for addr, entry in self._by_address:
-            if addr not in task.tried_assignees and task.kind in entry.capabilities \
-                    and entry.availability is Availability.IDLE:
+        for addr, follower in self._capable[task.kind]:
+            if addr not in task.tried_assignees and follower.availability is Availability.IDLE:
                 self._record(task, TaskState.REASSIGNED, now)
                 task.retry_count = 0
                 task.assignee = addr
@@ -441,7 +425,8 @@ class Leader:
                 created.append(task)
         # fresh tasks, emergencies first then scheduled then routine
         for task in sorted(created, key=lambda t: (_priority(t), t.task_id)):
-            if task.kind not in self._served:
+            capable = self._capable[task.kind]
+            if not capable:
                 # nobody on the roster can ever do this; waiting is pointless
                 self._escalate(task, now, "no follower is capable")
                 continue
@@ -449,17 +434,15 @@ class Leader:
             if addr is None and task.emergency:
                 # preemption: hand the emergency to a busy capable follower;
                 # the follower parks its current work
-                for a, entry in self._by_address:
-                    if task.kind in entry.capabilities \
-                            and entry.availability is not Availability.FAULTED:
+                for a, follower in capable:
+                    if follower.availability is not Availability.FAULTED:
                         addr = a
                         break
                 if addr is not None and addr in self._assigned:
                     del self._assigned[addr]
             if addr is not None:
                 self._send_command(task, addr, now, outbox)
-            elif any(task.kind in entry.capabilities and (task.emergency or a not in self._assigned)
-                     for a, entry in self._by_address):
+            elif any(task.emergency or a not in self._assigned for a, _ in capable):
                 # a follower that no task holds (any, for an emergency, which
                 # preempts) can turn idle, or recover from a fault, with no
                 # packet to say so; any other is freed only by a transition

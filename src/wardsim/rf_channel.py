@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,6 +63,9 @@ class ChannelConfig:
             raise ConfigurationError("rtt_ms must be positive")
         if self.one_way_jitter_ms < 0:
             raise ConfigurationError("jitter must be nonnegative")
+        # the jitter's draw spans twice the jitter, which must be a finite float
+        if self.one_way_jitter_ms + self.one_way_jitter_ms == math.inf:
+            raise ConfigurationError("jitter must be at most half the float maximum")
 
     def pdr(self, condition: LinkCondition) -> float:
         return self.pdr_clear if condition is LinkCondition.CLEAR else self.pdr_obstructed
@@ -95,6 +99,10 @@ class Channel:
         self.config = config
         self.addresses = set(addresses)
         self.rng = rng
+        # a delivered packet's jitter is uniform(-j, j), written out as
+        # numpy's low + (high - low) * u
+        j = config.one_way_jitter_ms
+        self._jitter_low, self._jitter_span = -j, j - -j
         self.conditions: dict[tuple[int, int], LinkCondition] = {}
         self._in_flight: list[tuple[float, int, Packet]] = []
         self._counter = 0
@@ -115,8 +123,9 @@ class Channel:
         if not self.rng.random() < self.config.pdr(cond):
             return DeliveryRecord(packet.sent_at, packet.src, packet.dst,
                                   packet.kind, packet.seq, cond, "dropped", 0.0)
-        j = self.config.one_way_jitter_ms
-        delay = self.config.rtt_ms / 2.0 + (self.rng.uniform(-j, j) if j > 0 else 0.0)
+        span = self._jitter_span
+        delay = self.config.rtt_ms / 2.0 + (self._jitter_low + span * self.rng.random()
+                                            if span > 0 else 0.0)
         delay = max(delay, 1.0)
         heapq.heappush(self._in_flight,
                        (packet.sent_at + delay + extra_delay_ms, self._counter, packet))

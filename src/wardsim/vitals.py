@@ -181,21 +181,8 @@ class TriageDecision:
         return tuple(sorted(f.value for f in self.flags))
 
 
-def class_from_probs(probs) -> TriageClass:
-    """Argmax over the severity-ordered simplex; ties go to the more severe class."""
-    best = max(probs)
-    for cls, p in zip(SEVERITY_ORDER, probs):
-        if p == best:
-            return cls
-    raise AssertionError("unreachable")
-
-
 _ONE_HOT = {cls: tuple(1.0 if c is cls else 0.0 for c in SEVERITY_ORDER)
             for cls in SEVERITY_ORDER}
-
-
-def one_hot(cls: TriageClass) -> tuple[float, float, float]:
-    return _ONE_HOT[cls]
 
 
 def triage_class(severe: bool, flags) -> TriageClass:

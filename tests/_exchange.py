@@ -6,17 +6,34 @@ sweep exercises exactly one implementation of the wiring.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
-from wardsim.protocol import (Follower, Leader, ScheduleEntry, TaskKind,
-                              TimeoutPolicy, TERMINAL_STATES, liveness_bound_ms)
+from wardsim.protocol import (Availability, Follower, Leader, ScheduleEntry, TaskKind,
+                              TimeoutPolicy, TERMINAL_STATES)
 from wardsim.rf_channel import Channel, ChannelConfig, Packet, PacketKind
 from wardsim.vitals import Flag, TriageClass, TriageDecision
 
 ALL_KINDS = frozenset(TaskKind)
 LEADER = 1
 FOLLOWERS = (2, 3)
+
+
+@dataclass
+class RosterEntry:
+    """A stand-in for a follower on the leader's roster, which reads only a
+    member's `capabilities` and `availability`: for a leader stepped with no
+    followers, or one told other than a follower's own state."""
+    capabilities: frozenset[TaskKind]
+    availability: Availability = Availability.IDLE
+
+
+def liveness_bound_ms(policy: TimeoutPolicy, n_capable: int) -> int:
+    """Upper bound on the time from creation to a terminal state, assuming
+    immediate execution: every assignee burns at most (max_retries + 1)
+    ack timeouts, plus one timeout of slack for the final status delivery."""
+    return policy.timeout_ms * (policy.max_retries + 1) * n_capable + policy.timeout_ms
 
 
 def run_lossy_exchange(seed: int, pdr: float, n_entries: int = 1,

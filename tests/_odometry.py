@@ -25,15 +25,17 @@ def angles_to_arcs(dtheta_right, dtheta_left, params):
     return r * dtheta_right, r * dtheta_left
 
 
-def reference_step(sim, omega_right_rpm, omega_left_rpm, dt):
+def reference_step(sim, gen, omega_right_rpm, omega_left_rpm, dt):
     """`MotionSimulator.step` as the composition of the conversions, on the
-    simulator's own state and random stream."""
+    simulator's own state, with its slip drawn by `gen`'s own `uniform`: a
+    numpy Generator on the seed of the simulator's stream, past the draws
+    the simulator has made."""
     dth_r = rpm_to_wheel_angle(omega_right_rpm, dt)
     dth_l = rpm_to_wheel_angle(omega_left_rpm, dt)
     h = sim.slip_halfwidth
     if h > 0.0:
-        s_r = sim.rng.uniform(1.0 - h, 1.0 + h)
-        s_l = sim.rng.uniform(1.0 - h, 1.0 + h)
+        s_r = gen.uniform(1.0 - h, 1.0 + h)
+        s_l = gen.uniform(1.0 - h, 1.0 + h)
     else:
         s_r = s_l = 1.0
     s_r += sim._bias_right

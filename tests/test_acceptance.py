@@ -9,6 +9,7 @@ import numpy as np
 from _channel import measure_pdr, measure_rtt
 from _exchange import run_lossy_exchange
 from _odometry import angles_to_arcs
+from _triage import class_from_probs
 from wardsim.engine import run, run_suite
 from wardsim.kinematics import ChassisParams, Pose, normalize_angle, pose_update
 from wardsim.metrics import EventLog, replay_metrics
@@ -17,7 +18,7 @@ from wardsim.ml import DecisionTree, KnnClassifier, RandomForest, evaluate, \
 from wardsim.protocol import TERMINAL_STATES
 from wardsim.rf_channel import Channel, ChannelConfig, LinkCondition, Packet, PacketKind
 from wardsim.scenario import load_preset, validate
-from wardsim.vitals import Flag, TriageClass, Vitals, class_from_probs, classify
+from wardsim.vitals import Flag, TriageClass, Vitals, classify
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):

@@ -81,13 +81,16 @@ def test_log_rejects_time_travel():
 
 def test_a_run_log_and_a_loaded_log_refuse_an_earlier_time(tmp_path):
     # the engine appends its records without EventLog.append's check, which
-    # must still hold on the log it returns
+    # must still hold on the log it returns, and on an aborted run's log
     log, _ = run(short_config())
     last = log.records[-1]["time_ms"]
     assert last > 0
     path = tmp_path / "events.jsonl"
     log.save(path)
-    for each in (log, EventLog.load(path)):
+    with pytest.raises(EngineAbort) as exc:
+        misaddressed_engine(load_preset("task_suite")).run()
+    for each in (log, EventLog.load(path), exc.value.log):
+        last = each.records[-1]["time_ms"]
         size = len(each.records)
         with pytest.raises(ValueError, match="non-decreasing"):
             each.append({"time_ms": last - 1, "kind": "x", "payload": {}})

@@ -247,9 +247,13 @@ def test_motion_step_equals_the_composed_conversions(commands, dt, slip, bias, s
     params = ChassisParams(radius, axle, ticks)
     sims = [MotionSimulator(Pose(1.0, 2.0, 0.5), params, slip, Doubles(np.random.default_rng(seed)),
                             slip_bias_halfwidth=bias) for _ in range(2)]
+    gen = np.random.default_rng(seed)
+    if bias > 0.0:  # each wheel's bias is the Generator's own uniform(-b, b), right then left
+        assert sims[0]._bias_right == gen.uniform(-bias, bias)
+        assert sims[0]._bias_left == gen.uniform(-bias, bias)
     for omega_right, omega_left in commands:
         pose, delta = sims[0].step(omega_right, omega_left, dt)
-        assert (pose, (delta.dn_right, delta.dn_left)) == reference_step(sims[1], omega_right,
+        assert (pose, (delta.dn_right, delta.dn_left)) == reference_step(sims[1], gen, omega_right,
                                                                          omega_left, dt)
 
 
@@ -261,9 +265,9 @@ def test_motion_step_equals_the_composed_conversions_on_tick_boundaries(ticks):
     params = ChassisParams(ticks_per_rev_C=ticks)
     for rpm, dt in ((30.0, 0.1), (60.0, 0.01), (120.0, 0.1)):
         sim, reference = (MotionSimulator(Pose(), params, 0.0) for _ in range(2))
-        for _ in range(1000):
+        for _ in range(1000):  # no slip, so no draw
             pose, delta = sim.step(rpm, rpm / 2, dt)
-            assert (pose, (delta.dn_right, delta.dn_left)) == reference_step(reference, rpm,
+            assert (pose, (delta.dn_right, delta.dn_left)) == reference_step(reference, None, rpm,
                                                                              rpm / 2, dt)
 
 

@@ -1,6 +1,7 @@
 """IR sensing, lateral-error reduction, PID, and the closed steering loop."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,13 +190,15 @@ def reference_apply_control(omega_base, u, cap):
     return clamp(omega_base + u), clamp(omega_base - u)
 
 
-def reference_simulate_ir(track, pose, geometry, rng=None):
+def reference_simulate_ir(track, pose, geometry, gen=None):
+    """`simulate_ir` as a per-sensor loop, with its noise drawn by a numpy
+    Generator's own sized `uniform`."""
     half = track.line_width / 2.0
     w, h = track.mat_size
     low, high = geometry.low_level, geometry.high_level
     noise = None
-    if rng is not None and geometry.noise_frac > 0:
-        noise = rng.uniform(-geometry.noise_frac, geometry.noise_frac, size=5)
+    if gen is not None and geometry.noise_frac > 0:
+        noise = gen.uniform(-geometry.noise_frac, geometry.noise_frac, size=5).tolist()
     vals = []
     for k, (sx, sy) in enumerate(reference_sensor_positions(pose, geometry).tolist()):
         if 0.0 <= sx <= w and 0.0 <= sy <= h and track.query(sx, sy).distance <= half:
@@ -242,11 +245,12 @@ def test_simulate_ir_equals_the_per_sensor_loop(x, y, theta, pitch, forward_offs
     pose = Pose(x, y, theta)
     geom = IrGeometry(pitch=pitch, forward_offset=forward_offset, low_level=low,
                       high_level=high, noise_frac=noise_frac)
-    rngs = [None if seed is None else Doubles(np.random.default_rng(seed)) for _ in range(2)]
-    got = simulate_ir(_TRACK, pose, geom, rngs[0])
-    assert repr(got) == repr(reference_simulate_ir(_TRACK, pose, geom, rngs[1]))
+    rng, gen = (None, None) if seed is None else (Doubles(np.random.default_rng(seed)),
+                                                  np.random.default_rng(seed))
+    got = simulate_ir(_TRACK, pose, geom, rng)
+    assert repr(got) == repr(reference_simulate_ir(_TRACK, pose, geom, gen))
     if seed is not None:  # the same number of draws
-        assert rngs[0].random() == rngs[1].random()
+        assert rng.random() == gen.random()
 
 
 def test_simulate_ir_centered_on_line():
@@ -302,6 +306,14 @@ def test_simulate_ir_noise_is_bounded():
     levels = [x for _ in range(50) for x in simulate_ir(track, Pose(1.75, 0.6, 0.0), geom, rng)]
     assert all(0.0 <= x <= 1.0 for x in levels)
     assert 0.0 in levels and 1.0 in levels
+
+
+def test_geometry_refuses_a_noise_whose_span_overflows():
+    # the draw spans 2 * noise_frac, which must be a finite float
+    with pytest.raises(ConfigurationError, match="noise_frac must be at most half the float maximum"):
+        IrGeometry(noise_frac=1e308)
+    half_max = sys.float_info.max / 2
+    assert IrGeometry(noise_frac=half_max).noise_range == (-half_max, sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ and frozen evaluation figures."""
 import numpy as np
 import pytest
 
+from _ml import first_split, load_csv, save_confusion_csv, save_csv
 from wardsim.ml import (DecisionTree, KnnClassifier, RandomForest,
-                        generate_dataset, evaluate, load_csv)
-from wardsim.ml.dataset import rule_label, save_csv
+                        generate_dataset, evaluate)
+from wardsim.ml.dataset import rule_label
 from wardsim.ml.evaluate import stratified_split
 from wardsim.ml.tree import gini
 
@@ -120,7 +121,7 @@ def test_tree_first_split_separates_fever():
     """On the clean synthetic data the best single cut is on temperature at
     the severe-fever boundary (frozen from an independent impurity scan)."""
     model = DecisionTree().fit(CLEAN.features, CLEAN.labels)
-    feature, threshold = model.first_split()
+    feature, threshold = first_split(model)
     assert feature == 2
     assert threshold == pytest.approx(39.5016, abs=0.1)
 
@@ -130,7 +131,7 @@ def test_tree_fit_is_deterministic():
     b = DecisionTree().fit(CLEAN.features, CLEAN.labels)
     for x in CLEAN.features[:100]:
         assert np.array_equal(a.predict_proba(x), b.predict_proba(x))
-    assert a.first_split() == b.first_split()
+    assert first_split(a) == first_split(b)
 
 
 def test_tree_probs_on_simplex():
@@ -220,5 +221,5 @@ def test_report_text_and_confusion_csv(tmp_path):
     text = report.as_text()
     assert "accuracy:" in text and "recall[no_hospital]:" in text
     path = tmp_path / "confusion.csv"
-    report.save_confusion_csv(path)
+    save_confusion_csv(report, path)
     assert path.read_text().splitlines()[0].startswith("true\\pred")

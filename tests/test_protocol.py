@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _exchange import (ROSTERS, TRANSCRIPT_EXEC_MS, TRANSCRIPT_PDRS,
-                       protocol_transcript, run_lossy_exchange)
+from _exchange import (ROSTERS, TRANSCRIPT_EXEC_MS, TRANSCRIPT_PDRS, RosterEntry,
+                       liveness_bound_ms, protocol_transcript, run_lossy_exchange)
 from wardsim import InvariantError, protocol
-from wardsim.protocol import (Availability, Follower, Leader, RosterEntry,
-                              ScheduleEntry, StatusLight, Task, TaskKind,
-                              TaskOrigin, TaskState, TimeoutPolicy,
-                              TERMINAL_STATES, liveness_bound_ms)
+from wardsim.protocol import (Availability, Follower, Leader, ScheduleEntry, StatusLight,
+                              Task, TaskKind, TaskOrigin, TaskState, TimeoutPolicy,
+                              TERMINAL_STATES)
 from wardsim.rf_channel import Packet, PacketKind
 from wardsim.vitals import Flag, TriageClass, TriageDecision
 

@@ -1,12 +1,18 @@
 """Channel loss/latency behavior and the measurement helpers, checked on the
 records that `Channel.send` returns."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _channel import in_flight, measure_pdr, measure_rtt
 from wardsim import AddressingError, ConfigurationError
-from wardsim.rf_channel import Channel, ChannelConfig, LinkCondition, Packet, PacketKind
+from wardsim.rf_channel import (Channel, ChannelConfig, DeliveryRecord, LinkCondition, Packet,
+                                PacketKind)
+from wardsim.rng import Doubles
 
 
 def make_channel(seed=0, **kw):
@@ -44,6 +50,10 @@ def test_config_invariants():
         ChannelConfig(rtt_ms=0.0)
     with pytest.raises(ConfigurationError):
         ChannelConfig(one_way_jitter_ms=-1.0)
+    # the jitter's draw spans twice the jitter, which must be a finite float
+    with pytest.raises(ConfigurationError, match="jitter must be at most half the float maximum"):
+        ChannelConfig(one_way_jitter_ms=1e308)
+    ChannelConfig(one_way_jitter_ms=sys.float_info.max / 2)
 
 
 def test_delay_is_half_rtt_plus_bounded_jitter():
@@ -52,6 +62,45 @@ def test_delay_is_half_rtt_plus_bounded_jitter():
     delays = [ch.send(cmd(1, 2, i, 0)).delay_ms for i in range(500)]
     assert all(15.5 <= d <= 21.5 for d in delays)
     assert np.mean(delays) == pytest.approx(18.5, abs=0.2)
+
+
+def reference_send(config, gen, conditions, packet, extra_delay_ms):
+    """`Channel.send` as it drew its jitter with a numpy Generator's own
+    `uniform`: the record, and the packet's arrival time if delivered."""
+    cond = conditions.get((packet.src, packet.dst), LinkCondition.CLEAR)
+    if not gen.random() < config.pdr(cond):
+        return DeliveryRecord(packet.sent_at, packet.src, packet.dst, packet.kind, packet.seq,
+                              cond, "dropped", 0.0), None
+    j = config.one_way_jitter_ms
+    delay = config.rtt_ms / 2.0 + (gen.uniform(-j, j) if j > 0 else 0.0)
+    delay = max(delay, 1.0)
+    return DeliveryRecord(packet.sent_at, packet.src, packet.dst, packet.kind, packet.seq,
+                          cond, "delivered", delay), packet.sent_at + delay + extra_delay_ms
+
+
+@given(jitter=st.sampled_from([0.0, -0.0, 3.0]) | st.floats(0.0, 1e3),
+       rtt=st.floats(0.5, 100.0), pdr=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1),
+       obstructed=st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3))),
+       sends=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 50),
+                                st.sampled_from([0.0, 5.0])), max_size=40))
+def test_channel_send_equals_the_generators_uniform(jitter, rtt, pdr, seed, obstructed, sends):
+    config = ChannelConfig(pdr_clear=pdr, pdr_obstructed=pdr / 2, rtt_ms=rtt,
+                           one_way_jitter_ms=jitter)
+    channel = Channel(config, [1, 2, 3], Doubles(np.random.default_rng(seed)))
+    gen = np.random.default_rng(seed)
+    conditions = {link: LinkCondition.OBSTRUCTED for link in obstructed}
+    for src, dst in obstructed:
+        channel.set_condition(src, dst, LinkCondition.OBSTRUCTED)
+    arrivals = []
+    for seq, (src, dst, sent_at, extra) in enumerate(sends):
+        packet = cmd(src, dst, seq, sent_at)
+        want, arrival = reference_send(config, gen, conditions, packet, extra)
+        assert repr(channel.send(packet, extra)) == repr(want)
+        if arrival is not None:
+            arrivals.append((arrival, seq, packet))
+    # the same packets arrive in the same order
+    assert channel.deliveries_due(float("inf")) == [p for _, _, p in sorted(arrivals)]
+    assert channel.rng.random() == gen.random()  # the same number of draws
 
 
 def test_delay_floor_one_ms():

@@ -177,6 +177,11 @@ def test_bool_is_not_accepted_as_int():
     ("battery: {budget_units: -1}\n", "battery: budget_units must be nonnegative"),
     ("battery: {low_speed_factor: -2.0}\n", "battery: low_speed_factor must be nonnegative"),
     ("duration_ms: 25\n", "top.duration_ms: must be a multiple of dt_ms (10)"),
+    # a uniform draw's span, twice the bound, must be a finite float
+    ("channel: {one_way_jitter_ms: 1.0e+308}\n",
+     "channel: jitter must be at most half the float maximum"),
+    ("robots: {corridor: {geometry: {noise_frac: 1.0e+308}}}\n",
+     "robots.corridor.geometry: noise_frac must be at most half the float maximum"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
@@ -193,7 +198,8 @@ def test_bool_is_not_accepted_as_int():
         "ir_levels_inverted", "timeout_zero", "timeout_negative", "exec_timeout_zero",
         "exec_timeout_negative", "max_retries_negative", "vitals_period_negative",
         "fall_period_negative", "exec_duration_negative", "budget_negative",
-        "battery_budget_negative", "low_speed_factor_negative", "duration_off_tick"])
+        "battery_budget_negative", "low_speed_factor_negative", "duration_off_tick",
+        "jitter_span_overflows", "noise_frac_span_overflows"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
     path.write_text(text)

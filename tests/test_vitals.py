@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _triage import class_from_probs, one_hot
 from wardsim import ConfigurationError, vitals
 from wardsim.vitals import (BPM_RANGE, SPO2_RANGE, TEMP_RANGE, FallDetectorModel,
                             FallOutcome, Flag, LatencyConfig, PatientState, Posture,
                             SensorNoiseModel, TriageClass, TriageDecision, Vitals,
-                            class_from_probs, classify, detect_fall, one_hot,
-                            rule_decision, sample_vitals, triage_class, triage_delay_ms)
+                            classify, detect_fall, rule_decision, sample_vitals,
+                            triage_class, triage_delay_ms)
 
 
 def vit(spo2=98.0, bpm=72.0, temp=36.8):
