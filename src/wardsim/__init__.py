@@ -2,14 +2,18 @@
 
 Subsystems:
 
+- ``rng``             named random streams and symmetric uniform-draw ranges
 - ``kinematics``      differential-drive ground truth and dead reckoning
+- ``track``           painted-line polyline, its queries and segment headings
 - ``line_following``  5-way IR sensor model and PID steering
 - ``rf_channel``      lossy addressed 2.4 GHz-style unicast channel
 - ``protocol``        leader-follower task delegation state machines
 - ``vitals``          wearable noise models, threshold triage, fall detector
 - ``ml``              from-scratch KNN / decision tree / random forest triage
 - ``scenario``        config files, validation, shipped presets
-- ``engine``          fixed-timestep run loop, event log, metrics
+- ``engine``          fixed-timestep run loop, run exports, scenario suites
+- ``metrics``         event log, metric folds and replay of a saved log
+- ``cli``             the ``wardsim`` command: run, suite, replay, mlbench
 """
 
 __version__ = "0.1.0"

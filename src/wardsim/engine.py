@@ -291,8 +291,7 @@ class Engine:
                        "navigation")
             # operator re-places the robot on the line and it resumes
             q = cfg.track.query(self.motion.pose.x, self.motion.pose.y)
-            heading = math.atan2(q.tangent[1], q.tangent[0])
-            self.motion.pose = Pose(q.point[0], q.point[1], heading)
+            self.motion.pose = Pose(q.point[0], q.point[1], q.heading)
             self.follower_ctl.reset()
             return
         factor = cfg.battery.low_speed_factor if self._battery_low else 1.0
@@ -322,8 +321,7 @@ class Engine:
         q = cfg.track.query(est.x, est.y)
         gx = est.x + cfg.correction.position_gain * (q.point[0] - est.x)
         gy = est.y + cfg.correction.position_gain * (q.point[1] - est.y)
-        tangent_heading = math.atan2(q.tangent[1], q.tangent[0])
-        dh = normalize_angle(tangent_heading - est.theta)
+        dh = normalize_angle(q.heading - est.theta)
         if abs(dh) > math.pi / 2:
             # robot may legitimately face the other way along the segment
             dh = normalize_angle(dh + math.pi)
@@ -360,16 +358,14 @@ class Engine:
 
                 self._route_deliveries()
 
-                prev_task = self.corridor.active
                 for addr, follower in self._step_order:
                     out = follower.step(self._inboxes[addr], self._now)
                     self._inboxes[addr] = []
                     for pkt in out:
                         self._send(pkt)
-                if (prev_task is not None and prev_task is not self.corridor.active
-                        and prev_task.kind is TaskKind.PATROL_CHECK
-                        and prev_task.task_id in self.corridor.completed):
-                    self._patrol_check_due = True
+                for done in self.corridor.finished:
+                    if done.kind is TaskKind.PATROL_CHECK:
+                        self._patrol_check_due = True
 
                 self._camera_checks()
                 self._drive(dt_s)

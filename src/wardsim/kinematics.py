@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigurationError
-from .rng import Doubles
+from .rng import Doubles, symmetric_range
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_SLIP_HALFWIDTH = 0.02  # per-step multiplicative slip jitter, either way
@@ -62,7 +62,7 @@ class ChassisParams:
     ticks_per_rev_C: int = 1024
 
     def __post_init__(self):
-        if self.wheel_radius_r <= 0 or self.axle_length_L <= 0 or self.ticks_per_rev_C <= 0:
+        if not (self.wheel_radius_r > 0 and self.axle_length_L > 0 and self.ticks_per_rev_C > 0):
             raise ConfigurationError("chassis parameters must be strictly positive")
 
 
@@ -116,17 +116,15 @@ class MotionSimulator:
         self.pose = start
         self.params = params
         self.slip_halfwidth = slip_halfwidth
-        # a step's slip is uniform(1 - h, 1 + h) and each wheel's bias
-        # uniform(-b, b), written out as numpy's low + (high - low) * u;
-        # check_slip keeps both ranges finite
+        # a step's slip is uniform(1 - h, 1 + h), written out as numpy's
+        # low + (high - low) * u; check_slip keeps its range finite
         h = slip_halfwidth
         self._slip_low, self._slip_span = 1.0 - h, (1.0 + h) - (1.0 - h)
         self.rng = rng if rng is not None else Doubles(np.random.default_rng(0))
-        b = slip_bias_halfwidth
-        if b > 0.0:  # right, then left
-            low, span, random = -b, b - -b, self.rng.random
-            self._bias_right = low + span * random()
-            self._bias_left = low + span * random()
+        if slip_bias_halfwidth > 0.0:  # each wheel's bias, right then left
+            low, span = symmetric_range(slip_bias_halfwidth, "slip_bias_halfwidth")
+            self._bias_right = low + span * self.rng.random()
+            self._bias_left = low + span * self.rng.random()
         else:
             self._bias_right = self._bias_left = 0.0
         self._angle_right = 0.0  # cumulative commanded wheel angle, rad
@@ -137,7 +135,7 @@ class MotionSimulator:
     def step(self, omega_right_rpm: float, omega_left_rpm: float, dt: float) -> tuple[Pose, EncoderDelta]:
         """Advance truth by one timestep; returns (true pose, encoder delta).
         A wheel at `rpm` turns rpm / 60 * 2 pi * dt rad and rolls r times that."""
-        if dt <= 0:
+        if not dt > 0:
             raise ConfigurationError("dt must be positive")
         dth_r = omega_right_rpm / 60.0 * TWO_PI * dt
         dth_l = omega_left_rpm / 60.0 * TWO_PI * dt
@@ -170,12 +168,13 @@ class DeadReckoner:
     def __init__(self, start: Pose, params: ChassisParams):
         self.pose = start
         self.params = params
+        self._rad_per_tick = TWO_PI / params.ticks_per_rev_C
 
     def update(self, delta: EncoderDelta) -> Pose:
         """A wheel whose encoder moved dN ticks turned 2 pi dN / C rad and
         rolled r times that."""
         params = self.params
-        scale = TWO_PI / params.ticks_per_rev_C
+        scale = self._rad_per_tick
         r = params.wheel_radius_r
         self.pose = pose_update(self.pose, r * (delta.dn_right * scale),
                                 r * (delta.dn_left * scale), params)

@@ -14,14 +14,13 @@ turn toward the line.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from operator import mul
 
 from . import ConfigurationError
 from .kinematics import Pose
-from .rng import Doubles
+from .rng import Doubles, symmetric_range
 from .track import Track
 
 DEFAULT_WEIGHTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -55,9 +54,9 @@ class PidGains:
     integral_clamp: float = 4.0
 
     def __post_init__(self):
-        if self.kp < 0 or self.ki < 0 or self.kd < 0:
+        if not (self.kp >= 0 and self.ki >= 0 and self.kd >= 0):
             raise ConfigurationError("gains must be nonnegative")
-        if self.integral_clamp <= 0:
+        if not self.integral_clamp > 0:
             raise ConfigurationError("integral_clamp must be positive")
 
 
@@ -76,7 +75,7 @@ class PidState:
 def pid_step(gains: PidGains, state: PidState, e: float, dt: float) -> float:
     """One PID update: rectangular integral (clamped), backward-difference
     derivative (zero on the first step after reset). Mutates state."""
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigurationError("dt must be positive")
     state.integral_accum += e * dt
     c = gains.integral_clamp
@@ -111,15 +110,8 @@ class IrGeometry:
     def __post_init__(self):
         if not (self.noise_frac >= 0 and 0.0 <= self.low_level < self.high_level <= 1.0):
             raise ConfigurationError("require noise_frac >= 0, 0 <= low_level < high_level <= 1")
-        # the noise draw spans twice noise_frac, which must be a finite float
-        if self.noise_frac + self.noise_frac == math.inf:
-            raise ConfigurationError("noise_frac must be at most half the float maximum")
-
-    @functools.cached_property
-    def noise_range(self) -> tuple[float, float]:
-        """A sensor's noise is uniform(-noise_frac, noise_frac), written out
-        as numpy's low + (high - low) * u: this is (low, high - low)."""
-        return -self.noise_frac, self.noise_frac - -self.noise_frac
+        # a sensor's noise is uniform(-noise_frac, noise_frac); as ChannelConfig.jitter_range
+        object.__setattr__(self, "noise_range", symmetric_range(self.noise_frac, "noise_frac"))
 
 
 def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, float]]:

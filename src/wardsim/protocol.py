@@ -123,9 +123,9 @@ class TimeoutPolicy:
     def __post_init__(self):
         # a wait that is over at once escalates every task
         for key in ("timeout_ms", "exec_timeout_ms"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:
                 raise ConfigurationError(f"{key} must be positive")
-        if self.max_retries < 0:
+        if not self.max_retries >= 0:
             raise ConfigurationError("max_retries must be nonnegative")
 
 
@@ -186,8 +186,9 @@ class Leader:
     - to -inf by a fresh task that found no follower while a capable one
       could still turn idle, or recover from a fault, with no packet to say
       so (see `_dispatch`);
-    - at the end of a full pass, to no later than the next schedule entry
-      and the earliest wait deadline, `last_activity + _wait_limits[state]`.
+    - in a full pass, to no later than the next schedule entry (`_fire_schedule`)
+      and each open task's wait deadline, `last_activity + _wait_limits[state]`
+      (`_check_timeouts`); a pass that changes nothing ends at the earliest.
     """
 
     def __init__(self, address: int, roster: Mapping[int, Follower],
@@ -307,12 +308,6 @@ class Leader:
         self._fire_schedule(now)
         self._check_timeouts(now, outbox)
         self._dispatch(now, outbox)
-        limits = self._wait_limits
-        wakes = [self._wake, *(task.last_activity + limits[task.state]
-                               for task in self._open.values() if task.state in limits)]
-        if self._schedule_cursor < len(self.schedule):
-            wakes.append(self.schedule[self._schedule_cursor].time_ms)
-        self._wake = min(wakes)
         return outbox
 
     def _consume_inbox(self, inbox: list[Packet], now: int):
@@ -368,13 +363,17 @@ class Leader:
                                       target=entry.slot)
             self._new_task(TaskKind.DELIVER_MEDICINE, TaskOrigin.SCHEDULED, now,
                            target=entry.bed, depends_on=dispense.task_id)
+        if self._schedule_cursor < len(self.schedule):
+            self._wake = min(self._wake, self.schedule[self._schedule_cursor].time_ms)
 
     def _check_timeouts(self, now: int, outbox: list):
         limits = self._wait_limits
         for task in list(self._open.values()):
-            limit = limits.get(task.state)
-            if limit is not None and now - task.last_activity >= limit:
+            deadline = task.last_activity + limits.get(task.state, math.inf)
+            if now >= deadline:
                 self._time_out(task, now, task.retry_count + 1)
+            elif deadline < self._wake:
+                self._wake = deadline
 
     def _time_out(self, task: Task, now: int, retry_count: int):
         """Record the timeout and free the follower; retry it while retries
@@ -478,6 +477,7 @@ class Follower:
         self.active: _Execution | None = None
         self.parked: list[_Execution] = []
         self.completed: set[int] = set()
+        self.finished: list[_Execution] = []  # the executions the last step completed
         self.execution_count: dict[int, int] = {}  # starts per task id: exactly-once audit
         self.nav_fault = False
         self._out_seq = 0
@@ -493,6 +493,7 @@ class Follower:
         """Finish the active execution, report it, and resume parked work."""
         done, self.active = self.active, None
         self.completed.add(done.task_id)
+        self.finished.append(done)
         self._report(done.task_id, "completed", now, outbox)
         if self.parked:
             self.active = self.parked.pop()
@@ -514,6 +515,7 @@ class Follower:
 
     def step(self, inbox: list[Packet], now: int) -> list[Packet]:
         outbox: list[Packet] = []
+        self.finished = []
         dt_ms = 0.0 if self._last_now is None else now - self._last_now
         self._last_now = now
         if self.active is None:

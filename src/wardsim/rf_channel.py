@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import AddressingError, ConfigurationError
-from .rng import Doubles
+from .rng import Doubles, symmetric_range
 
 
 class PacketKind(enum.Enum):
@@ -59,13 +58,10 @@ class ChannelConfig:
     def __post_init__(self):
         if not (0.0 < self.pdr_obstructed <= self.pdr_clear <= 1.0):
             raise ConfigurationError("require 0 < pdr_obstructed <= pdr_clear <= 1")
-        if self.rtt_ms <= 0:
+        if not self.rtt_ms > 0:
             raise ConfigurationError("rtt_ms must be positive")
-        if self.one_way_jitter_ms < 0:
-            raise ConfigurationError("jitter must be nonnegative")
-        # the jitter's draw spans twice the jitter, which must be a finite float
-        if self.one_way_jitter_ms + self.one_way_jitter_ms == math.inf:
-            raise ConfigurationError("jitter must be at most half the float maximum")
+        # a delivered packet's jitter is uniform(-j, j); not a field, so set past __setattr__
+        object.__setattr__(self, "jitter_range", symmetric_range(self.one_way_jitter_ms, "jitter"))
 
     def pdr(self, condition: LinkCondition) -> float:
         return self.pdr_clear if condition is LinkCondition.CLEAR else self.pdr_obstructed
@@ -99,10 +95,7 @@ class Channel:
         self.config = config
         self.addresses = set(addresses)
         self.rng = rng
-        # a delivered packet's jitter is uniform(-j, j), written out as
-        # numpy's low + (high - low) * u
-        j = config.one_way_jitter_ms
-        self._jitter_low, self._jitter_span = -j, j - -j
+        self._jitter_low, self._jitter_span = config.jitter_range
         self.conditions: dict[tuple[int, int], LinkCondition] = {}
         self._in_flight: list[tuple[float, int, Packet]] = []
         self._counter = 0

@@ -10,16 +10,19 @@ scalar call per draw, as plain floats and at a fraction of a call's cost.
 numpy's `uniform(low, high)` is `low + (high - low) * u` with `u` the
 double that `random()` returns, so a uniform draw is written out as
 `low + span * random()`, with `low` and `span = high - low` fixed where the
-range is fixed and checked. `vitals_noise` keeps its `Generator` only for
-`normal`, which takes a variable number of words from the bit generator and
-so cannot be served from a block of doubles; its uniform draws interleave
-with those normals, so `sample_vitals` writes them out the same way on the
-Generator.
+range is fixed and checked (by `symmetric_range` for a symmetric draw).
+`vitals_noise` keeps its `Generator` only for `normal`, which takes a
+variable number of words from the bit generator and so cannot be served
+from a block of doubles; its uniform draws interleave with those normals,
+so `sample_vitals` writes them out the same way on the Generator.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from . import ConfigurationError
 
 # A stream's index keys its SeedSequence child, so its values do not depend
 # on how many streams follow it: append only, never reorder.
@@ -35,6 +38,17 @@ _STREAMS = (
 _BLOCK_STREAMS = frozenset({"channel", "slip", "ir_noise", "fall_detector"})
 
 _BLOCK = 1024
+
+
+def symmetric_range(half_width: float, name: str) -> tuple[float, float]:
+    """`(low, high - low)` of uniform(-half_width, half_width); refuses a
+    half-width that is negative, NaN, or whose doubled span is infinite
+    (which Generator.uniform refuses with OverflowError)."""
+    if not half_width >= 0:
+        raise ConfigurationError(f"{name} must be nonnegative")
+    if half_width + half_width == math.inf:
+        raise ConfigurationError(f"{name} must be at most half the float maximum")
+    return -half_width, half_width - -half_width
 
 
 class Doubles:

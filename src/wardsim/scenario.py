@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import functools
 import importlib.resources
-import math
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -123,7 +122,7 @@ class Battery:
     def __post_init__(self):
         # a negative factor drives the robot backwards once the battery is low
         for key in ("budget_units", "low_speed_factor"):
-            if getattr(self, key) < 0:
+            if not getattr(self, key) >= 0:
                 raise ConfigurationError(f"{key} must be nonnegative")
 
 
@@ -166,8 +165,8 @@ class ScenarioConfig:
         """The corridor robot's start: as given, else on the first waypoint along the course."""
         start = self.robots.corridor.start
         if start is None:
-            (wx, wy), (tx, ty) = self.track.waypoints[0], self.track._tangents[0]
-            start = Pose(float(wx), float(wy), math.atan2(ty, tx))
+            wx, wy = self.track.waypoints[0]
+            start = Pose(float(wx), float(wy), self.track.headings[0])
         return start
 
 

@@ -2,8 +2,9 @@
 
 A track is a closed polyline of waypoints with a per-segment tag
 ("straight" or "turn"). Queries return the perpendicular distance from a
-world point to the polyline, the closest point itself, the unit tangent of
-the closest segment, and that segment's tag.
+world point to the polyline, the closest point itself, the heading of the
+closest segment (the angle of its unit tangent, fixed when the track is
+built), and that segment's tag.
 
 A query searches only the candidate segments of the grid cell that holds the
 point, and the grid never changes a result:
@@ -51,7 +52,7 @@ _MARGIN_M = 1e-9
 class TrackQuery:
     distance: float
     point: tuple[float, float]
-    tangent: tuple[float, float]
+    heading: float
     tag: str
     segment: int
 
@@ -62,7 +63,7 @@ class Track:
         pts = np.array(waypoints, dtype=float)  # a copy, made read-only below
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ConfigurationError("track needs at least two 2-D waypoints")
-        if line_width <= 0:
+        if not line_width > 0:
             raise ConfigurationError("line_width must be positive")
         w, h = mat_size
         if not (math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0):
@@ -96,7 +97,7 @@ class Track:
         len2 = np.einsum("ij,ij->i", d, d)
         len2[len2 == 0.0] = 1e-30
         seg_len = np.sqrt(len2)
-        self._tangents = [tuple(row) for row in (d / seg_len[:, None]).tolist()]
+        self.headings = tuple(math.atan2(ty, tx) for tx, ty in (d / seg_len[:, None]).tolist())
         self.length = float(seg_len.sum())
 
         # (index, ax, ay, dx, dy, len2) as Python floats: the query's scan
@@ -138,8 +139,8 @@ class Track:
             # so far off that every squared distance overflows: in floats each
             # point of the track is then about as near as any other; take the first
             _, ax, ay, _, _, _ = self._segs[0]
-            return TrackQuery(math.hypot(ax - x, ay - y), (ax, ay), self._tangents[0], self.tags[0], 0)
-        return TrackQuery(math.sqrt(best), (best_x, best_y), self._tangents[best_i],
+            return TrackQuery(math.hypot(ax - x, ay - y), (ax, ay), self.headings[0], self.tags[0], 0)
+        return TrackQuery(math.sqrt(best), (best_x, best_y), self.headings[best_i],
                           self.tags[best_i], best_i)
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ConfigurationError
-from .rng import Doubles
+from .rng import Doubles, symmetric_range
 
 SPO2_RANGE = (50.0, 100.0)
 BPM_RANGE = (20.0, 220.0)
@@ -96,12 +96,11 @@ class SensorNoiseModel:
     temp_mean_abs_err: float = 0.6  # target mean |error|, degrees C
 
     def __post_init__(self):
-        if self.spo2_tol < 0 or self.bpm_tol < 0 or self.temp_mean_abs_err < 0:
+        if not self.temp_mean_abs_err >= 0:
             raise ConfigurationError("noise tolerances must be nonnegative")
-        # the uniform draw spans twice the tolerance, which must be a finite
-        # float (Generator.uniform raises OverflowError for an infinite span)
-        if self.spo2_tol + self.spo2_tol == math.inf or self.bpm_tol + self.bpm_tol == math.inf:
-            raise ConfigurationError("noise tolerances must be at most half the float maximum")
+        # each uniform draw's (low, span); as ChannelConfig.jitter_range
+        object.__setattr__(self, "spo2_range", symmetric_range(self.spo2_tol, "noise tolerances"))
+        object.__setattr__(self, "bpm_range", symmetric_range(self.bpm_tol, "noise tolerances"))
 
     # computed once per model: cached_property keeps the value in the
     # instance's __dict__, which a frozen dataclass leaves writable
@@ -130,12 +129,12 @@ def sample_vitals(patient: PatientState, noise: SensorNoiseModel,
     spo2 = patient.true_spo2
     bpm = patient.true_bpm
     temp = patient.true_temp
-    tol = noise.spo2_tol
-    if tol > 0:
-        spo2 += -tol + (tol + tol) * rng.random()
-    tol = noise.bpm_tol
-    if tol > 0:
-        bpm += -tol + (tol + tol) * rng.random()
+    low, span = noise.spo2_range
+    if span > 0:
+        spo2 += low + span * rng.random()
+    low, span = noise.bpm_range
+    if span > 0:
+        bpm += low + span * rng.random()
     if noise.temp_mean_abs_err > 0:
         eps = noise.temp_sigma * rng.standard_normal()
         trunc = noise.temp_trunc
@@ -283,7 +282,7 @@ class LatencyConfig:
     def __post_init__(self):
         for v in (self.vitals_transmit_ms, self.ai_decision_ms,
                   self.threshold_decision_ms, self.fall_path_ms):
-            if v < 0:
+            if not v >= 0:
                 raise ConfigurationError("latencies must be nonnegative")
 
 

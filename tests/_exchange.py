@@ -118,6 +118,9 @@ _TRIAGE = {
 }
 _FALL_ALERTS = (300, 450)   # relayed camera detections, sent over the channel
 _NAV_FAULT_FROM = 500       # first time follower 2 may lose the line
+# raised, when asked for, at the tick after that fault: an emergency that no
+# faulted follower can take
+_TRIAGE_AFTER_FAULT = _decision(TriageClass.GO_TO_HOSPITAL, Flag.ABNORMAL_HR)
 _LAST_INPUT = 800
 
 
@@ -141,7 +144,8 @@ def _packet_line(now, pkt):
 
 def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str | dict,
                         dt_ms: int = 10, deadline_ms: int = 60_000,
-                        leader_cls: type[Leader] = Leader) -> list[str]:
+                        leader_cls: type[Leader] = Leader,
+                        emergency_after_fault: bool = False) -> list[str]:
     """One lossy exchange, in the engine's tick order, written down as text:
     every transition-hook call, every packet a leader or follower puts in
     its outbox, each change of a follower's status light, then the
@@ -151,7 +155,11 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
     status for an unknown task, and follower 2 a command of an unknown kind.
     `exec_name` names a set of execution times in TRANSCRIPT_EXEC_MS, or is
     such a set itself; `leader_cls` builds the leader, so a test can swap in
-    a variant."""
+    a variant. With `emergency_after_fault`, a severe triage result reaches
+    the leader on the tick after the fault, while follower 2 is faulted and
+    usually still held for its task: where only 2 can patrol, the emergency
+    patrol waits, and only the emergency itself can wake the leader on the
+    tick that 2 recovers."""
     claimed, actual = ROSTERS[roster_name]
     policy = TimeoutPolicy(timeout_ms=200, exec_timeout_ms=1000, max_retries=2)
     schedule = [ScheduleEntry(time_ms=0, bed=4, slot=0), ScheduleEntry(time_ms=150, bed=5, slot=1)]
@@ -170,7 +178,7 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
 
     inboxes: dict[int, list] = {LEADER: [], **{a: [] for a in followers}}
     lights = dict.fromkeys(followers)
-    faulted = False
+    faulted_at = None
     now = 0
     while now <= deadline_ms:
         if now == 100:
@@ -184,6 +192,8 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
             channel.send(Packet(2, LEADER, now, PacketKind.ALERT, {"alert": "fall"}, now))
         if now in _TRIAGE:
             leader.handle_triage(_TRIAGE[now], now)
+        if emergency_after_fault and faulted_at == now - dt_ms:
+            leader.handle_triage(_TRIAGE_AFTER_FAULT, now)
         for pkt in leader.step(inboxes[LEADER], now):
             lines.append(_packet_line(now, pkt))
             channel.send(pkt)
@@ -199,8 +209,8 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
                 lights[addr] = fol.status_light()
                 lines.append(f"{now} light {addr} {lights[addr].value}")
         # as in the engine, the leader sees the fault at its next step
-        if not faulted and now >= _NAV_FAULT_FROM and followers[2].active is not None:
-            followers[2].nav_fault = faulted = True
+        if faulted_at is None and now >= _NAV_FAULT_FROM and followers[2].active is not None:
+            followers[2].nav_fault, faulted_at = True, now
         if now >= _LAST_INPUT and all(t.state in TERMINAL_STATES
                                       for t in leader.tasks.values()):
             break

@@ -4,7 +4,9 @@
 that the event-driven leader equals one that does its full pass every step,
 and `corridor-fuzz` the checks that the corridor tick's rewritten helpers,
 `MotionSimulator.step`, `DeadReckoner.update` and `Channel.send` equal the
-expressions they replaced:
+expressions they replaced, that `symmetric_range` draws equal
+`Generator.uniform`'s, and that `Track`'s headings equal atan2 of the
+reference tangents:
 
     python -m pytest --hypothesis-profile=schema-fuzz \
         "tests/test_scenario.py::test_a_scenario_drawn_from_the_schema_is_rejected_or_runs"
@@ -13,7 +15,8 @@ expressions they replaced:
     python -m pytest --hypothesis-profile=protocol-fuzz \
         "tests/test_protocol.py::test_the_event_driven_leader_equals_one_that_steps_in_full"
     python -m pytest --hypothesis-profile=corridor-fuzz -k "equal_the or equals_the" \
-        tests/test_line_following.py tests/test_kinematics.py tests/test_rf_channel.py
+        tests/test_line_following.py tests/test_kinematics.py tests/test_rf_channel.py \
+        tests/test_rng.py tests/test_track.py
 """
 
 from hypothesis import settings

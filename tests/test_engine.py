@@ -208,6 +208,20 @@ def test_debounce_decides_as_the_reference_latch(need, samples):
         assert got == reference(classify(sample))
 
 
+@pytest.mark.parametrize("patrol_ms", [0, 10, 20, 500])
+def test_each_finished_patrol_check_gets_one_camera_check(patrol_ms):
+    # a check of at most one 10 ms tick starts and finishes in one follower step
+    log, _ = run(short_config(duration_ms=8000, patrol_always=False,
+                              exec_durations_ms={"patrol_check": patrol_ms},
+                              patient_script=[{"time_ms": 2000, "kind": "low_spo2", "spo2": 87}]))
+    finished = [r["time_ms"] for r in log.records if r["kind"] == "task"
+                and r["payload"]["kind"] == "patrol_check" and r["payload"]["state"] == "completed"]
+    checks = [r["time_ms"] for r in log.records if r["kind"] == "fall_check"]
+    assert len(finished) == 1 and len(checks) == 1
+    # the camera looks when the robot finishes, before its status reaches the leader
+    assert checks[0] < finished[0]
+
+
 def test_quiet_run_creates_no_incident_tasks():
     cfg = short_config(patient_script=[], duration_ms=10000)
     _, metrics = run(cfg)

@@ -1,11 +1,15 @@
 """Block-drawn random streams against numpy's scalar Generator calls."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wardsim.rng import _BLOCK_STREAMS, Doubles, derive_streams
+from wardsim import ConfigurationError
+from wardsim.rng import _BLOCK_STREAMS, Doubles, derive_streams, symmetric_range
 
 
 @settings(max_examples=300, deadline=None)
@@ -41,3 +45,29 @@ def test_each_stream_is_the_child_of_its_index():
     children = np.random.SeedSequence(3).spawn(7)
     for i, (name, stream) in enumerate(streams.items()):
         assert stream.random() == np.random.default_rng(children[i]).random(), name
+
+
+# Tier-1 runs hypothesis' default budget; CI runs the `corridor-fuzz` profile
+@given(half=st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, sys.float_info.max / 2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_range_draws_equal_the_generators_uniform(half, seed):
+    low, span = symmetric_range(half, "h")
+    assert repr(low) == repr(-half)
+    served = Doubles(np.random.default_rng(seed))
+    gen = np.random.default_rng(seed)
+    for _ in range(4):
+        assert repr(low + span * served.random()) == repr(gen.uniform(-half, half))
+
+
+@pytest.mark.parametrize("half, message", [
+    (-1.0, "h must be nonnegative"), (-math.inf, "h must be nonnegative"),
+    (math.nan, "h must be nonnegative"),
+    (math.inf, "h must be at most half the float maximum"),
+    (sys.float_info.max, "h must be at most half the float maximum"),
+])
+def test_symmetric_range_refuses_what_cannot_be_drawn(half, message):
+    with pytest.raises(ConfigurationError, match=message):
+        symmetric_range(half, "h")
+    if half > 0:  # numpy itself refuses an infinite span
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(-half, half)

@@ -13,14 +13,14 @@ from wardsim import ConfigurationError, InvariantError
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort
 from wardsim.kinematics import ChassisParams, MotionSimulator, Pose
-from wardsim.line_following import IrGeometry, LineFollower
-from wardsim.protocol import TaskKind
-from wardsim.rf_channel import LinkCondition
+from wardsim.line_following import IrGeometry, LineFollower, PidGains
+from wardsim.protocol import TaskKind, TimeoutPolicy
+from wardsim.rf_channel import ChannelConfig, LinkCondition
 from wardsim.scenario import (DEFAULT_BUDGETS_MS, SCENARIO_KINDS, Battery, Correction, Robots,
                               ScenarioConfig, ScenarioValidationError, load_preset,
                               load_scenario, preset_names, validate)
 from wardsim.track import Track
-from wardsim.vitals import FallDetectorModel, Flag, LatencyConfig, Posture
+from wardsim.vitals import FallDetectorModel, Flag, LatencyConfig, Posture, SensorNoiseModel
 
 
 def test_empty_mapping_fills_documented_defaults():
@@ -208,6 +208,33 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
     assert any(e.startswith(error) for e in exc.value.errors), exc.value.errors
     assert main(["run", str(path)]) == 2
     assert error in capsys.readouterr().err
+
+
+def _square_track(**kw):
+    return Track([(0, 0), (1, 0), (1, 1), (0, 1)], ["straight"] * 4, mat_size=(2.0, 2.0), **kw)
+
+
+# the schema refuses a non-finite number, so these are reachable only from a
+# config built in code; each check is written so that NaN fails it
+@pytest.mark.parametrize("build, key", [
+    (ChannelConfig, "pdr_clear"), (ChannelConfig, "pdr_obstructed"), (ChannelConfig, "rtt_ms"),
+    (ChannelConfig, "one_way_jitter_ms"),
+    (TimeoutPolicy, "timeout_ms"), (TimeoutPolicy, "exec_timeout_ms"),
+    (TimeoutPolicy, "max_retries"),
+    (LatencyConfig, "vitals_transmit_ms"), (LatencyConfig, "ai_decision_ms"),
+    (LatencyConfig, "threshold_decision_ms"), (LatencyConfig, "fall_path_ms"),
+    (Battery, "budget_units"), (Battery, "low_speed_factor"),
+    (PidGains, "kp"), (PidGains, "ki"), (PidGains, "kd"), (PidGains, "integral_clamp"),
+    (ChassisParams, "wheel_radius_r"), (ChassisParams, "axle_length_L"),
+    (ChassisParams, "ticks_per_rev_C"),
+    (SensorNoiseModel, "spo2_tol"), (SensorNoiseModel, "bpm_tol"),
+    (SensorNoiseModel, "temp_mean_abs_err"),
+    (IrGeometry, "noise_frac"), (IrGeometry, "low_level"), (IrGeometry, "high_level"),
+    (_square_track, "line_width"),
+], ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", None))
+def test_a_nan_parameter_is_refused(build, key):
+    with pytest.raises(ConfigurationError):
+        build(**{key: math.nan})
 
 
 @pytest.mark.parametrize("geometry", [{}, {"low_level": 0.0, "high_level": 1.0, "noise_frac": 0.0},

@@ -11,15 +11,25 @@ from wardsim import ConfigurationError
 from wardsim.track import Track, TrackQuery, rounded_rect_track
 
 
-def reference_query(track, x, y):
-    """Full numpy scan over every segment. Track.query searches only a grid
-    cell's candidates and must return exactly this."""
+def reference_segments(track):
+    """Each segment's start, direction, squared length (a zero length
+    clamped to 1e-30) and unit tangent, as numpy arrays."""
     pts = track.waypoints
     a, b = (pts, np.roll(pts, -1, axis=0)) if track.closed else (pts[:-1], pts[1:])
     d = b - a
     len2 = np.einsum("ij,ij->i", d, d)
     len2[len2 == 0.0] = 1e-30
-    tangents = d / np.sqrt(len2)[:, None]
+    return a, d, len2, d / np.sqrt(len2)[:, None]
+
+
+def reference_heading(tangent):
+    return math.atan2(float(tangent[1]), float(tangent[0]))
+
+
+def reference_query(track, x, y):
+    """Full numpy scan over every segment. Track.query searches only a grid
+    cell's candidates and must return exactly this."""
+    a, d, len2, tangents = reference_segments(track)
     p = np.array([x, y])
     t = np.clip(np.einsum("ij,ij->i", p[None, :] - a, d) / len2, 0.0, 1.0)
     proj = a + t[:, None] * d
@@ -29,14 +39,14 @@ def reference_query(track, x, y):
     return TrackQuery(
         distance=float(math.sqrt(dist2[i])),
         point=(float(proj[i, 0]), float(proj[i, 1])),
-        tangent=(float(tangents[i, 0]), float(tangents[i, 1])),
+        heading=reference_heading(tangents[i]),
         tag=track.tags[i],
         segment=i,
     )
 
 
 def assert_matches_reference(track, x, y):
-    # dataclass equality: exact == on distance, point, tangent, tag and segment
+    # dataclass equality: exact == on distance, point, heading, tag and segment
     assert track.query(x, y) == reference_query(track, x, y), (x, y)
 
 
@@ -49,7 +59,7 @@ def test_query_on_segment():
     q = square().query(0.5, 0.1)
     assert q.distance == pytest.approx(0.1)
     assert q.point == pytest.approx((0.5, 0.0))
-    assert q.tangent == pytest.approx((1.0, 0.0))
+    assert q.heading == pytest.approx(0.0)
     assert q.segment == 0
 
 
@@ -104,10 +114,9 @@ def test_default_course_tags_and_bounds():
 
 def test_default_course_straights_are_axis_aligned():
     t = rounded_rect_track()
-    for i, tag in enumerate(t.tags):
+    for heading, tag in zip(t.headings, t.tags):
         if tag == "straight":
-            tx, ty = t._tangents[i]
-            assert min(abs(tx), abs(ty)) == pytest.approx(0.0, abs=1e-12)
+            assert min(abs(math.cos(heading)), abs(math.sin(heading))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_query_rejects_a_non_finite_point():
@@ -163,6 +172,15 @@ def test_grid_query_equals_full_scan(data):
     track = data.draw(tracks())
     for x, y in data.draw(st.lists(query_points(track), min_size=1, max_size=20)):
         assert_matches_reference(track, x, y)
+
+
+# Tier-1 runs hypothesis' default budget; CI runs the `corridor-fuzz` profile
+@settings(deadline=None)
+@given(tracks())
+def test_track_headings_equal_the_atan2_of_the_reference_tangents(track):
+    # fixed once per segment where the track is built, and read by the
+    # re-placement, the odometry correction and the default start pose
+    assert track.headings == tuple(map(reference_heading, reference_segments(track)[3]))
 
 
 def test_default_course_matches_full_scan_on_a_lattice():
