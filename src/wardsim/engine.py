@@ -1,8 +1,9 @@
 """Fixed-timestep simulation engine wiring every subsystem together.
 
 Tick order (one pass per dt): patient script, wearable sampling, triage
-pipeline, leader step, channel deliveries, follower steps, corridor motion
-with line following; each record is folded into the metrics as it is made.
+pipeline, leader step, channel deliveries, follower steps, camera checks,
+corridor motion with line following, status light, notifications; each
+record is folded into the metrics as it is made.
 All randomness comes from named streams derived from the scenario seed, so
 a (config, seed) pair fully determines the event log.
 """

@@ -12,13 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ConfigurationError
 from .rng import Doubles, symmetric_range
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_SLIP_HALFWIDTH = 0.02  # per-step multiplicative slip jitter, either way
 
 # Pose.__init__'s calls, bound once: its check, and the setter that a frozen
 # dataclass's own __init__ uses to get past its __setattr__
@@ -108,10 +105,8 @@ class MotionSimulator:
     read time, so no fractional rotation is permanently lost.
     """
 
-    # no bias by default, for use on its own; scenario.Corridor models its chassis' bias
-    def __init__(self, start: Pose, params: ChassisParams,
-                 slip_halfwidth: float = DEFAULT_SLIP_HALFWIDTH, rng: Doubles | None = None,
-                 slip_bias_halfwidth: float = 0.0):
+    def __init__(self, start: Pose, params: ChassisParams, slip_halfwidth: float, rng: Doubles,
+                 slip_bias_halfwidth: float):
         check_slip(slip_halfwidth, slip_bias_halfwidth)
         self.pose = start
         self.params = params
@@ -120,7 +115,7 @@ class MotionSimulator:
         # low + (high - low) * u; check_slip keeps its range finite
         h = slip_halfwidth
         self._slip_low, self._slip_span = 1.0 - h, (1.0 + h) - (1.0 - h)
-        self.rng = rng if rng is not None else Doubles(np.random.default_rng(0))
+        self.rng = rng
         if slip_bias_halfwidth > 0.0:  # each wheel's bias, right then left
             low, span = symmetric_range(slip_bias_halfwidth, "slip_bias_halfwidth")
             self._bias_right = low + span * self.rng.random()

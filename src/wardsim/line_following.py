@@ -27,6 +27,7 @@ DEFAULT_WEIGHTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 DEFAULT_SPEED_CAP_RPM = 85.0
 DEFAULT_BASE_RPM = 50.0
 DEFAULT_DETECT_THRESHOLD = 0.5  # level below which a sensor sees the line
+HOLD_LOST_S = 0.5  # how long a lost line holds the last control before a fault
 
 
 def threshold(r, t: float) -> tuple[int, ...]:
@@ -36,14 +37,14 @@ def threshold(r, t: float) -> tuple[int, ...]:
     return tuple([1 if ri < t else 0 for ri in r])
 
 
-def line_error(s, weights=DEFAULT_WEIGHTS) -> float | None:
+def line_error(s) -> float | None:
     """Weighted average of active sensors, or None when the line is lost."""
-    if len(weights) != 5 or len(s) != 5:
-        raise ConfigurationError("detections and weights must have length 5")
+    if len(s) != 5:
+        raise ConfigurationError("detections must have length 5")
     active = sum(s)
     if active == 0:
         return None
-    return sum(map(mul, weights, s)) / active
+    return sum(map(mul, DEFAULT_WEIGHTS, s)) / active
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,10 @@ class WheelCommand:
     omega_left: float
 
 
-def apply_control(omega_base: float, u: float, cap: float = DEFAULT_SPEED_CAP_RPM) -> WheelCommand:
-    """Differential mixing: right wheel gets +u, left gets -u, both capped."""
+def apply_control(omega_base: float, u: float) -> WheelCommand:
+    """Differential mixing: right wheel gets +u, left gets -u, both capped
+    at DEFAULT_SPEED_CAP_RPM either way."""
+    cap = DEFAULT_SPEED_CAP_RPM
     return WheelCommand(max(-cap, min(cap, omega_base + u)), max(-cap, min(cap, omega_base - u)))
 
 
@@ -129,11 +132,11 @@ def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, floa
             (cx + o1 * s, cy + o1 * nc), (cx + o2 * s, cy + o2 * nc)]
 
 
-def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
-                rng: Doubles | None = None) -> tuple[float, ...]:
+def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry, rng: Doubles) -> tuple[float, ...]:
     """The five levels, left to right, for a pose over the track: sensors
     within half a line width of the polyline read dark, others bright, plus
-    bounded noise, clamped to [0, 1]. Off-mat poses simply see no line."""
+    bounded noise drawn from `rng` (none when `noise_frac` is 0), clamped to
+    [0, 1]. Off-mat poses simply see no line."""
     half = track.line_width / 2.0
     w, h = track.mat_size
     low, high = geometry.low_level, geometry.high_level
@@ -141,7 +144,7 @@ def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
     levels = [low if 0.0 <= sx <= w and 0.0 <= sy <= h and query(sx, sy).distance <= half else high
               for sx, sy in sensor_positions(pose, geometry)]
     lo, span = geometry.noise_range
-    if rng is None or not span > 0:
+    if not span > 0:
         return tuple(levels)  # low and high lie in [0, 1]
     random = rng.random
     # one noise draw per sensor, left to right, each level clamped to [0, 1]
@@ -153,16 +156,14 @@ def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry,
 class LineFollower:
     """Closed-loop steering: IR sense -> error -> PID -> wheel command.
 
-    On line loss the last control output is held for up to hold_lost_s,
+    On line loss the last control output is held for up to HOLD_LOST_S,
     after which the robot stops and a navigation fault is flagged.
     """
 
     gains: PidGains = field(default_factory=PidGains)
     geometry: IrGeometry = field(default_factory=IrGeometry)
     base_rpm: float = DEFAULT_BASE_RPM
-    cap_rpm: float = DEFAULT_SPEED_CAP_RPM
     detect_threshold: float = DEFAULT_DETECT_THRESHOLD
-    hold_lost_s: float = 0.5
 
     def __post_init__(self):
         self.pid = PidState()
@@ -176,19 +177,18 @@ class LineFollower:
         self._lost_for = 0.0
         self.faulted = False
 
-    def step(self, track: Track, pose: Pose, dt: float,
-             rng: Doubles | None = None) -> tuple[WheelCommand, float | None]:
+    def step(self, track: Track, pose: Pose, dt: float, rng: Doubles) -> tuple[WheelCommand, float | None]:
         """Returns the wheel command and the measured lateral error (None = lost)."""
         s = threshold(simulate_ir(track, pose, self.geometry, rng), self.detect_threshold)
         e = line_error(s)
         if e is None:
             self._lost_for += dt
-            if self._lost_for > self.hold_lost_s:
+            if self._lost_for > HOLD_LOST_S:
                 self.faulted = True
                 return WheelCommand(0.0, 0.0), None
-            return apply_control(self.base_rpm, self._last_u, self.cap_rpm), None
+            return apply_control(self.base_rpm, self._last_u), None
         self._lost_for = 0.0
         # line to the right (e > 0) needs the right wheel slower, hence -e
         u = pid_step(self.gains, self.pid, -e, dt)
         self._last_u = u
-        return apply_control(self.base_rpm, u, self.cap_rpm), e
+        return apply_control(self.base_rpm, u), e

@@ -30,25 +30,26 @@ class ModelReport:
         return "\n".join(lines) + "\n"
 
 
-def stratified_split(labels: np.ndarray, test_frac: float, split_seed: int):
-    """Deterministic per-class shuffle; returns (train_idx, test_idx)."""
+def stratified_split(labels: np.ndarray, split_seed: int):
+    """Deterministic per-class shuffle that holds out a fifth of each class
+    for testing; returns (train_idx, test_idx)."""
     rng = np.random.default_rng(split_seed)
     train, test = [], []
     for cls in range(N_CLASSES):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        n_test = max(1, int(round(len(idx) * test_frac))) if len(idx) else 0
+        n_test = max(1, int(round(len(idx) * 0.2))) if len(idx) else 0
         test.extend(idx[:n_test])
         train.extend(idx[n_test:])
     return np.sort(np.array(train, dtype=int)), np.sort(np.array(test, dtype=int))
 
 
 def evaluate(model, dataset: LabeledDataset, split_seed: int = 0,
-             test_frac: float = 0.2, name: str | None = None) -> ModelReport:
+             name: str | None = None) -> ModelReport:
     """Fit on a stratified 80/20 split and report test-set performance."""
     if len(dataset) < 10:
         raise ValueError("dataset must have at least 10 rows")
-    train_idx, test_idx = stratified_split(dataset.labels, test_frac, split_seed)
+    train_idx, test_idx = stratified_split(dataset.labels, split_seed)
     x, y = dataset.features, dataset.labels
     model.fit(x[train_idx], y[train_idx])
 
@@ -70,5 +71,5 @@ def evaluate(model, dataset: LabeledDataset, split_seed: int = 0,
         precision=tuple(precision),
         recall=tuple(recall),
         confusion=confusion,
-        split=f"stratified {1 - test_frac:.0%}/{test_frac:.0%} seed={split_seed}",
+        split=f"stratified 80%/20% seed={split_seed}",
     )

@@ -14,14 +14,13 @@ from .tree import DecisionTree
 
 class RandomForest:
     def __init__(self, n_trees: int = 50, max_depth: int | None = 8, min_leaf: int = 5,
-                 feature_subsample: int | None = 2, bootstrap: bool = True, seed: int = 0):
+                 feature_subsample: int | None = 2, seed: int = 0):
         if n_trees < 1:
             raise ValueError("n_trees must be at least 1")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.feature_subsample = feature_subsample
-        self.bootstrap = bootstrap
         self.seed = seed
         self.trees: list[DecisionTree] = []
 
@@ -32,14 +31,10 @@ class RandomForest:
         self.trees = []
         for i in range(self.n_trees):
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, i)))
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-                xi, yi = x[idx], y[idx]
-            else:
-                xi, yi = x, y
+            idx = rng.integers(0, n, size=n)  # a bootstrap sample
             tree = DecisionTree(max_depth=self.max_depth, min_leaf=self.min_leaf,
                                 feature_subsample=self.feature_subsample)
-            tree.fit(xi, yi, rng=rng)
+            tree.fit(x[idx], y[idx], rng=rng)
             self.trees.append(tree)
         return self
 

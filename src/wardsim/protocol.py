@@ -468,12 +468,13 @@ class Follower:
     """Corridor robot or arm endpoint: acks, executes, reports."""
 
     def __init__(self, address: int, leader_address: int,
-                 capabilities: frozenset[TaskKind],
-                 exec_duration_ms: dict[TaskKind, int] | None = None):
+                 capabilities: frozenset[TaskKind], exec_duration_ms: dict[TaskKind, int]):
+        if missing := capabilities - exec_duration_ms.keys():
+            raise ConfigurationError(f"no execution time for {sorted(k.value for k in missing)}")
         self.address = address
         self.leader_address = leader_address
         self.capabilities = capabilities
-        self.exec_duration_ms = exec_duration_ms or dict(DEFAULT_EXEC_DURATIONS_MS)
+        self.exec_duration_ms = exec_duration_ms
         self.active: _Execution | None = None
         self.parked: list[_Execution] = []
         self.completed: set[int] = set()
@@ -489,12 +490,14 @@ class Follower:
         outbox.append(Packet(self.address, self.leader_address, self._out_seq, PacketKind.STATUS,
                              {"task_id": task_id, "status": status, **detail}, now))
 
-    def _complete(self, now: int, outbox: list):
-        """Finish the active execution, report it, and resume parked work."""
+    def _end(self, status: str, now: int, outbox: list, **detail):
+        """End the active execution as completed or failed, report it, and
+        resume parked work."""
         done, self.active = self.active, None
-        self.completed.add(done.task_id)
-        self.finished.append(done)
-        self._report(done.task_id, "completed", now, outbox)
+        if status == "completed":
+            self.completed.add(done.task_id)
+            self.finished.append(done)
+        self._report(done.task_id, status, now, outbox, **detail)
         if self.parked:
             self.active = self.parked.pop()
 
@@ -532,12 +535,10 @@ class Follower:
         if self.active is not None and dt_ms > 0:
             self.active.remaining_ms -= dt_ms
             if self.nav_fault:
-                failed, self.active = self.active, None
                 self.nav_fault = False  # fault is per-task; robot recovers after re-placement
-                self._report(failed.task_id, "failed", now, outbox,
-                             detail="navigation fault: line lost")
+                self._end("failed", now, outbox, detail="navigation fault: line lost")
             elif self.active.remaining_ms <= 0:
-                self._complete(now, outbox)
+                self._end("completed", now, outbox)
         return outbox
 
     def _on_command(self, pkt: Packet, now: int, outbox: list):
@@ -564,7 +565,7 @@ class Follower:
         if self.active is not None:
             self.parked.append(self.active)  # an emergency parks, never cancels
         self.execution_count[task_id] = self.execution_count.get(task_id, 0) + 1
-        duration = self.exec_duration_ms.get(kind, 1000)
+        duration = self.exec_duration_ms[kind]
         self.active = _Execution(task_id, kind, float(max(duration, 0)), emergency)
         if duration <= 0:
-            self._complete(now, outbox)  # a zero-duration execution ends at once
+            self._end("completed", now, outbox)  # a zero-duration execution ends at once

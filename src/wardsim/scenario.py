@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 import yaml
 
 from . import ConfigurationError
-from .kinematics import DEFAULT_SLIP_HALFWIDTH, ChassisParams, Pose, check_slip
+from .kinematics import ChassisParams, Pose, check_slip
 from .line_following import DEFAULT_BASE_RPM, DEFAULT_DETECT_THRESHOLD, IrGeometry, PidGains
 from .protocol import DEFAULT_EXEC_DURATIONS_MS, ScheduleEntry, TaskKind, TimeoutPolicy
 from .rf_channel import ChannelConfig, LinkCondition
@@ -92,7 +92,7 @@ class Corridor:
     geometry: IrGeometry = IrGeometry()
     base_rpm: float = DEFAULT_BASE_RPM
     start: Pose | None = None  # None: on the first waypoint, facing along the course
-    slip_halfwidth: float = DEFAULT_SLIP_HALFWIDTH
+    slip_halfwidth: float = 0.02  # per-step multiplicative slip jitter, either way
     slip_bias_halfwidth: float = 0.01  # this chassis' tyre and motor asymmetry
 
     def __post_init__(self):

@@ -110,7 +110,6 @@ class Track:
         rows.append(rows[-1])
         cells = [[self._segs[i] for i in keep] for row in rows for keep in row + [row[-1]]]
         self._grid = (*self.mat_size, nx / self.mat_size[0], ny / self.mat_size[1], nx + 1, cells)
-        self._nx, self._ny = nx, ny
 
     def query(self, x: float, y: float) -> TrackQuery:
         """Closest point on the polyline to the finite point (x, y)."""
@@ -174,13 +173,11 @@ def _candidate_grid(a, d, len2, mat_size, nx: int, ny: int) -> list[list[list[in
     return rows
 
 
-def rounded_rect_track(x0: float = 0.6, y0: float = 0.6, x1: float = 2.9, y1: float = 3.4,
-                       corner_radius: float = 0.35, arc_points: int = 6,
-                       line_width: float = DEFAULT_LINE_WIDTH, mat_size=DEFAULT_MAT) -> Track:
-    """Rectangle with rounded corners; edges tagged straight, corner arcs turn."""
-    r = corner_radius
-    if 2 * r >= min(x1 - x0, y1 - y0):
-        raise ConfigurationError("corner radius too large for rectangle")
+def rounded_rect_track() -> Track:
+    """The default course: the rectangle (0.6, 0.6)-(2.9, 3.4) on the default
+    mat with 0.35 m corner arcs of 6 chords each; edges are tagged straight,
+    corner arcs turn."""
+    x0, y0, x1, y1, r, arc_points = 0.6, 0.6, 2.9, 3.4, 0.35, 6
     centers = [
         (x1 - r, y1 - r, 0.0),          # top-right, arc 0 -> 90 deg
         (x0 + r, y1 - r, math.pi / 2),  # top-left
@@ -196,4 +193,4 @@ def rounded_rect_track(x0: float = 0.6, y0: float = 0.6, x1: float = 2.9, y1: fl
             ang = start + (math.pi / 2) * k / arc_points
             pts.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
             tags.append("turn" if k < arc_points else "straight")
-    return Track(pts, tags, line_width=line_width, mat_size=mat_size, closed=True)
+    return Track(pts, tags)

@@ -2,11 +2,13 @@
 `schema-fuzz` profile gives the schema-walking scenario test a larger one,
 `log-fuzz` the event-log loader's property, `protocol-fuzz` the check
 that the event-driven leader equals one that does its full pass every step,
-and `corridor-fuzz` the checks that the corridor tick's rewritten helpers,
-`MotionSimulator.step`, `DeadReckoner.update` and `Channel.send` equal the
-expressions they replaced, that `symmetric_range` draws equal
-`Generator.uniform`'s, and that `Track`'s headings equal atan2 of the
-reference tangents:
+and `corridor-fuzz` the checks that the corridor tick's rewritten helpers
+(`line_error` with its fixed weights, `apply_control` with its fixed cap,
+`simulate_ir` with the noise stream it requires), `MotionSimulator.step`
+(with its slip, stream and bias all given), `DeadReckoner.update` and
+`Channel.send` equal the expressions they replaced, that `symmetric_range`
+draws equal `Generator.uniform`'s, and that `Track`'s headings equal atan2
+of the reference tangents:
 
     python -m pytest --hypothesis-profile=schema-fuzz \
         "tests/test_scenario.py::test_a_scenario_drawn_from_the_schema_is_rejected_or_runs"

@@ -38,7 +38,6 @@ checks that together with the presets they leave no statement of those
 paths unrun.
 """
 
-import ast
 import dataclasses
 import hashlib
 import os
@@ -48,6 +47,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _statements import statement_lines
 from wardsim import engine, kinematics, line_following
 from wardsim.engine import export_outputs, run
 from wardsim.scenario import load_preset, preset_names, validate
@@ -158,7 +158,8 @@ def test_corpus_log_matches_golden_digest(name):
 
 
 # the tick paths whose every statement the corpus and the presets must run:
-# module -> its functions, as Class.method
+# module -> its functions, as Class.method. Their raises are left out: a
+# raise there checks an argument that a validated scenario cannot make
 TICK_PATHS = {
     engine: ("Engine._drive", "Engine._correct_estimate", "Engine._apply_script"),
     kinematics: ("MotionSimulator.step",),
@@ -167,35 +168,6 @@ TICK_PATHS = {
 
 # the presets' script events are at 10 s, so their first 11 s run them
 TRACE_CUT_MS = 11_000
-
-
-def statement_lines(module, qualnames) -> set[int]:
-    """First lines of the statements of the named methods of `module`,
-    without docstrings and raises: a raise there checks an argument that a
-    validated scenario cannot make."""
-    tree = ast.parse(Path(module.__file__).read_text())
-    wanted = {tuple(q.split(".")) for q in qualnames}
-    lines = set()
-    for cls in tree.body:
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for method in cls.body:
-            if not (isinstance(method, ast.FunctionDef) and (cls.name, method.name) in wanted):
-                continue
-            wanted.discard((cls.name, method.name))
-            body = method.body
-            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-                body = body[1:]
-            stack = list(body)
-            while stack:
-                stmt = stack.pop()
-                if isinstance(stmt, ast.Raise):
-                    continue
-                lines.add(stmt.lineno)
-                for block in ("body", "orelse", "handlers", "finalbody"):
-                    stack += getattr(stmt, block, [])
-    assert not wanted, f"{module.__name__} has no {wanted}"
-    return lines
 
 
 def test_the_corpus_and_the_presets_run_every_statement_of_the_tick_paths():
@@ -216,6 +188,6 @@ def test_the_corpus_and_the_presets_run_every_statement_of_the_tick_paths():
     for module, qualnames in TICK_PATHS.items():
         source = Path(module.__file__).read_text().splitlines()
         missed += [f"{module.__name__}:{n}: {source[n - 1].strip()}"
-                   for n in sorted(statement_lines(module, qualnames))
+                   for n in sorted(statement_lines(module, qualnames, lambda node: True))
                    if (module.__file__, n) not in ran]
     assert not missed

@@ -18,6 +18,11 @@ from wardsim.rng import Doubles
 PARAMS = ChassisParams()  # r=0.03 m, L=0.20 m, C=1024 ticks/rev
 
 
+def stream(seed=0):
+    """A slip stream; a simulator with no slip and no bias draws nothing from it."""
+    return Doubles(np.random.default_rng(seed))
+
+
 def test_ticks_to_angles_half_and_quarter_rev():
     dthr, dthl = ticks_to_angles(EncoderDelta(512, 256), PARAMS)
     assert dthr == pytest.approx(math.pi, abs=1e-15)
@@ -156,7 +161,7 @@ def test_chassis_params_validate():
 def test_noise_free_motion_matches_dead_reckoning_exactly_on_tick_boundaries():
     """With zero slip the only estimate error is encoder quantization, and the
     cumulative tick counters never lose a fraction permanently."""
-    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, slip_halfwidth=0.0)
+    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, 0.0, stream(), 0.0)
     dr = DeadReckoner(Pose(0, 0, 0), PARAMS)
     for _ in range(1000):
         truth, delta = sim.step(50.0, 50.0, 0.01)
@@ -169,7 +174,7 @@ def test_noise_free_motion_matches_dead_reckoning_exactly_on_tick_boundaries():
 
 
 def test_quantization_truncates_toward_zero_without_losing_fractions():
-    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, slip_halfwidth=0.0)
+    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, 0.0, stream(), 0.0)
     total = 0
     # 1 RPM for 10 ms steps: ~0.1745 ticks per step, so most deltas are 0
     for _ in range(1000):
@@ -181,9 +186,8 @@ def test_quantization_truncates_toward_zero_without_losing_fractions():
 
 
 def test_slip_moves_truth_but_not_encoders():
-    rng = np.random.default_rng(5)
-    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, slip_halfwidth=0.05, rng=rng)
-    clean = MotionSimulator(Pose(0, 0, 0), PARAMS, slip_halfwidth=0.0)
+    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, 0.05, stream(5), 0.0)
+    clean = MotionSimulator(Pose(0, 0, 0), PARAMS, 0.0, stream(), 0.0)
     deltas_noisy, deltas_clean = [], []
     for _ in range(200):
         _, d1 = sim.step(60.0, 40.0, 0.01)
@@ -195,9 +199,7 @@ def test_slip_moves_truth_but_not_encoders():
 
 
 def test_per_run_wheel_bias_produces_systematic_drift():
-    rng = np.random.default_rng(11)
-    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, slip_halfwidth=0.0, rng=rng,
-                          slip_bias_halfwidth=0.02)
+    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, 0.0, stream(11), 0.02)
     dr = DeadReckoner(Pose(0, 0, 0), PARAMS)
     drifts = []
     for _ in range(2000):
@@ -210,19 +212,18 @@ def test_per_run_wheel_bias_produces_systematic_drift():
 
 
 def test_motion_simulator_rejects_bad_inputs():
-    sim = MotionSimulator(Pose(0, 0, 0), PARAMS)
+    sim = MotionSimulator(Pose(0, 0, 0), PARAMS, 0.02, stream(), 0.01)
     with pytest.raises(ConfigurationError):
         sim.step(50.0, 50.0, 0.0)
     with pytest.raises(ConfigurationError):
-        MotionSimulator(Pose(0, 0, 0), PARAMS, slip_halfwidth=0.5)
+        MotionSimulator(Pose(0, 0, 0), PARAMS, 0.5, stream(), 0.0)
     with pytest.raises(ConfigurationError):
-        MotionSimulator(Pose(0, 0, 0), PARAMS, slip_bias_halfwidth=0.2)
+        MotionSimulator(Pose(0, 0, 0), PARAMS, 0.02, stream(), 0.2)
 
 
 def test_motion_is_deterministic_for_a_seed():
     def run(seed):
-        sim = MotionSimulator(Pose(0, 0, 0), PARAMS, 0.02,
-                              np.random.default_rng(seed), slip_bias_halfwidth=0.01)
+        sim = MotionSimulator(Pose(0, 0, 0), PARAMS, 0.02, stream(seed), 0.01)
         for _ in range(300):
             pose, _ = sim.step(55.0, 45.0, 0.01)
         return pose
@@ -264,7 +265,7 @@ def test_motion_step_equals_the_composed_conversions_on_tick_boundaries(ticks):
     operations shows in the tick count."""
     params = ChassisParams(ticks_per_rev_C=ticks)
     for rpm, dt in ((30.0, 0.1), (60.0, 0.01), (120.0, 0.1)):
-        sim, reference = (MotionSimulator(Pose(), params, 0.0) for _ in range(2))
+        sim, reference = (MotionSimulator(Pose(), params, 0.0, stream(), 0.0) for _ in range(2))
         for _ in range(1000):  # no slip, so no draw
             pose, delta = sim.step(rpm, rpm / 2, dt)
             assert (pose, (delta.dn_right, delta.dn_left)) == reference_step(reference, None, rpm,

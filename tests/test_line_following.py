@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 from wardsim import ConfigurationError
 from wardsim.kinematics import Pose
 from wardsim.rng import Doubles
-from wardsim.line_following import (DEFAULT_WEIGHTS, IrGeometry, LineFollower,
-                                    PidGains, PidState, apply_control, line_error,
-                                    pid_step, sensor_positions, simulate_ir,
-                                    threshold)
+from wardsim.line_following import (DEFAULT_SPEED_CAP_RPM, DEFAULT_WEIGHTS, HOLD_LOST_S,
+                                    IrGeometry, LineFollower, PidGains, PidState,
+                                    apply_control, line_error, pid_step, sensor_positions,
+                                    simulate_ir, threshold)
 from wardsim.track import Track, rounded_rect_track
+
+
+def stream(seed=0):
+    """A noise stream; a geometry with noise_frac 0 draws nothing from it."""
+    return Doubles(np.random.default_rng(seed))
 
 
 def test_threshold_dark_line_reads_active():
@@ -58,8 +63,6 @@ def test_line_error_antisymmetric(s):
 def test_line_error_validates_lengths():
     with pytest.raises(ConfigurationError):
         line_error((1, 0, 1))
-    with pytest.raises(ConfigurationError):
-        line_error((1, 0, 1, 0, 1), weights=(1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +124,17 @@ def test_apply_control_differential_mixing():
 
 
 def test_apply_control_caps_speeds():
-    cmd = apply_control(60.0, 40.0, cap=85.0)
+    # at 85 rpm either way
+    cmd = apply_control(60.0, 40.0)
     assert cmd.omega_right == 85.0
     assert cmd.omega_left == 20.0
-    cmd = apply_control(0.0, -100.0, cap=85.0)
+    cmd = apply_control(0.0, -100.0)
     assert (cmd.omega_right, cmd.omega_left) == (-85.0, 85.0)
 
 
-@given(st.floats(-80.0, 80.0), st.floats(-20.0, 20.0))
+@given(st.floats(-60.0, 60.0), st.floats(-20.0, 20.0))
 def test_apply_control_preserves_sum_when_uncapped(base, u):
-    cmd = apply_control(base, u, cap=150.0)
+    cmd = apply_control(base, u)
     assert cmd.omega_right + cmd.omega_left == pytest.approx(2 * base)
     assert cmd.omega_right - cmd.omega_left == pytest.approx(2 * u)
 
@@ -178,26 +182,27 @@ def reference_threshold(r, t):
     return tuple(1 if ri < t else 0 for ri in r)
 
 
-def reference_line_error(s, weights=DEFAULT_WEIGHTS):
+def reference_line_error(s):
     active = sum(s)
     if active == 0:
         return None
-    return sum(w * si for w, si in zip(weights, s)) / active
+    return sum(w * si for w, si in zip(DEFAULT_WEIGHTS, s)) / active
 
 
-def reference_apply_control(omega_base, u, cap):
+def reference_apply_control(omega_base, u):
+    cap = DEFAULT_SPEED_CAP_RPM
     clamp = lambda w: max(-cap, min(cap, w))  # noqa: E731
     return clamp(omega_base + u), clamp(omega_base - u)
 
 
-def reference_simulate_ir(track, pose, geometry, gen=None):
+def reference_simulate_ir(track, pose, geometry, gen):
     """`simulate_ir` as a per-sensor loop, with its noise drawn by a numpy
     Generator's own sized `uniform`."""
     half = track.line_width / 2.0
     w, h = track.mat_size
     low, high = geometry.low_level, geometry.high_level
     noise = None
-    if gen is not None and geometry.noise_frac > 0:
+    if geometry.noise_frac > 0:
         noise = gen.uniform(-geometry.noise_frac, geometry.noise_frac, size=5).tolist()
     vals = []
     for k, (sx, sy) in enumerate(reference_sensor_positions(pose, geometry).tolist()):
@@ -219,18 +224,15 @@ def test_threshold_equals_the_generator_expression(r, t):
     assert repr(threshold(r, t)) == repr(reference_threshold(r, t))
 
 
-@given(st.tuples(*[st.integers(0, 1)] * 5),
-       st.tuples(*[st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])] * 5))
-def test_line_error_equals_the_generator_expression(s, weights):
-    assert repr(line_error(s, weights)) == repr(reference_line_error(s, weights))
+@given(st.tuples(*[st.integers(0, 1)] * 5))
+def test_line_error_equals_the_generator_expression(s):
     assert repr(line_error(s)) == repr(reference_line_error(s))
 
 
-@given(st.floats(-200.0, 200.0), st.floats(-300.0, 300.0) | st.sampled_from([0.0, -0.0]),
-       st.floats(0.0, 150.0))
-def test_apply_control_equals_the_lambda(omega_base, u, cap):
-    cmd = apply_control(omega_base, u, cap)
-    assert repr((cmd.omega_right, cmd.omega_left)) == repr(reference_apply_control(omega_base, u, cap))
+@given(st.floats(-200.0, 200.0), st.floats(-300.0, 300.0) | st.sampled_from([0.0, -0.0]))
+def test_apply_control_equals_the_lambda(omega_base, u):
+    cmd = apply_control(omega_base, u)
+    assert repr((cmd.omega_right, cmd.omega_left)) == repr(reference_apply_control(omega_base, u))
 
 
 _TRACK = rounded_rect_track()
@@ -239,18 +241,16 @@ _TRACK = rounded_rect_track()
 @given(x=st.floats(-0.5, 4.0), y=st.floats(-0.5, 4.5), theta=st.floats(-math.pi, math.pi),
        pitch=st.floats(0.0, 0.1), forward_offset=st.floats(-0.2, 0.2),
        low=st.floats(0.0, 0.5), high=st.floats(0.5, 1.0, exclude_min=True),
-       noise_frac=st.sampled_from([0.0, 0.03, 0.5]), seed=st.none() | st.integers(0, 2**32 - 1))
+       noise_frac=st.sampled_from([0.0, 0.03, 0.5]), seed=st.integers(0, 2**32 - 1))
 def test_simulate_ir_equals_the_per_sensor_loop(x, y, theta, pitch, forward_offset, low, high,
                                                noise_frac, seed):
     pose = Pose(x, y, theta)
     geom = IrGeometry(pitch=pitch, forward_offset=forward_offset, low_level=low,
                       high_level=high, noise_frac=noise_frac)
-    rng, gen = (None, None) if seed is None else (Doubles(np.random.default_rng(seed)),
-                                                  np.random.default_rng(seed))
+    rng, gen = stream(seed), np.random.default_rng(seed)
     got = simulate_ir(_TRACK, pose, geom, rng)
     assert repr(got) == repr(reference_simulate_ir(_TRACK, pose, geom, gen))
-    if seed is not None:  # the same number of draws
-        assert rng.random() == gen.random()
+    assert rng.random() == gen.random()  # the same number of draws
 
 
 def test_simulate_ir_centered_on_line():
@@ -258,7 +258,7 @@ def test_simulate_ir_centered_on_line():
     geom = IrGeometry(noise_frac=0.0)
     # place the robot mid-bottom-edge heading along the track (+x)
     pose = Pose(1.75, 0.6, 0.0)
-    s = threshold(simulate_ir(track, pose, geom), 0.5)
+    s = threshold(simulate_ir(track, pose, geom, stream()), 0.5)
     assert s == (0, 0, 1, 0, 0)
     assert line_error(s) == 0.0
 
@@ -269,14 +269,14 @@ def test_simulate_ir_offset_shifts_detection():
     # robot displaced 15 mm to the left of the line: line appears one
     # sensor to the right
     pose = Pose(1.75, 0.6 + 0.015, 0.0)
-    s = threshold(simulate_ir(track, pose, geom), 0.5)
+    s = threshold(simulate_ir(track, pose, geom, stream()), 0.5)
     assert line_error(s) == 1.0
 
 
 def test_simulate_ir_far_from_line_sees_nothing():
     track = rounded_rect_track()
     geom = IrGeometry(noise_frac=0.0)
-    s = threshold(simulate_ir(track, Pose(1.75, 2.0, 0.0), geom), 0.5)
+    s = threshold(simulate_ir(track, Pose(1.75, 2.0, 0.0), geom, stream()), 0.5)
     assert line_error(s) is None
 
 
@@ -287,14 +287,14 @@ def test_sensors_off_the_mat_see_no_line():
     geom = IrGeometry(noise_frac=0.0)
     # sensors at y = 0.03, 0.015, 0, -0.015, -0.03: the one at -0.015 is
     # within half a line width of the line but off the mat
-    s = threshold(simulate_ir(track, Pose(0.6, 0.0, 0.0), geom), 0.5)
+    s = threshold(simulate_ir(track, Pose(0.6, 0.0, 0.0), geom, stream()), 0.5)
     assert s == (0, 1, 1, 0, 0)
 
 
 def test_simulate_ir_noise_is_bounded():
     track = rounded_rect_track()
     geom = IrGeometry(noise_frac=0.03)
-    rng = np.random.default_rng(2)
+    rng = stream(2)
     for _ in range(50):
         n = simulate_ir(track, Pose(1.75, 0.6, 0.0), geom, rng)
         assert len(n) == 5 and all(0.0 <= x <= 1.0 for x in n)
@@ -325,28 +325,28 @@ def test_follower_steers_toward_the_line():
     turns right, and symmetrically for the left."""
     track = rounded_rect_track()
     fol = LineFollower(geometry=IrGeometry(noise_frac=0.0))
-    cmd, e = fol.step(track, Pose(1.75, 0.6 + 0.015, 0.0), 0.01)
+    cmd, e = fol.step(track, Pose(1.75, 0.6 + 0.015, 0.0), 0.01, stream())
     assert e == 1.0
     assert cmd.omega_right < cmd.omega_left
 
     fol.reset()
-    cmd, e = fol.step(track, Pose(1.75, 0.6 - 0.015, 0.0), 0.01)
+    cmd, e = fol.step(track, Pose(1.75, 0.6 - 0.015, 0.0), 0.01, stream())
     assert e == -1.0
     assert cmd.omega_right > cmd.omega_left
 
 
 def test_follower_holds_last_control_then_faults():
     track = rounded_rect_track()
-    fol = LineFollower(geometry=IrGeometry(noise_frac=0.0), hold_lost_s=0.05)
+    fol = LineFollower(geometry=IrGeometry(noise_frac=0.0))
+    rng, dt = stream(), 0.125  # a binary fraction, so the lost time adds up exactly
     # establish a control value on the line
-    fol.step(track, Pose(1.75, 0.6 + 0.015, 0.0), 0.01)
-    held, _ = fol.step(track, Pose(1.75, 2.0, 0.0), 0.01)
-    assert not fol.faulted
-    assert held.omega_right != held.omega_left  # last correction still applied
-    for _ in range(6):
-        cmd, e = fol.step(track, Pose(1.75, 2.0, 0.0), 0.01)
-        assert e is None
-    assert fol.faulted
+    fol.step(track, Pose(1.75, 0.6 + 0.015, 0.0), dt, rng)
+    for _ in range(round(HOLD_LOST_S / dt)):  # lost to the end of the hold
+        held, e = fol.step(track, Pose(1.75, 2.0, 0.0), dt, rng)
+        assert e is None and not fol.faulted
+        assert held.omega_right != held.omega_left  # last correction still applied
+    cmd, e = fol.step(track, Pose(1.75, 2.0, 0.0), dt, rng)
+    assert e is None and fol.faulted
     assert cmd.omega_right == cmd.omega_left == 0.0
     fol.reset()
     assert not fol.faulted
@@ -359,11 +359,10 @@ def test_follower_converges_from_offset_start():
 
     track = rounded_rect_track()
     fol = LineFollower(geometry=IrGeometry(noise_frac=0.0))
-    sim = MotionSimulator(Pose(1.2, 0.6 + 0.010, 0.0), ChassisParams(),
-                          slip_halfwidth=0.0)
+    sim = MotionSimulator(Pose(1.2, 0.6 + 0.010, 0.0), ChassisParams(), 0.0, stream(), 0.0)
     pose = sim.pose
     for _ in range(100):
-        cmd, _ = fol.step(track, pose, 0.01)
+        cmd, _ = fol.step(track, pose, 0.01, stream())
         pose, _ = sim.step(cmd.omega_right, cmd.omega_left, 0.01)
     assert track.query(pose.x, pose.y).distance < 0.005
     assert not fol.faulted

@@ -194,7 +194,7 @@ def test_forest_validates_arguments():
 
 def test_stratified_split_preserves_class_mix_and_partitions():
     labels = generate_dataset(n=1000, noise_rate=0.05, seed=0).labels
-    train, test = stratified_split(labels, 0.2, split_seed=0)
+    train, test = stratified_split(labels, split_seed=0)
     assert len(set(train) & set(test)) == 0
     assert len(train) + len(test) == 1000
     for cls in range(3):

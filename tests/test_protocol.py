@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from _exchange import (ROSTERS, TRANSCRIPT_EXEC_MS, TRANSCRIPT_PDRS, RosterEntry,
                        liveness_bound_ms, protocol_transcript, run_lossy_exchange)
-from wardsim import InvariantError, protocol
-from wardsim.protocol import (Availability, Follower, Leader, ScheduleEntry, StatusLight,
-                              Task, TaskKind, TaskOrigin, TaskState, TimeoutPolicy,
-                              TERMINAL_STATES)
+from _statements import statement_lines
+from wardsim import ConfigurationError, InvariantError, protocol
+from wardsim.protocol import (DEFAULT_EXEC_DURATIONS_MS, Availability, Follower, Leader,
+                              ScheduleEntry, StatusLight, Task, TaskKind, TaskOrigin,
+                              TaskState, TimeoutPolicy, TERMINAL_STATES)
 from wardsim.rf_channel import Packet, PacketKind
 from wardsim.vitals import Flag, TriageClass, TriageDecision
 
@@ -229,7 +230,7 @@ def test_follower_resends_status_for_completed_task():
 
 
 def test_follower_rejects_unsupported_kind():
-    fol = Follower(2, 1, frozenset({TaskKind.PATROL_CHECK}))
+    fol = Follower(2, 1, frozenset({TaskKind.PATROL_CHECK}), DEFAULT_EXEC_DURATIONS_MS)
     out = fol.step([cmd(1, 7, kind=TaskKind.ARM_DISPENSE)], 0)
     statuses = [p for p in out if p.kind is PacketKind.STATUS]
     assert statuses[0].payload["status"] == "rejected_unsupported"
@@ -266,10 +267,36 @@ def test_nav_fault_reports_failure_and_clears():
     assert fol.availability is Availability.IDLE
 
 
+def test_a_failed_emergency_resumes_the_work_it_parked():
+    fol = Follower(2, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
+    fol.step([cmd(1, 7)], 0)
+    fol.step([cmd(2, 9, emergency=True)], 10)   # parks patrol 7, 1000 ms to go
+    fol.nav_fault = True
+    out = fol.step([], 20)
+    assert [p.payload for p in out] == [
+        {"task_id": 9, "status": "failed", "detail": "navigation fault: line lost"}]
+    assert (fol.active.task_id, fol.parked) == (7, [])
+    assert fol.status_light() is StatusLight.PATROL
+    assert fol.step([], 1019) == []
+    out = fol.step([], 1020)
+    assert [p.payload for p in out] == [{"task_id": 7, "status": "completed"}]
+    assert [e.task_id for e in fol.finished] == [7] and fol.completed == {7}
+    assert fol.availability is Availability.IDLE
+
+
+def test_a_follower_refuses_a_table_without_its_capabilities():
+    with pytest.raises(ConfigurationError, match=r"no execution time for \['arm_dispense'\]"):
+        Follower(2, 1, ALL, {TaskKind.PATROL_CHECK: 0, TaskKind.DELIVER_MEDICINE: 0})
+    # an empty table is refused too, rather than read as the defaults
+    with pytest.raises(ConfigurationError):
+        Follower(2, 1, ALL, {})
+    Follower(2, 1, frozenset({TaskKind.PATROL_CHECK}), {TaskKind.PATROL_CHECK: 0})
+
+
 def test_nav_fault_while_idle_clears_on_the_next_step():
     # the corridor can lose the line while it patrols with no task; nothing
     # fails, and the robot is available again once re-placed
-    fol = Follower(2, 1, ALL)
+    fol = Follower(2, 1, ALL, DEFAULT_EXEC_DURATIONS_MS)
     fol.nav_fault = True
     assert fol.availability is Availability.FAULTED
     assert fol.step([], 0) == []
@@ -290,7 +317,7 @@ def test_status_light_mapping():
 
 
 def test_misaddressed_packet_raises():
-    fol = Follower(2, 1, ALL)
+    fol = Follower(2, 1, ALL, DEFAULT_EXEC_DURATIONS_MS)
     with pytest.raises(InvariantError):
         fol.step([Packet(1, 3, 1, PacketKind.COMMAND, {}, 0)], 0)
 
@@ -507,29 +534,11 @@ def test_protocol_exchanges_match_golden_digest():
     assert transcript_digest() == TRANSCRIPT_DIGEST.read_text().strip()
 
 
-def statement_lines(*class_names) -> set[int]:
-    """First lines of the statements in the methods of the named classes of
-    `protocol`, without docstrings and the InvariantError raises."""
-    tree = ast.parse(Path(protocol.__file__).read_text())
-    lines = set()
-    for cls in tree.body:
-        if not (isinstance(cls, ast.ClassDef) and cls.name in class_names):
-            continue
-        for method in cls.body:
-            if not isinstance(method, ast.FunctionDef):
-                continue
-            body = method.body
-            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-                body = body[1:]
-            stack = list(body)
-            while stack:
-                stmt = stack.pop()
-                if isinstance(stmt, ast.Raise) and "InvariantError" in ast.unparse(stmt):
-                    continue
-                lines.add(stmt.lineno)
-                for block in ("body", "orelse", "handlers", "finalbody"):
-                    stack += getattr(stmt, block, [])
-    return lines
+def is_check_raise(node) -> bool:
+    """A raise that no exchange should run: an InvariantError, or the
+    ConfigurationError of a Follower built without an execution time for
+    one of its capabilities."""
+    return any(error in ast.unparse(node) for error in ("InvariantError", "ConfigurationError"))
 
 
 def test_the_transcript_exchanges_run_every_statement_of_leader_and_follower():
@@ -546,7 +555,8 @@ def test_the_transcript_exchanges_run_every_statement_of_leader_and_follower():
     ran = {line for path, line in tracer.results().counts if path == protocol.__file__}
     source = Path(protocol.__file__).read_text().splitlines()
     missed = [f"{n}: {source[n - 1].strip()}"
-              for n in sorted(statement_lines("Leader", "Follower") - ran)]
+              for n in sorted(statement_lines(protocol, ("Leader", "Follower"), is_check_raise)
+                              - ran)]
     assert not missed
 
 
@@ -599,7 +609,7 @@ def test_a_triage_task_created_between_steps_is_dispatched_on_the_next_step():
 
 
 def test_an_idle_nav_fault_that_clears_wakes_the_leader():
-    fol = Follower(2, 1, ALL)
+    fol = Follower(2, 1, ALL, DEFAULT_EXEC_DURATIONS_MS)
     fol.nav_fault = True
     leader = Leader(1, {2: fol})
     passes = full_passes(leader)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wardsim import ConfigurationError, InvariantError
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort
-from wardsim.kinematics import ChassisParams, MotionSimulator, Pose
+from wardsim.kinematics import ChassisParams, Pose
 from wardsim.line_following import IrGeometry, LineFollower, PidGains
 from wardsim.protocol import TaskKind, TimeoutPolicy
 from wardsim.rf_channel import ChannelConfig, LinkCondition
@@ -39,8 +39,12 @@ def test_empty_mapping_fills_documented_defaults():
     # default start pose sits on the first waypoint facing along the course
     q = cfg.track.query(cfg.start_pose.x, cfg.start_pose.y)
     assert q.distance == pytest.approx(0.0, abs=1e-9)
-    # each default is written once: in its dataclass, and the runtime
-    # objects' defaults are the scenario's where they mean the same thing
+    # each default is written once, in the scenario's dataclasses, which the
+    # engine passes on whole: the slip half-widths in Corridor alone (the
+    # MotionSimulator has no defaults), the execution times in
+    # protocol.DEFAULT_EXEC_DURATIONS_MS (a Follower has none), and
+    # LineFollower's defaults are the line_following constants that Corridor
+    # and ScenarioConfig read
     assert cfg.robots == Robots()
     assert cfg.battery == Battery()
     assert cfg.correction == Correction()
@@ -48,7 +52,6 @@ def test_empty_mapping_fills_documented_defaults():
     corridor, follower = cfg.robots.corridor, LineFollower()
     assert (follower.gains, follower.geometry, follower.base_rpm, follower.detect_threshold) \
         == (corridor.gains, corridor.geometry, corridor.base_rpm, cfg.detect_threshold)
-    assert MotionSimulator(Pose(), ChassisParams()).slip_halfwidth == corridor.slip_halfwidth
 
 
 def test_non_mapping_input_rejected():

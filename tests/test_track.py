@@ -148,16 +148,24 @@ def tracks(draw):
     return Track(pts, tags, mat_size=(w, h), closed=closed)
 
 
+def grid_cells(track):
+    """The candidate grid's cells along x and y, read from its row stride and
+    cell count (each row and column is stored once more for the far border)."""
+    stride, cells = track._grid[4:]
+    return stride - 1, len(cells) // stride - 1
+
+
 @st.composite
 def query_points(draw, track):
     """Points on and off the mat, on cell edges and the mat border, and on the line."""
     w, h = track.mat_size
+    nx, ny = grid_cells(track)
     kind = draw(st.sampled_from(["anywhere", "edge", "line"]))
     if kind == "anywhere":
         return draw(st.floats(-w, 2 * w)), draw(st.floats(-h, 2 * h))
     if kind == "edge":
-        x = draw(st.sampled_from([0.0, w]) | st.integers(0, track._nx).map(lambda k: k * w / track._nx))
-        y = draw(st.sampled_from([0.0, h]) | st.integers(0, track._ny).map(lambda k: k * h / track._ny))
+        x = draw(st.sampled_from([0.0, w]) | st.integers(0, nx).map(lambda k: k * w / nx))
+        y = draw(st.sampled_from([0.0, h]) | st.integers(0, ny).map(lambda k: k * h / ny))
         return (x, draw(st.floats(0.0, h))) if draw(st.booleans()) else (draw(st.floats(0.0, w)), y)
     i = draw(st.integers(0, len(track.waypoints) - 1))
     j = (i + 1) % len(track.waypoints)
@@ -186,8 +194,9 @@ def test_track_headings_equal_the_atan2_of_the_reference_tangents(track):
 def test_default_course_matches_full_scan_on_a_lattice():
     track = rounded_rect_track()
     w, h = track.mat_size
+    nx, ny = grid_cells(track)
     # quarter-cell steps from just off the mat to just past it, so the
     # lattice holds every cell corner and the mat border
-    for i in range(-2, 4 * track._nx + 3):
-        for j in range(-2, 4 * track._ny + 3):
-            assert_matches_reference(track, i * w / (4 * track._nx), j * h / (4 * track._ny))
+    for i in range(-2, 4 * nx + 3):
+        for j in range(-2, 4 * ny + 3):
+            assert_matches_reference(track, i * w / (4 * nx), j * h / (4 * ny))
