@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
-from .metrics import EventLog, MetricsAccumulator, RunMetrics, success_rate
+from .metrics import EventLog, MetricsAccumulator, RunMetrics, gc_paused, success_rate
 from .protocol import Follower, Leader, StatusLight, TaskKind
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
@@ -338,6 +338,12 @@ class Engine:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> tuple[EventLog, RunMetrics]:
+        """Run the scenario to its end; return the log and its metrics.
+
+        The tick loop runs with the cyclic garbage collector paused
+        (`metrics.gc_paused`): its records are trees of dicts and lists, and
+        a tick makes no cyclic garbage, so the collector's passes during a
+        run would free nothing."""
         cfg = self.config
         self._emit("meta", {
             "scenario": cfg.name, "seed": cfg.seed, "dt_ms": cfg.dt_ms,
@@ -346,32 +352,33 @@ class Engine:
         }, "engine")
         dt_s = cfg.dt_ms / 1000.0
         try:
-            for tick in range(cfg.duration_ms // cfg.dt_ms):
-                self._now = tick * cfg.dt_ms
-                self._apply_script()
-                self._sample_wearable()
-                self._triage_ready()
+            with gc_paused():
+                for tick in range(cfg.duration_ms // cfg.dt_ms):
+                    self._now = tick * cfg.dt_ms
+                    self._apply_script()
+                    self._sample_wearable()
+                    self._triage_ready()
 
-                leader_out = self.leader.step(self._inboxes[self.leader.address], self._now)
-                self._inboxes[self.leader.address] = []
-                for pkt in leader_out:
-                    self._send(pkt)
-
-                self._route_deliveries()
-
-                for addr, follower in self._step_order:
-                    out = follower.step(self._inboxes[addr], self._now)
-                    self._inboxes[addr] = []
-                    for pkt in out:
+                    leader_out = self.leader.step(self._inboxes[self.leader.address], self._now)
+                    self._inboxes[self.leader.address] = []
+                    for pkt in leader_out:
                         self._send(pkt)
-                for done in self.corridor.finished:
-                    if done.kind is TaskKind.PATROL_CHECK:
-                        self._patrol_check_due = True
 
-                self._camera_checks()
-                self._drive(dt_s)
-                self._status_light()
-                self._drain_notifications()
+                    self._route_deliveries()
+
+                    for addr, follower in self._step_order:
+                        out = follower.step(self._inboxes[addr], self._now)
+                        self._inboxes[addr] = []
+                        for pkt in out:
+                            self._send(pkt)
+                    for done in self.corridor.finished:
+                        if done.kind is TaskKind.PATROL_CHECK:
+                            self._patrol_check_due = True
+
+                    self._camera_checks()
+                    self._drive(dt_s)
+                    self._status_light()
+                    self._drain_notifications()
         except Exception as exc:
             # an invariant can fail, and a validated scenario can still drive
             # the state out of range (a wheel radius near the float maximum

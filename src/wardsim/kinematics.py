@@ -10,7 +10,7 @@ of the encoder tick counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from . import ConfigurationError
 from .rng import Doubles, symmetric_range
@@ -50,6 +50,22 @@ class Pose:
         _setattr(self, "x", x)
         _setattr(self, "y", y)
         _setattr(self, "theta", theta)
+
+
+# The __setattr__ and __delattr__ that frozen=True generates refuse a field's
+# name, but for any other name they call super() with the class that
+# slots=True replaced, which on Python 3.11 raises TypeError. These refuse
+# every name.
+def _refuse_setattr(pose, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(pose, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+Pose.__setattr__ = _refuse_setattr
+Pose.__delattr__ = _refuse_delattr
 
 
 @dataclass(frozen=True)

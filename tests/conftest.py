@@ -19,11 +19,26 @@ of the reference tangents:
     python -m pytest --hypothesis-profile=corridor-fuzz -k "equal_the or equals_the" \
         tests/test_line_following.py tests/test_kinematics.py tests/test_rf_channel.py \
         tests/test_rng.py tests/test_track.py
+
+Every test must leave CPython's cyclic garbage collector enabled: the
+engine run and the event-log loader pause it and must turn it back on, and a
+test that left it off would run every later test without it.
 """
 
+import gc
+
+import pytest
 from hypothesis import settings
 
 settings.register_profile("schema-fuzz", max_examples=2000)
 settings.register_profile("log-fuzz", max_examples=1000)
 settings.register_profile("protocol-fuzz", max_examples=1000)
 settings.register_profile("corridor-fuzz", max_examples=1000)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

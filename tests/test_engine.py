@@ -3,6 +3,7 @@ integrity, debouncing, and the CLI surface."""
 
 import csv
 import dataclasses
+import gc
 import json
 from types import SimpleNamespace
 
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from test_golden import ward_shift_config
 from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
+from wardsim import metrics as metrics_module
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
-from wardsim.metrics import EventLog, MetricsAccumulator, replay_metrics
+from wardsim.metrics import EventLog, MetricsAccumulator, gc_paused, replay_metrics
 from wardsim.protocol import TERMINAL_STATES
 from wardsim.scenario import load_preset, preset_names, validate
 from wardsim.vitals import Flag, TriageClass, TriageDecision, Vitals, classify
@@ -104,6 +106,84 @@ def test_zero_duration_run_yields_only_the_meta_record():
     assert [r["kind"] for r in log.records] == ["meta"]
     assert metrics.tasks_created == 0
     assert metrics.alert_latency_ms == {}
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector is paused while a log is built
+
+
+@pytest.fixture
+def collector_seen(monkeypatch):
+    """gc.isenabled() at each tick of a run (its status-light phase) and at
+    each record check of EventLog.load."""
+    seen = []
+    status_light, check_record = Engine._status_light, metrics_module._check_record
+
+    def tick(self):
+        seen.append(gc.isenabled())
+        status_light(self)
+
+    def check(record):
+        seen.append(gc.isenabled())
+        check_record(record)
+
+    monkeypatch.setattr(Engine, "_status_light", tick)
+    monkeypatch.setattr(metrics_module, "_check_record", check)
+    return seen
+
+
+def _run_returns(tmp_path):
+    run(short_config(duration_ms=200))
+
+
+def _run_aborts(tmp_path):
+    with pytest.raises(EngineAbort):
+        misaddressed_engine(load_preset("task_suite")).run()
+
+
+def _load_returns(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text('{"time_ms": 0, "kind": "meta", "payload": {}}\n')
+    EventLog.load(path)
+
+
+def _load_refuses(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text('{"time_ms": 0, "kind": "meta", "payload": {}}\n[1]\n')
+    with pytest.raises(ValueError, match="^malformed event log at record 1: "):
+        EventLog.load(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("call", [_run_returns, _run_aborts, _load_returns, _load_refuses])
+def test_a_run_or_load_pauses_the_collector_and_restores_it(call, enabled, collector_seen,
+                                                            tmp_path):
+    # a caller that turned the collector off, as an enclosing pause does,
+    # finds it still off afterwards
+    if not enabled:
+        gc.disable()
+    try:
+        call(tmp_path)
+        assert collector_seen and not any(collector_seen)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("make", [lambda: load_preset("default"), ward_shift_config],
+                         ids=["default", "ward_shift"])
+def test_a_paused_run_makes_no_cyclic_garbage_that_grows_with_its_length(make):
+    # the pause is safe only because the ticks make no cyclic garbage: what
+    # the collector finds after a paused run, with the engine still held,
+    # must not grow from 10 s to 40 s
+    found = []
+    for duration_ms in (10_000, 40_000):
+        engine = Engine(dataclasses.replace(make(), duration_ms=duration_ms))
+        gc.collect()
+        with gc_paused():
+            engine.run()
+            found.append(gc.collect())
+    assert found[1] == found[0]
 
 
 # ---------------------------------------------------------------------------

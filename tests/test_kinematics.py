@@ -136,6 +136,11 @@ def test_pose_is_immutable():
         pose.x = 3.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         del pose.theta
+    # a name that is not a field: the generated methods raised TypeError
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pose.z = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del pose.z
     assert (pose.x, pose.y, pose.theta) == (1.0, 2.0, 0.5)
 
 
