@@ -3,7 +3,10 @@
 Tick order (one pass per dt): patient script, wearable sampling, triage
 pipeline, leader step, channel deliveries, follower steps, camera checks,
 corridor motion with line following, status light, notifications; each
-record is folded into the metrics as it is made.
+record is folded into the metrics as it is made. The engine logs and clears
+the leader's list of task transitions after each leader call, and its list of
+staff alerts at the end of the tick: nothing refers back to the engine, so a
+run makes no reference cycles and a dropped log is freed at once.
 All randomness comes from named streams derived from the scenario seed, so
 a (config, seed) pair fully determines the event log.
 """
@@ -78,7 +81,7 @@ class Engine:
 
         self.log = EventLog()
         self.acc = MetricsAccumulator()
-        self._append, self._fold_of = self.log.records.append, self.acc.folds.get
+        self._append, self._fold_of = self.log.records.append, MetricsAccumulator.FOLDS.get
         self._inboxes: dict[int, list[Packet]] = {a: [] for a in robots.addresses}
         # heap of (ready_ms, sample_time, decision). The wearable sends one
         # report per sample and the channel never duplicates a packet, so a
@@ -92,7 +95,6 @@ class Engine:
         self._battery_low = False
         self._last_alert_ms = -10 ** 9
         self._last_light: StatusLight | None = None
-        self._log_cursor = 0
         # per latch key, the consecutive samples that disagree with its latch;
         # a key that agrees is absent
         self._against: dict = {}
@@ -100,8 +102,6 @@ class Engine:
         self._latched: frozenset = frozenset()
         self._decision = rule_decision(False, frozenset())
         self._patrol_check_due = False
-
-        self.leader.transition_hook = self._task_hook
         self._now = 0
 
     # -- event plumbing --------------------------------------------------
@@ -111,29 +111,18 @@ class Engine:
         self._append({"time_ms": self._now, "source": source, "kind": kind, "payload": payload})
         fold = self._fold_of(kind)
         if fold is not None:
-            fold(self._now, payload)
+            fold(self.acc, self._now, payload)
 
-    def _task_hook(self, task, now):
-        self._emit("task", {
-            "task_id": task.task_id, "kind": task.kind.value,
-            "origin": task.origin.value, "assignee": task.assignee,
-            "state": task.state.value, "emergency": task.emergency,
-            "retry_count": task.retry_count,
-        }, "protocol")
+    def _drain(self, entries: list, kind: str, source: str):
+        """Log the payloads of a list of the leader's (time_ms, payload)
+        pairs at the engine's clock, then clear the list."""
+        for _, payload in entries:
+            self._emit(kind, payload, source)
+        entries.clear()
 
     def _send(self, packet: Packet, extra_delay_ms: float = 0.0):
         rec = self.channel.send(packet, extra_delay_ms)
         self._emit("packet_send", rec.payload(), "channel")
-
-    def _drain_notifications(self):
-        entries = self.leader.sink.entries
-        while self._log_cursor < len(entries):
-            e = entries[self._log_cursor]
-            self._log_cursor += 1
-            self._emit("notification", {
-                "severity": e.severity, "text": e.text, "cause": e.cause,
-                "recipients": list(e.recipients),
-            }, "leader")
 
     # -- tick phases -----------------------------------------------------
 
@@ -205,6 +194,7 @@ class Engine:
             "probs": list(decision.probs),
         }, "leader")
         self.leader.handle_triage(decision, self._now)
+        self._drain(self.leader.transitions, "task", "protocol")
 
     def _route_deliveries(self):
         for pkt in self.channel.deliveries_due(self._now):
@@ -350,7 +340,7 @@ class Engine:
             "duration_ms": cfg.duration_ms, "budgets_ms": dict(cfg.budgets_ms),
             "line_width": cfg.track.line_width,
         }, "engine")
-        dt_s = cfg.dt_ms / 1000.0
+        dt_s, leader = cfg.dt_ms / 1000.0, self.leader
         try:
             with gc_paused():
                 for tick in range(cfg.duration_ms // cfg.dt_ms):
@@ -359,8 +349,9 @@ class Engine:
                     self._sample_wearable()
                     self._triage_ready()
 
-                    leader_out = self.leader.step(self._inboxes[self.leader.address], self._now)
-                    self._inboxes[self.leader.address] = []
+                    leader_out = leader.step(self._inboxes[leader.address], self._now)
+                    self._inboxes[leader.address] = []
+                    self._drain(leader.transitions, "task", "protocol")
                     for pkt in leader_out:
                         self._send(pkt)
 
@@ -378,12 +369,14 @@ class Engine:
                     self._camera_checks()
                     self._drive(dt_s)
                     self._status_light()
-                    self._drain_notifications()
+                    self._drain(leader.notifications, "notification", "leader")
         except Exception as exc:
             # an invariant can fail, and a validated scenario can still drive
             # the state out of range (a wheel radius near the float maximum
             # overflows the pose, whose constructor refuses a non-finite
-            # coordinate); whatever stops the loop, the log so far is kept
+            # coordinate); whatever stops the loop, the log so far is kept,
+            # with the transitions of a leader call that raised
+            self._drain(leader.transitions, "task", "protocol")
             raise EngineAbort(f"{type(exc).__name__}: {exc}", self.log) from exc
         return self.log, self.acc.result()
 

@@ -1,15 +1,16 @@
 """Event log and metrics.
 
 Every metric is a pure fold over the event stream: the engine hands each
-record to its kind's fold in a MetricsAccumulator's `folds` table, and
-replay_metrics feeds a saved log to a fresh accumulator's `consume`, which
-looks up the same table, so live and replayed metrics agree by construction.
+record to its kind's fold in `MetricsAccumulator.FOLDS`, and replay_metrics
+feeds a saved log to a fresh accumulator's `consume`, which looks up the
+same table, so live and replayed metrics agree by construction.
 
 Building a log allocates a dict per record and per payload, and CPython's
 cyclic garbage collector starts a pass every 700 container allocations. A
-log is a tree of dicts and lists with no reference cycles, which reference
-counting frees, so those passes free nothing: a 120 s ward shift's run and
-its `EventLog.load` each triggered about 170 of them. `gc_paused` turns the
+log is a tree of dicts and lists with no reference cycles, and no engine or
+accumulator sits in one, so reference counting frees a dropped log at once
+and those passes free nothing: a 120 s ward shift's run and its
+`EventLog.load` each triggered about 170 of them. `gc_paused` turns the
 collector off while `EventLog.load` and `Engine.run`'s tick loop build a log;
 nothing else pauses it.
 """
@@ -242,19 +243,15 @@ class MetricsAccumulator:
         self._drift_raw = None
         self._drift_corr = None
         self._energy = 0.0
-        # kind -> its fold of a record's (time_ms, payload); others fold to nothing
-        self.folds = {"meta": self._meta, "packet_send": self._packet_send, "nav": self._nav,
-                      "task": self._task, "script": self._script,
-                      "notification": self._notification}
 
     def consume(self, record: dict):
         kind, t, p = record["kind"], record["time_ms"], record.get("payload", {})
         try:
-            fold = self.folds.get(kind)
+            fold = self.FOLDS.get(kind)
         except TypeError:  # an unhashable kind, such as a list, has no fold
             return
         if fold is not None:
-            fold(t, p)
+            fold(self, t, p)
 
     def _meta(self, t, p):
         self._budgets = dict(p.get("budgets_ms", {}))
@@ -295,6 +292,12 @@ class MetricsAccumulator:
         sk = _CAUSE_TO_KIND.get(p.get("cause"))
         if sk and sk in self._onsets and sk not in self._latencies:
             self._latencies[sk] = t - self._onsets[sk]
+
+    # kind -> its fold of a record's (time_ms, payload), called as
+    # fold(acc, t, payload); other kinds fold to nothing. Plain functions, so
+    # no accumulator refers back to itself
+    FOLDS = {"meta": _meta, "packet_send": _packet_send, "nav": _nav, "task": _task,
+             "script": _script, "notification": _notification}
 
     def result(self) -> RunMetrics:
         # the values sorted here or formatted by RunMetrics.as_text must have

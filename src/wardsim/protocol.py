@@ -113,6 +113,12 @@ class Task:
         self.state = new_state
         self.last_activity = now
 
+    def payload(self) -> dict:
+        """The task's `task` record as the event log stores it."""
+        return {"task_id": self.task_id, "kind": self.kind.value, "origin": self.origin.value,
+                "assignee": self.assignee, "state": self.state.value,
+                "emergency": self.emergency, "retry_count": self.retry_count}
+
 
 @dataclass(frozen=True)
 class TimeoutPolicy:
@@ -127,25 +133,6 @@ class TimeoutPolicy:
                 raise ConfigurationError(f"{key} must be positive")
         if not self.max_retries >= 0:
             raise ConfigurationError("max_retries must be nonnegative")
-
-
-@dataclass(frozen=True)
-class NotificationEntry:
-    time_ms: int
-    severity: str       # "info" | "warning" | "emergency"
-    text: str
-    cause: str          # flag/escalation tag for metric pairing
-    recipients = ("duty_staff",)  # every alert goes to the staff on duty
-
-
-class NotificationSink:
-    """Append-only alert log; stands in for the email/app integrations."""
-
-    def __init__(self):
-        self.entries: list[NotificationEntry] = []
-
-    def notify(self, time_ms: int, severity: str, text: str, cause: str):
-        self.entries.append(NotificationEntry(time_ms, severity, text, cause))
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,15 @@ def _priority(task: Task) -> int:
 
 
 class Leader:
-    """Decision-making hub: owns the task table and the notification sink.
+    """Decision-making hub: owns the task table and the staff alerts.
+
+    The leader appends what it reports to two plain lists of `(time_ms,
+    payload)` pairs, which a caller logs and clears: `transitions`, one per
+    new task and per transition, with `Task.payload()` taken at that moment
+    (a timeout or a reassignment changes the task again in the same call),
+    and `notifications`, one per staff alert (for the email and app
+    integrations). The time is the call's `now`; for a dependency's
+    escalation, it is the time the dependency escalated.
 
     `tasks` holds every task ever created, under ids 1, 2, ... `_open` holds
     the tasks not yet in a terminal state, in task-id order: a task enters it
@@ -206,7 +201,8 @@ class Leader:
         self._wait_limits = {TaskState.SENT: policy.timeout_ms,
                              TaskState.ACKED: policy.exec_timeout_ms,
                              TaskState.IN_PROGRESS: policy.exec_timeout_ms}
-        self.sink = NotificationSink()
+        self.transitions: list[tuple[int, dict]] = []
+        self.notifications: list[tuple[int, dict]] = []
         self.tasks: dict[int, Task] = {}
         self._open: dict[int, Task] = {}
         self._cmd_seq: dict[int, int] = {}
@@ -216,7 +212,6 @@ class Leader:
         self._assigned: dict[int, int] = {}   # follower addr -> open task_id
         self._prev_flags: frozenset[Flag] = frozenset()
         self._wake = -math.inf  # the next step at or after it does the full pass
-        self.transition_hook = lambda task, now: None  # on each new task and transition
 
     # -- helpers ---------------------------------------------------------
 
@@ -225,7 +220,7 @@ class Leader:
         self._wake = -math.inf
         if new_state in TERMINAL_STATES:
             del self._open[task.task_id]
-        self.transition_hook(task, now)
+        self.transitions.append((now, task.payload()))
 
     def _new_task(self, kind: TaskKind, origin: TaskOrigin, now: int, *,
                   target=None, emergency=False, depends_on=None) -> Task:
@@ -234,8 +229,14 @@ class Leader:
         self.tasks[task.task_id] = task
         self._open[task.task_id] = task
         self._wake = -math.inf
-        self.transition_hook(task, now)
+        self.transitions.append((now, task.payload()))
         return task
+
+    def _notify(self, now: int, severity: str, text: str, cause: str):
+        # every alert goes to the staff on duty; its cause (a flag or
+        # "escalation") pairs it with an onset in the alert-latency metric
+        self.notifications.append((now, {"severity": severity, "text": text, "cause": cause,
+                                         "recipients": ["duty_staff"]}))
 
     def _capable_idle(self, kind: TaskKind) -> int | None:
         for addr, follower in self._capable[kind]:
@@ -277,9 +278,9 @@ class Leader:
         emergency = decision.triage_class is TriageClass.GO_TO_HOSPITAL
         for flag in sorted(new_flags, key=lambda f: f.value):
             severity = "emergency" if emergency or flag is Flag.FALL else "warning"
-            self.sink.notify(now, severity,
-                             f"{flag.value} detected; class {decision.triage_class.value}",
-                             cause=flag.value)
+            self._notify(now, severity,
+                         f"{flag.value} detected; class {decision.triage_class.value}",
+                         cause=flag.value)
         # a fall gets its response through the camera alert path
         # (handle_fall_alert); every other new flag gets a patrol check
         if new_flags - {Flag.FALL}:
@@ -292,8 +293,7 @@ class Leader:
         still outstanding."""
         if any(task.origin is TaskOrigin.EMERGENCY_OVERRIDE for task in self._open.values()):
             return
-        self.sink.notify(now, "emergency", "fall detected by corridor camera",
-                         cause=Flag.FALL.value)
+        self._notify(now, "emergency", "fall detected by corridor camera", cause=Flag.FALL.value)
         self._new_task(TaskKind.PATROL_CHECK, TaskOrigin.EMERGENCY_OVERRIDE, now,
                        emergency=True)
 
@@ -397,9 +397,9 @@ class Leader:
 
     def _escalate(self, task: Task, now: int, reason: str):
         self._record(task, TaskState.ESCALATED, now)
-        self.sink.notify(now, "emergency",
-                         f"task {task.task_id} ({task.kind.value}) escalated: {reason}",
-                         cause="escalation")
+        self._notify(now, "emergency",
+                     f"task {task.task_id} ({task.kind.value}) escalated: {reason}",
+                     cause="escalation")
 
     def _dispatch(self, now: int, outbox: list):
         # resends decided by timeout handling this step

@@ -223,8 +223,9 @@ def _build(cls, raw, path: str, errors: list[str], base=None):
 def _read(hint, value, path: str, errors: list[str], base=None):
     """A non-null `value` as the annotation `hint`, or _FAIL. A scalar must
     have its type already, except that an int is widened to a float, and a
-    float must be finite. A list is read whole or not at all. `base` is
-    the value whose fields a section's absent keys take."""
+    number must be finite and no larger in magnitude than the float maximum.
+    A list is read whole or not at all. `base` is the value whose fields a
+    section's absent keys take."""
     if hint in _PARSERS:
         return _PARSERS[hint](value, path, errors)
     if type(None) in typing.get_args(hint):  # X | None; a null took the default already
@@ -255,8 +256,9 @@ def _read(hint, value, path: str, errors: list[str], base=None):
             and isinstance(value, bool) == (hint is bool)):
         errors.append(f"{path}: expected {hint.__name__}, got {type(value).__name__}")
         return _FAIL
-    if hint is float and not -sys.float_info.max <= value <= sys.float_info.max:
-        errors.append(f"{path}: must be a finite number, got {value!r}")  # nan, inf, a huge int
+    # nan, inf, or an int that the engine's float arithmetic would overflow on
+    if hint in (int, float) and not -sys.float_info.max <= value <= sys.float_info.max:
+        errors.append(f"{path}: must be a finite number within the float range, got {value!r}")
         return _FAIL
     return float(value) if hint is float else value
 

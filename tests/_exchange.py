@@ -147,9 +147,9 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
                         leader_cls: type[Leader] = Leader,
                         emergency_after_fault: bool = False) -> list[str]:
     """One lossy exchange, in the engine's tick order, written down as text:
-    every transition-hook call, every packet a leader or follower puts in
-    its outbox, each change of a follower's status light, then the
-    notifications and each follower's execution counts. Besides the
+    every new task and transition in `Leader.transitions`, every packet a
+    leader or follower puts in its outbox, each change of a follower's status
+    light, then the notifications and each follower's execution counts. Besides the
     medication schedule it feeds triage results and fall alerts, faults
     follower 2's navigation once, and hands the leader a stale ack and a
     status for an unknown task, and follower 2 a command of an unknown kind.
@@ -171,10 +171,14 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
     channel = Channel(ChannelConfig(pdr_clear=pdr, pdr_obstructed=pdr),
                       [LEADER, *followers], np.random.default_rng(seed))
     lines = []
-    leader.transition_hook = lambda task, now: lines.append(
-        f"{now} task {task.task_id} {task.kind.value} {task.origin.value} "
-        f"{task.state.value} assignee={task.assignee} retries={task.retry_count} "
-        f"emergency={task.emergency}")
+
+    def take_transitions():
+        # after each leader call, as the engine does, but each at the time
+        # the leader gave it rather than the tick's
+        lines.extend(f"{t} task {p['task_id']} {p['kind']} {p['origin']} {p['state']} "
+                     f"assignee={p['assignee']} retries={p['retry_count']} "
+                     f"emergency={p['emergency']}" for t, p in leader.transitions)
+        leader.transitions.clear()
 
     inboxes: dict[int, list] = {LEADER: [], **{a: [] for a in followers}}
     lights = dict.fromkeys(followers)
@@ -194,7 +198,10 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
             leader.handle_triage(_TRIAGE[now], now)
         if emergency_after_fault and faulted_at == now - dt_ms:
             leader.handle_triage(_TRIAGE_AFTER_FAULT, now)
-        for pkt in leader.step(inboxes[LEADER], now):
+        take_transitions()
+        leader_out = leader.step(inboxes[LEADER], now)
+        take_transitions()
+        for pkt in leader_out:
             lines.append(_packet_line(now, pkt))
             channel.send(pkt)
         inboxes[LEADER] = []
@@ -215,8 +222,8 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
                                       for t in leader.tasks.values()):
             break
         now += dt_ms
-    lines += [f"{e.time_ms} notify {e.severity} {e.cause} {e.recipients} {e.text}"
-              for e in leader.sink.entries]
+    lines += [f"{t} notify {p['severity']} {p['cause']} {tuple(p['recipients'])} {p['text']}"
+              for t, p in leader.notifications]
     lines += [f"executed {addr} {sorted(fol.execution_count.items())}"
               for addr, fol in followers.items()]
     return lines

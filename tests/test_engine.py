@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import gc
 import json
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +19,7 @@ from wardsim import metrics as metrics_module
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
 from wardsim.metrics import EventLog, MetricsAccumulator, gc_paused, replay_metrics
-from wardsim.protocol import TERMINAL_STATES
+from wardsim.protocol import TERMINAL_STATES, Leader
 from wardsim.scenario import load_preset, preset_names, validate
 from wardsim.vitals import Flag, TriageClass, TriageDecision, Vitals, classify
 
@@ -173,17 +174,40 @@ def test_a_run_or_load_pauses_the_collector_and_restores_it(call, enabled, colle
 @pytest.mark.parametrize("make", [lambda: load_preset("default"), ward_shift_config],
                          ids=["default", "ward_shift"])
 def test_a_paused_run_makes_no_cyclic_garbage_that_grows_with_its_length(make):
-    # the pause is safe only because the ticks make no cyclic garbage: what
-    # the collector finds after a paused run, with the engine still held,
-    # must not grow from 10 s to 40 s
+    # the pause is safe only because the ticks make no cyclic garbage, and
+    # no engine sits in a reference cycle: once the engine and its log are
+    # dropped, the collector finds nothing after a 10 s or a 40 s run
     found = []
     for duration_ms in (10_000, 40_000):
         engine = Engine(dataclasses.replace(make(), duration_ms=duration_ms))
         gc.collect()
         with gc_paused():
-            engine.run()
+            log, _ = engine.run()
+            del engine, log
             found.append(gc.collect())
-    assert found[1] == found[0]
+    assert found == [0, 0]
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "ward_shift"])
+def test_a_dropped_log_is_freed_by_reference_counting(name):
+    # with the collector off, the log that run() returned dies as soon as
+    # the caller drops it, and nothing of the run is left for a collector pass
+    config = ward_shift_config() if name == "ward_shift" else load_preset(name)
+    with gc_paused():
+        gc.collect()
+        log, _ = run(config)
+        ref = weakref.ref(log)
+        del log
+        assert ref() is None
+        assert gc.collect() == 0
+
+
+def test_a_suite_leaves_no_cyclic_garbage():
+    config = load_preset("task_suite")
+    with gc_paused():
+        gc.collect()
+        run_suite([config], trials=3)
+        assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +376,20 @@ def test_any_error_in_the_tick_loop_aborts_with_the_partial_log():
         misaddressed_engine(load_preset("task_suite")).run()
     assert isinstance(exc.value.__cause__, AddressingError)
     assert len(exc.value.log.records) == 672
+
+
+def test_an_abort_inside_a_leader_step_keeps_the_transitions_it_made(monkeypatch):
+    # the step at 0 creates the schedule's two tasks, then fails
+    def check_timeouts(self, now, outbox):
+        if self.tasks:
+            raise RuntimeError("the timeout check failed")
+
+    monkeypatch.setattr(Leader, "_check_timeouts", check_timeouts)
+    config = short_config(schedule=[{"time_ms": 0, "bed": 1, "slot": 0}])
+    with pytest.raises(EngineAbort, match="^RuntimeError: the timeout check failed$") as exc:
+        run(config)
+    assert [(r["time_ms"], r["kind"], r["payload"]["state"])
+            for r in exc.value.log.records[-2:]] == [(0, "task", "created")] * 2
 
 
 def test_triage_results_are_delivered_by_ready_time_and_stale_ones_dropped():

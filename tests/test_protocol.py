@@ -74,27 +74,30 @@ def test_timed_out_can_retry_reassign_or_escalate_only():
 # timeout policy
 
 
+def transitions(leader):
+    """The (time, state, assignee, retry count) of each of the leader's
+    records of a new task or a transition."""
+    return [(t, TaskState(p["state"]), p["assignee"], p["retry_count"])
+            for t, p in leader.transitions]
+
+
 def unacked_patrol(roster, policy, times):
     """Step a leader that never hears back over `times`, for one patrol
-    task; returns the leader, its task, the (time, state, assignee, retry
-    count) of every transition-hook call and the destinations sent to at
-    each step."""
+    task; returns the leader, its task, its `transitions` and the
+    destinations sent to at each step."""
     leader = Leader(1, roster, policy=policy)
-    calls = []
-    leader.transition_hook = lambda task, now: calls.append(
-        (now, task.state, task.assignee, task.retry_count))
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)
     sent = [(now, [p.dst for p in leader.step([], now)]) for now in times]
     (task,) = leader.tasks.values()
-    return leader, task, calls, sent
+    return leader, task, transitions(leader), sent
 
 
 def test_timeouts_retry_until_budget_spent_then_reassign_to_an_untried_follower():
     roster = {2: RosterEntry(ALL), 3: RosterEntry(ALL)}
-    _, task, calls, sent = unacked_patrol(roster, TimeoutPolicy(timeout_ms=100, max_retries=2),
-                                          range(0, 500, 100))
+    _, task, records, sent = unacked_patrol(roster, TimeoutPolicy(timeout_ms=100, max_retries=2),
+                                            range(0, 500, 100))
     S = TaskState
-    assert calls == [
+    assert records == [
         (0, S.CREATED, None, 0), (0, S.SENT, 2, 0),
         (100, S.TIMED_OUT, 2, 0), (100, S.SENT, 2, 1),      # retry
         (200, S.TIMED_OUT, 2, 1), (200, S.REASSIGNED, 2, 2), (200, S.SENT, 3, 0),
@@ -109,13 +112,13 @@ def test_timeouts_skip_busy_and_incapable_followers_and_escalate_with_a_notifica
     roster = {2: RosterEntry(ALL),
               3: RosterEntry(ALL, availability=Availability.BUSY),
               4: RosterEntry(frozenset({TaskKind.ARM_DISPENSE}))}
-    leader, task, calls, sent = unacked_patrol(
+    leader, task, records, sent = unacked_patrol(
         roster, TimeoutPolicy(timeout_ms=100, max_retries=1), (0, 100))
     assert sent == [(0, [2]), (100, [])]
-    assert calls[-2:] == [(100, TaskState.TIMED_OUT, 2, 0), (100, TaskState.ESCALATED, 2, 1)]
+    assert records[-2:] == [(100, TaskState.TIMED_OUT, 2, 0), (100, TaskState.ESCALATED, 2, 1)]
     assert task.tried_assignees == [2]
-    last = leader.sink.entries[-1]
-    assert (last.time_ms, last.severity, last.cause, last.text) == (
+    t, last = leader.notifications[-1]
+    assert (t, last["severity"], last["cause"], last["text"]) == (
         100, "emergency", "escalation",
         "task 1 (patrol_check) escalated: no follower could complete it")
 
@@ -135,8 +138,8 @@ def test_triage_rising_edge_creates_one_task_and_notification():
     leader.handle_triage(decision(Flag.LOW_SPO2), 1000)
     leader.handle_triage(decision(Flag.LOW_SPO2), 1100)   # still raised: no-op
     assert len(leader.tasks) == 1
-    assert len(leader.sink.entries) == 1
-    assert leader.sink.entries[0].cause == "low_spo2"
+    assert len(leader.notifications) == 1
+    assert leader.notifications[0][1]["cause"] == "low_spo2"
     # flag clears then re-raises: a fresh incident
     leader.handle_triage(decision(), 1200)
     leader.handle_triage(decision(Flag.LOW_SPO2), 1300)
@@ -148,7 +151,7 @@ def test_severe_triage_marks_task_emergency():
     leader.handle_triage(decision(Flag.LOW_SPO2, cls=TriageClass.GO_TO_HOSPITAL), 0)
     (task,) = leader.tasks.values()
     assert task.emergency
-    assert leader.sink.entries[0].severity == "emergency"
+    assert leader.notifications[0][1]["severity"] == "emergency"
 
 
 def test_fall_alerts_deduplicate_while_response_is_open():
@@ -157,7 +160,7 @@ def test_fall_alerts_deduplicate_while_response_is_open():
     leader.handle_fall_alert(5300)
     leader.handle_fall_alert(5600)
     assert len(leader.tasks) == 1
-    assert len(leader.sink.entries) == 1
+    assert len(leader.notifications) == 1
     (task,) = leader.tasks.values()
     assert task.origin is TaskOrigin.EMERGENCY_OVERRIDE and task.emergency
 
@@ -416,9 +419,6 @@ def test_a_failed_status_spends_the_whole_retry_budget():
     roster = {2: RosterEntry(ALL), 3: RosterEntry(ALL),
               4: RosterEntry(ALL, availability=Availability.BUSY)}
     leader = Leader(1, roster, policy=TimeoutPolicy(timeout_ms=100, max_retries=5))
-    calls = []
-    leader.transition_hook = lambda task, now: calls.append(
-        (now, task.state, task.assignee, task.retry_count))
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)
     assert [p.dst for p in leader.step([], 0)] == [2]
 
@@ -428,11 +428,12 @@ def test_a_failed_status_spends_the_whole_retry_budget():
     # 2 is idle again and has retries left, yet the task goes to untried 3
     S = TaskState
     assert [p.dst for p in leader.step([failed(2, 10)], 10)] == [3]
-    assert calls[2:] == [(10, S.TIMED_OUT, 2, 0), (10, S.REASSIGNED, 2, 5), (10, S.SENT, 3, 0)]
+    assert transitions(leader)[2:] == [
+        (10, S.TIMED_OUT, 2, 0), (10, S.REASSIGNED, 2, 5), (10, S.SENT, 3, 0)]
     # 2 was tried and 4 is busy, so a failure on 3 escalates in the same step
     assert leader.step([failed(3, 20)], 20) == []
-    assert calls[5:] == [(20, S.TIMED_OUT, 3, 0), (20, S.ESCALATED, 3, 5)]
-    assert leader.sink.entries[-1].text == \
+    assert transitions(leader)[5:] == [(20, S.TIMED_OUT, 3, 0), (20, S.ESCALATED, 3, 5)]
+    assert leader.notifications[-1][1]["text"] == \
         "task 1 (patrol_check) escalated: no follower could complete it"
 
 
@@ -444,8 +445,8 @@ def test_escalation_notifies_staff():
         leader.step([], i * 50)
     (task,) = leader.tasks.values()
     assert task.state is TaskState.ESCALATED
-    assert any(e.cause == "escalation" and e.severity == "emergency"
-               for e in leader.sink.entries)
+    assert any(p["cause"] == "escalation" and p["severity"] == "emergency"
+               for _, p in leader.notifications)
 
 
 def test_dependency_escalation_cascades_to_delivery():
@@ -460,7 +461,7 @@ def test_dependency_escalation_cascades_to_delivery():
     assert states[TaskKind.DELIVER_MEDICINE] is TaskState.ESCALATED
     # the dispense escalates at 0 and the next step (50) cascades it, with
     # the time the dependency escalated
-    assert [(e.time_ms, e.text.split(":")[-1].strip()) for e in leader.sink.entries] == [
+    assert [(t, p["text"].split(":")[-1].strip()) for t, p in leader.notifications] == [
         (0, "no follower is capable"), (0, "dependency escalated")]
 
 
@@ -687,7 +688,7 @@ class EveryStepLeader(Leader):
 def test_the_event_driven_leader_equals_one_that_steps_in_full(roster, exec_name, pdr,
                                                                seed, dt_ms, emergency_after_fault):
     # every transcript line is stamped with its tick, so equal transcripts
-    # mean equal outboxes, transition-hook calls and notifications at every tick
+    # mean equal outboxes, task transitions and notifications at every tick
     args = (seed, pdr, roster, exec_name, dt_ms)
     kw = {"emergency_after_fault": emergency_after_fault}
     assert (protocol_transcript(*args, **kw)

@@ -157,6 +157,16 @@ def test_bool_is_not_accepted_as_int():
      "robots.corridor.chassis.wheel_radius_r: must be a finite number"),
     ("channel: {rtt_ms: .nan}\n", "channel.rtt_ms: must be a finite number"),
     ("robots: {corridor: {base_rpm: .nan}}\n", "robots.corridor.base_rpm: must be a finite number"),
+    # an int beyond the float maximum, which the engine's float arithmetic
+    # would overflow on
+    (f"dt_ms: {10 ** 400}\nduration_ms: 0\nvitals_sample_period_ms: 0\n"
+     "fall_detector: {check_period_ms: 0}\n", "top.dt_ms: must be a finite number"),
+    (f"robots: {{corridor: {{chassis: {{ticks_per_rev_C: {10 ** 400}}}}}}}\n",
+     "robots.corridor.chassis.ticks_per_rev_C: must be a finite number"),
+    (f"latency: {{vitals_transmit_ms: {10 ** 400}}}\n",
+     "latency.vitals_transmit_ms: must be a finite number"),
+    (f"latency: {{fall_path_ms: {10 ** 400}}}\n", "latency.fall_path_ms: must be a finite number"),
+    (f"budgets_ms: {{fall: {-10 ** 400}}}\n", "budgets_ms.fall: must be a finite number"),
     # the IR array's ranges
     ("robots: {corridor: {geometry: {v_max: -5.0}}}\n",
      "robots.corridor.geometry: unknown key 'v_max'"),
@@ -197,7 +207,9 @@ def test_bool_is_not_accepted_as_int():
         "threshold_above_the_bright_levels", "threshold_below_the_dark_levels",
         "ir_levels_overlap_with_noise",
         "correction_gain_out_of_range", "link_end_not_a_robot", "noise_frac_inf", "jitter_inf",
-        "wheel_radius_inf", "rtt_nan", "base_rpm_nan", "v_max_negative", "noise_frac_negative",
+        "wheel_radius_inf", "rtt_nan", "base_rpm_nan", "dt_huge", "ticks_per_rev_huge",
+        "vitals_transmit_huge", "fall_path_huge", "budget_huge_negative", "v_max_negative",
+        "noise_frac_negative",
         "ir_levels_inverted", "timeout_zero", "timeout_negative", "exec_timeout_zero",
         "exec_timeout_negative", "max_retries_negative", "vitals_period_negative",
         "fall_period_negative", "exec_duration_negative", "budget_negative",
@@ -364,7 +376,7 @@ def test_load_scenario_from_file(tmp_path):
 
 # -- the schema, walked ------------------------------------------------------
 
-_INTS = st.sampled_from([0, 1, -1, 10, 100]) | st.integers(-10**4, 10**5)
+_INTS = st.sampled_from([0, 1, -1, 10, 100, 10**400, -10**400]) | st.integers(-10**4, 10**5)
 _FLOATS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]) | st.floats() | _INTS
 _SCALARS = {bool: st.booleans(), int: _INTS, float: _FLOATS, str: st.text(max_size=4)}
 _WRONG = st.sampled_from(["x", True, 0.5, -3, [], {}, [1, 2]])
