@@ -3,10 +3,18 @@
 Tick order (one pass per dt): patient script, wearable sampling, triage
 pipeline, leader step, channel deliveries, follower steps, camera checks,
 corridor motion with line following, status light, notifications; each
-record is folded into the metrics as it is made. The engine logs and clears
-the leader's list of task transitions after each leader call, and its list of
-staff alerts at the end of the tick: nothing refers back to the engine, so a
-run makes no reference cycles and a dropped log is freed at once.
+record is folded into the metrics as it is made. Only the leader steps on
+every tick; the tick loop calls every other phase only when it has work due:
+the script when its next event or link change is due, the wearable on a
+sample tick, the triage pipeline when its earliest result is ready, the
+deliveries when the channel's earliest packet is due, a follower when its
+inbox holds a packet, it has an active execution or a nav fault, the camera
+when a patrol check is due or the patient is down, the drive while the
+corridor moves (always, with `patrol_always`), and the status light at tick 0
+and after a corridor step. The engine logs and clears the leader's list of
+task transitions after each leader call, and its list of staff alerts at the
+end of the tick: nothing refers back to the engine, so a run makes no
+reference cycles and a dropped log is freed at once.
 All randomness comes from named streams derived from the scenario seed, so
 a (config, seed) pair fully determines the event log.
 """
@@ -126,7 +134,9 @@ class Engine:
 
     # -- tick phases -----------------------------------------------------
 
-    def _apply_script(self):
+    def _apply_script(self) -> float:
+        """Apply the script events and link changes due by now; return the
+        time the next one falls due."""
         script = self.config.patient_script
         while self._script_idx < len(script) and script[self._script_idx].time_ms <= self._now:
             ev = script[self._script_idx]
@@ -152,11 +162,12 @@ class Engine:
             lc = links[self._link_idx]
             self._link_idx += 1
             self.channel.set_condition(lc.src, lc.dst, lc.condition)
+        return min((seq[i].time_ms for seq, i in ((script, self._script_idx),
+                                                  (links, self._link_idx)) if i < len(seq)),
+                   default=math.inf)
 
     def _sample_wearable(self):
         cfg = self.config
-        if cfg.vitals_sample_period_ms <= 0 or self._now % cfg.vitals_sample_period_ms != 0:
-            return
         sample = sample_vitals(self.patient, cfg.noise, self.streams["vitals_noise"], self._now)
         self._emit("vitals_sample", {
             "spo2": sample.spo2, "bpm": sample.bpm, "temp": sample.temp,
@@ -243,11 +254,6 @@ class Engine:
         # One deliberate posture check per finished patrol task; while the
         # patient is actually down the camera also spots them periodically.
         cfg = self.config
-        periodic = (self.patient.posture is Posture.FALLEN
-                    and cfg.fall_detector.check_period_ms > 0
-                    and self._now % cfg.fall_detector.check_period_ms == 0)
-        if not periodic and not self._patrol_check_due:
-            return
         self._patrol_check_due = False
         outcome = detect_fall(self.patient.posture, cfg.fall_detector,
                               self.streams["fall_detector"])
@@ -267,10 +273,6 @@ class Engine:
 
     def _drive(self, dt_s: float):
         cfg = self.config
-        driving = cfg.patrol_always or (
-            self.corridor.active is not None and self.corridor.active.kind in _MOVING_KINDS)
-        if not driving:
-            return
         # with the IR array disabled the robot steers by its odometry estimate
         # alone, so slip accumulates in the true pose uncorrected
         sense_pose = self.motion.pose if cfg.ir_enabled else self.dr_raw.pose
@@ -340,43 +342,71 @@ class Engine:
             "duration_ms": cfg.duration_ms, "budgets_ms": dict(cfg.budgets_ms),
             "line_width": cfg.track.line_width,
         }, "engine")
-        dt_s, leader = cfg.dt_ms / 1000.0, self.leader
+        dt_ms, dt_s = cfg.dt_ms, cfg.dt_ms / 1000.0
+        leader, corridor, inboxes = self.leader, self.corridor, self._inboxes
+        triage, in_flight = self._pending_triage, self.channel.in_flight
+        sample_ms, fall_ms = cfg.vitals_sample_period_ms, cfg.fall_detector.check_period_ms
+        script_due, driving = 0, cfg.patrol_always
         try:
             with gc_paused():
-                for tick in range(cfg.duration_ms // cfg.dt_ms):
-                    self._now = tick * cfg.dt_ms
-                    self._apply_script()
-                    self._sample_wearable()
-                    self._triage_ready()
+                for tick in range(cfg.duration_ms // dt_ms):
+                    self._now = now = tick * dt_ms
+                    if now >= script_due:
+                        script_due = self._apply_script()
+                    if sample_ms > 0 and now % sample_ms == 0:
+                        self._sample_wearable()
+                    if triage and triage[0][0] <= now:
+                        self._triage_ready()
 
-                    leader_out = leader.step(self._inboxes[leader.address], self._now)
-                    self._inboxes[leader.address] = []
-                    self._drain(leader.transitions, "task", "protocol")
+                    inbox = inboxes[leader.address]
+                    leader_out = leader.step(inbox, now)
+                    if inbox:
+                        inboxes[leader.address] = []
+                    if leader.transitions:
+                        self._drain(leader.transitions, "task", "protocol")
                     for pkt in leader_out:
                         self._send(pkt)
 
-                    self._route_deliveries()
+                    if in_flight and in_flight[0][0] <= now:
+                        self._route_deliveries()
 
+                    # a skipped step would change nothing but the follower's
+                    # last step time, so a stepped one is told the tick
+                    light_due = tick == 0
                     for addr, follower in self._step_order:
-                        out = follower.step(self._inboxes[addr], self._now)
-                        self._inboxes[addr] = []
-                        for pkt in out:
+                        inbox = inboxes[addr]
+                        if not (inbox or follower.active is not None or follower.nav_fault):
+                            continue
+                        if inbox:
+                            inboxes[addr] = []
+                        for pkt in follower.step(inbox, now, dt_ms if tick else 0):
                             self._send(pkt)
-                    for done in self.corridor.finished:
-                        if done.kind is TaskKind.PATROL_CHECK:
-                            self._patrol_check_due = True
+                        if follower is corridor:
+                            light_due = True
+                            for done in corridor.finished:
+                                if done.kind is TaskKind.PATROL_CHECK:
+                                    self._patrol_check_due = True
+                            driving = cfg.patrol_always or (
+                                corridor.active is not None
+                                and corridor.active.kind in _MOVING_KINDS)
 
-                    self._camera_checks()
-                    self._drive(dt_s)
-                    self._status_light()
-                    self._drain(leader.notifications, "notification", "leader")
+                    if self._patrol_check_due or (self.patient.posture is Posture.FALLEN
+                                                  and fall_ms > 0 and now % fall_ms == 0):
+                        self._camera_checks()
+                    if driving:
+                        self._drive(dt_s)
+                    if light_due:
+                        self._status_light()
+                    if leader.notifications:
+                        self._drain(leader.notifications, "notification", "leader")
         except Exception as exc:
             # an invariant can fail, and a validated scenario can still drive
             # the state out of range (a wheel radius near the float maximum
             # overflows the pose, whose constructor refuses a non-finite
             # coordinate); whatever stops the loop, the log so far is kept,
-            # with the transitions of a leader call that raised
+            # with the transitions and staff alerts of the tick that raised
             self._drain(leader.transitions, "task", "protocol")
+            self._drain(leader.notifications, "notification", "leader")
             raise EngineAbort(f"{type(exc).__name__}: {exc}", self.log) from exc
         return self.log, self.acc.result()
 

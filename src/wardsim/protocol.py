@@ -465,7 +465,13 @@ class _Execution:
 
 
 class Follower:
-    """Corridor robot or arm endpoint: acks, executes, reports."""
+    """Corridor robot or arm endpoint: acks, executes, reports.
+
+    A step with an empty inbox, no active execution and no nav fault changes
+    only `finished` and the time of the last step, so a caller may skip it. A
+    caller that does passes `elapsed_ms` to the next step it makes, so that a
+    new execution's first decrement is still one tick, and reads `finished`
+    only after a step it made."""
 
     def __init__(self, address: int, leader_address: int,
                  capabilities: frozenset[TaskKind], exec_duration_ms: dict[TaskKind, int]):
@@ -516,10 +522,13 @@ class Follower:
             return Availability.FAULTED
         return Availability.BUSY if self.active else Availability.IDLE
 
-    def step(self, inbox: list[Packet], now: int) -> list[Packet]:
+    def step(self, inbox: list[Packet], now: int, elapsed_ms: float | None = None) -> list[Packet]:
+        """Handle the inbox and advance the active execution by `elapsed_ms`,
+        by default the time since this follower's last step (0 at its first)."""
         outbox: list[Packet] = []
         self.finished = []
-        dt_ms = 0.0 if self._last_now is None else now - self._last_now
+        if elapsed_ms is None:
+            elapsed_ms = 0.0 if self._last_now is None else now - self._last_now
         self._last_now = now
         if self.active is None:
             # a fault with no task under way fails nothing: the robot is
@@ -532,8 +541,8 @@ class Follower:
             if pkt.kind is PacketKind.COMMAND:
                 self._on_command(pkt, now, outbox)
 
-        if self.active is not None and dt_ms > 0:
-            self.active.remaining_ms -= dt_ms
+        if self.active is not None and elapsed_ms > 0:
+            self.active.remaining_ms -= elapsed_ms
             if self.nav_fault:
                 self.nav_fault = False  # fault is per-task; robot recovers after re-placement
                 self._end("failed", now, outbox, detail="navigation fault: line lost")

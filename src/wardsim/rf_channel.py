@@ -89,7 +89,9 @@ class DeliveryRecord(NamedTuple):
 
 class Channel:
     """Owns link conditions and the in-flight queue; keeps no delivery log,
-    since each send returns its record."""
+    since each send returns its record. `in_flight` is a heap of
+    (delivery time, send count, packet), which callers only read: its head
+    is the next delivery."""
 
     def __init__(self, config: ChannelConfig, addresses, rng: Doubles):
         self.config = config
@@ -97,7 +99,7 @@ class Channel:
         self.rng = rng
         self._jitter_low, self._jitter_span = config.jitter_range
         self.conditions: dict[tuple[int, int], LinkCondition] = {}
-        self._in_flight: list[tuple[float, int, Packet]] = []
+        self.in_flight: list[tuple[float, int, Packet]] = []
         self._counter = 0
 
     def set_condition(self, src: int, dst: int, condition: LinkCondition):
@@ -120,7 +122,7 @@ class Channel:
         delay = self.config.rtt_ms / 2.0 + (self._jitter_low + span * self.rng.random()
                                             if span > 0 else 0.0)
         delay = max(delay, 1.0)
-        heapq.heappush(self._in_flight,
+        heapq.heappush(self.in_flight,
                        (packet.sent_at + delay + extra_delay_ms, self._counter, packet))
         self._counter += 1
         return DeliveryRecord(packet.sent_at, packet.src, packet.dst,
@@ -129,7 +131,7 @@ class Channel:
     def deliveries_due(self, now_ms: float) -> list[Packet]:
         """Pop all packets whose delivery time has arrived, in order."""
         out = []
-        while self._in_flight and self._in_flight[0][0] <= now_ms:
-            _, _, pkt = heapq.heappop(self._in_flight)
+        while self.in_flight and self.in_flight[0][0] <= now_ms:
+            _, _, pkt = heapq.heappop(self.in_flight)
             out.append(pkt)
         return out

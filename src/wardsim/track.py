@@ -26,9 +26,10 @@ point, and the grid never changes a result:
   distance wins exactly as it would in a full scan.
 - A point off the mat has no cell and scans all segments.
 
-The grid has about 0.2 m cells and at most 64 along either side of the mat,
-so a larger mat costs no more set-up time or memory than a 12.8 m one with
-the same segments.
+The grid has about 0.1 m cells and at most 64 along either side of the mat,
+so a larger mat costs no more set-up time or memory than a 6.4 m one with
+the same segments. It is built in one numpy pass over every cell and segment
+(in blocks of rows only for a track of many segments, to bound its memory).
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ from . import ConfigurationError
 DEFAULT_MAT = (3.5, 4.0)    # meters
 DEFAULT_LINE_WIDTH = 0.018  # meters
 
-_CELL_M = 0.2        # target side of a candidate-grid cell
+_CELL_M = 0.1        # target side of a candidate-grid cell
 _MAX_CELLS = 64      # per mat side, so a large mat cannot inflate set-up
 _MARGIN_M = 1e-9
+_BLOCK = 2 ** 20     # corner-segment pairs per pass of the grid build
 
 
 @dataclass(slots=True)
@@ -104,11 +106,13 @@ class Track:
         self._segs = [(i, *row) for i, row in enumerate(np.column_stack([a, d, len2]).tolist())]
         nx = min(_MAX_CELLS, math.ceil(self.mat_size[0] / _CELL_M))
         ny = min(_MAX_CELLS, math.ceil(self.mat_size[1] / _CELL_M))
-        rows = _candidate_grid(a, d, len2, self.mat_size, nx, ny)
         # a point on the far border indexes one past the last cell, so the
         # last column and row are repeated rather than clamped per query
-        rows.append(rows[-1])
-        cells = [[self._segs[i] for i in keep] for row in rows for keep in row + [row[-1]]]
+        keep = np.pad(_candidate_grid(a, d, len2, self.mat_size, nx, ny),
+                      ((0, 1), (0, 1), (0, 0)), mode="edge").reshape(-1, n_seg)
+        kept = [self._segs[i] for i in np.nonzero(keep)[1].tolist()]
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        cells = [kept[i:j] for i, j in zip([0, *ends], ends)]
         self._grid = (*self.mat_size, nx / self.mat_size[0], ny / self.mat_size[1], nx + 1, cells)
 
     def query(self, x: float, y: float) -> TrackQuery:
@@ -143,34 +147,30 @@ class Track:
                           self.tags[best_i], best_i)
 
 
-def _candidate_grid(a, d, len2, mat_size, nx: int, ny: int) -> list[list[list[int]]]:
-    """Candidate segment indices of each cell, as ny rows of nx cells from the
-    origin; see the module docstring for why the search stays exact."""
+def _candidate_grid(a, d, len2, mat_size, nx: int, ny: int) -> np.ndarray:
+    """Whether each cell keeps each segment, as an (ny, nx, n_seg) array of
+    rows of cells from the origin; see the module docstring for why the
+    search stays exact."""
     w, h = mat_size
     margin = _MARGIN_M * max(1.0, w, h)
     lo = np.minimum(a, a + d)
     hi = np.maximum(a, a + d)
-    xs = np.linspace(0.0, w, nx + 1)
-    ys = np.linspace(0.0, h, ny + 1)
+    xs = np.linspace(0.0, w, nx + 1)[:, None]
+    gap_x = np.maximum(0.0, np.maximum(lo[:, 0] - xs[1:], xs[:-1] - hi[:, 0]))
 
-    def corner_dist(y):  # (nx + 1, n_seg): grid corners on the line y to each segment
-        px = xs[:, None] - a[None, :, 0]
-        py = y - a[None, :, 1]
+    def rows(ys):  # the rows of cells between k + 1 corner rows, a (k + 1, 1, 1) array
+        px = xs - a[:, 0]
+        py = ys - a[:, 1]
         t = np.clip((px * d[:, 0] + py * d[:, 1]) / len2, 0.0, 1.0)
-        return np.hypot(px - t * d[:, 0], py - t * d[:, 1])
+        corner = np.hypot(px - t * d[:, 0], py - t * d[:, 1])
+        upper = np.maximum(np.maximum(corner[:-1, :-1], corner[:-1, 1:]),
+                           np.maximum(corner[1:, :-1], corner[1:, 1:]))
+        gap_y = np.maximum(0.0, np.maximum(lo[:, 1] - ys[1:], ys[:-1] - hi[:, 1]))
+        return np.hypot(gap_x, gap_y) <= upper.min(axis=2, keepdims=True) + margin
 
-    gap_x = np.maximum(0.0, np.maximum(lo[:, 0] - xs[1:, None], xs[:-1, None] - hi[:, 0]))
-    rows = []
-    below = corner_dist(ys[0])
-    for r in range(ny):
-        above = corner_dist(ys[r + 1])
-        upper = np.maximum(np.maximum(below[:-1], below[1:]), np.maximum(above[:-1], above[1:]))
-        gap_y = np.maximum(0.0, np.maximum(lo[:, 1] - ys[r + 1], ys[r] - hi[:, 1]))
-        lower = np.hypot(gap_x, gap_y)
-        keep = lower <= upper.min(axis=1, keepdims=True) + margin
-        rows.append([np.flatnonzero(cell).tolist() for cell in keep])
-        below = above
-    return rows
+    ys = np.linspace(0.0, h, ny + 1)[:, None, None]
+    step = max(1, _BLOCK // ((nx + 1) * len(a)))
+    return np.concatenate([rows(ys[r:r + step + 1]) for r in range(0, ny, step)])
 
 
 def rounded_rect_track() -> Track:

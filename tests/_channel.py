@@ -7,11 +7,6 @@ from wardsim.metrics import MetricsAccumulator, RunMetrics
 from wardsim.rf_channel import LinkCondition
 
 
-def in_flight(channel) -> int:
-    """The packets that a channel holds sent and not yet delivered."""
-    return len(channel._in_flight)
-
-
 def _fold(records) -> RunMetrics:
     acc = MetricsAccumulator()
     for r in records:

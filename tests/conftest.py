@@ -7,8 +7,9 @@ and `corridor-fuzz` the checks that the corridor tick's rewritten helpers
 `simulate_ir` with the noise stream it requires), `MotionSimulator.step`
 (with its slip, stream and bias all given), `DeadReckoner.update` and
 `Channel.send` equal the expressions they replaced, that `symmetric_range`
-draws equal `Generator.uniform`'s, and that `Track`'s headings equal atan2
-of the reference tangents:
+draws equal `Generator.uniform`'s, that `Track`'s headings equal atan2
+of the reference tangents, and that a query on its candidate grid equals a
+full scan:
 
     python -m pytest --hypothesis-profile=schema-fuzz \
         "tests/test_scenario.py::test_a_scenario_drawn_from_the_schema_is_rejected_or_runs"
@@ -16,9 +17,9 @@ of the reference tangents:
         "tests/test_metrics.py::test_batch_load_equals_the_per_line_loop"
     python -m pytest --hypothesis-profile=protocol-fuzz \
         "tests/test_protocol.py::test_the_event_driven_leader_equals_one_that_steps_in_full"
-    python -m pytest --hypothesis-profile=corridor-fuzz -k "equal_the or equals_the" \
-        tests/test_line_following.py tests/test_kinematics.py tests/test_rf_channel.py \
-        tests/test_rng.py tests/test_track.py
+    python -m pytest --hypothesis-profile=corridor-fuzz \
+        -k "equal_the or equals_the or equals_full_scan" tests/test_line_following.py \
+        tests/test_kinematics.py tests/test_rf_channel.py tests/test_rng.py tests/test_track.py
 
 Every test must leave CPython's cyclic garbage collector enabled: the
 engine run and the event-log loader pause it and must turn it back on, and a

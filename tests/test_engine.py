@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_golden import ward_shift_config
+from _reference import EveryPhaseEngine, first_difference
+from test_golden import CORPUS, CORPUS_BASE, corpus_config, ward_shift_config
 from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
 from wardsim import metrics as metrics_module
@@ -102,6 +103,32 @@ def test_a_run_log_and_a_loaded_log_refuse_an_earlier_time(tmp_path):
         assert len(each.records) == size + 1
 
 
+def idle_fault_config():
+    """`lost_line` with a medication round at 1 s: the corridor loses the
+    line at 490 ms with no task, and only a step of the faulted follower
+    clears the fault, so that the leader can hand it the delivery."""
+    return validate({**CORPUS_BASE, "name": "idle_fault", **CORPUS["lost_line"],
+                     "schedule": [{"time_ms": 1000, "bed": 1, "slot": 0}]})
+
+
+# every preset, every corpus run, the ward shift and an idle nav fault
+ORACLE_RUNS = {**{name: lambda name=name: load_preset(name) for name in preset_names()},
+               **{f"corpus/{name}": lambda name=name: corpus_config(name) for name in CORPUS},
+               "ward_shift": ward_shift_config, "idle_fault": idle_fault_config}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_the_engine_equals_one_that_runs_every_phase_every_tick(name):
+    # the tick loop calls a phase only when it has work due; a skip that
+    # drops work (a faulted idle follower, the first status light, a stale
+    # follower clock) changes the log
+    log, metrics = run(ORACLE_RUNS[name]())
+    ref_log, ref_metrics = EveryPhaseEngine(ORACLE_RUNS[name]()).run()
+    difference = first_difference(log.to_jsonl(), ref_log.to_jsonl())
+    assert difference is None, f"{name}: {difference}"
+    assert metrics == ref_metrics
+
+
 def test_zero_duration_run_yields_only_the_meta_record():
     log, metrics = run(short_config(duration_ms=0))
     assert [r["kind"] for r in log.records] == ["meta"]
@@ -115,20 +142,20 @@ def test_zero_duration_run_yields_only_the_meta_record():
 
 @pytest.fixture
 def collector_seen(monkeypatch):
-    """gc.isenabled() at each tick of a run (its status-light phase) and at
-    each record check of EventLog.load."""
+    """gc.isenabled() at each tick of a run (its leader step, the one phase
+    called on every tick) and at each record check of EventLog.load."""
     seen = []
-    status_light, check_record = Engine._status_light, metrics_module._check_record
+    leader_step, check_record = Leader.step, metrics_module._check_record
 
-    def tick(self):
+    def tick(self, inbox, now):
         seen.append(gc.isenabled())
-        status_light(self)
+        return leader_step(self, inbox, now)
 
     def check(record):
         seen.append(gc.isenabled())
         check_record(record)
 
-    monkeypatch.setattr(Engine, "_status_light", tick)
+    monkeypatch.setattr(Leader, "step", tick)
     monkeypatch.setattr(metrics_module, "_check_record", check)
     return seen
 
@@ -390,6 +417,21 @@ def test_an_abort_inside_a_leader_step_keeps_the_transitions_it_made(monkeypatch
         run(config)
     assert [(r["time_ms"], r["kind"], r["payload"]["state"])
             for r in exc.value.log.records[-2:]] == [(0, "task", "created")] * 2
+
+
+def test_an_abort_keeps_the_staff_alerts_of_the_tick_that_raised(monkeypatch):
+    # the step at 0 creates the schedule's two tasks, alerts the staff, then fails
+    def dispatch(self, now, outbox):
+        self._notify(now, "info", "dispatch is about to fail", cause="escalation")
+        raise RuntimeError("the dispatch failed")
+
+    monkeypatch.setattr(Leader, "_dispatch", dispatch)
+    config = short_config(schedule=[{"time_ms": 0, "bed": 1, "slot": 0}])
+    with pytest.raises(EngineAbort, match="^RuntimeError: the dispatch failed$") as exc:
+        run(config)
+    assert [(r["time_ms"], r["kind"]) for r in exc.value.log.records[-3:]] == [
+        (0, "task"), (0, "task"), (0, "notification")]
+    assert exc.value.log.records[-1]["payload"]["text"] == "dispatch is about to fail"
 
 
 def test_triage_results_are_delivered_by_ready_time_and_stale_ones_dropped():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _channel import in_flight, measure_pdr, measure_rtt
+from _channel import measure_pdr, measure_rtt
 from wardsim import AddressingError, ConfigurationError
 from wardsim.rf_channel import (Channel, ChannelConfig, DeliveryRecord, LinkCondition, Packet,
                                 PacketKind)
@@ -26,14 +26,14 @@ def cmd(src, dst, seq, t):
 def test_pdr_one_delivers_everything():
     ch = make_channel(pdr_clear=1.0, pdr_obstructed=1.0)
     records = [ch.send(cmd(1, 2, i, i)) for i in range(200)]
-    assert in_flight(ch) == 200
+    assert len(ch.in_flight) == 200
     assert all(r.outcome == "delivered" for r in records)
 
 
 def test_pdr_near_zero_drops_almost_everything():
     ch = make_channel(pdr_clear=1e-9, pdr_obstructed=1e-9)
     records = [ch.send(cmd(1, 2, i, i)) for i in range(200)]
-    assert in_flight(ch) == 0
+    assert len(ch.in_flight) == 0
     assert all(r.outcome == "dropped" and r.delay_ms == 0.0 for r in records)
 
 
@@ -133,7 +133,7 @@ def test_conservation_sent_equals_delivered_plus_dropped():
     delivered = sum(1 for r in records if r.outcome == "delivered")
     dropped = sum(1 for r in records if r.outcome == "dropped")
     assert delivered + dropped == 2000
-    assert in_flight(ch) == delivered
+    assert len(ch.in_flight) == delivered
 
 
 def test_condition_buckets_are_per_directed_link():

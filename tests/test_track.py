@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardsim import ConfigurationError
+from wardsim import track as track_module
 from wardsim.track import Track, TrackQuery, rounded_rect_track
 
 
@@ -174,7 +175,8 @@ def query_points(draw, track):
     return ax + t * (bx - ax), ay + t * (by - ay)
 
 
-@settings(max_examples=300, deadline=None)
+# at least 300 examples in Tier-1, and the `corridor-fuzz` profile's budget in CI
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(st.data())
 def test_grid_query_equals_full_scan(data):
     track = data.draw(tracks())
@@ -200,3 +202,12 @@ def test_default_course_matches_full_scan_on_a_lattice():
     for i in range(-2, 4 * nx + 3):
         for j in range(-2, 4 * ny + 3):
             assert_matches_reference(track, i * w / (4 * nx), j * h / (4 * ny))
+
+
+@pytest.mark.parametrize("block", [1, 36 * 28 * 3])
+def test_a_grid_built_in_blocks_of_rows_equals_one_built_in_one_pass(block, monkeypatch):
+    # a track of many segments builds its grid a few rows at a time: one row
+    # per block, and blocks of three rows that leave a shorter last block
+    whole = rounded_rect_track()
+    monkeypatch.setattr(track_module, "_BLOCK", block)
+    assert rounded_rect_track()._grid == whole._grid
