@@ -23,6 +23,14 @@ class ConfigurationError(ValueError):
     """Invalid parameter or configuration value."""
 
 
+def require(*checks: tuple[bool, str]):
+    """Raise one ConfigurationError that names, joined by "; ", the message
+    of every `(holds, message)` check whose condition does not hold."""
+    failed = [message for holds, message in checks if not holds]
+    if failed:
+        raise ConfigurationError("; ".join(failed))
+
+
 class AddressingError(RuntimeError):
     """Packet sent to an address that does not exist in the scenario."""
 

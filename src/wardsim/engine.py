@@ -3,7 +3,8 @@
 Tick order (one pass per dt): patient script, wearable sampling, triage
 pipeline, leader step, channel deliveries, follower steps, camera checks,
 corridor motion with line following, status light, notifications; each
-record is folded into the metrics as it is made. Only the leader steps on
+record takes its source and its metrics fold from `RECORD_KINDS`, and is
+folded as it is made. Only the leader steps on
 every tick; the tick loop calls every other phase only when it has work due:
 the script when its next event or link change is due, the wearable on a
 sample tick, the triage pipeline when its earliest result is ready, the
@@ -48,6 +49,15 @@ _LATCH_KEYS = (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR, _SEVERE)
 # the corridor drives while it carries out one of these
 _MOVING_KINDS = (TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE)
 
+# every kind of record the engine logs: its source, the one place that names
+# it, and its fold in the metrics (None for a kind they do not read)
+RECORD_KINDS = {kind: (source, MetricsAccumulator.FOLDS.get(kind)) for kind, source in (
+    ("meta", "engine"), ("script", "script"), ("vitals_sample", "wearable"),
+    ("triage", "leader"), ("task", "protocol"), ("packet_send", "channel"),
+    ("packet_deliver", "channel"), ("fall_check", "camera"), ("nav_fault", "navigation"),
+    ("battery_low", "power"), ("nav", "navigation"), ("status_light", "corridor"),
+    ("notification", "leader"))}
+
 
 class EngineAbort(RuntimeError):
     """The tick loop stopped on an exception: an internal invariant failed,
@@ -89,7 +99,7 @@ class Engine:
 
         self.log = EventLog()
         self.acc = MetricsAccumulator()
-        self._append, self._fold_of = self.log.records.append, MetricsAccumulator.FOLDS.get
+        self._append = self.log.records.append
         self._inboxes: dict[int, list[Packet]] = {a: [] for a in robots.addresses}
         # heap of (ready_ms, sample_time, decision). The wearable sends one
         # report per sample and the channel never duplicates a packet, so a
@@ -114,23 +124,22 @@ class Engine:
 
     # -- event plumbing --------------------------------------------------
 
-    def _emit(self, kind: str, payload: dict, source: str):
+    def _emit(self, kind: str, payload: dict):
         # the clock never runs back, so EventLog.append's check is not needed
+        source, fold = RECORD_KINDS[kind]
         self._append({"time_ms": self._now, "source": source, "kind": kind, "payload": payload})
-        fold = self._fold_of(kind)
         if fold is not None:
             fold(self.acc, self._now, payload)
 
-    def _drain(self, entries: list, kind: str, source: str):
+    def _drain(self, entries: list, kind: str):
         """Log the payloads of a list of the leader's (time_ms, payload)
         pairs at the engine's clock, then clear the list."""
         for _, payload in entries:
-            self._emit(kind, payload, source)
+            self._emit(kind, payload)
         entries.clear()
 
     def _send(self, packet: Packet, extra_delay_ms: float = 0.0):
-        rec = self.channel.send(packet, extra_delay_ms)
-        self._emit("packet_send", rec.payload(), "channel")
+        self._emit("packet_send", self.channel.send(packet, extra_delay_ms))
 
     # -- tick phases -----------------------------------------------------
 
@@ -156,7 +165,7 @@ class Engine:
                 "spo2": ev.spo2, "bpm": ev.bpm, "temp": ev.temp,
                 "posture": None if ev.posture is None else ev.posture.value,
                 "wearing": ev.wearing,
-            }, "script")
+            })
         links = self.config.link_conditions
         while self._link_idx < len(links) and links[self._link_idx].time_ms <= self._now:
             lc = links[self._link_idx]
@@ -172,7 +181,7 @@ class Engine:
         self._emit("vitals_sample", {
             "spo2": sample.spo2, "bpm": sample.bpm, "temp": sample.temp,
             "valid": sample.valid,
-        }, "wearable")
+        })
         if not sample.valid:
             # a disconnected wearable is noticed locally, with no radio leg
             self._deliver_triage(sample.sample_time, classify(sample))
@@ -201,18 +210,18 @@ class Engine:
         self._emit("triage", {
             "sample_time": sample_time,
             "flags": list(decision.flag_names),
-            "class": decision.triage_class._value_,  # as in DeliveryRecord.payload
+            "class": decision.triage_class._value_,  # as in Channel.send
             "probs": list(decision.probs),
-        }, "leader")
+        })
         self.leader.handle_triage(decision, self._now)
-        self._drain(self.leader.transitions, "task", "protocol")
+        self._drain(self.leader.transitions, "task")
 
     def _route_deliveries(self):
         for pkt in self.channel.deliveries_due(self._now):
             self._emit("packet_deliver", {
                 "src": pkt.src, "dst": pkt.dst, "packet_kind": pkt.kind._value_,
                 "seq": pkt.seq,
-            }, "channel")
+            })
             if pkt.kind is PacketKind.VITALS_REPORT and pkt.dst == self.leader.address:
                 sample = pkt.payload["sample"]
                 self._queue_triage(sample.sample_time, self._debounce(classify(sample)))
@@ -258,7 +267,7 @@ class Engine:
         outcome = detect_fall(self.patient.posture, cfg.fall_detector,
                               self.streams["fall_detector"])
         self._emit("fall_check", {"posture": self.patient.posture.value,
-                                  "outcome": outcome.value}, "camera")
+                                  "outcome": outcome.value})
         fall_seen = (outcome is FallOutcome.FALLEN_DETECTED
                      or (self.patient.posture is Posture.STANDING
                          and outcome is FallOutcome.MISCLASSIFIED))
@@ -280,8 +289,7 @@ class Engine:
                                           self.streams["ir_noise"])
         if self.follower_ctl.faulted:
             self.corridor.nav_fault = True
-            self._emit("nav_fault", {"x": self.motion.pose.x, "y": self.motion.pose.y},
-                       "navigation")
+            self._emit("nav_fault", {"x": self.motion.pose.x, "y": self.motion.pose.y})
             # operator re-places the robot on the line and it resumes
             q = cfg.track.query(self.motion.pose.x, self.motion.pose.y)
             self.motion.pose = Pose(q.point[0], q.point[1], q.heading)
@@ -298,7 +306,7 @@ class Engine:
         if cfg.battery.budget_units > 0 and not self._battery_low \
                 and self._energy > cfg.battery.budget_units:
             self._battery_low = True
-            self._emit("battery_low", {"energy": self._energy}, "power")
+            self._emit("battery_low", {"energy": self._energy})
         q = cfg.track.query(pose.x, pose.y)
         self._emit("nav", {
             "x": pose.x, "y": pose.y, "theta": pose.theta,
@@ -307,7 +315,7 @@ class Engine:
             "drift_raw": drift_error(raw, pose),
             "drift_corrected": drift_error(corr, pose),
             "energy": self._energy,
-        }, "navigation")
+        })
 
     def _correct_estimate(self, est: Pose) -> Pose:
         cfg = self.config
@@ -325,7 +333,7 @@ class Engine:
         light = self.corridor.status_light()
         if light is not self._last_light:
             self._last_light = light
-            self._emit("status_light", {"value": light.value}, "corridor")
+            self._emit("status_light", {"value": light.value})
 
     # -- main loop -------------------------------------------------------
 
@@ -341,7 +349,7 @@ class Engine:
             "scenario": cfg.name, "seed": cfg.seed, "dt_ms": cfg.dt_ms,
             "duration_ms": cfg.duration_ms, "budgets_ms": dict(cfg.budgets_ms),
             "line_width": cfg.track.line_width,
-        }, "engine")
+        })
         dt_ms, dt_s = cfg.dt_ms, cfg.dt_ms / 1000.0
         leader, corridor, inboxes = self.leader, self.corridor, self._inboxes
         triage, in_flight = self._pending_triage, self.channel.in_flight
@@ -363,15 +371,13 @@ class Engine:
                     if inbox:
                         inboxes[leader.address] = []
                     if leader.transitions:
-                        self._drain(leader.transitions, "task", "protocol")
+                        self._drain(leader.transitions, "task")
                     for pkt in leader_out:
                         self._send(pkt)
 
                     if in_flight and in_flight[0][0] <= now:
                         self._route_deliveries()
 
-                    # a skipped step would change nothing but the follower's
-                    # last step time, so a stepped one is told the tick
                     light_due = tick == 0
                     for addr, follower in self._step_order:
                         inbox = inboxes[addr]
@@ -379,7 +385,7 @@ class Engine:
                             continue
                         if inbox:
                             inboxes[addr] = []
-                        for pkt in follower.step(inbox, now, dt_ms if tick else 0):
+                        for pkt in follower.step(inbox, now, dt_ms):
                             self._send(pkt)
                         if follower is corridor:
                             light_due = True
@@ -398,15 +404,15 @@ class Engine:
                     if light_due:
                         self._status_light()
                     if leader.notifications:
-                        self._drain(leader.notifications, "notification", "leader")
+                        self._drain(leader.notifications, "notification")
         except Exception as exc:
             # an invariant can fail, and a validated scenario can still drive
             # the state out of range (a wheel radius near the float maximum
             # overflows the pose, whose constructor refuses a non-finite
             # coordinate); whatever stops the loop, the log so far is kept,
             # with the transitions and staff alerts of the tick that raised
-            self._drain(leader.transitions, "task", "protocol")
-            self._drain(leader.notifications, "notification", "leader")
+            self._drain(leader.transitions, "task")
+            self._drain(leader.notifications, "notification")
             raise EngineAbort(f"{type(exc).__name__}: {exc}", self.log) from exc
         return self.log, self.acc.result()
 

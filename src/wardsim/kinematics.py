@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 
-from . import ConfigurationError
+from . import ConfigurationError, require
 from .rng import Doubles, symmetric_range
 
 TWO_PI = 2.0 * math.pi
@@ -104,10 +104,8 @@ def drift_error(estimate: Pose, truth: Pose) -> float:
 
 def check_slip(slip_halfwidth: float, slip_bias_halfwidth: float):
     """The slip half-widths MotionSimulator accepts; raises ConfigurationError."""
-    if not 0.0 <= slip_halfwidth <= 0.1:
-        raise ConfigurationError("slip_halfwidth must be in [0, 0.1]")
-    if not 0.0 <= slip_bias_halfwidth <= 0.1:
-        raise ConfigurationError("slip_bias_halfwidth must be in [0, 0.1]")
+    require((0.0 <= slip_halfwidth <= 0.1, "slip_halfwidth must be in [0, 0.1]"),
+            (0.0 <= slip_bias_halfwidth <= 0.1, "slip_bias_halfwidth must be in [0, 0.1]"))
 
 
 class MotionSimulator:

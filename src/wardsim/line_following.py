@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-from . import ConfigurationError
+from . import ConfigurationError, require
 from .kinematics import Pose
 from .rng import Doubles, symmetric_range
 from .track import Track
@@ -55,10 +55,8 @@ class PidGains:
     integral_clamp: float = 4.0
 
     def __post_init__(self):
-        if not (self.kp >= 0 and self.ki >= 0 and self.kd >= 0):
-            raise ConfigurationError("gains must be nonnegative")
-        if not self.integral_clamp > 0:
-            raise ConfigurationError("integral_clamp must be positive")
+        require((self.kp >= 0 and self.ki >= 0 and self.kd >= 0, "gains must be nonnegative"),
+                (self.integral_clamp > 0, "integral_clamp must be positive"))
 
 
 @dataclass

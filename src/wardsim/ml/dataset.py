@@ -35,8 +35,6 @@ _REGIMES = (
 class LabeledDataset:
     features: np.ndarray  # (n, 4) float
     labels: np.ndarray    # (n,) int, an index into SEVERITY_ORDER
-    seed: int
-    noise_rate: float
 
     def __len__(self):
         return len(self.labels)
@@ -91,4 +89,4 @@ def generate_dataset(n: int = 1000, noise_rate: float = 0.05, seed: int = 0) -> 
         for i in np.flatnonzero(flip):
             others = [c for c in range(N_CLASSES) if c != labels[i]]
             labels[i] = others[rng.integers(len(others))]
-    return LabeledDataset(features, labels, seed=seed, noise_rate=noise_rate)
+    return LabeledDataset(features, labels)

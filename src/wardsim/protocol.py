@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from . import ConfigurationError, InvariantError
+from . import ConfigurationError, InvariantError, require
 from .rf_channel import Packet, PacketKind
 from .vitals import Flag, TriageClass, TriageDecision
 
@@ -128,11 +128,9 @@ class TimeoutPolicy:
 
     def __post_init__(self):
         # a wait that is over at once escalates every task
-        for key in ("timeout_ms", "exec_timeout_ms"):
-            if not getattr(self, key) > 0:
-                raise ConfigurationError(f"{key} must be positive")
-        if not self.max_retries >= 0:
-            raise ConfigurationError("max_retries must be nonnegative")
+        require((self.timeout_ms > 0, "timeout_ms must be positive"),
+                (self.exec_timeout_ms > 0, "exec_timeout_ms must be positive"),
+                (self.max_retries >= 0, "max_retries must be nonnegative"))
 
 
 @dataclass(frozen=True)
@@ -468,10 +466,8 @@ class Follower:
     """Corridor robot or arm endpoint: acks, executes, reports.
 
     A step with an empty inbox, no active execution and no nav fault changes
-    only `finished` and the time of the last step, so a caller may skip it. A
-    caller that does passes `elapsed_ms` to the next step it makes, so that a
-    new execution's first decrement is still one tick, and reads `finished`
-    only after a step it made."""
+    only `finished`: a caller may skip an idle step and reads `finished` only
+    after a step it made."""
 
     def __init__(self, address: int, leader_address: int,
                  capabilities: frozenset[TaskKind], exec_duration_ms: dict[TaskKind, int]):
@@ -488,7 +484,6 @@ class Follower:
         self.execution_count: dict[int, int] = {}  # starts per task id: exactly-once audit
         self.nav_fault = False
         self._out_seq = 0
-        self._last_now = None
 
     def _report(self, task_id, status: str, now: int, outbox: list, **detail):
         """Put one STATUS in the outbox under this follower's next sequence number."""
@@ -522,14 +517,11 @@ class Follower:
             return Availability.FAULTED
         return Availability.BUSY if self.active else Availability.IDLE
 
-    def step(self, inbox: list[Packet], now: int, elapsed_ms: float | None = None) -> list[Packet]:
+    def step(self, inbox: list[Packet], now: int, elapsed_ms: float) -> list[Packet]:
         """Handle the inbox and advance the active execution by `elapsed_ms`,
-        by default the time since this follower's last step (0 at its first)."""
+        the length of the caller's tick."""
         outbox: list[Packet] = []
         self.finished = []
-        if elapsed_ms is None:
-            elapsed_ms = 0.0 if self._last_now is None else now - self._last_now
-        self._last_now = now
         if self.active is None:
             # a fault with no task under way fails nothing: the robot is
             # re-placed on the line and is available again

@@ -5,10 +5,9 @@ link condition; dropped packets vanish silently, so loss is only observable
 through protocol timeouts. One-way delay is half the configured round trip
 plus symmetric uniform jitter, floored at 1 ms.
 
-The channel keeps no delivery log: `send` returns the send's
-`DeliveryRecord`, whose `payload()` the engine logs as a `packet_send` event,
-and the delivery ratio and round trip are folded from those events with the
-other metrics.
+The channel keeps no delivery log: `send` returns the payload of the send's
+`packet_send` event, which the engine logs as it is, and the delivery ratio
+and round trip are folded from those events with the other metrics.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import AddressingError, ConfigurationError
+from . import AddressingError, ConfigurationError, require
 from .rng import Doubles, symmetric_range
 
 
@@ -35,9 +34,9 @@ class LinkCondition(enum.Enum):
     OBSTRUCTED = "obstructed"
 
 
-# Packet and DeliveryRecord are immutable records made for every send; as
-# NamedTuples they cost under half as much to build as a frozen dataclass,
-# whose __init__ sets each field through object.__setattr__.
+# Packet is an immutable record made for every send; as a NamedTuple it
+# costs under half as much to build as a frozen dataclass, whose __init__
+# sets each field through object.__setattr__.
 
 class Packet(NamedTuple):
     src: int
@@ -56,40 +55,25 @@ class ChannelConfig:
     one_way_jitter_ms: float = 3.0
 
     def __post_init__(self):
-        if not (0.0 < self.pdr_obstructed <= self.pdr_clear <= 1.0):
-            raise ConfigurationError("require 0 < pdr_obstructed <= pdr_clear <= 1")
-        if not self.rtt_ms > 0:
-            raise ConfigurationError("rtt_ms must be positive")
-        # a delivered packet's jitter is uniform(-j, j); not a field, so set past __setattr__
-        object.__setattr__(self, "jitter_range", symmetric_range(self.one_way_jitter_ms, "jitter"))
+        try:
+            # a delivered packet's jitter is uniform(-j, j); not a field, so set past __setattr__
+            object.__setattr__(self, "jitter_range",
+                               symmetric_range(self.one_way_jitter_ms, "jitter"))
+            jitter_error = None
+        except ConfigurationError as exc:
+            jitter_error = str(exc)
+        require((0.0 < self.pdr_obstructed <= self.pdr_clear <= 1.0,
+                 "require 0 < pdr_obstructed <= pdr_clear <= 1"),
+                (self.rtt_ms > 0, "rtt_ms must be positive"),
+                (jitter_error is None, jitter_error))
 
     def pdr(self, condition: LinkCondition) -> float:
         return self.pdr_clear if condition is LinkCondition.CLEAR else self.pdr_obstructed
 
 
-class DeliveryRecord(NamedTuple):
-    time_ms: int
-    src: int
-    dst: int
-    kind: PacketKind
-    seq: int
-    condition: LinkCondition
-    outcome: str          # "delivered" | "dropped"
-    delay_ms: float       # one-way delay for delivered packets, 0 for drops
-
-    def payload(self) -> dict:
-        """The payload of this send's `packet_send` event."""
-        # `_value_` is the plain attribute behind `.value`, which on Python
-        # 3.11 is a Python-level descriptor about four times slower to read;
-        # the engine reads it the same way on its other per-record paths
-        return {"src": self.src, "dst": self.dst, "packet_kind": self.kind._value_,
-                "seq": self.seq, "condition": self.condition._value_,
-                "outcome": self.outcome, "delay_ms": self.delay_ms}
-
-
 class Channel:
     """Owns link conditions and the in-flight queue; keeps no delivery log,
-    since each send returns its record. `in_flight` is a heap of
+    since each send returns its event's payload. `in_flight` is a heap of
     (delivery time, send count, packet), which callers only read: its head
     is the next delivery."""
 
@@ -108,25 +92,31 @@ class Channel:
     def condition_for(self, src: int, dst: int) -> LinkCondition:
         return self.conditions.get((src, dst), LinkCondition.CLEAR)
 
-    def send(self, packet: Packet, extra_delay_ms: float = 0.0) -> DeliveryRecord:
-        """Submit a packet at packet.sent_at and return the record of what
-        became of it, for the event log (the protocol must not peek —
-        reliability belongs to the protocol)."""
+    def send(self, packet: Packet, extra_delay_ms: float = 0.0) -> dict:
+        """Submit a packet at packet.sent_at and return what became of it as
+        the payload of its `packet_send` event: the outcome, "delivered" or
+        "dropped", and the one-way delay, 0 for a drop (the protocol must not
+        peek — reliability belongs to the protocol)."""
         if packet.dst not in self.addresses:
             raise AddressingError(f"unknown destination address {packet.dst}")
         cond = self.condition_for(packet.src, packet.dst)
         if not self.rng.random() < self.config.pdr(cond):
-            return DeliveryRecord(packet.sent_at, packet.src, packet.dst,
-                                  packet.kind, packet.seq, cond, "dropped", 0.0)
-        span = self._jitter_span
-        delay = self.config.rtt_ms / 2.0 + (self._jitter_low + span * self.rng.random()
-                                            if span > 0 else 0.0)
-        delay = max(delay, 1.0)
-        heapq.heappush(self.in_flight,
-                       (packet.sent_at + delay + extra_delay_ms, self._counter, packet))
-        self._counter += 1
-        return DeliveryRecord(packet.sent_at, packet.src, packet.dst,
-                              packet.kind, packet.seq, cond, "delivered", delay)
+            outcome, delay = "dropped", 0.0
+        else:
+            span = self._jitter_span
+            delay = self.config.rtt_ms / 2.0 + (self._jitter_low + span * self.rng.random()
+                                                if span > 0 else 0.0)
+            delay = max(delay, 1.0)
+            heapq.heappush(self.in_flight,
+                           (packet.sent_at + delay + extra_delay_ms, self._counter, packet))
+            self._counter += 1
+            outcome = "delivered"
+        # `_value_` is the plain attribute behind `.value`, which on Python
+        # 3.11 is a Python-level descriptor about four times slower to read;
+        # the engine reads it the same way on its other per-record paths
+        return {"src": packet.src, "dst": packet.dst, "packet_kind": packet.kind._value_,
+                "seq": packet.seq, "condition": cond._value_,
+                "outcome": outcome, "delay_ms": delay}
 
     def deliveries_due(self, now_ms: float) -> list[Packet]:
         """Pop all packets whose delivery time has arrived, in order."""

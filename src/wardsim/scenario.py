@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from . import ConfigurationError
+from . import ConfigurationError, require
 from .kinematics import ChassisParams, Pose, check_slip
 from .line_following import DEFAULT_BASE_RPM, DEFAULT_DETECT_THRESHOLD, IrGeometry, PidGains
 from .protocol import DEFAULT_EXEC_DURATIONS_MS, ScheduleEntry, TaskKind, TimeoutPolicy
@@ -65,17 +65,15 @@ class PatientEvent:
     wearing: bool | None = None
 
     def __post_init__(self):
-        if self.kind is not None and self.kind not in SCENARIO_KINDS:
-            raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         # the patient model clamps to these ranges, so a value outside one
         # would run as the range's end
-        out = [f"{key} must be in [{lo:g}, {hi:g}], got {value!r}"
-               for key, value, (lo, hi) in (("spo2", self.spo2, SPO2_RANGE),
-                                            ("bpm", self.bpm, BPM_RANGE),
-                                            ("temp", self.temp, TEMP_RANGE))
-               if value is not None and not lo <= value <= hi]
-        if out:
-            raise ConfigurationError("; ".join(out))
+        require((self.kind is None or self.kind in SCENARIO_KINDS,
+                 f"unknown scenario kind {self.kind!r}"),
+                *((value is None or lo <= value <= hi,
+                   f"{key} must be in [{lo:g}, {hi:g}], got {value!r}")
+                  for key, value, (lo, hi) in (("spo2", self.spo2, SPO2_RANGE),
+                                               ("bpm", self.bpm, BPM_RANGE),
+                                               ("temp", self.temp, TEMP_RANGE))))
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,8 @@ class Battery:
 
     def __post_init__(self):
         # a negative factor drives the robot backwards once the battery is low
-        for key in ("budget_units", "low_speed_factor"):
-            if not getattr(self, key) >= 0:
-                raise ConfigurationError(f"{key} must be nonnegative")
+        require((self.budget_units >= 0, "budget_units must be nonnegative"),
+                (self.low_speed_factor >= 0, "low_speed_factor must be nonnegative"))
 
 
 @dataclass(frozen=True)
@@ -322,6 +319,10 @@ _PARSERS = {
 }
 
 
+# the scenario's lists of timed events
+_EVENT_LISTS = ("patient_script", "schedule", "link_conditions")
+
+
 def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
     """Validate a raw scenario mapping; raises ScenarioValidationError with
     every problem found. `name` names a scenario that does not name itself."""
@@ -342,6 +343,10 @@ def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
     errors.extend(f"link_conditions[{i}].{k}: {end} is not a robot address"
                   for i, event in enumerate(cfg.link_conditions)
                   for k, end in (("src", event.src), ("dst", event.dst)) if end not in addresses)
+    # an event listed before time 0 would run at the first tick
+    errors.extend(f"{key}[{i}].time_ms: must be nonnegative"
+                  for key in _EVENT_LISTS
+                  for i, event in enumerate(getattr(cfg, key)) if event.time_ms < 0)
     # the engine samples on ticks whose time is a multiple of the period (a
     # period of 0 turns it off), so any other period would silently sample
     # less often than asked; a duration runs whole ticks only
@@ -371,8 +376,8 @@ def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
         raise ScenarioValidationError(errors)
     # the engine reads each list with a cursor; the sort is stable, so
     # events at the same time keep their file order
-    for events in (cfg.patient_script, cfg.schedule, cfg.link_conditions):
-        events.sort(key=lambda e: e.time_ms)
+    for key in _EVENT_LISTS:
+        getattr(cfg, key).sort(key=lambda e: e.time_ms)
     return cfg
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ConfigurationError
+from . import ConfigurationError, require
 from .rng import Doubles, symmetric_range
 
 SPO2_RANGE = (50.0, 100.0)
@@ -256,9 +256,9 @@ class FallDetectorModel:
     check_period_ms: int = 100  # periodic checks while the patient is down
 
     def __post_init__(self):
-        for p in (self.sensitivity_fallen, self.sensitivity_standing):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigurationError("sensitivities must be probabilities")
+        require((0.0 <= self.sensitivity_fallen <= 1.0, "sensitivity_fallen must be a probability"),
+                (0.0 <= self.sensitivity_standing <= 1.0,
+                 "sensitivity_standing must be a probability"))
 
 
 def detect_fall(posture: Posture, model: FallDetectorModel, rng: Doubles) -> FallOutcome:
@@ -280,10 +280,9 @@ class LatencyConfig:
     ai_flags: frozenset[Flag] = frozenset({Flag.FEVER})
 
     def __post_init__(self):
-        for v in (self.vitals_transmit_ms, self.ai_decision_ms,
-                  self.threshold_decision_ms, self.fall_path_ms):
-            if not v >= 0:
-                raise ConfigurationError("latencies must be nonnegative")
+        require(*((getattr(self, key) >= 0, f"{key} must be nonnegative")
+                  for key in ("vitals_transmit_ms", "ai_decision_ms",
+                              "threshold_decision_ms", "fall_path_ms")))
 
 
 def triage_delay_ms(flags, config: LatencyConfig) -> int:

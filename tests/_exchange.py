@@ -67,7 +67,7 @@ def run_lossy_exchange(seed: int, pdr: float, n_entries: int = 1,
             channel.send(pkt)
         inboxes[LEADER].clear()
         for addr, fol in followers.items():
-            for pkt in fol.step(inboxes[addr], now):
+            for pkt in fol.step(inboxes[addr], now, dt_ms if now else 0):
                 channel.send(pkt)
             inboxes[addr].clear()
         if leader.tasks and all(t.state in TERMINAL_STATES
@@ -208,7 +208,7 @@ def protocol_transcript(seed: int, pdr: float, roster_name: str, exec_name: str 
         for pkt in channel.deliveries_due(now):
             inboxes[pkt.dst].append(pkt)
         for addr, fol in followers.items():
-            for pkt in fol.step(inboxes[addr], now):
+            for pkt in fol.step(inboxes[addr], now, dt_ms if now else 0):
                 lines.append(_packet_line(now, pkt))
                 channel.send(pkt)
             inboxes[addr] = []

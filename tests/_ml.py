@@ -29,7 +29,7 @@ def load_csv(path) -> LabeledDataset:
         for row in r:
             feats.append([float(v) for v in row[:4]])
             labels.append(int(row[4]))
-    return LabeledDataset(np.array(feats), np.array(labels, dtype=int), seed=-1, noise_rate=float("nan"))
+    return LabeledDataset(np.array(feats), np.array(labels, dtype=int))
 
 
 def save_confusion_csv(report, path) -> None:

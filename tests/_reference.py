@@ -1,9 +1,9 @@
 """A reference engine for the tick loop's skips: `EveryPhaseEngine` calls
 every phase and steps every follower on every tick, and each phase decides
 for itself whether it has anything to do, as the engine did before its loop
-learned to call a phase only when it has work due. Its followers keep their
-own clock (`Follower.step` with no `elapsed_ms`), and it reads the corridor's
-`finished` list after every tick.
+learned to call a phase only when it has work due. Each follower step is
+told the time since the previous tick, 0 at tick 0, and it reads the
+corridor's `finished` list after every tick.
 
 `first_difference` names where two logs part, so that a mismatch says which
 record the skips changed."""
@@ -41,24 +41,24 @@ class EveryPhaseEngine(Engine):
             "scenario": cfg.name, "seed": cfg.seed, "dt_ms": cfg.dt_ms,
             "duration_ms": cfg.duration_ms, "budgets_ms": dict(cfg.budgets_ms),
             "line_width": cfg.track.line_width,
-        }, "engine")
-        dt_s, leader = cfg.dt_ms / 1000.0, self.leader
-        for tick in range(cfg.duration_ms // cfg.dt_ms):
-            self._now = tick * cfg.dt_ms
+        })
+        dt_ms, dt_s, leader = cfg.dt_ms, cfg.dt_ms / 1000.0, self.leader
+        for tick in range(cfg.duration_ms // dt_ms):
+            self._now = tick * dt_ms
             self._apply_script()
             self._sample_wearable()
             self._triage_ready()
 
             leader_out = leader.step(self._inboxes[leader.address], self._now)
             self._inboxes[leader.address] = []
-            self._drain(leader.transitions, "task", "protocol")
+            self._drain(leader.transitions, "task")
             for pkt in leader_out:
                 self._send(pkt)
 
             self._route_deliveries()
 
             for addr, follower in self._step_order:
-                out = follower.step(self._inboxes[addr], self._now)
+                out = follower.step(self._inboxes[addr], self._now, dt_ms if tick else 0)
                 self._inboxes[addr] = []
                 for pkt in out:
                     self._send(pkt)
@@ -69,7 +69,7 @@ class EveryPhaseEngine(Engine):
             self._camera_checks()
             self._drive(dt_s)
             self._status_light()
-            self._drain(leader.notifications, "notification", "leader")
+            self._drain(leader.notifications, "notification")
         return self.log, self.acc.result()
 
 

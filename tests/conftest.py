@@ -6,7 +6,9 @@ and `corridor-fuzz` the checks that the corridor tick's rewritten helpers
 (`line_error` with its fixed weights, `apply_control` with its fixed cap,
 `simulate_ir` with the noise stream it requires), `MotionSimulator.step`
 (with its slip, stream and bias all given), `DeadReckoner.update` and
-`Channel.send` equal the expressions they replaced, that `symmetric_range`
+`Channel.send` equal the expressions they replaced (for `Channel.send`, the
+`packet_send` payloads it returns and the packets it queues, with the
+jitter drawn by `Generator.uniform`), that `symmetric_range`
 draws equal `Generator.uniform`'s, that `Track`'s headings equal atan2
 of the reference tangents, and that a query on its candidate grid equals a
 full scan:

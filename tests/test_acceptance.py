@@ -32,21 +32,22 @@ def test_criterion_01_channel_fidelity_soak():
     command round trip within 37 +- 1 ms, in under 5 s of wall time."""
     rng = np.random.default_rng(0)
     ch = Channel(ChannelConfig(), [1, 2], rng)
-    records = []
+    sends = []
     t = 0.0
     for phase, cond in ((0, LinkCondition.CLEAR), (1, LinkCondition.OBSTRUCTED)):
         ch.set_condition(1, 2, cond)
         ch.set_condition(2, 1, cond)
         for i in range(20_000):
             seq = phase * 20_000 + i
-            rec = ch.send(Packet(1, 2, seq, PacketKind.COMMAND, {}, t))
-            records.append(rec)
-            if rec.outcome == "delivered":
+            sent = ch.send(Packet(1, 2, seq, PacketKind.COMMAND, {}, t))
+            sends.append((t, sent))
+            if sent["outcome"] == "delivered":
                 # the far end acks the instant the command arrives
-                records.append(ch.send(Packet(2, 1, seq, PacketKind.ACK, {}, t + rec.delay_ms)))
+                acked_at = t + sent["delay_ms"]
+                sends.append((acked_at, ch.send(Packet(2, 1, seq, PacketKind.ACK, {}, acked_at))))
             t += 50.0
-    pdr = measure_pdr(records)
-    rtt_mean, rtt_std = measure_rtt(records)
+    pdr = measure_pdr(sends)
+    rtt_mean, rtt_std = measure_rtt(sends)
     ok = (abs(pdr[LinkCondition.CLEAR] - 0.96) <= 0.01
           and abs(pdr[LinkCondition.OBSTRUCTED] - 0.92) <= 0.01
           and abs(rtt_mean - 37.0) <= 1.0)

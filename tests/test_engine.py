@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +19,7 @@ from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
 from wardsim import metrics as metrics_module
 from wardsim.cli import main
-from wardsim.engine import Engine, EngineAbort, export_outputs, run, run_suite
+from wardsim.engine import RECORD_KINDS, Engine, EngineAbort, export_outputs, run, run_suite
 from wardsim.metrics import EventLog, MetricsAccumulator, gc_paused, replay_metrics
 from wardsim.protocol import TERMINAL_STATES, Leader
 from wardsim.scenario import load_preset, preset_names, validate
@@ -120,13 +121,32 @@ ORACLE_RUNS = {**{name: lambda name=name: load_preset(name) for name in preset_n
 @pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
 def test_the_engine_equals_one_that_runs_every_phase_every_tick(name):
     # the tick loop calls a phase only when it has work due; a skip that
-    # drops work (a faulted idle follower, the first status light, a stale
-    # follower clock) changes the log
+    # drops work (a faulted idle follower, the first status light) changes
+    # the log
     log, metrics = run(ORACLE_RUNS[name]())
     ref_log, ref_metrics = EveryPhaseEngine(ORACLE_RUNS[name]()).run()
     difference = first_difference(log.to_jsonl(), ref_log.to_jsonl())
     assert difference is None, f"{name}: {difference}"
     assert metrics == ref_metrics
+
+
+def test_the_readme_states_each_record_kind_with_its_source_and_payload_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Event log\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    documented = {kind.strip(" `"): (source.strip(" `"), [k.strip(" `") for k in keys.split(",")])
+                  for kind, source, keys in rows}
+    assert ({kind: source for kind, (source, _) in documented.items()}
+            == {kind: source for kind, (source, _) in RECORD_KINDS.items()})
+    # between them, these runs log every kind
+    seen = set()
+    for config in (load_preset("alert_fall"), corpus_config("lost_line"),
+                   corpus_config("battery_low")):
+        for record in run(config)[0].records:
+            seen.add(kind := record["kind"])
+            assert record["source"] == documented[kind][0]
+            assert list(record["payload"]) == documented[kind][1], kind
+    assert seen == set(RECORD_KINDS)
 
 
 def test_zero_duration_run_yields_only_the_meta_record():
@@ -381,7 +401,7 @@ def test_status_light_changes_are_logged_once_per_change():
 
 def test_engine_abort_carries_partial_log():
     engine = Engine(short_config())
-    engine._emit("meta", {}, "engine")
+    engine._emit("meta", {})
     # corrupt the corridor follower so the next leader packet is misrouted
     engine.corridor.address = 99
     with pytest.raises(EngineAbort) as exc:

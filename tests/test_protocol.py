@@ -212,11 +212,11 @@ def cmd(seq, task_id, kind=TaskKind.PATROL_CHECK, emergency=False, t=0, dst=2):
 
 def test_follower_acks_every_receipt_and_executes_once():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 100 for k in TaskKind})
-    out1 = fol.step([cmd(1, 7)], 0)
-    out2 = fol.step([cmd(2, 7)], 10)   # duplicate command after a lost ack
+    out1 = fol.step([cmd(1, 7)], 0, 0)
+    out2 = fol.step([cmd(2, 7)], 10, 10)   # duplicate command after a lost ack
     assert [p.kind for p in out1] == [PacketKind.ACK]
     assert [p.kind for p in out2] == [PacketKind.ACK]
-    out3 = fol.step([], 200)
+    out3 = fol.step([], 200, 190)
     assert [p.kind for p in out3] == [PacketKind.STATUS]
     assert out3[0].payload["status"] == "completed"
     assert fol.execution_count[7] == 1
@@ -224,8 +224,8 @@ def test_follower_acks_every_receipt_and_executes_once():
 
 def test_follower_resends_status_for_completed_task():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 0 for k in TaskKind})
-    fol.step([cmd(1, 7)], 0)
-    out = fol.step([cmd(2, 7)], 50)   # retry after the status was dropped
+    fol.step([cmd(1, 7)], 0, 0)
+    out = fol.step([cmd(2, 7)], 50, 50)   # retry after the status was dropped
     statuses = [p for p in out if p.kind is PacketKind.STATUS]
     assert len(statuses) == 1
     assert statuses[0].payload == {"task_id": 7, "status": "completed"}
@@ -234,15 +234,15 @@ def test_follower_resends_status_for_completed_task():
 
 def test_follower_rejects_unsupported_kind():
     fol = Follower(2, 1, frozenset({TaskKind.PATROL_CHECK}), DEFAULT_EXEC_DURATIONS_MS)
-    out = fol.step([cmd(1, 7, kind=TaskKind.ARM_DISPENSE)], 0)
+    out = fol.step([cmd(1, 7, kind=TaskKind.ARM_DISPENSE)], 0, 0)
     statuses = [p for p in out if p.kind is PacketKind.STATUS]
     assert statuses[0].payload["status"] == "rejected_unsupported"
 
 
 def test_follower_rejects_second_routine_task_while_busy():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
-    fol.step([cmd(1, 7)], 0)
-    out = fol.step([cmd(2, 8)], 10)
+    fol.step([cmd(1, 7)], 0, 0)
+    out = fol.step([cmd(2, 8)], 10, 10)
     statuses = [p for p in out if p.kind is PacketKind.STATUS]
     assert statuses[0].payload["status"] == "rejected_busy"
     assert 8 not in fol.execution_count
@@ -250,21 +250,21 @@ def test_follower_rejects_second_routine_task_while_busy():
 
 def test_emergency_preempts_and_parks_without_cancelling():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
-    fol.step([cmd(1, 7)], 0)
-    fol.step([cmd(2, 9, emergency=True)], 10)
+    fol.step([cmd(1, 7)], 0, 0)
+    fol.step([cmd(2, 9, emergency=True)], 10, 10)
     assert fol.active.task_id == 9
     assert [e.task_id for e in fol.parked] == [7]
     assert fol.status_light() is StatusLight.EMERGENCY
-    out = fol.step([], 1100)   # emergency finishes; parked work resumes
+    out = fol.step([], 1100, 1090)   # emergency finishes; parked work resumes
     assert out[0].payload == {"task_id": 9, "status": "completed"}
     assert fol.active.task_id == 7
 
 
 def test_nav_fault_reports_failure_and_clears():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
-    fol.step([cmd(1, 7)], 0)
+    fol.step([cmd(1, 7)], 0, 0)
     fol.nav_fault = True
-    out = fol.step([], 100)
+    out = fol.step([], 100, 100)
     assert out[0].payload["status"] == "failed"
     assert fol.active is None and not fol.nav_fault
     assert fol.availability is Availability.IDLE
@@ -272,16 +272,16 @@ def test_nav_fault_reports_failure_and_clears():
 
 def test_a_failed_emergency_resumes_the_work_it_parked():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
-    fol.step([cmd(1, 7)], 0)
-    fol.step([cmd(2, 9, emergency=True)], 10)   # parks patrol 7, 1000 ms to go
+    fol.step([cmd(1, 7)], 0, 0)
+    fol.step([cmd(2, 9, emergency=True)], 10, 10)   # parks patrol 7, 1000 ms to go
     fol.nav_fault = True
-    out = fol.step([], 20)
+    out = fol.step([], 20, 10)
     assert [p.payload for p in out] == [
         {"task_id": 9, "status": "failed", "detail": "navigation fault: line lost"}]
     assert (fol.active.task_id, fol.parked) == (7, [])
     assert fol.status_light() is StatusLight.PATROL
-    assert fol.step([], 1019) == []
-    out = fol.step([], 1020)
+    assert fol.step([], 1019, 999) == []
+    out = fol.step([], 1020, 1)
     assert [p.payload for p in out] == [{"task_id": 7, "status": "completed"}]
     assert [e.task_id for e in fol.finished] == [7] and fol.completed == {7}
     assert fol.availability is Availability.IDLE
@@ -302,27 +302,27 @@ def test_nav_fault_while_idle_clears_on_the_next_step():
     fol = Follower(2, 1, ALL, DEFAULT_EXEC_DURATIONS_MS)
     fol.nav_fault = True
     assert fol.availability is Availability.FAULTED
-    assert fol.step([], 0) == []
+    assert fol.step([], 0, 0) == []
     assert fol.availability is Availability.IDLE
     # and a command then starts at once
-    assert [p.kind for p in fol.step([cmd(1, 7)], 10)] == [PacketKind.ACK]
+    assert [p.kind for p in fol.step([cmd(1, 7)], 10, 10)] == [PacketKind.ACK]
     assert fol.active is not None and fol.execution_count == {7: 1}
 
 
 def test_status_light_mapping():
     fol = Follower(2, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
     assert fol.status_light() is StatusLight.IDLE
-    fol.step([cmd(1, 7, kind=TaskKind.PATROL_CHECK)], 0)
+    fol.step([cmd(1, 7, kind=TaskKind.PATROL_CHECK)], 0, 0)
     assert fol.status_light() is StatusLight.PATROL
     fol2 = Follower(3, 1, ALL, exec_duration_ms={k: 1000 for k in TaskKind})
-    fol2.step([cmd(1, 8, kind=TaskKind.DELIVER_MEDICINE, dst=3)], 0)
+    fol2.step([cmd(1, 8, kind=TaskKind.DELIVER_MEDICINE, dst=3)], 0, 0)
     assert fol2.status_light() is StatusLight.DELIVERY
 
 
 def test_misaddressed_packet_raises():
     fol = Follower(2, 1, ALL, DEFAULT_EXEC_DURATIONS_MS)
     with pytest.raises(InvariantError):
-        fol.step([Packet(1, 3, 1, PacketKind.COMMAND, {}, 0)], 0)
+        fol.step([Packet(1, 3, 1, PacketKind.COMMAND, {}, 0)], 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def lossless_loop(leader, fol, steps=200, dt=10):
         out_l = leader.step(inbox_l, now)
         inbox_l = []
         inbox_f.extend(p for p in out_l)
-        out_f = fol.step(inbox_f, now)
+        out_f = fol.step(inbox_f, now, dt if i else 0)
         inbox_f = []
         inbox_l.extend(out_f)
         if leader.tasks and all(t.state in TERMINAL_STATES
@@ -365,7 +365,7 @@ def test_a_roster_of_followers_is_read_at_each_step_with_no_copy():
                  for a in (2, 3, 4)}
     leader = Leader(1, followers)
     # 2 is busy with a command the leader never sent, 3 has lost the line
-    followers[2].step([cmd(1, 70)], 0)
+    followers[2].step([cmd(1, 70)], 0, 0)
     followers[3].nav_fault = True
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)
     (command,) = leader.step([], 0)
@@ -373,12 +373,12 @@ def test_a_roster_of_followers_is_read_at_each_step_with_no_copy():
 
     # a fault set after the followers have stepped shows at the leader's next
     # step; an idle robot is re-placed on the line by its own next step
-    followers[4].step([command], 0)
-    followers[3].step([], 0)
+    followers[4].step([command], 0, 0)
+    followers[3].step([], 0, 0)
     followers[3].nav_fault = True
     leader.handle_triage(decision(Flag.LOW_SPO2, Flag.FEVER), 10)
     assert leader.step([], 10) == []
-    followers[3].step([], 10)
+    followers[3].step([], 10, 10)
     assert [p.dst for p in leader.step([], 20)] == [3]
 
 
@@ -616,7 +616,7 @@ def test_an_idle_nav_fault_that_clears_wakes_the_leader():
     passes = full_passes(leader)
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)
     assert leader.step([], 0) == [] and leader.step([], 10) == []
-    fol.step([], 10)   # re-placed on the line: FAULTED -> IDLE
+    fol.step([], 10, 0)   # re-placed on the line: FAULTED -> IDLE
     assert [p.dst for p in leader.step([], 20)] == [2]
     assert passes == [0, 10, 20]   # as above: no task holds 2
 
@@ -648,14 +648,14 @@ def test_a_task_waiting_on_a_held_follower_sleeps_until_the_hold_times_out():
     leader = Leader(1, {2: fol}, policy=TimeoutPolicy(timeout_ms=100, exec_timeout_ms=300))
     passes = full_passes(leader)
     leader.handle_triage(decision(Flag.LOW_SPO2), 0)
-    ack, _lost_status = fol.step(leader.step([], 0), 0)
+    ack, _lost_status = fol.step(leader.step([], 0), 0, 0)
     assert leader.step([ack], 10) == []
     leader.handle_triage(decision(Flag.LOW_SPO2, Flag.FEVER), 20)
     assert [leader.step([], now) for now in range(20, 310, 10)] == [[]] * 29
     (retry,) = leader.step([], 310)   # task 1's execution timeout
     assert (retry.dst, retry.payload["task_id"]) == (2, 1)
     # the retry crosses the completed execution, so 2 re-sends its status
-    (command,) = leader.step(fol.step([retry], 310), 320)
+    (command,) = leader.step(fol.step([retry], 310, 310), 320)
     assert (command.dst, command.payload["task_id"]) == (2, 2)
     assert [t.state for t in leader.tasks.values()] == [TaskState.COMPLETED, TaskState.SENT]
     assert passes == [0, 10, 20, 310, 320]

@@ -114,6 +114,12 @@ def test_bool_is_not_accepted_as_int():
     ("link_conditions: [{time_ms: 0, src: 1.9, dst: 2}]\n", "link_conditions[0].src: expected"),
     ("link_conditions: [{time_ms: 0, src: 1}]\n", "link_conditions[0].dst: required"),
     ("schedule: [{time_ms: 99.99, bed: 1, slot: 0}]\n", "schedule[0].time_ms: expected"),
+    # an event before time 0 would run at the first tick
+    ("schedule: [{time_ms: -5, bed: 1, slot: 0}]\n", "schedule[0].time_ms: must be nonnegative"),
+    ("patient_script: [{time_ms: -100, spo2: 80}]\n",
+     "patient_script[0].time_ms: must be nonnegative"),
+    ("link_conditions: [{time_ms: -1, src: 1, dst: 2, condition: obstructed}]\n",
+     "link_conditions[0].time_ms: must be nonnegative"),
     ("schedule: [{time_ms: 100, bed: 1, slot: 0, dose_note: 5}]\n", "schedule[0].dose_note: expected"),
     ("patient_script: [{time_ms: 0, spo2: '90'}]\n", "patient_script[0].spo2: expected"),
     ("patient_script: [{time_ms: 0, spo2: -80, bpm: 5000}]\n",
@@ -199,7 +205,8 @@ def test_bool_is_not_accepted_as_int():
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
         "wearing_string", "correction_enabled_string", "track_closed_string", "link_src_float",
-        "link_dst_missing", "schedule_time_float", "dose_note_int", "spo2_string",
+        "link_dst_missing", "schedule_time_float", "schedule_time_negative",
+        "script_time_negative", "link_time_negative", "dose_note_int", "spo2_string",
         "spo2_bpm_out_of_range", "temp_out_of_range",
         "line_width_string", "start_x_string", "name_int", "max_retries_string",
         "geometry_pitch_string", "waypoint_string", "waypoint_bool", "mat_size_bool",
@@ -223,6 +230,35 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
     assert any(e.startswith(error) for e in exc.value.errors), exc.value.errors
     assert main(["run", str(path)]) == 2
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, error", [
+    ({"channel": {"pdr_clear": 0.5, "pdr_obstructed": 0.9, "rtt_ms": -1}},
+     "channel: require 0 < pdr_obstructed <= pdr_clear <= 1; rtt_ms must be positive"),
+    ({"channel": {"rtt_ms": 0, "one_way_jitter_ms": -1}},
+     "channel: rtt_ms must be positive; jitter must be nonnegative"),
+    ({"timeout_policy": {"timeout_ms": 0, "exec_timeout_ms": 0, "max_retries": -1}},
+     "timeout_policy: timeout_ms must be positive; exec_timeout_ms must be positive;"
+     " max_retries must be nonnegative"),
+    ({"battery": {"budget_units": -1, "low_speed_factor": -1}},
+     "battery: budget_units must be nonnegative; low_speed_factor must be nonnegative"),
+    ({"robots": {"corridor": {"gains": {"kd": -1, "integral_clamp": 0}}}},
+     "robots.corridor.gains: gains must be nonnegative; integral_clamp must be positive"),
+    ({"robots": {"corridor": {"slip_halfwidth": 0.5, "slip_bias_halfwidth": -0.1}}},
+     "robots.corridor: slip_halfwidth must be in [0, 0.1]; slip_bias_halfwidth must be in [0, 0.1]"),
+    ({"fall_detector": {"sensitivity_fallen": 1.5, "sensitivity_standing": -0.5}},
+     "fall_detector: sensitivity_fallen must be a probability;"
+     " sensitivity_standing must be a probability"),
+    ({"latency": {"vitals_transmit_ms": -1, "fall_path_ms": -1}},
+     "latency: vitals_transmit_ms must be nonnegative; fall_path_ms must be nonnegative"),
+    ({"patient_script": [{"kind": "nap", "spo2": 20}]},
+     "patient_script[0]: unknown scenario kind 'nap'; spo2 must be in [50, 100], got 20.0"),
+], ids=["channel_pdr_and_rtt", "channel_rtt_and_jitter", "timeout_policy", "battery", "gains",
+        "slip", "fall_detector", "latency", "patient_event"])
+def test_a_section_reports_every_check_it_fails(raw, error):
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate(raw)
+    assert error in exc.value.errors, exc.value.errors
 
 
 def _square_track(**kw):
