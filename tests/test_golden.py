@@ -1,8 +1,9 @@
 """Golden digests: every shipped preset, run at its own seed, must write the
-same `events.jsonl` bytes as when its digest was committed, and `task_suite`
-(the preset whose every export is non-empty) the same exported files. A short
-ward shift built here (`ward_shift_config`) pins the wearable -> radio ->
-triage -> leader path, which no preset drives every tick.
+same `events.jsonl` bytes as when its digest was committed, the same
+metrics.csv and metrics.txt, and `task_suite` (the preset whose every export
+is non-empty) the same exported files. A short ward shift built here
+(`ward_shift_config`) pins the wearable -> radio -> triage -> leader path,
+which no preset drives every tick.
 
 A digest file changes only together with a change that alters behaviour on
 purpose, and that change says why. To regenerate one:
@@ -17,6 +18,13 @@ and the export digests, in `sha256sum` format:
 from wardsim.scenario import load_preset; export_outputs(*run(load_preset('task_suite')), 'out')"
     (cd out && sha256sum channel.csv tasks.csv vitals.csv notifications.log \
 metrics.csv metrics.txt) > tests/golden/exports/task_suite.sha256sum
+
+and every preset's metrics.csv and metrics.txt, one directory a preset:
+
+    PYTHONPATH=src python -c "from wardsim.engine import export_outputs, run; \
+from wardsim.scenario import load_preset, preset_names; \
+[export_outputs(*run(load_preset(n)), 'out/' + n) for n in preset_names()]"
+    (cd out && sha256sum */metrics.*) > tests/golden/exports/metrics.sha256sum
 
 and the ward-shift digest:
 
@@ -85,6 +93,25 @@ def test_task_suite_exports_match_golden_digests(tmp_path):
         digest, name = line.split()
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, \
             name + _numpy_hint()
+
+
+def _metrics_digests() -> dict[str, str]:
+    lines = (GOLDEN / "exports" / "metrics.sha256sum").read_text().splitlines()
+    return {name: digest for digest, name in map(str.split, lines)}
+
+
+def test_every_preset_has_metrics_digests():
+    assert sorted(_metrics_digests()) == [f"{name}/metrics.{ext}"
+                                          for name in preset_names() for ext in ("csv", "txt")]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_metrics_match_golden_digests(name, tmp_path):
+    export_outputs(*run(load_preset(name)), tmp_path)
+    digests = _metrics_digests()
+    for file in ("metrics.csv", "metrics.txt"):
+        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == \
+            digests[f"{name}/{file}"], file + _numpy_hint()
 
 
 def ward_shift_config():

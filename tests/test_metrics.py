@@ -1,7 +1,8 @@
 """The event-log loader: batch-decoded `EventLog.load` accepts exactly the
 files that one `json.loads` per line accepts, with the same records, and
 names the same first bad record. The metrics fold: `consume`'s table of
-folds skips and refuses the records that one `==` test per kind did."""
+folds skips and refuses the records that one `==` test per kind did. The
+run reports: metrics.txt and metrics.csv, for the rows no preset reaches."""
 
 import functools
 import json
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from wardsim import metrics
 from wardsim.engine import run
-from wardsim.metrics import EventLog
+from wardsim.metrics import EventLog, RunMetrics
 from wardsim.scenario import load_preset
 
 B = metrics._BATCH_LINES
@@ -216,3 +217,41 @@ def test_a_malformed_record_fails_replay_as_before(record, monkeypatch):
     got = replay()
     monkeypatch.setattr(metrics, "MetricsAccumulator", ElifAccumulator)
     assert replay() == got
+
+
+def reports(m: RunMetrics, tmp_path) -> tuple[str, str]:
+    """metrics.txt and metrics.csv of `m`, as the text they hold."""
+    m.save_csv(tmp_path / "metrics.csv")
+    return m.as_text(), (tmp_path / "metrics.csv").read_bytes().decode()
+
+
+def test_the_reports_write_none_obstructed_and_an_alert_with_no_budget(tmp_path):
+    # no RTT, no settled task, no drift: each a line left out of metrics.txt
+    # and an empty cell in metrics.csv; an alert with no budget has no verdict
+    m = RunMetrics(pdr={"clear": 0.96, "obstructed": 0.9}, line_on_track={"straight": 1.0},
+                   tasks_created=1, alert_latency_ms={"fall": 1234.0}, energy_units=1.5)
+    assert reports(m, tmp_path) == (
+        "pdr[clear]: 0.9600\n"
+        "pdr[obstructed]: 0.9000\n"
+        "line_on_track[straight]: 1.0000\n"
+        "tasks_created: 1\n"
+        "tasks_completed: 0\n"
+        "tasks_escalated: 0\n"
+        "alert_latency_ms[fall]: 1234 (n/a)\n"
+        "energy_units: 1.50\n",
+        "metric,value\r\n"
+        "pdr_clear,0.96\r\n"
+        "pdr_obstructed,0.9\r\n"
+        "rtt_mean_ms,\r\n"
+        "rtt_std_ms,\r\n"
+        "line_on_track_straight,1.0\r\n"
+        "tasks_created,1\r\n"
+        "tasks_completed,0\r\n"
+        "tasks_escalated,0\r\n"
+        "task_success_rate,\r\n"
+        "alert_latency_ms_fall,1234.0\r\n"
+        "alert_verdict_fall,\r\n"
+        "drift_final_raw_m,\r\n"
+        "drift_final_corrected_m,\r\n"
+        "energy_units,1.5\r\n")
+
