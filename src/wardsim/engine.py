@@ -497,10 +497,11 @@ class SuiteResult:
         lines = []
         for row in self.rows:
             lines.append(f"scenario {row.scenario} ({row.runs} runs):")
-            for kind, (mean, std) in sorted(row.latencies_ms.items()):
-                verdict = row.verdicts.get(kind, "n/a")
-                lines.append(f"  alert[{kind}]: avg {mean / 1000:.2f} s, "
-                             f"stddev {std / 1000:.2f} s, result {verdict}")
+            for kind in sorted(row.latencies_ms.keys() | row.verdicts.keys()):
+                mean, std = row.latencies_ms.get(kind, (None, None))
+                shown = "not raised" if mean is None else \
+                    f"avg {mean / 1000:.2f} s, stddev {std / 1000:.2f} s"
+                lines.append(f"  alert[{kind}]: {shown}, result {row.verdicts.get(kind, 'n/a')}")
             if row.success_rate is not None:
                 lines.append(f"  task success: {row.success_rate:.2%} "
                              f"({row.tasks_completed} completed, {row.tasks_escalated} escalated)")

@@ -75,8 +75,9 @@ class ChassisParams:
     ticks_per_rev_C: int = 1024
 
     def __post_init__(self):
-        if not (self.wheel_radius_r > 0 and self.axle_length_L > 0 and self.ticks_per_rev_C > 0):
-            raise ConfigurationError("chassis parameters must be strictly positive")
+        require((self.wheel_radius_r > 0, "wheel_radius_r must be positive"),
+                (self.axle_length_L > 0, "axle_length_L must be positive"),
+                (self.ticks_per_rev_C > 0, "ticks_per_rev_C must be positive"))
 
 
 @dataclass(slots=True)
@@ -131,7 +132,7 @@ class MotionSimulator:
         self._slip_low, self._slip_span = 1.0 - h, (1.0 + h) - (1.0 - h)
         self.rng = rng
         if slip_bias_halfwidth > 0.0:  # each wheel's bias, right then left
-            low, span = symmetric_range(slip_bias_halfwidth, "slip_bias_halfwidth")
+            low, span = symmetric_range(slip_bias_halfwidth)
             self._bias_right = low + span * self.rng.random()
             self._bias_left = low + span * self.rng.random()
         else:

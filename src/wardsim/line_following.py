@@ -20,7 +20,7 @@ from operator import mul
 
 from . import ConfigurationError, require
 from .kinematics import Pose
-from .rng import Doubles, symmetric_range
+from .rng import Doubles, symmetric_range, symmetric_range_checks
 from .track import Track
 
 DEFAULT_WEIGHTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -109,10 +109,11 @@ class IrGeometry:
     noise_frac: float = 0.03      # additive noise, fraction of full scale
 
     def __post_init__(self):
-        if not (self.noise_frac >= 0 and 0.0 <= self.low_level < self.high_level <= 1.0):
-            raise ConfigurationError("require noise_frac >= 0, 0 <= low_level < high_level <= 1")
+        require(*symmetric_range_checks(self.noise_frac, "noise_frac"),
+                (0.0 <= self.low_level < self.high_level <= 1.0,
+                 "require 0 <= low_level < high_level <= 1"))
         # a sensor's noise is uniform(-noise_frac, noise_frac); as ChannelConfig.jitter_range
-        object.__setattr__(self, "noise_range", symmetric_range(self.noise_frac, "noise_frac"))
+        object.__setattr__(self, "noise_range", symmetric_range(self.noise_frac))
 
 
 def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, float]]:

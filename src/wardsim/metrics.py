@@ -183,49 +183,40 @@ class RunMetrics:
     def task_success_rate(self) -> float | None:
         return success_rate(self.tasks_completed, self.tasks_escalated)
 
+    def _rows(self) -> list[tuple[str, object, str | None]]:
+        """Each metric once, in file order, as (metrics.csv key, value,
+        metrics.txt line or None). A value of None is an empty cell and no
+        line; a verdict has no line of its own, since its alert's line ends
+        with it, and an alert that never came reads "none"."""
+        def row(name, value, spec, sub=None):
+            key, label = (name, name) if sub is None else (f"{name}_{sub}", f"{name}[{sub}]")
+            return key, value, None if value is None else f"{label}: {value:{spec}}"
+
+        rows = [row("pdr", v, ".4f", cond) for cond, v in sorted(self.pdr.items())]
+        rows += [row("rtt_mean_ms", self.rtt_mean_ms, ".2f"),
+                 row("rtt_std_ms", self.rtt_std_ms, ".2f")]
+        rows += [row("line_on_track", v, ".4f", tag) for tag, v in sorted(self.line_on_track.items())]
+        rows += [row(name, getattr(self, name), "d")
+                 for name in ("tasks_created", "tasks_completed", "tasks_escalated")]
+        rows.append(row("task_success_rate", self.task_success_rate, ".4f"))
+        for kind in sorted(self.alert_latency_ms.keys() | self.alert_verdicts.keys()):
+            latency, verdict = self.alert_latency_ms.get(kind), self.alert_verdicts.get(kind)
+            shown = "none" if latency is None else f"{latency:.0f}"
+            rows += [(f"alert_latency_ms_{kind}", latency,
+                      f"alert_latency_ms[{kind}]: {shown} ({verdict or 'n/a'})"),
+                     (f"alert_verdict_{kind}", verdict, None)]
+        return rows + [row("drift_final_raw_m", self.drift_final_raw_m, ".4f"),
+                       row("drift_final_corrected_m", self.drift_final_corrected_m, ".4f"),
+                       row("energy_units", self.energy_units, ".2f")]
+
     def as_text(self) -> str:
-        lines = []
-        for cond, v in sorted(self.pdr.items()):
-            lines.append(f"pdr[{cond}]: {v:.4f}")
-        if self.rtt_mean_ms is not None:
-            lines.append(f"rtt_mean_ms: {self.rtt_mean_ms:.2f}")
-            lines.append(f"rtt_std_ms: {self.rtt_std_ms:.2f}")
-        for tag, v in sorted(self.line_on_track.items()):
-            lines.append(f"line_on_track[{tag}]: {v:.4f}")
-        lines.append(f"tasks_created: {self.tasks_created}")
-        lines.append(f"tasks_completed: {self.tasks_completed}")
-        lines.append(f"tasks_escalated: {self.tasks_escalated}")
-        if self.task_success_rate is not None:
-            lines.append(f"task_success_rate: {self.task_success_rate:.4f}")
-        for kind in sorted(self.alert_latency_ms):
-            verdict = self.alert_verdicts.get(kind, "n/a")
-            lines.append(f"alert_latency_ms[{kind}]: {self.alert_latency_ms[kind]:.0f} ({verdict})")
-        if self.drift_final_raw_m is not None:
-            lines.append(f"drift_final_raw_m: {self.drift_final_raw_m:.4f}")
-            lines.append(f"drift_final_corrected_m: {self.drift_final_corrected_m:.4f}")
-        lines.append(f"energy_units: {self.energy_units:.2f}")
-        return "\n".join(lines) + "\n"
+        return "".join(line + "\n" for _, _, line in self._rows() if line is not None)
 
     def save_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["metric", "value"])
-            for cond, v in sorted(self.pdr.items()):
-                w.writerow([f"pdr_{cond}", v])
-            w.writerow(["rtt_mean_ms", self.rtt_mean_ms])
-            w.writerow(["rtt_std_ms", self.rtt_std_ms])
-            for tag, v in sorted(self.line_on_track.items()):
-                w.writerow([f"line_on_track_{tag}", v])
-            w.writerow(["tasks_created", self.tasks_created])
-            w.writerow(["tasks_completed", self.tasks_completed])
-            w.writerow(["tasks_escalated", self.tasks_escalated])
-            w.writerow(["task_success_rate", self.task_success_rate])
-            for kind in sorted(self.alert_latency_ms):
-                w.writerow([f"alert_latency_ms_{kind}", self.alert_latency_ms[kind]])
-                w.writerow([f"alert_verdict_{kind}", self.alert_verdicts.get(kind)])
-            w.writerow(["drift_final_raw_m", self.drift_final_raw_m])
-            w.writerow(["drift_final_corrected_m", self.drift_final_corrected_m])
-            w.writerow(["energy_units", self.energy_units])
+            w.writerows((key, value) for key, value, _ in self._rows())
 
 
 class MetricsAccumulator:
@@ -300,7 +291,7 @@ class MetricsAccumulator:
              "script": _script, "notification": _notification}
 
     def result(self) -> RunMetrics:
-        # the values sorted here or formatted by RunMetrics.as_text must have
+        # the values sorted here or formatted in RunMetrics' reports must have
         # the engine's types; checked once a log, not once a record
         for what, keys in (("packet condition", self._sent), ("nav tag", self._nav_counts)):
             for key in keys:

@@ -17,8 +17,8 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import AddressingError, ConfigurationError, require
-from .rng import Doubles, symmetric_range
+from . import AddressingError, require
+from .rng import Doubles, symmetric_range, symmetric_range_checks
 
 
 class PacketKind(enum.Enum):
@@ -55,17 +55,12 @@ class ChannelConfig:
     one_way_jitter_ms: float = 3.0
 
     def __post_init__(self):
-        try:
-            # a delivered packet's jitter is uniform(-j, j); not a field, so set past __setattr__
-            object.__setattr__(self, "jitter_range",
-                               symmetric_range(self.one_way_jitter_ms, "jitter"))
-            jitter_error = None
-        except ConfigurationError as exc:
-            jitter_error = str(exc)
         require((0.0 < self.pdr_obstructed <= self.pdr_clear <= 1.0,
                  "require 0 < pdr_obstructed <= pdr_clear <= 1"),
                 (self.rtt_ms > 0, "rtt_ms must be positive"),
-                (jitter_error is None, jitter_error))
+                *symmetric_range_checks(self.one_way_jitter_ms, "jitter"))
+        # a delivered packet's jitter is uniform(-j, j); not a field, so set past __setattr__
+        object.__setattr__(self, "jitter_range", symmetric_range(self.one_way_jitter_ms))
 
     def pdr(self, condition: LinkCondition) -> float:
         return self.pdr_clear if condition is LinkCondition.CLEAR else self.pdr_obstructed

@@ -10,7 +10,8 @@ scalar call per draw, as plain floats and at a fraction of a call's cost.
 numpy's `uniform(low, high)` is `low + (high - low) * u` with `u` the
 double that `random()` returns, so a uniform draw is written out as
 `low + span * random()`, with `low` and `span = high - low` fixed where the
-range is fixed and checked (by `symmetric_range` for a symmetric draw).
+range is fixed and checked (by `symmetric_range_checks` for a symmetric
+draw).
 `vitals_noise` keeps its `Generator` only for `normal`, which takes a
 variable number of words from the bit generator and so cannot be served
 from a block of doubles; its uniform draws interleave with those normals,
@@ -21,8 +22,6 @@ import itertools
 import math
 
 import numpy as np
-
-from . import ConfigurationError
 
 # A stream's index keys its SeedSequence child, so its values do not depend
 # on how many streams follow it: append only, never reorder.
@@ -40,14 +39,18 @@ _BLOCK_STREAMS = frozenset({"channel", "slip", "ir_noise", "fall_detector"})
 _BLOCK = 1024
 
 
-def symmetric_range(half_width: float, name: str) -> tuple[float, float]:
-    """`(low, high - low)` of uniform(-half_width, half_width); refuses a
-    half-width that is negative, NaN, or whose doubled span is infinite
-    (which Generator.uniform refuses with OverflowError)."""
-    if not half_width >= 0:
-        raise ConfigurationError(f"{name} must be nonnegative")
-    if half_width + half_width == math.inf:
-        raise ConfigurationError(f"{name} must be at most half the float maximum")
+def symmetric_range_checks(half_width: float, name: str) -> tuple[tuple[bool, str], ...]:
+    """The `(holds, message)` checks, for `wardsim.require`, that refuse a
+    half-width of uniform(-half_width, half_width) that is negative, NaN, or
+    whose doubled span is infinite (which Generator.uniform refuses with
+    OverflowError)."""
+    return ((half_width >= 0, f"{name} must be nonnegative"),
+            (half_width + half_width != math.inf, f"{name} must be at most half the float maximum"))
+
+
+def symmetric_range(half_width: float) -> tuple[float, float]:
+    """`(low, high - low)` of uniform(-half_width, half_width), for a
+    half-width that passes `symmetric_range_checks`."""
     return -half_width, half_width - -half_width
 
 

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ConfigurationError, require
-from .rng import Doubles, symmetric_range
+from . import require
+from .rng import Doubles, symmetric_range, symmetric_range_checks
 
 SPO2_RANGE = (50.0, 100.0)
 BPM_RANGE = (20.0, 220.0)
@@ -96,11 +96,12 @@ class SensorNoiseModel:
     temp_mean_abs_err: float = 0.6  # target mean |error|, degrees C
 
     def __post_init__(self):
-        if not self.temp_mean_abs_err >= 0:
-            raise ConfigurationError("noise tolerances must be nonnegative")
+        require(*symmetric_range_checks(self.spo2_tol, "spo2_tol"),
+                *symmetric_range_checks(self.bpm_tol, "bpm_tol"),
+                (self.temp_mean_abs_err >= 0, "temp_mean_abs_err must be nonnegative"))
         # each uniform draw's (low, span); as ChannelConfig.jitter_range
-        object.__setattr__(self, "spo2_range", symmetric_range(self.spo2_tol, "noise tolerances"))
-        object.__setattr__(self, "bpm_range", symmetric_range(self.bpm_tol, "noise tolerances"))
+        object.__setattr__(self, "spo2_range", symmetric_range(self.spo2_tol))
+        object.__setattr__(self, "bpm_range", symmetric_range(self.bpm_tol))
 
     # computed once per model: cached_property keeps the value in the
     # instance's __dict__, which a frozen dataclass leaves writable

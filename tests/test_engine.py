@@ -19,7 +19,8 @@ from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
 from wardsim import metrics as metrics_module
 from wardsim.cli import main
-from wardsim.engine import RECORD_KINDS, Engine, EngineAbort, export_outputs, run, run_suite
+from wardsim.engine import (RECORD_KINDS, Engine, EngineAbort, SuiteResult, SuiteRow, export_outputs,
+                            run, run_suite)
 from wardsim.metrics import EventLog, MetricsAccumulator, gc_paused, replay_metrics
 from wardsim.protocol import TERMINAL_STATES, Leader
 from wardsim.scenario import load_preset, preset_names, validate
@@ -575,6 +576,24 @@ def test_suite_verdict_is_the_majority_and_a_tie_fails(monkeypatch, verdicts, ma
     monkeypatch.setattr(engine_module, "run", fake_run)
     (row,) = run_suite([short_config()], trials=len(verdicts)).rows
     assert row.verdicts == {"fall": majority}
+
+
+def test_the_suite_text_names_an_alert_that_no_trial_raised():
+    # each trial's onset at 9.5 s has a 3 s budget, and the run ends at 10 s
+    # before any notification answers it
+    late = validate({"name": "late", "seed": 3, "duration_ms": 10_000,
+                     "patient_script": [{"time_ms": 9500, "kind": "low_spo2", "spo2": 87}],
+                     "budgets_ms": {"low_spo2": 3000}})
+    assert run_suite([late], trials=2).as_text() == (
+        "scenario late (2 runs):\n  alert[low_spo2]: not raised, result fail\n")
+    # the kinds of both dicts, sorted, whatever order they hold them in
+    row = SuiteRow("mixed", 3, latencies_ms={"low_spo2": (900.0, 0.0), "fall": (1500.0, 500.0)},
+                   verdicts={"no_vitals": "fail", "low_spo2": "pass"})
+    assert SuiteResult([row]).as_text() == (
+        "scenario mixed (3 runs):\n"
+        "  alert[fall]: avg 1.50 s, stddev 0.50 s, result n/a\n"
+        "  alert[low_spo2]: avg 0.90 s, stddev 0.00 s, result pass\n"
+        "  alert[no_vitals]: not raised, result fail\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ run reports: metrics.txt and metrics.csv, for the rows no preset reaches."""
 
 import functools
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from wardsim import metrics
 from wardsim.engine import run
 from wardsim.metrics import EventLog, RunMetrics
-from wardsim.scenario import load_preset
+from wardsim.scenario import load_preset, validate
 
 B = metrics._BATCH_LINES
 
@@ -255,3 +257,40 @@ def test_the_reports_write_none_obstructed_and_an_alert_with_no_budget(tmp_path)
         "drift_final_corrected_m,\r\n"
         "energy_units,1.5\r\n")
 
+
+def test_the_reports_write_a_missed_alert(tmp_path):
+    # the onset at 9.5 s has a 3 s budget, and the run ends at 10 s before
+    # any notification answers it
+    _, m = run(validate({"name": "late", "seed": 3, "duration_ms": 10_000,
+                         "patient_script": [{"time_ms": 9500, "kind": "low_spo2", "spo2": 87}],
+                         "budgets_ms": {"low_spo2": 3000}}))
+    assert m.alert_latency_ms == {} and m.alert_verdicts == {"low_spo2": "fail"}
+    text, table = reports(m, tmp_path)
+    assert "alert_latency_ms[low_spo2]: none (fail)\n" in text
+    assert "\r\nalert_latency_ms_low_spo2,\r\nalert_verdict_low_spo2,fail\r\n" in table
+    # in the sorted order of both dicts' kinds, whatever order they hold them in
+    m = RunMetrics(alert_latency_ms={"low_spo2": 900.0, "fall": 1000.0},
+                   alert_verdicts={"no_vitals": "fail", "low_spo2": "pass"})
+    text, table = reports(m, tmp_path)
+    assert text == ("tasks_created: 0\ntasks_completed: 0\ntasks_escalated: 0\n"
+                    "alert_latency_ms[fall]: 1000 (n/a)\n"
+                    "alert_latency_ms[low_spo2]: 900 (pass)\n"
+                    "alert_latency_ms[no_vitals]: none (fail)\n"
+                    "energy_units: 0.00\n")
+    assert ("task_success_rate,\r\n"
+            "alert_latency_ms_fall,1000.0\r\nalert_verdict_fall,\r\n"
+            "alert_latency_ms_low_spo2,900.0\r\nalert_verdict_low_spo2,pass\r\n"
+            "alert_latency_ms_no_vitals,\r\nalert_verdict_no_vitals,fail\r\n"
+            "drift_final_raw_m,\r\n") in table
+
+
+def test_the_readme_lists_the_report_rows_in_file_order(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Metrics\n", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    documented = [re.sub(r"<\w+>", "<>", key) for cell in cells for key in re.findall(r"`(.+?)`", cell)]
+    # task_suite has a row of each key: two alert kinds, each with a verdict
+    _, table = reports(run(load_preset("task_suite"))[1], tmp_path)
+    keys = [re.sub(r"^(pdr|line_on_track|alert_latency_ms|alert_verdict)_.*", r"\1_<>", line)
+            for line in (row.split(",")[0] for row in table.splitlines()[1:])]
+    assert list(dict.fromkeys(keys)) == documented

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wardsim import ConfigurationError
-from wardsim.rng import _BLOCK_STREAMS, Doubles, derive_streams, symmetric_range
+from wardsim import ConfigurationError, require
+from wardsim.rng import (_BLOCK_STREAMS, Doubles, derive_streams, symmetric_range,
+                         symmetric_range_checks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -51,7 +52,7 @@ def test_each_stream_is_the_child_of_its_index():
 @given(half=st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, sys.float_info.max / 2]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_symmetric_range_draws_equal_the_generators_uniform(half, seed):
-    low, span = symmetric_range(half, "h")
+    low, span = symmetric_range(half)
     assert repr(low) == repr(-half)
     served = Doubles(np.random.default_rng(seed))
     gen = np.random.default_rng(seed)
@@ -67,7 +68,7 @@ def test_symmetric_range_draws_equal_the_generators_uniform(half, seed):
 ])
 def test_symmetric_range_refuses_what_cannot_be_drawn(half, message):
     with pytest.raises(ConfigurationError, match=message):
-        symmetric_range(half, "h")
+        require(*symmetric_range_checks(half, "h"))
     if half > 0:  # numpy itself refuses an infinite span
         with pytest.raises(OverflowError):
             np.random.default_rng(0).uniform(-half, half)

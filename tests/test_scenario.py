@@ -177,9 +177,9 @@ def test_bool_is_not_accepted_as_int():
     ("robots: {corridor: {geometry: {v_max: -5.0}}}\n",
      "robots.corridor.geometry: unknown key 'v_max'"),
     ("robots: {corridor: {geometry: {noise_frac: -0.1}}}\n",
-     "robots.corridor.geometry: require noise_frac >= 0, 0 <= low_level < high_level <= 1"),
+     "robots.corridor.geometry: noise_frac must be nonnegative"),
     ("robots: {corridor: {geometry: {low_level: 0.9, high_level: 0.1}}}\n",
-     "robots.corridor.geometry: require noise_frac >= 0, 0 <= low_level < high_level <= 1"),
+     "robots.corridor.geometry: require 0 <= low_level < high_level <= 1"),
     # values that would run as a silently different scenario
     ("timeout_policy: {timeout_ms: 0}\n", "timeout_policy: timeout_ms must be positive"),
     ("timeout_policy: {timeout_ms: -5}\n", "timeout_policy: timeout_ms must be positive"),
@@ -253,8 +253,18 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
      "latency: vitals_transmit_ms must be nonnegative; fall_path_ms must be nonnegative"),
     ({"patient_script": [{"kind": "nap", "spo2": 20}]},
      "patient_script[0]: unknown scenario kind 'nap'; spo2 must be in [50, 100], got 20.0"),
+    ({"robots": {"corridor": {"geometry": {"noise_frac": 1.0e+308, "low_level": 0.9,
+                                           "high_level": 0.1}}}},
+     "robots.corridor.geometry: noise_frac must be at most half the float maximum;"
+     " require 0 <= low_level < high_level <= 1"),
+    ({"noise": {"spo2_tol": -1, "bpm_tol": -1, "temp_mean_abs_err": -1}},
+     "noise: spo2_tol must be nonnegative; bpm_tol must be nonnegative;"
+     " temp_mean_abs_err must be nonnegative"),
+    ({"robots": {"corridor": {"chassis": {"wheel_radius_r": -1, "axle_length_L": -1}}}},
+     "robots.corridor.chassis: wheel_radius_r must be positive; axle_length_L must be positive"),
 ], ids=["channel_pdr_and_rtt", "channel_rtt_and_jitter", "timeout_policy", "battery", "gains",
-        "slip", "fall_detector", "latency", "patient_event"])
+        "slip", "fall_detector", "latency", "patient_event", "ir_geometry", "sensor_noise",
+        "chassis"])
 def test_a_section_reports_every_check_it_fails(raw, error):
     with pytest.raises(ScenarioValidationError) as exc:
         validate(raw)
