@@ -22,6 +22,7 @@ import dataclasses
 import os
 import sys
 
+from . import ConfigurationError
 from .engine import EngineAbort, export_outputs, run, run_suite
 from .metrics import EventLog, replay_metrics
 from .scenario import ScenarioValidationError, load_preset, load_scenario, preset_names
@@ -54,19 +55,15 @@ def _save_partial(exc: EngineAbort, out: str):
 
 
 def _cmd_run(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        # the override bypasses validate(), so check it as validate() would
-        print(ScenarioValidationError(["--seed: must be nonnegative"]), file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         config = _load(args.scenario)
-    except (ScenarioValidationError, OSError) as exc:
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+    except (ScenarioValidationError, ConfigurationError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     if not _make_out(args.out):
         return EXIT_VALIDATION
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     try:
         log, metrics = run(config)
     except EngineAbort as exc:

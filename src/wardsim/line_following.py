@@ -55,7 +55,7 @@ class PidGains:
     integral_clamp: float = 4.0
 
     def __post_init__(self):
-        require((self.kp >= 0 and self.ki >= 0 and self.kd >= 0, "gains must be nonnegative"),
+        require(*((getattr(self, k) >= 0, f"{k} must be nonnegative") for k in ("kp", "ki", "kd")),
                 (self.integral_clamp > 0, "integral_clamp must be positive"))
 
 

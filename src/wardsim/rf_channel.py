@@ -58,7 +58,7 @@ class ChannelConfig:
         require((0.0 < self.pdr_obstructed <= self.pdr_clear <= 1.0,
                  "require 0 < pdr_obstructed <= pdr_clear <= 1"),
                 (self.rtt_ms > 0, "rtt_ms must be positive"),
-                *symmetric_range_checks(self.one_way_jitter_ms, "jitter"))
+                *symmetric_range_checks(self.one_way_jitter_ms, "one_way_jitter_ms"))
         # a delivered packet's jitter is uniform(-j, j); not a field, so set past __setattr__
         object.__setattr__(self, "jitter_range", symmetric_range(self.one_way_jitter_ms))
 

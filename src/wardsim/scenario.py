@@ -106,6 +106,9 @@ class Robots:
     arm: Robot = Robot(3)
     wearable: Robot = Robot(4)
 
+    def __post_init__(self):
+        require((len(set(self.addresses)) == len(self.addresses), "addresses must be unique"))
+
     @property
     def addresses(self) -> tuple[int, ...]:
         return (self.leader.address, self.corridor.address, self.arm.address,
@@ -130,9 +133,21 @@ class Correction:
     position_gain: float = 0.1
     heading_gain: float = 0.1
 
+    def __post_init__(self):
+        # a gain outside [0, 1] moves the estimate past the line or away from
+        # it, and it diverges
+        require(*((0.0 <= getattr(self, key) <= 1.0, f"{key} must be in [0, 1]")
+                  for key in ("position_gain", "heading_gain")))
 
-@dataclass
+
+# the scenario's lists of timed events
+_EVENT_LISTS = ("patient_script", "schedule", "link_conditions")
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One run's scenario. However it is built (by `validate()`, in code or by
+    `dataclasses.replace`), it checks the facts that span its fields and sorts its timed lists."""
     name: str = "<scenario>"
     seed: int = 0
     dt_ms: int = 10
@@ -156,6 +171,41 @@ class ScenarioConfig:
     detect_threshold: float = DEFAULT_DETECT_THRESHOLD
     ir_enabled: bool = True        # False: steer from the odometry estimate only
     flag_confirm_samples: int = 3  # consecutive flagged samples before the leader acts
+
+    def __post_init__(self):
+        dt = self.dt_ms
+        checks = [(self.seed >= 0, "seed must be nonnegative"), (dt > 0, "dt_ms must be positive")]
+        # the engine samples on ticks whose time is a multiple of the period (a
+        # period of 0 turns it off), so any other period would silently sample
+        # less often than asked; a duration runs whole ticks only
+        for key, period in (("duration_ms", self.duration_ms),
+                            ("vitals_sample_period_ms", self.vitals_sample_period_ms),
+                            ("fall_detector.check_period_ms", self.fall_detector.check_period_ms)):
+            checks += [(period >= 0, f"{key} must be nonnegative"),
+                       (period < 0 or dt <= 0 or period % dt == 0,
+                        f"{key} must be a multiple of dt_ms ({dt})")]
+        checks += ((end in self.robots.addresses, f"link_conditions[{i}].{k} must be a robot"
+                    f" address, got {end}") for i, event in enumerate(self.link_conditions)
+                   for k, end in (("src", event.src), ("dst", event.dst)))
+        # an event listed before time 0 would run at the first tick
+        checks += ((event.time_ms >= 0, f"{key}[{i}].time_ms must be nonnegative")
+                   for key in _EVENT_LISTS for i, event in enumerate(getattr(self, key)))
+        # only in this range does a sensor on the line always read dark, and
+        # one off it never, whatever its noise draw
+        ir = self.robots.corridor.geometry
+        dark, bright = ir.low_level + ir.noise_frac, ir.high_level - ir.noise_frac
+        checks += [(dark < self.detect_threshold <= bright,
+                    "detect_threshold must be in (low_level + noise_frac, high_level"
+                    f" - noise_frac], here ({dark:g}, {bright:g}]"),
+                   (self.flag_confirm_samples >= 1, "flag_confirm_samples must be at least 1")]
+        checks += ((value >= 0, f"{table}.{getattr(key, 'value', key)} must be nonnegative")
+                   for table in ("exec_durations_ms", "budgets_ms")
+                   for key, value in getattr(self, table).items())
+        require(*checks)
+        # the engine reads each list with a cursor; the sort is stable, so
+        # events at the same time keep their given order
+        for key in _EVENT_LISTS:
+            object.__setattr__(self, key, sorted(getattr(self, key), key=lambda e: e.time_ms))
 
     @property
     def start_pose(self) -> Pose:
@@ -213,7 +263,7 @@ def _build(cls, raw, path: str, errors: list[str], base=None):
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
     except ConfigurationError as exc:
-        errors.append(f"{path}: {exc}")
+        errors.append(f"{path or 'top level'}: {exc}")
         return _FAIL
 
 
@@ -293,8 +343,8 @@ def _flag_names(raw, path: str, errors: list[str]):
 
 
 def _table(defaults: dict, keys: dict, raw, path: str, errors: list[str]):
-    """A table of nonnegative ints over `keys` (a YAML name for each table
-    key); a key left out keeps its value in `defaults`."""
+    """A table of ints over `keys` (a YAML name for each table key); a key
+    left out keeps its value in `defaults`."""
     if _shape(raw, dict, path, errors) is _FAIL:
         return _FAIL
     table = dict(defaults)
@@ -302,8 +352,6 @@ def _table(defaults: dict, keys: dict, raw, path: str, errors: list[str]):
         if name not in keys:
             errors.append(f"{path}: unknown key {name!r}")
         elif value is not None and (value := _read(int, value, f"{path}.{name}", errors)) is not _FAIL:
-            if value < 0:
-                errors.append(f"{path}.{name}: must be nonnegative")
             table[keys[name]] = value
     return table
 
@@ -319,10 +367,6 @@ _PARSERS = {
 }
 
 
-# the scenario's lists of timed events
-_EVENT_LISTS = ("patient_script", "schedule", "link_conditions")
-
-
 def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
     """Validate a raw scenario mapping; raises ScenarioValidationError with
     every problem found. `name` names a scenario that does not name itself."""
@@ -332,52 +376,8 @@ def validate(raw: dict, name: str | None = None) -> ScenarioConfig:
         raw = {**raw, "name": name}
     errors: list[str] = []
     cfg = _build(ScenarioConfig, raw, "", errors)
-
-    if cfg.seed < 0:
-        errors.append("top.seed: must be nonnegative")
-    if cfg.dt_ms <= 0:
-        errors.append("top.dt_ms: must be positive")
-    addresses = cfg.robots.addresses
-    if len(set(addresses)) != len(addresses):
-        errors.append("robots: addresses must be unique")
-    errors.extend(f"link_conditions[{i}].{k}: {end} is not a robot address"
-                  for i, event in enumerate(cfg.link_conditions)
-                  for k, end in (("src", event.src), ("dst", event.dst)) if end not in addresses)
-    # an event listed before time 0 would run at the first tick
-    errors.extend(f"{key}[{i}].time_ms: must be nonnegative"
-                  for key in _EVENT_LISTS
-                  for i, event in enumerate(getattr(cfg, key)) if event.time_ms < 0)
-    # the engine samples on ticks whose time is a multiple of the period (a
-    # period of 0 turns it off), so any other period would silently sample
-    # less often than asked; a duration runs whole ticks only
-    for path, period in (("fall_detector.check_period_ms", cfg.fall_detector.check_period_ms),
-                         ("top.vitals_sample_period_ms", cfg.vitals_sample_period_ms),
-                         ("top.duration_ms", cfg.duration_ms)):
-        if period < 0:
-            errors.append(f"{path}: must be nonnegative")
-        elif cfg.dt_ms > 0 and period % cfg.dt_ms != 0:
-            errors.append(f"{path}: must be a multiple of dt_ms ({cfg.dt_ms})")
-    # a gain outside [0, 1] moves the estimate past the line or away from it,
-    # and it diverges
-    for key in ("position_gain", "heading_gain"):
-        if not 0.0 <= getattr(cfg.correction, key) <= 1.0:
-            errors.append(f"correction.{key}: must be in [0, 1]")
-    # only in this range does a sensor on the line always read dark, and one
-    # off it never, whatever its noise draw
-    geometry = cfg.robots.corridor.geometry
-    dark, bright = geometry.low_level + geometry.noise_frac, geometry.high_level - geometry.noise_frac
-    if not dark < cfg.detect_threshold <= bright:
-        errors.append("top.detect_threshold: must be in (low_level + noise_frac, high_level"
-                      f" - noise_frac], here ({dark:g}, {bright:g}]")
-    if cfg.flag_confirm_samples < 1:
-        errors.append("top.flag_confirm_samples: must be at least 1")
-
     if errors:
         raise ScenarioValidationError(errors)
-    # the engine reads each list with a cursor; the sort is stable, so
-    # events at the same time keep their file order
-    for key in _EVENT_LISTS:
-        getattr(cfg, key).sort(key=lambda e: e.time_ms)
     return cfg
 
 

@@ -259,7 +259,8 @@ class FallDetectorModel:
     def __post_init__(self):
         require((0.0 <= self.sensitivity_fallen <= 1.0, "sensitivity_fallen must be a probability"),
                 (0.0 <= self.sensitivity_standing <= 1.0,
-                 "sensitivity_standing must be a probability"))
+                 "sensitivity_standing must be a probability"),
+                (self.check_period_ms >= 0, "check_period_ms must be nonnegative"))
 
 
 def detect_fall(posture: Posture, model: FallDetectorModel, rng: Doubles) -> FallOutcome:

@@ -11,7 +11,7 @@ and `corridor-fuzz` the checks that the corridor tick's rewritten helpers
 jitter drawn by `Generator.uniform`), that `symmetric_range`
 draws equal `Generator.uniform`'s, that `Track`'s headings equal atan2
 of the reference tangents, and that a query on its candidate grid equals a
-full scan:
+full scan; the `corridor_oracle` marker selects those:
 
     python -m pytest --hypothesis-profile=schema-fuzz \
         "tests/test_scenario.py::test_a_scenario_drawn_from_the_schema_is_rejected_or_runs"
@@ -19,9 +19,9 @@ full scan:
         "tests/test_metrics.py::test_batch_load_equals_the_per_line_loop"
     python -m pytest --hypothesis-profile=protocol-fuzz \
         "tests/test_protocol.py::test_the_event_driven_leader_equals_one_that_steps_in_full"
-    python -m pytest --hypothesis-profile=corridor-fuzz \
-        -k "equal_the or equals_the or equals_full_scan" tests/test_line_following.py \
-        tests/test_kinematics.py tests/test_rf_channel.py tests/test_rng.py tests/test_track.py
+    python -m pytest --hypothesis-profile=corridor-fuzz -m corridor_oracle \
+        tests/test_line_following.py tests/test_kinematics.py tests/test_rf_channel.py \
+        tests/test_rng.py tests/test_track.py
 
 Every test must leave CPython's cyclic garbage collector enabled: the
 engine run and the event-log loader pause it and must turn it back on, and a

@@ -680,7 +680,7 @@ def test_cli_run_unknown_preset_exits_two(capsys):
 
 def test_cli_run_negative_seed_exits_two(capsys):
     assert main(["run", "alert_no_vitals", "--seed", "-1"]) == 2
-    assert "--seed: must be nonnegative" in capsys.readouterr().err
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_cli_run_non_finite_pose_aborts_with_a_partial_log(tmp_path, capsys):

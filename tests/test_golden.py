@@ -1,7 +1,7 @@
-"""Golden digests: every shipped preset, run at its own seed, must write the
-same `events.jsonl` bytes as when its digest was committed, the same
-metrics.csv and metrics.txt, and `task_suite` (the preset whose every export
-is non-empty) the same exported files. A short ward shift built here
+"""Golden digests: every shipped preset, run once at its own seed and
+exported, must write the same `events.jsonl` bytes as when its digest was
+committed, the same metrics.csv and metrics.txt, and `task_suite` (the
+preset whose every export is non-empty) the same exported files. A short ward shift built here
 (`ward_shift_config`) pins the wearable -> radio -> triage -> leader path,
 which no preset drives every tick.
 
@@ -80,19 +80,34 @@ def test_every_preset_has_a_digest():
     assert sorted(p.stem for p in GOLDEN.glob("*.sha256")) == preset_names()
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def preset_exports(tmp_path_factory):
+    """The directory of a preset's exports, events.jsonl among them; each
+    preset is run and exported once, when a test first asks for it."""
+    made = {}
+
+    def exports(name: str) -> Path:
+        if name not in made:
+            made[name] = tmp_path_factory.mktemp(name)
+            export_outputs(*run(load_preset(name)), made[name])
+        return made[name]
+    return exports
+
+
 @pytest.mark.parametrize("name", preset_names())
-def test_preset_log_matches_golden_digest(name):
-    log, _ = run(load_preset(name))
-    digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
-    assert digest == (GOLDEN / f"{name}.sha256").read_text().strip(), name + _numpy_hint()
+def test_preset_log_matches_golden_digest(name, preset_exports):
+    assert _sha256(preset_exports(name) / "events.jsonl") \
+        == (GOLDEN / f"{name}.sha256").read_text().strip(), name + _numpy_hint()
 
 
-def test_task_suite_exports_match_golden_digests(tmp_path):
-    export_outputs(*run(load_preset("task_suite")), tmp_path)
+def test_task_suite_exports_match_golden_digests(preset_exports):
     for line in (GOLDEN / "exports" / "task_suite.sha256sum").read_text().splitlines():
         digest, name = line.split()
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, \
-            name + _numpy_hint()
+        assert _sha256(preset_exports("task_suite") / name) == digest, name + _numpy_hint()
 
 
 def _metrics_digests() -> dict[str, str]:
@@ -106,12 +121,11 @@ def test_every_preset_has_metrics_digests():
 
 
 @pytest.mark.parametrize("name", preset_names())
-def test_preset_metrics_match_golden_digests(name, tmp_path):
-    export_outputs(*run(load_preset(name)), tmp_path)
+def test_preset_metrics_match_golden_digests(name, preset_exports):
     digests = _metrics_digests()
     for file in ("metrics.csv", "metrics.txt"):
-        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == \
-            digests[f"{name}/{file}"], file + _numpy_hint()
+        assert _sha256(preset_exports(name) / file) == digests[f"{name}/{file}"], \
+            file + _numpy_hint()
 
 
 def ward_shift_config():

@@ -244,6 +244,7 @@ _COMMANDS = st.lists(st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0
                      min_size=1, max_size=30)
 
 
+@pytest.mark.corridor_oracle
 @given(commands=_COMMANDS, dt=st.floats(1e-4, 0.1),
        slip=st.sampled_from([0.0, 0.02, 0.1]), bias=st.sampled_from([0.0, 0.01, 0.1]),
        seed=st.integers(0, 2**32 - 1),
@@ -263,6 +264,7 @@ def test_motion_step_equals_the_composed_conversions(commands, dt, slip, bias, s
                                                                          omega_left, dt)
 
 
+@pytest.mark.corridor_oracle
 @pytest.mark.parametrize("ticks", [100, 360, 1000])
 def test_motion_step_equals_the_composed_conversions_on_tick_boundaries(ticks):
     """Whole speeds held over round timesteps bring the cumulative angle to
@@ -277,6 +279,7 @@ def test_motion_step_equals_the_composed_conversions_on_tick_boundaries(ticks):
                                                                              rpm / 2, dt)
 
 
+@pytest.mark.corridor_oracle
 @given(deltas=st.lists(st.tuples(st.integers(-5000, 5000), st.integers(-5000, 5000)),
                        min_size=1, max_size=30),
        radius=st.floats(1e-3, 1.0), axle=st.floats(1e-2, 2.0), ticks=st.integers(1, 1 << 16))

@@ -162,6 +162,7 @@ def reference_sensor_positions(pose, geometry):
     return center[None, :] + offsets[:, None] * right[None, :]
 
 
+@pytest.mark.corridor_oracle
 @given(x=st.floats(-50, 50), y=st.floats(-50, 50),
        theta=st.floats(-math.pi, math.pi, exclude_min=True),
        pitch=st.floats(0.0, 0.1), forward_offset=st.floats(-0.2, 0.2))
@@ -219,16 +220,19 @@ def reference_simulate_ir(track, pose, geometry, gen):
 _LEVELS = st.floats(-2.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
 
 
+@pytest.mark.corridor_oracle
 @given(st.tuples(*[_LEVELS] * 5), st.floats(0.0, 1.0, exclude_min=True))
 def test_threshold_equals_the_generator_expression(r, t):
     assert repr(threshold(r, t)) == repr(reference_threshold(r, t))
 
 
+@pytest.mark.corridor_oracle
 @given(st.tuples(*[st.integers(0, 1)] * 5))
 def test_line_error_equals_the_generator_expression(s):
     assert repr(line_error(s)) == repr(reference_line_error(s))
 
 
+@pytest.mark.corridor_oracle
 @given(st.floats(-200.0, 200.0), st.floats(-300.0, 300.0) | st.sampled_from([0.0, -0.0]))
 def test_apply_control_equals_the_lambda(omega_base, u):
     cmd = apply_control(omega_base, u)
@@ -238,6 +242,7 @@ def test_apply_control_equals_the_lambda(omega_base, u):
 _TRACK = rounded_rect_track()
 
 
+@pytest.mark.corridor_oracle
 @given(x=st.floats(-0.5, 4.0), y=st.floats(-0.5, 4.5), theta=st.floats(-math.pi, math.pi),
        pitch=st.floats(0.0, 0.1), forward_offset=st.floats(-0.2, 0.2),
        low=st.floats(0.0, 0.5), high=st.floats(0.5, 1.0, exclude_min=True),

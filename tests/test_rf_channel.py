@@ -50,7 +50,8 @@ def test_config_invariants():
     with pytest.raises(ConfigurationError):
         ChannelConfig(one_way_jitter_ms=-1.0)
     # the jitter's draw spans twice the jitter, which must be a finite float
-    with pytest.raises(ConfigurationError, match="jitter must be at most half the float maximum"):
+    with pytest.raises(ConfigurationError,
+                       match="one_way_jitter_ms must be at most half the float maximum"):
         ChannelConfig(one_way_jitter_ms=1e308)
     ChannelConfig(one_way_jitter_ms=sys.float_info.max / 2)
 
@@ -79,6 +80,7 @@ def reference_send(config, gen, conditions, packet, extra_delay_ms):
             packet.sent_at + delay + extra_delay_ms)
 
 
+@pytest.mark.corridor_oracle
 @given(jitter=st.sampled_from([0.0, -0.0, 3.0]) | st.floats(0.0, 1e3),
        rtt=st.floats(0.5, 100.0), pdr=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1),
        obstructed=st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3))),

@@ -49,6 +49,7 @@ def test_each_stream_is_the_child_of_its_index():
 
 
 # Tier-1 runs hypothesis' default budget; CI runs the `corridor-fuzz` profile
+@pytest.mark.corridor_oracle
 @given(half=st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, sys.float_info.max / 2]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_symmetric_range_draws_equal_the_generators_uniform(half, seed):

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from wardsim import ConfigurationError, InvariantError
 from wardsim.cli import main
-from wardsim.engine import Engine, EngineAbort
+from wardsim.engine import Engine, EngineAbort, run
 from wardsim.kinematics import ChassisParams, Pose
 from wardsim.line_following import IrGeometry, LineFollower, PidGains
 from wardsim.protocol import TaskKind, TimeoutPolicy
 from wardsim.rf_channel import ChannelConfig, LinkCondition
-from wardsim.scenario import (DEFAULT_BUDGETS_MS, SCENARIO_KINDS, Battery, Correction, Robots,
-                              ScenarioConfig, ScenarioValidationError, load_preset,
-                              load_scenario, preset_names, validate)
+from wardsim.scenario import (DEFAULT_BUDGETS_MS, SCENARIO_KINDS, Battery, Correction,
+                              PatientEvent, Robots, ScenarioConfig, ScenarioValidationError,
+                              load_preset, load_scenario, preset_names, validate)
 from wardsim.track import Track
 from wardsim.vitals import FallDetectorModel, Flag, LatencyConfig, Posture, SensorNoiseModel
 
@@ -78,7 +78,10 @@ def test_all_errors_collected_not_just_the_first():
            "flag_confirm_samples": 0}
     with pytest.raises(ScenarioValidationError) as exc:
         validate(raw)
-    assert len(exc.value.errors) >= 4
+    # the top level's own checks are one entry, as each section's are
+    assert exc.value.errors == [
+        "top.seed: expected int, got str", "budgets_ms: unknown key 'bogus'",
+        "top level: dt_ms must be positive; flag_confirm_samples must be at least 1"]
 
 
 def test_pdr_ordering_violation_is_reported():
@@ -93,10 +96,11 @@ def test_bool_is_not_accepted_as_int():
 
 
 @pytest.mark.parametrize("text, error", [
-    ("seed: -1\n", "top.seed: must be nonnegative"),
-    ("vitals_sample_period_ms: 15\n", "top.vitals_sample_period_ms: must be a multiple of dt_ms (10)"),
+    ("seed: -1\n", "top level: seed must be nonnegative"),
+    ("vitals_sample_period_ms: 15\n",
+     "top level: vitals_sample_period_ms must be a multiple of dt_ms (10)"),
     ("fall_detector: {check_period_ms: 25}\n",
-     "fall_detector.check_period_ms: must be a multiple of dt_ms (10)"),
+     "top level: fall_detector.check_period_ms must be a multiple of dt_ms (10)"),
     ("fall_detector: {check_period_ms: x}\n", "fall_detector.check_period_ms: expected"),
     ("budgets_ms: {fall: abc}\n", "budgets_ms.fall: expected"),
     ("exec_durations_ms: [1]\n", "exec_durations_ms: expected a mapping, got list"),
@@ -115,11 +119,12 @@ def test_bool_is_not_accepted_as_int():
     ("link_conditions: [{time_ms: 0, src: 1}]\n", "link_conditions[0].dst: required"),
     ("schedule: [{time_ms: 99.99, bed: 1, slot: 0}]\n", "schedule[0].time_ms: expected"),
     # an event before time 0 would run at the first tick
-    ("schedule: [{time_ms: -5, bed: 1, slot: 0}]\n", "schedule[0].time_ms: must be nonnegative"),
+    ("schedule: [{time_ms: -5, bed: 1, slot: 0}]\n",
+     "top level: schedule[0].time_ms must be nonnegative"),
     ("patient_script: [{time_ms: -100, spo2: 80}]\n",
-     "patient_script[0].time_ms: must be nonnegative"),
+     "top level: patient_script[0].time_ms must be nonnegative"),
     ("link_conditions: [{time_ms: -1, src: 1, dst: 2, condition: obstructed}]\n",
-     "link_conditions[0].time_ms: must be nonnegative"),
+     "top level: link_conditions[0].time_ms must be nonnegative"),
     ("schedule: [{time_ms: 100, bed: 1, slot: 0, dose_note: 5}]\n", "schedule[0].dose_note: expected"),
     ("patient_script: [{time_ms: 0, spo2: '90'}]\n", "patient_script[0].spo2: expected"),
     ("patient_script: [{time_ms: 0, spo2: -80, bpm: 5000}]\n",
@@ -143,18 +148,20 @@ def test_bool_is_not_accepted_as_int():
     # as a silently different scenario
     ("robots: {corridor: {slip_halfwidth: 0.5}}\n",
      "robots.corridor: slip_halfwidth must be in [0, 0.1]"),
-    ("detect_threshold: 7.0\n", "top.detect_threshold: must be in (low_level + noise_frac,"),
+    ("detect_threshold: 7.0\n",
+     "top level: detect_threshold must be in (low_level + noise_frac,"),
     # at the default levels (0.1 and 0.9, noise 0.03) a threshold of 0.95 sees
     # the line under every sensor and 0.05 under none
-    ("detect_threshold: 0.95\n", "top.detect_threshold: must be in (low_level + noise_frac,"
+    ("detect_threshold: 0.95\n", "top level: detect_threshold must be in (low_level + noise_frac,"
      " high_level - noise_frac], here (0.13, 0.87]"),
-    ("detect_threshold: 0.05\n", "top.detect_threshold: must be in (low_level + noise_frac,"),
+    ("detect_threshold: 0.05\n",
+     "top level: detect_threshold must be in (low_level + noise_frac,"),
     ("robots: {corridor: {geometry: {noise_frac: 0.45}}}\n",
-     "top.detect_threshold: must be in (low_level + noise_frac, high_level - noise_frac],"
+     "top level: detect_threshold must be in (low_level + noise_frac, high_level - noise_frac],"
      " here (0.55, 0.45]"),
-    ("correction: {position_gain: 5.0}\n", "correction.position_gain: must be in [0, 1]"),
+    ("correction: {position_gain: 5.0}\n", "correction: position_gain must be in [0, 1]"),
     ("link_conditions: [{src: 9, dst: 1, condition: obstructed}]\n",
-     "link_conditions[0].src: 9 is not a robot address"),
+     "top level: link_conditions[0].src must be a robot address, got 9"),
     # a number that is not finite, read anywhere in the schema
     ("robots: {corridor: {geometry: {noise_frac: .inf}}}\n",
      "robots.corridor.geometry.noise_frac: must be a finite number"),
@@ -187,18 +194,18 @@ def test_bool_is_not_accepted_as_int():
     ("timeout_policy: {exec_timeout_ms: -5}\n",
      "timeout_policy: exec_timeout_ms must be positive"),
     ("timeout_policy: {max_retries: -1}\n", "timeout_policy: max_retries must be nonnegative"),
-    ("vitals_sample_period_ms: -10\n", "top.vitals_sample_period_ms: must be nonnegative"),
+    ("vitals_sample_period_ms: -10\n", "top level: vitals_sample_period_ms must be nonnegative"),
     ("fall_detector: {check_period_ms: -100}\n",
-     "fall_detector.check_period_ms: must be nonnegative"),
+     "fall_detector: check_period_ms must be nonnegative"),
     ("exec_durations_ms: {patrol_check: -1}\n",
-     "exec_durations_ms.patrol_check: must be nonnegative"),
-    ("budgets_ms: {fall: -1}\n", "budgets_ms.fall: must be nonnegative"),
+     "top level: exec_durations_ms.patrol_check must be nonnegative"),
+    ("budgets_ms: {fall: -1}\n", "top level: budgets_ms.fall must be nonnegative"),
     ("battery: {budget_units: -1}\n", "battery: budget_units must be nonnegative"),
     ("battery: {low_speed_factor: -2.0}\n", "battery: low_speed_factor must be nonnegative"),
-    ("duration_ms: 25\n", "top.duration_ms: must be a multiple of dt_ms (10)"),
+    ("duration_ms: 25\n", "top level: duration_ms must be a multiple of dt_ms (10)"),
     # a uniform draw's span, twice the bound, must be a finite float
     ("channel: {one_way_jitter_ms: 1.0e+308}\n",
-     "channel: jitter must be at most half the float maximum"),
+     "channel: one_way_jitter_ms must be at most half the float maximum"),
     ("robots: {corridor: {geometry: {noise_frac: 1.0e+308}}}\n",
      "robots.corridor.geometry: noise_frac must be at most half the float maximum"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
@@ -236,14 +243,14 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
     ({"channel": {"pdr_clear": 0.5, "pdr_obstructed": 0.9, "rtt_ms": -1}},
      "channel: require 0 < pdr_obstructed <= pdr_clear <= 1; rtt_ms must be positive"),
     ({"channel": {"rtt_ms": 0, "one_way_jitter_ms": -1}},
-     "channel: rtt_ms must be positive; jitter must be nonnegative"),
+     "channel: rtt_ms must be positive; one_way_jitter_ms must be nonnegative"),
     ({"timeout_policy": {"timeout_ms": 0, "exec_timeout_ms": 0, "max_retries": -1}},
      "timeout_policy: timeout_ms must be positive; exec_timeout_ms must be positive;"
      " max_retries must be nonnegative"),
     ({"battery": {"budget_units": -1, "low_speed_factor": -1}},
      "battery: budget_units must be nonnegative; low_speed_factor must be nonnegative"),
     ({"robots": {"corridor": {"gains": {"kd": -1, "integral_clamp": 0}}}},
-     "robots.corridor.gains: gains must be nonnegative; integral_clamp must be positive"),
+     "robots.corridor.gains: kd must be nonnegative; integral_clamp must be positive"),
     ({"robots": {"corridor": {"slip_halfwidth": 0.5, "slip_bias_halfwidth": -0.1}}},
      "robots.corridor: slip_halfwidth must be in [0, 0.1]; slip_bias_halfwidth must be in [0, 0.1]"),
     ({"fall_detector": {"sensitivity_fallen": 1.5, "sensitivity_standing": -0.5}},
@@ -271,6 +278,34 @@ def test_a_section_reports_every_check_it_fails(raw, error):
     assert error in exc.value.errors, exc.value.errors
 
 
+# configs that no validate() reads: None where the config is refused, else the
+# low-SpO2 alert's (latency ms, verdict). Each comment says how the config
+# would run unchecked
+@pytest.mark.parametrize("build, alert", [
+    # unsorted, the recovery at 6 s would apply at the onset, and no alert come in 8 s
+    (lambda cfg: dataclasses.replace(cfg, patient_script=[
+        PatientEvent(6000, spo2=98), PatientEvent(1000, "low_spo2", spo2=87)]), (2330, "pass")),
+    # ZeroDivisionError in the tick loop
+    (lambda cfg: dataclasses.replace(cfg, dt_ms=0), None),
+    # numpy's ValueError from Engine.__init__
+    (lambda cfg: dataclasses.replace(cfg, seed=-1), None),
+    # the corrected odometry estimate diverges
+    (lambda cfg: dataclasses.replace(cfg, correction=Correction(position_gain=5.0)), None),
+    # no camera check, so a fall raises no alert
+    (lambda cfg: dataclasses.replace(cfg, fall_detector=FallDetectorModel(check_period_ms=-100)),
+     None),
+], ids=["unsorted_script", "dt_zero", "negative_seed", "gain_of_five", "negative_camera_period"])
+def test_a_config_built_in_code_is_refused_or_runs_in_time_order(build, alert):
+    base = dataclasses.replace(load_preset("alert_low_spo2"), duration_ms=8000)
+    if alert is None:
+        with pytest.raises(ConfigurationError):
+            build(base)
+        return
+    log, metrics = run(build(base))
+    assert [r["time_ms"] for r in log.records if r["kind"] == "script"] == [1000, 6000]
+    assert (metrics.alert_latency_ms["low_spo2"], metrics.alert_verdicts["low_spo2"]) == alert
+
+
 def _square_track(**kw):
     return Track([(0, 0), (1, 0), (1, 1), (0, 1)], ["straight"] * 4, mat_size=(2.0, 2.0), **kw)
 
@@ -285,6 +320,8 @@ def _square_track(**kw):
     (LatencyConfig, "vitals_transmit_ms"), (LatencyConfig, "ai_decision_ms"),
     (LatencyConfig, "threshold_decision_ms"), (LatencyConfig, "fall_path_ms"),
     (Battery, "budget_units"), (Battery, "low_speed_factor"),
+    (Correction, "position_gain"), (Correction, "heading_gain"),
+    (FallDetectorModel, "check_period_ms"),
     (PidGains, "kp"), (PidGains, "ki"), (PidGains, "kd"), (PidGains, "integral_clamp"),
     (ChassisParams, "wheel_radius_r"), (ChassisParams, "axle_length_L"),
     (ChassisParams, "ticks_per_rev_C"),
@@ -313,7 +350,8 @@ def test_detect_threshold_edges(geometry):
     for t in (dark, math.nextafter(bright, 2.0)):
         with pytest.raises(ScenarioValidationError) as exc:
             validate({**raw, "detect_threshold": t})
-        assert [e for e in exc.value.errors if e.startswith("top.detect_threshold: ")], t
+        assert any(e.startswith("top level: detect_threshold must be in ")
+                   for e in exc.value.errors), t
 
 
 def test_patient_values_at_the_model_ranges_validate():
@@ -467,7 +505,8 @@ def test_a_scenario_drawn_from_the_schema_is_rejected_or_runs(raw):
     except ScenarioValidationError:
         return
     try:
-        Engine(dataclasses.replace(cfg, duration_ms=2000)).run()
+        # whole ticks only, about 2 s of them
+        Engine(dataclasses.replace(cfg, duration_ms=2000 // cfg.dt_ms * cfg.dt_ms)).run()
     except EngineAbort as exc:
         # the engine turns any error into an abort; a validated scenario may
         # only end in an invariant failure or a state out of range

@@ -176,6 +176,7 @@ def query_points(draw, track):
 
 
 # at least 300 examples in Tier-1, and the `corridor-fuzz` profile's budget in CI
+@pytest.mark.corridor_oracle
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(st.data())
 def test_grid_query_equals_full_scan(data):
@@ -185,6 +186,7 @@ def test_grid_query_equals_full_scan(data):
 
 
 # Tier-1 runs hypothesis' default budget; CI runs the `corridor-fuzz` profile
+@pytest.mark.corridor_oracle
 @settings(deadline=None)
 @given(tracks())
 def test_track_headings_equal_the_atan2_of_the_reference_tangents(track):
