@@ -37,7 +37,8 @@ _CAUSE_TO_KIND = {
 }
 
 
-# lines that EventLog.load decodes with one json.loads call
+# lines that EventLog.load decodes with one json.loads call, and that
+# EventLog.save encodes and writes at a time
 _BATCH_LINES = 1024
 
 # json.dumps(record, sort_keys=True) builds this C encoder anew for every
@@ -106,16 +107,22 @@ class EventLog:
             raise ValueError("event timestamps must be non-decreasing")
         records.append(record)
 
-    def to_jsonl(self) -> str:
+    def to_jsonl(self, start=0, stop=None) -> str:
+        """The lines of `records[start:stop]`, each ended by a newline."""
         parts = []
-        for r in self.records:
+        for r in self.records[start:stop]:
             parts += _encode(r, 0)
             parts.append("\n")
         return "".join(parts)
 
     def save(self, path):
+        """Write the log `_BATCH_LINES` records at a time, so that no more
+        than one batch is held as text. A record that fails to encode raises
+        before its batch is written: the file then holds the whole lines of
+        the batches before it."""
         with open(path, "w") as f:
-            f.write(self.to_jsonl())
+            for i in range(0, len(self.records), _BATCH_LINES):
+                f.write(self.to_jsonl(i, i + _BATCH_LINES))
 
     @classmethod
     def load(cls, path) -> "EventLog":

@@ -16,7 +16,8 @@ full scan; the `corridor_oracle` marker selects those:
     python -m pytest --hypothesis-profile=schema-fuzz \
         "tests/test_scenario.py::test_a_scenario_drawn_from_the_schema_is_rejected_or_runs"
     python -m pytest --hypothesis-profile=log-fuzz \
-        "tests/test_metrics.py::test_batch_load_equals_the_per_line_loop"
+        "tests/test_metrics.py::test_batch_load_equals_the_per_line_loop" \
+        "tests/test_metrics.py::test_save_writes_what_to_jsonl_writes_at_the_batch_edges"
     python -m pytest --hypothesis-profile=protocol-fuzz \
         "tests/test_protocol.py::test_the_event_driven_leader_equals_one_that_steps_in_full"
     python -m pytest --hypothesis-profile=corridor-fuzz -m corridor_oracle \

@@ -501,6 +501,39 @@ def test_link_conditions_apply_in_time_order_whatever_their_file_order():
     assert [e.condition.value for e in cfg.link_conditions] == ["clear", "obstructed"]
 
 
+def test_a_packet_due_on_a_tick_is_delivered_on_that_tick():
+    # with no jitter every one-way delay is 20 ms, and every extra delay a
+    # whole number of ticks, so each packet falls due exactly on a tick
+    cfg = short_config(channel={"rtt_ms": 40, "one_way_jitter_ms": 0})
+    log, _ = run(cfg)
+    extra = {"vitals_report": cfg.latency.vitals_transmit_ms, "alert": cfg.latency.fall_path_ms}
+
+    def key(p):
+        return p["src"], p["dst"], p["packet_kind"], p["seq"]
+
+    due = sorted((r["time_ms"] + p["delay_ms"] + extra.get(p["packet_kind"], 0), key(p))
+                 for r in log.records if r["kind"] == "packet_send"
+                 and (p := r["payload"])["outcome"] == "delivered")
+    delivered = sorted((r["time_ms"], key(r["payload"])) for r in log.records
+                       if r["kind"] == "packet_deliver")
+    assert len(delivered) > 30
+    assert delivered == [d for d in due if d[0] < cfg.duration_ms]
+
+
+def test_a_period_of_zero_turns_vitals_sampling_off():
+    log, _ = run(short_config(vitals_sample_period_ms=0))
+    assert log.records[-1]["time_ms"] > 4000
+    assert not [r for r in log.records if r["kind"] == "vitals_sample"]
+
+
+def test_a_period_of_zero_turns_the_periodic_fall_check_off():
+    cfg = load_preset("alert_fall")
+    log, _ = run(dataclasses.replace(
+        cfg, fall_detector=dataclasses.replace(cfg.fall_detector, check_period_ms=0)))
+    assert log.records[-1]["time_ms"] > cfg.duration_ms // 2
+    assert not [r for r in log.records if r["kind"] == "fall_check"]
+
+
 def test_open_task_index_matches_the_task_table_over_a_shift(monkeypatch):
     schedule = [{"time_ms": t, "bed": 1 + (t // 5000) % 2, "slot": (t // 5000) % 2}
                 for t in range(5000, 30000, 5000)]

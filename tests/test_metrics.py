@@ -151,6 +151,33 @@ def test_to_jsonl_writes_what_json_dumps_writes():
     assert EventLog().to_jsonl() == ""
 
 
+def log_of(lines) -> EventLog:
+    log = EventLog()
+    log.records += map(json.loads, lines)
+    return log
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_save_writes_what_to_jsonl_writes_at_the_batch_edges(tmp_path, n):
+    log = log_of(run_lines()[:n])
+    path = tmp_path / "events.jsonl"
+    log.save(path)
+    text = log.to_jsonl()
+    assert text == "".join(line + "\n" for line in run_lines()[:n])
+    assert path.read_bytes() == text.encode()
+    assert "".join(log.to_jsonl(i, i + B) for i in range(0, n, B)) == text
+
+
+def test_a_record_that_fails_to_encode_leaves_the_whole_batches_before_it(tmp_path):
+    log = log_of(run_lines()[:2 * B])
+    log.records.insert(B + 5, {"time_ms": log.records[B + 4]["time_ms"], "kind": "x",
+                               "payload": {"bad": object()}})
+    path = tmp_path / "events.jsonl"
+    with pytest.raises(TypeError):
+        log.save(path)
+    assert path.read_text() == log.to_jsonl(0, B)
+
+
 class ElifAccumulator(metrics.MetricsAccumulator):
     """The fold with `consume` as it was before its table: one `==` test per
     folded kind, in turn, so any kind that equals none of them is skipped."""

@@ -181,6 +181,29 @@ def test_schedule_entry_spawns_dispense_then_delivery():
     assert out[0].payload["kind"] == "arm_dispense"
 
 
+def test_a_scheduled_task_goes_before_a_leader_decision_waiting_for_the_same_follower():
+    # a flag makes a patrol check (task 1) while the corridor (2) is busy;
+    # then a medication round fires, and the arm (3) completes its dispense,
+    # so the scheduled delivery (task 3) waits for the corridor as well
+    corridor = RosterEntry(frozenset({TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE}),
+                           availability=Availability.BUSY)
+    arm = RosterEntry(frozenset({TaskKind.ARM_DISPENSE}))
+    leader = Leader(1, {2: corridor, 3: arm}, schedule=[ScheduleEntry(time_ms=10, bed=4, slot=1)])
+    leader.handle_triage(decision(Flag.LOW_SPO2), 0)
+    assert leader.step([], 0) == []
+    (dispense,) = leader.step([], 10)
+    assert (dispense.dst, dispense.payload["task_id"]) == (3, 2)
+    done = Packet(3, 1, 1, PacketKind.STATUS, {"task_id": 2, "status": "completed"}, 20)
+    assert leader.step([done], 20) == []
+    patrol, delivery = leader.tasks[1], leader.tasks[3]
+    assert (patrol.origin, delivery.origin) == (TaskOrigin.LEADER_DECISION, TaskOrigin.SCHEDULED)
+    assert patrol.state is delivery.state is TaskState.CREATED
+    corridor.availability = Availability.IDLE
+    (command,) = leader.step([], 30)
+    assert (command.dst, command.payload["task_id"], command.payload["kind"]) == \
+        (2, 3, "deliver_medicine")
+
+
 def test_schedule_entries_fire_once():
     sched = [ScheduleEntry(time_ms=0, bed=4, slot=1)]
     leader = Leader(1, {2: RosterEntry(ALL)}, schedule=sched)
