@@ -147,7 +147,8 @@ _EVENT_LISTS = ("patient_script", "schedule", "link_conditions")
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One run's scenario. However it is built (by `validate()`, in code or by
-    `dataclasses.replace`), it checks the facts that span its fields and sorts its timed lists."""
+    `dataclasses.replace`), it checks the facts that span its fields and
+    stores its timed lists as tuples sorted by time."""
     name: str = "<scenario>"
     seed: int = 0
     dt_ms: int = 10
@@ -155,9 +156,9 @@ class ScenarioConfig:
     track: Track = field(default_factory=default_track)
     robots: Robots = Robots()
     channel: ChannelConfig = ChannelConfig()
-    link_conditions: list[LinkConditionEvent] = field(default_factory=list)
-    patient_script: list[PatientEvent] = field(default_factory=list)
-    schedule: list[ScheduleEntry] = field(default_factory=list)
+    link_conditions: tuple[LinkConditionEvent, ...] = ()
+    patient_script: tuple[PatientEvent, ...] = ()
+    schedule: tuple[ScheduleEntry, ...] = ()
     latency: LatencyConfig = LatencyConfig()
     noise: SensorNoiseModel = SensorNoiseModel()
     fall_detector: FallDetectorModel = FallDetectorModel()
@@ -205,7 +206,7 @@ class ScenarioConfig:
         # the engine reads each list with a cursor; the sort is stable, so
         # events at the same time keep their given order
         for key in _EVENT_LISTS:
-            object.__setattr__(self, key, sorted(getattr(self, key), key=lambda e: e.time_ms))
+            object.__setattr__(self, key, tuple(sorted(getattr(self, key), key=lambda e: e.time_ms)))
 
     @property
     def start_pose(self) -> Pose:
@@ -271,7 +272,8 @@ def _read(hint, value, path: str, errors: list[str], base=None):
     """A non-null `value` as the annotation `hint`, or _FAIL. A scalar must
     have its type already, except that an int is widened to a float, and a
     number must be finite and no larger in magnitude than the float maximum.
-    A list is read whole or not at all. `base` is the value whose fields a
+    A `tuple[X, ...]` is read from a list, and a point or a size from a list
+    of two numbers, whole or not at all. `base` is the value whose fields a
     section's absent keys take."""
     if hint in _PARSERS:
         return _PARSERS[hint](value, path, errors)
@@ -279,19 +281,17 @@ def _read(hint, value, path: str, errors: list[str], base=None):
         hint = typing.get_args(hint)[0]
     if is_dataclass(hint):
         return _build(hint, value, path, errors, base)
-    origin = typing.get_origin(hint)
-    if origin is list:
-        if _shape(value, list, path, errors) is _FAIL:
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...], else a point or a size
+        item, *rest = typing.get_args(hint)
+        if rest == [...]:
+            if _shape(value, list, path, errors) is _FAIL:
+                return _FAIL
+        elif not (isinstance(value, list) and len(value) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+            errors.append(f"{path}: expected a list of two numbers, got {value!r}")
             return _FAIL
-        (item,) = typing.get_args(hint)
-        items = [_read(item, v, f"{path}[{i}]", errors) for i, v in enumerate(value)]
+        items = tuple(_read(item, v, f"{path}[{i}]", errors) for i, v in enumerate(value))
         return _FAIL if any(v is _FAIL for v in items) else items
-    if origin is tuple:  # a point or a size
-        if isinstance(value, list) and len(value) == 2 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-            return tuple(value)
-        errors.append(f"{path}: expected a list of two numbers, got {value!r}")
-        return _FAIL
     if issubclass(hint, enum.Enum):
         value = _read(str, value, path, errors)
         try:
@@ -310,35 +310,20 @@ def _read(hint, value, path: str, errors: list[str], base=None):
     return float(value) if hint is float else value
 
 
-# an inline track's keys as annotations; an absent one takes Track's default
-_TRACK_KEYS = {"waypoints": list[tuple[float, float]], "tags": list[str], "line_width": float,
-               "mat_size": tuple[float, float], "closed": bool}
-
-
-def _build_track(raw, path: str, errors: list[str]):
+def _track(raw, path: str, errors: list[str]):
     if raw == "default":
         return default_track()
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected 'default' or a mapping")
         return _FAIL
-    n_errors = len(errors)
-    errors.extend(f"{path}: unknown key {k!r}" for k in raw if k not in _TRACK_KEYS)
-    kwargs = {k: _read(hint, raw[k], f"{path}.{k}", errors)
-              for k, hint in _TRACK_KEYS.items() if raw.get(k) is not None}
-    if len(errors) > n_errors:
-        return _FAIL
-    try:
-        return Track(**{"waypoints": [], "tags": [], **kwargs})
-    except (ValueError, OverflowError) as exc:
-        errors.append(f"{path}: {exc}")
-        return _FAIL
+    return _build(Track, raw, path, errors)
 
 
 def _flag_names(raw, path: str, errors: list[str]):
     if not (isinstance(raw, list) and all(isinstance(f, str) for f in raw)):
         errors.append(f"{path}: expected a list of flag names, got {raw!r}")
         return _FAIL
-    flags = _read(list[Flag], raw, path, errors)
+    flags = _read(tuple[Flag, ...], raw, path, errors)
     return _FAIL if flags is _FAIL else frozenset(flags)
 
 
@@ -358,7 +343,7 @@ def _table(defaults: dict, keys: dict, raw, path: str, errors: list[str]):
 
 # values whose YAML form is not a mapping of their fields
 _PARSERS = {
-    Track: _build_track,
+    Track: _track,
     frozenset[Flag]: _flag_names,
     dict[TaskKind, int]: functools.partial(_table, DEFAULT_EXEC_DURATIONS_MS,
                                            {k.value: k for k in TaskKind}),

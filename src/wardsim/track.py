@@ -1,10 +1,11 @@
 """Painted-line track geometry on a bounded mat.
 
-A track is a closed polyline of waypoints with a per-segment tag
-("straight" or "turn"). Queries return the perpendicular distance from a
-world point to the polyline, the closest point itself, the heading of the
-closest segment (the angle of its unit tangent, fixed when the track is
-built), and that segment's tag.
+A track is a polyline of waypoints with a per-segment tag ("straight" or
+"turn"); a closed one (the default) also joins its last waypoint to its
+first. Queries return the perpendicular distance from a world point to the
+polyline, the closest point itself, the heading of the closest segment (the
+angle of its unit tangent, fixed when the track is built), and that
+segment's tag.
 
 A query searches only the candidate segments of the grid cell that holds the
 point, and the grid never changes a result:
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ConfigurationError
+from . import require
 
 DEFAULT_MAT = (3.5, 4.0)    # meters
 DEFAULT_LINE_WIDTH = 0.018  # meters
@@ -59,61 +60,59 @@ class TrackQuery:
     segment: int
 
 
+@dataclass(frozen=True)
 class Track:
-    def __init__(self, waypoints, tags, line_width: float = DEFAULT_LINE_WIDTH,
-                 mat_size: tuple[float, float] = DEFAULT_MAT, closed: bool = True):
-        pts = np.array(waypoints, dtype=float)  # a copy, made read-only below
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-            raise ConfigurationError("track needs at least two 2-D waypoints")
-        if not line_width > 0:
-            raise ConfigurationError("line_width must be positive")
-        w, h = mat_size
-        if not (math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0):
-            raise ConfigurationError("mat_size must be two positive finite numbers")
-        if not np.all(np.isfinite(pts)):
-            raise ConfigurationError("track waypoints must be finite")
-        if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > w) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > h):
-            raise ConfigurationError("track waypoints must lie inside the mat bounds")
-        pts.flags.writeable = False
-        self.waypoints = pts
-        self.closed = closed
-        self.line_width = float(line_width)
-        self.mat_size = (float(w), float(h))
+    """A scenario's `track` section: its fields are the YAML keys, stored as
+    tuples of floats. The heading, length and candidate grid derived from
+    them are set once here."""
+    waypoints: tuple[tuple[float, float], ...]
+    tags: tuple[str, ...]
+    line_width: float = DEFAULT_LINE_WIDTH
+    mat_size: tuple[float, float] = DEFAULT_MAT
+    closed: bool = True
 
-        if closed:
-            a = pts
-            b = np.roll(pts, -1, axis=0)
-        else:
-            a = pts[:-1]
-            b = pts[1:]
+    def __post_init__(self):
+        pts = np.array(self.waypoints, dtype=float)
+        w, h = self.mat_size
+        require((pts.ndim == 2 and pts.shape[1] == 2 and len(pts) >= 2,
+                 "track needs at least two 2-D waypoints"),
+                (self.line_width > 0, "line_width must be positive"),
+                (math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0,
+                 "mat_size must be two positive finite numbers"))
+        a, b = (pts, np.roll(pts, -1, axis=0)) if self.closed else (pts[:-1], pts[1:])
         n_seg = len(a)
-        tags = tuple(tags)
-        if len(tags) != n_seg:
-            raise ConfigurationError(f"expected {n_seg} segment tags, got {len(tags)}")
-        for t in tags:
-            if t not in ("straight", "turn"):
-                raise ConfigurationError(f"unknown segment tag {t!r}")
-        self.tags = tags
-
+        tags = tuple(self.tags)
+        require((np.all(np.isfinite(pts)), "track waypoints must be finite"),
+                (not (np.any(pts < 0) or np.any(pts > (w, h))),
+                 "track waypoints must lie inside the mat bounds"),
+                (len(tags) == n_seg, f"expected {n_seg} segment tags, got {len(tags)}"),
+                *((t in ("straight", "turn"), f"unknown segment tag {t!r}") for t in dict.fromkeys(tags)))
+        w, h = mat_size = (float(w), float(h))
         d = b - a
         len2 = np.einsum("ij,ij->i", d, d)
         len2[len2 == 0.0] = 1e-30
         seg_len = np.sqrt(len2)
-        self.headings = tuple(math.atan2(ty, tx) for tx, ty in (d / seg_len[:, None]).tolist())
-        self.length = float(seg_len.sum())
-
         # (index, ax, ay, dx, dy, len2) as Python floats: the query's scan
-        self._segs = [(i, *row) for i, row in enumerate(np.column_stack([a, d, len2]).tolist())]
-        nx = min(_MAX_CELLS, math.ceil(self.mat_size[0] / _CELL_M))
-        ny = min(_MAX_CELLS, math.ceil(self.mat_size[1] / _CELL_M))
+        segs = [(i, *row) for i, row in enumerate(np.column_stack([a, d, len2]).tolist())]
+        # capped before rounding, so a mat too wide to count cells in still gets the cap
+        nx = math.ceil(min(w / _CELL_M, _MAX_CELLS))
+        ny = math.ceil(min(h / _CELL_M, _MAX_CELLS))
         # a point on the far border indexes one past the last cell, so the
         # last column and row are repeated rather than clamped per query
-        keep = np.pad(_candidate_grid(a, d, len2, self.mat_size, nx, ny),
+        keep = np.pad(_candidate_grid(a, d, len2, mat_size, nx, ny),
                       ((0, 1), (0, 1), (0, 0)), mode="edge").reshape(-1, n_seg)
-        kept = [self._segs[i] for i in np.nonzero(keep)[1].tolist()]
+        kept = [segs[i] for i in np.nonzero(keep)[1].tolist()]
         ends = np.cumsum(keep.sum(axis=1)).tolist()
         cells = [kept[i:j] for i, j in zip([0, *ends], ends)]
-        self._grid = (*self.mat_size, nx / self.mat_size[0], ny / self.mat_size[1], nx + 1, cells)
+        # the fields in their stored form and the facts derived from them, set
+        # past the frozen __setattr__
+        for name, value in (
+                ("waypoints", tuple(map(tuple, pts.tolist()))), ("tags", tags),
+                ("line_width", float(self.line_width)), ("mat_size", mat_size),
+                ("headings", tuple(math.atan2(ty, tx) for tx, ty in (d / seg_len[:, None]).tolist())),
+                ("length", float(seg_len.sum())), ("_segs", segs),
+                ("_grid", (*mat_size, nx / w, ny / h, nx + 1, cells))):
+            object.__setattr__(self, name, value)
 
     def query(self, x: float, y: float) -> TrackQuery:
         """Closest point on the polyline to the finite point (x, y)."""

@@ -108,6 +108,20 @@ def test_timeouts_retry_until_budget_spent_then_reassign_to_an_untried_follower(
     assert task.tried_assignees == [2, 3]
 
 
+def test_a_budget_of_no_retries_reassigns_at_the_first_timeout_and_escalates_at_the_second():
+    roster = {2: RosterEntry(ALL), 3: RosterEntry(ALL)}
+    _, task, records, sent = unacked_patrol(roster, TimeoutPolicy(timeout_ms=100, max_retries=0),
+                                            range(0, 300, 100))
+    S = TaskState
+    assert records == [
+        (0, S.CREATED, None, 0), (0, S.SENT, 2, 0),
+        # the timeout spends the empty budget at once: no retry
+        (100, S.TIMED_OUT, 2, 0), (100, S.REASSIGNED, 2, 1), (100, S.SENT, 3, 0),
+        (200, S.TIMED_OUT, 3, 0), (200, S.ESCALATED, 3, 1)]
+    assert sent == [(0, [2]), (100, [3]), (200, [])]
+    assert task.tried_assignees == [2, 3]
+
+
 def test_timeouts_skip_busy_and_incapable_followers_and_escalate_with_a_notification():
     roster = {2: RosterEntry(ALL),
               3: RosterEntry(ALL, availability=Availability.BUSY),

@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import math
+import pickle
 import typing
 
 import pytest
@@ -131,6 +132,13 @@ def test_bool_is_not_accepted_as_int():
      "patient_script[0]: spo2 must be in [50, 100], got -80.0; bpm must be in [20, 220]"),
     ("patient_script: [{time_ms: 0, temp: 33.9}]\n", "patient_script[0]: temp must be in [34, 43]"),
     ("track: {line_width: '0.02'}\n", "track.line_width: expected"),
+    ("track: {}\n", "track.waypoints: required"),
+    # a point or a size is two numbers, each read as any other number is
+    (f"track: {{waypoints: [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2]], tags: [straight, straight, straight],"
+     f" mat_size: [{10 ** 400}, 2.0]}}\n", "track.mat_size[0]: must be a finite number"),
+    ("track: {waypoints: [[0.2, .nan], [1.2, 0.2], [1.2, 1.2]], tags: [straight, straight, straight],"
+     " mat_size: [2.0, 2.0]}\n", "track.waypoints[0][1]: must be a finite number"),
+    ("track: defualt\n", "track: expected 'default' or a mapping"),
     ("robots: {corridor: {start: {x: '1.0'}}}\n", "robots.corridor.start.x: expected"),
     ("name: 5\n", "top.name: expected"),
     ("timeout_policy: {max_retries: '3'}\n", "timeout_policy.max_retries: expected"),
@@ -215,7 +223,8 @@ def test_bool_is_not_accepted_as_int():
         "link_dst_missing", "schedule_time_float", "schedule_time_negative",
         "script_time_negative", "link_time_negative", "dose_note_int", "spo2_string",
         "spo2_bpm_out_of_range", "temp_out_of_range",
-        "line_width_string", "start_x_string", "name_int", "max_retries_string",
+        "line_width_string", "track_empty", "mat_size_huge", "waypoint_nan",
+        "track_name_misspelt", "start_x_string", "name_int", "max_retries_string",
         "geometry_pitch_string", "waypoint_string", "waypoint_bool", "mat_size_bool",
         "tag_int", "ai_flags_mapping", "slip_out_of_range", "threshold_out_of_range",
         "threshold_above_the_bright_levels", "threshold_below_the_dark_levels",
@@ -269,9 +278,12 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
      " temp_mean_abs_err must be nonnegative"),
     ({"robots": {"corridor": {"chassis": {"wheel_radius_r": -1, "axle_length_L": -1}}}},
      "robots.corridor.chassis: wheel_radius_r must be positive; axle_length_L must be positive"),
+    ({"track": {"waypoints": [[0.2, 0.2]], "tags": [], "line_width": 0.0, "mat_size": [-1.0, 2.0]}},
+     "track: track needs at least two 2-D waypoints; line_width must be positive;"
+     " mat_size must be two positive finite numbers"),
 ], ids=["channel_pdr_and_rtt", "channel_rtt_and_jitter", "timeout_policy", "battery", "gains",
         "slip", "fall_detector", "latency", "patient_event", "ir_geometry", "sensor_noise",
-        "chassis"])
+        "chassis", "track"])
 def test_a_section_reports_every_check_it_fails(raw, error):
     with pytest.raises(ScenarioValidationError) as exc:
         validate(raw)
@@ -391,8 +403,27 @@ def test_track_default_shorthand_and_inline_track():
 def test_the_default_track_is_built_once_and_read_only():
     track = validate({"track": "default"}).track
     assert track is validate({}).track is ScenarioConfig().track is load_preset("default").track
-    with pytest.raises(ValueError, match="read-only"):
-        track.waypoints[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        track.waypoints = ()
+    with pytest.raises(TypeError):
+        track.waypoints[0][0] = 1.0
+
+
+def test_equal_inputs_give_equal_configs_that_survive_a_pickle_round_trip():
+    raw = {"track": _SQUARE, "schedule": [{"time_ms": 9000, "bed": 5}, {"time_ms": 4000, "bed": 6}]}
+    a, b = validate(raw), validate(raw)
+    assert a == b and a.track is not b.track and hash(a.track) == hash(b.track)
+    for name in preset_names():
+        cfg = load_preset(name)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg, name
+
+
+def test_a_built_config_cannot_be_changed():
+    cfg = load_preset("alert_low_spo2")
+    with pytest.raises(AttributeError):
+        cfg.patient_script.append(PatientEvent(-5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.track.waypoints = ()
 
 
 def test_a_corridor_start_of_only_x_and_y_runs_from_heading_zero():
@@ -488,7 +519,7 @@ def _values(hint):
         hints = typing.get_type_hints(hint)
         right = st.fixed_dictionaries({}, optional={
             f.name: _values(hints[f.name]) for f in dataclasses.fields(hint)})
-    elif typing.get_origin(hint) is list:
+    elif typing.get_origin(hint) is tuple:  # tuple[X, ...]
         right = st.lists(_values(args[0]), max_size=3)
     elif issubclass(hint, enum.Enum):
         right = st.sampled_from([m.value for m in hint])
@@ -504,6 +535,9 @@ def test_a_scenario_drawn_from_the_schema_is_rejected_or_runs(raw):
         cfg = validate(raw)
     except ScenarioValidationError:
         return
+    # a config is a value: a second reading and a pickle round trip equal it
+    assert validate(raw) == cfg
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
     try:
         # whole ticks only, about 2 s of them
         Engine(dataclasses.replace(cfg, duration_ms=2000 // cfg.dt_ms * cfg.dt_ms)).run()

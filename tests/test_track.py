@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from wardsim import ConfigurationError
 from wardsim import track as track_module
+from wardsim.scenario import validate
 from wardsim.track import Track, TrackQuery, rounded_rect_track
 
 
 def reference_segments(track):
     """Each segment's start, direction, squared length (a zero length
     clamped to 1e-30) and unit tangent, as numpy arrays."""
-    pts = track.waypoints
+    pts = np.array(track.waypoints)
     a, b = (pts, np.roll(pts, -1, axis=0)) if track.closed else (pts[:-1], pts[1:])
     d = b - a
     len2 = np.einsum("ij,ij->i", d, d)
@@ -171,7 +172,7 @@ def query_points(draw, track):
     i = draw(st.integers(0, len(track.waypoints) - 1))
     j = (i + 1) % len(track.waypoints)
     t = draw(st.floats(0.0, 1.0))
-    (ax, ay), (bx, by) = track.waypoints[i].tolist(), track.waypoints[j].tolist()
+    (ax, ay), (bx, by) = track.waypoints[i], track.waypoints[j]
     return ax + t * (bx - ax), ay + t * (by - ay)
 
 
@@ -204,6 +205,17 @@ def test_default_course_matches_full_scan_on_a_lattice():
     for i in range(-2, 4 * nx + 3):
         for j in range(-2, 4 * ny + 3):
             assert_matches_reference(track, i * w / (4 * nx), j * h / (4 * ny))
+
+
+def test_a_mat_too_wide_to_count_cells_in_validates_and_queries_exactly():
+    # 1.7e308 / 0.1 overflows to inf, so the cell count is capped before it
+    # is rounded; the grid keeps every segment in every cell
+    track = validate({"track": {"waypoints": [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2], [0.2, 1.2]],
+                                "tags": ["straight"] * 4, "mat_size": [1.7e308, 2.0]}}).track
+    assert grid_cells(track) == (64, 20)
+    assert all(len(cell) == 4 for cell in track._grid[5])
+    for x, y in ((0.5, 0.1), (1.3, 1.4), (0.0, 0.5), (1e150, 2.0), (-1.0, -1.0)):
+        assert_matches_reference(track, x, y)
 
 
 @pytest.mark.parametrize("block", [1, 36 * 28 * 3])
