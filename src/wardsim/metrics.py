@@ -83,6 +83,18 @@ def _check_record(record):
         raise ValueError("payload must be an object")
 
 
+def _share_strings(record, share):
+    """Replace a `str` kind and source of a checked `record` by the first
+    equal string passed to `share`, a dict's `setdefault`; any other value,
+    and a missing key, stays as it is."""
+    kind = record.get("kind")
+    if type(kind) is str:
+        record["kind"] = share(kind, kind)
+    source = record.get("source")
+    if type(source) is str:
+        record["source"] = share(source, source)
+
+
 class EventLog:
     """Append-only, monotonically timestamped record list.
 
@@ -92,9 +104,14 @@ class EventLog:
     one call per line spends more time around json's C decoder than in it,
     and one call shares the key strings of all its records. A batch that
     does not decode to one object per line, or that holds a bad record, is
-    read again line by line, which names the first bad record. `load` runs
-    with the cyclic garbage collector paused (`gc_paused`), since the records
-    it builds hold no reference cycles.
+    read again line by line, which names the first bad record; a batch can
+    also fail where each of its lines loads, such as a line that ends in a
+    form feed, which `str.strip` drops and JSON does not count as space.
+    `json.loads` decodes a new string for every value, so `load` keeps one
+    object per distinct `kind` string and `source` string, as the live log
+    does (`_share_strings`). `load` runs with the cyclic garbage collector
+    paused (`gc_paused`), since the records it builds hold no reference
+    cycles.
     """
 
     def __init__(self):
@@ -133,6 +150,7 @@ class EventLog:
         # over two lines
         mark = os.urandom(16).hex()
         joint = f',"{mark}",'
+        share = {}.setdefault
         with gc_paused(), open(path) as f:
             first = 0
             while lines := list(itertools.islice(f, _BATCH_LINES)):
@@ -145,14 +163,15 @@ class EventLog:
                         raise ValueError("the batch does not decode to one value per line")
                     for record in values[::2]:
                         _check_record(record)
+                        _share_strings(record, share)
                         log.append(record)
                 except (KeyError, ValueError):
                     del log.records[size:]
-                    log._load_lines(lines, first)
+                    log._load_lines(lines, first, share)
                 first += len(lines)
         return log
 
-    def _load_lines(self, lines, first):
+    def _load_lines(self, lines, first, share):
         for i, line in enumerate(lines, first):
             line = line.strip()
             if not line:
@@ -160,6 +179,7 @@ class EventLog:
             try:
                 record = json.loads(line)
                 _check_record(record)
+                _share_strings(record, share)
                 self.append(record)
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"malformed event log at record {i}: {exc}") from exc

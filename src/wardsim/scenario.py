@@ -140,15 +140,31 @@ class Correction:
                   for key in ("position_gain", "heading_gain")))
 
 
-# the scenario's lists of timed events
+class FrozenDict(dict):
+    """A dict that cannot be changed once built: every mutator raises
+    TypeError. It reads, compares and copies as a dict, and a pickle rebuilds
+    it from a plain one (`types.MappingProxyType` does not pickle)."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} does not support changes")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+# the scenario's lists of timed events, and its tables
 _EVENT_LISTS = ("patient_script", "schedule", "link_conditions")
+_TABLES = ("exec_durations_ms", "budgets_ms")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One run's scenario. However it is built (by `validate()`, in code or by
-    `dataclasses.replace`), it checks the facts that span its fields and
-    stores its timed lists as tuples sorted by time."""
+    `dataclasses.replace`), it checks the facts that span its fields, stores
+    its timed lists as tuples sorted by time and its tables as FrozenDicts."""
     name: str = "<scenario>"
     seed: int = 0
     dt_ms: int = 10
@@ -200,13 +216,14 @@ class ScenarioConfig:
                     f" - noise_frac], here ({dark:g}, {bright:g}]"),
                    (self.flag_confirm_samples >= 1, "flag_confirm_samples must be at least 1")]
         checks += ((value >= 0, f"{table}.{getattr(key, 'value', key)} must be nonnegative")
-                   for table in ("exec_durations_ms", "budgets_ms")
-                   for key, value in getattr(self, table).items())
+                   for table in _TABLES for key, value in getattr(self, table).items())
         require(*checks)
         # the engine reads each list with a cursor; the sort is stable, so
         # events at the same time keep their given order
         for key in _EVENT_LISTS:
             object.__setattr__(self, key, tuple(sorted(getattr(self, key), key=lambda e: e.time_ms)))
+        for key in _TABLES:
+            object.__setattr__(self, key, FrozenDict(getattr(self, key)))
 
     @property
     def start_pose(self) -> Pose:

@@ -1,18 +1,22 @@
 """The event-log loader: batch-decoded `EventLog.load` accepts exactly the
 files that one `json.loads` per line accepts, with the same records, and
-names the same first bad record. The metrics fold: `consume`'s table of
-folds skips and refuses the records that one `==` test per kind did. The
-run reports: metrics.txt and metrics.csv, for the rows no preset reaches."""
+names the same first bad record; it keeps one object per distinct kind and
+source string, which keeps a loaded log within 1.35 times the size of the
+live one. The metrics fold: `consume`'s table of folds skips and refuses
+the records that one `==` test per kind did. The run reports: metrics.txt
+and metrics.csv, for the rows no preset reaches."""
 
 import functools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_golden import ward_shift_config
 from wardsim import metrics
 from wardsim.engine import run
 from wardsim.metrics import EventLog, RunMetrics
@@ -70,6 +74,10 @@ def corrupt(lines: list[str], kind: str, pos: int, at: int) -> list[str]:
         new = [line + [", ", " ", ""][at % 3] + lines[(pos + 1) % len(lines)]]
     elif kind == "split":
         new = split_at_member(line, at)
+    elif kind == "form_feed":
+        # a line that each json.loads takes once strip() has dropped the form
+        # feed, and that a batch refuses, since JSON does not count it as space
+        new = [line + "\x0c"]
     elif kind == "swap_times":
         if pos + 1 == len(lines):
             return lines
@@ -79,7 +87,7 @@ def corrupt(lines: list[str], kind: str, pos: int, at: int) -> list[str]:
     return lines[:pos] + new + lines[pos + 1:]
 
 
-CORRUPTIONS = ["truncate", "blank", "two_on_a_line", "split", "swap_times", "scalar"]
+CORRUPTIONS = ["truncate", "blank", "two_on_a_line", "split", "form_feed", "swap_times", "scalar"]
 
 
 def log_lines(n: int, start: int, corruptions) -> list[str]:
@@ -116,6 +124,15 @@ def expected_load(path, lines: list[str]) -> tuple[list | None, str | None]:
                       f"a record must be an object, not {type(value).__name__}")
 
 
+def assert_strings_shared(records):
+    """Equal `str` kinds and sources, of any records, are one object."""
+    first = {}
+    for r in records:
+        for value in (r.get("kind"), r.get("source")):
+            if type(value) is str:
+                assert first.setdefault(value, value) is value, value
+
+
 @settings(deadline=None)
 @given(LOGS)
 # A record split over two lines and two records on one line, in one batch:
@@ -127,17 +144,59 @@ def expected_load(path, lines: list[str]) -> tuple[list | None, str | None]:
 # records on the second half's line make the count right again, and every
 # even place of the batch still holds an object.
 @example((B, 0, [("split", 269, 3), ("two_on_a_line", 270, 0), ("two_on_a_line", 270, 0)]))
+# The second batch is read line by line and loads: its strings are the first
+# batch's.
+@example((B + 1, 0, [("form_feed", B, 0)]))
 def test_batch_load_equals_the_per_line_loop(tmp_path_factory, spec):
     lines = log_lines(*spec)
     path = tmp_path_factory.getbasetemp() / "log_property.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
     records, message = expected_load(path, lines)
     if message is None:
-        assert EventLog.load(path).records == records
+        loaded = EventLog.load(path).records
+        assert loaded == records
+        assert_strings_shared(loaded)
     else:
         with pytest.raises(ValueError) as got:
             EventLog.load(path)
         assert str(got.value) == message
+
+
+def test_a_loaded_run_log_keeps_one_object_per_kind_and_source(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(line + "\n" for line in run_lines()))
+    loaded = EventLog.load(path).records
+    assert loaded == reference_load(path).records
+    assert_strings_shared(loaded)
+    # 11 kinds from 9 sources, "script" being both
+    assert len({id(r[key]) for r in loaded for key in ("kind", "source")}) == 19
+
+
+def log_size(make) -> int:
+    """The bytes that tracemalloc sees freed when the log that `make()`
+    returns, and that nothing else holds, is dropped."""
+    tracemalloc.start()
+    try:
+        log = make()
+        held = tracemalloc.get_traced_memory()[0]
+        del log
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def ward_shift_log_sizes(path) -> tuple[int, int]:
+    """The traced sizes of the 20 s ward shift's live log, and of that log
+    saved to `path` and loaded."""
+    run(ward_shift_config())[0].save(path)
+    return log_size(lambda: run(ward_shift_config())[0]), log_size(lambda: EventLog.load(path))
+
+
+def test_a_loaded_ward_shift_log_is_at_most_1_35_times_the_size_of_the_live_one(tmp_path):
+    # json decodes a new string for every value; shared kinds and sources
+    # took the ratio from 1.51 to 1.27
+    live, loaded = ward_shift_log_sizes(tmp_path / "events.jsonl")
+    assert loaded <= 1.35 * live, (live, loaded)
 
 
 def test_to_jsonl_writes_what_json_dumps_writes():
@@ -220,6 +279,9 @@ def test_records_whose_kind_has_no_fold_replay_as_before(preset, tmp_path, monke
     odd.save(path)
     loaded = EventLog.load(path)
     assert loaded.records == odd.records
+    assert_strings_shared(loaded.records)
+    # == takes True for 1 and 0 for False: each kind keeps its type too
+    assert [type(r["kind"]) for r in loaded.records] == [type(r["kind"]) for r in odd.records]
     replayed = [metrics.replay_metrics(odd), metrics.replay_metrics(loaded)]
     monkeypatch.setattr(metrics, "MetricsAccumulator", ElifAccumulator)
     assert [metrics.replay_metrics(odd), metrics.replay_metrics(loaded)] == replayed

@@ -424,6 +424,15 @@ def test_a_built_config_cannot_be_changed():
         cfg.patient_script.append(PatientEvent(-5))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.track.waypoints = ()
+    # a table would skip its nonnegative check; its pickle stays read-only
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg
+    for each in (cfg, copy, dataclasses.replace(cfg, budgets_ms={"fall": 10})):
+        with pytest.raises(TypeError):
+            each.budgets_ms["fall"] = -1
+        with pytest.raises(TypeError):
+            each.exec_durations_ms.update({TaskKind.ARM_DISPENSE: -1})
+    assert cfg.budgets_ms["fall"] == 3000 and cfg.exec_durations_ms[TaskKind.ARM_DISPENSE] == 2000
 
 
 def test_a_corridor_start_of_only_x_and_y_runs_from_heading_zero():
