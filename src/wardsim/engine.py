@@ -343,7 +343,8 @@ class Engine:
         The tick loop runs with the cyclic garbage collector paused
         (`metrics.gc_paused`): its records are trees of dicts and lists, and
         a tick makes no cyclic garbage, so the collector's passes during a
-        run would free nothing."""
+        run would free nothing. The pause leaves the log in the collector's
+        oldest generation."""
         cfg = self.config
         self._emit("meta", {
             "scenario": cfg.name, "seed": cfg.seed, "dt_ms": cfg.dt_ms,

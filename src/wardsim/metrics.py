@@ -12,7 +12,12 @@ accumulator sits in one, so reference counting frees a dropped log at once
 and those passes free nothing: a 120 s ward shift's run and its
 `EventLog.load` each triggered about 170 of them. `gc_paused` turns the
 collector off while `EventLog.load` and `Engine.run`'s tick loop build a log;
-nothing else pauses it.
+nothing else pauses it. Once on again, the collector would still walk the
+whole new log in its next young-generation pass, which took about 20 ms
+after a 120 s ward shift's run or load; so the outermost pause collects the
+young generations when it starts, and when it ends moves what its block
+built straight to the oldest generation, which only a full pass walks.
+Cyclic garbage made inside a pause therefore waits for a full pass.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import os
 import statistics
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from types import MappingProxyType
 
 # notification cause -> scenario kind used for alert budgets
 _CAUSE_TO_KIND = {
@@ -52,18 +58,32 @@ _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
 
 @contextlib.contextmanager
 def gc_paused():
-    """Turn the cyclic garbage collector off for the `with` block and back on
-    after it only if it was on before, so that pauses nest. Use it only
+    """Turn the cyclic garbage collector off for the `with` block. Use it only
     around code whose garbage has no reference cycles: the collector does not
-    run at all inside the block, so cyclic garbage made there waits for the
-    next pass after it."""
-    enabled = gc.isenabled()
+    run at all inside the block, and what the block built is not walked
+    before a full pass.
+
+    A pause entered with the collector on first collects the two young
+    generations, so that the cyclic garbage made before the block is freed
+    as at any young pass, and they then hold only what the block builds.
+    When the block ends, `gc.freeze()` then `gc.unfreeze()` move those
+    objects to the oldest generation in O(1) and reset the young count, and
+    the collector goes back on. The move is skipped while the caller has
+    frozen objects of its own, which `gc.unfreeze()` would release. A pause
+    entered with the collector off, such as a nested one, does neither, and
+    leaves the collector off."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.collect(1)
     gc.disable()
     try:
         yield
     finally:
-        if enabled:
-            gc.enable()
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        gc.enable()
 
 
 def _check_number(name: str, value):
@@ -71,28 +91,9 @@ def _check_number(name: str, value):
         raise ValueError(f"{name} must be a number, not {value!r}")
 
 
-def _check_record(record):
-    """Raise ValueError (KeyError for a missing time) unless `record` has the
-    shape that EventLog.append and MetricsAccumulator.consume read."""
-    if type(record) is not dict:
-        raise ValueError(f"a record must be an object, not {type(record).__name__}")
-    t = record["time_ms"]
-    if not (type(t) is int or type(t) is float and math.isfinite(t)):
-        raise ValueError(f"time_ms must be a finite number, not {t!r}")
-    if type(record.get("payload", {})) is not dict:
-        raise ValueError("payload must be an object")
-
-
-def _share_strings(record, share):
-    """Replace a `str` kind and source of a checked `record` by the first
-    equal string passed to `share`, a dict's `setdefault`; any other value,
-    and a missing key, stays as it is."""
-    kind = record.get("kind")
-    if type(kind) is str:
-        record["kind"] = share(kind, kind)
-    source = record.get("source")
-    if type(source) is str:
-        record["source"] = share(source, source)
+# the payload that `consume` passes a fold for a record that has none, and
+# that `EventLog.load` accepts; read-only, so no fold can change it
+_NO_PAYLOAD = MappingProxyType({})
 
 
 class EventLog:
@@ -109,9 +110,8 @@ class EventLog:
     form feed, which `str.strip` drops and JSON does not count as space.
     `json.loads` decodes a new string for every value, so `load` keeps one
     object per distinct `kind` string and `source` string, as the live log
-    does (`_share_strings`). `load` runs with the cyclic garbage collector
-    paused (`gc_paused`), since the records it builds hold no reference
-    cycles.
+    does (`_extend`). `load` runs with the cyclic garbage collector paused
+    (`gc_paused`), since the records it builds hold no reference cycles.
     """
 
     def __init__(self):
@@ -161,10 +161,7 @@ class EventLog:
                     n = len(texts)
                     if len(values) != 2 * n - 1 or values[1::2].count(mark) != n - 1:
                         raise ValueError("the batch does not decode to one value per line")
-                    for record in values[::2]:
-                        _check_record(record)
-                        _share_strings(record, share)
-                        log.append(record)
+                    log._extend(values[::2], share)
                 except (KeyError, ValueError):
                     del log.records[size:]
                     log._load_lines(lines, first, share)
@@ -177,12 +174,34 @@ class EventLog:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                _check_record(record)
-                _share_strings(record, share)
-                self.append(record)
+                self._extend((json.loads(line),), share)
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"malformed event log at record {i}: {exc}") from exc
+
+    def _extend(self, records, share):
+        """Append each of the decoded `records` with `append`, its `str` kind
+        and source replaced by the first equal string passed to `share`, a
+        dict's `setdefault`. Raise ValueError (KeyError for a missing time)
+        at the first record without the shape that `append` and
+        `MetricsAccumulator.consume` read. The checks sit inline, not in a
+        function per record, since every record of a load passes them."""
+        append, isfinite = self.append, math.isfinite
+        for record in records:
+            if type(record) is not dict:
+                raise ValueError(f"a record must be an object, not {type(record).__name__}")
+            t = record["time_ms"]
+            if not (type(t) is int or type(t) is float and isfinite(t)):
+                raise ValueError(f"time_ms must be a finite number, not {t!r}")
+            payload = record.get("payload", _NO_PAYLOAD)
+            if type(payload) is not dict and payload is not _NO_PAYLOAD:
+                raise ValueError("payload must be an object")
+            kind = record.get("kind")
+            if type(kind) is str:
+                record["kind"] = share(kind, kind)
+            source = record.get("source")
+            if type(source) is str:
+                record["source"] = share(source, source)
+            append(record)
 
 
 def success_rate(completed: int, escalated: int) -> float | None:
@@ -263,7 +282,7 @@ class MetricsAccumulator:
         self._energy = 0.0
 
     def consume(self, record: dict):
-        kind, t, p = record["kind"], record["time_ms"], record.get("payload", {})
+        kind, t, p = record["kind"], record["time_ms"], record.get("payload", _NO_PAYLOAD)
         try:
             fold = self.FOLDS.get(kind)
         except TypeError:  # an unhashable kind, such as a list, has no fold

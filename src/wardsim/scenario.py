@@ -142,14 +142,18 @@ class Correction:
 
 class FrozenDict(dict):
     """A dict that cannot be changed once built: every mutator raises
-    TypeError. It reads, compares and copies as a dict, and a pickle rebuilds
-    it from a plain one (`types.MappingProxyType` does not pickle)."""
+    TypeError. It reads, compares and copies as a dict, hashes by its items
+    (so equal FrozenDicts hash equal), and a pickle rebuilds it from a plain
+    one (`types.MappingProxyType` does not pickle)."""
 
     def _read_only(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} does not support changes")
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
 
     def __reduce__(self):
         return type(self), (dict(self),)

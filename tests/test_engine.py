@@ -17,7 +17,6 @@ from _reference import EveryPhaseEngine, first_difference
 from test_golden import CORPUS, CORPUS_BASE, corpus_config, ward_shift_config
 from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
-from wardsim import metrics as metrics_module
 from wardsim.cli import main
 from wardsim.engine import (RECORD_KINDS, Engine, EngineAbort, SuiteResult, SuiteRow, export_outputs,
                             run, run_suite)
@@ -164,20 +163,20 @@ def test_zero_duration_run_yields_only_the_meta_record():
 @pytest.fixture
 def collector_seen(monkeypatch):
     """gc.isenabled() at each tick of a run (its leader step, the one phase
-    called on every tick) and at each record check of EventLog.load."""
+    called on every tick) and at each record that EventLog.load appends."""
     seen = []
-    leader_step, check_record = Leader.step, metrics_module._check_record
+    leader_step, append = Leader.step, EventLog.append
 
     def tick(self, inbox, now):
         seen.append(gc.isenabled())
         return leader_step(self, inbox, now)
 
-    def check(record):
+    def check(self, record):
         seen.append(gc.isenabled())
-        check_record(record)
+        append(self, record)
 
     monkeypatch.setattr(Leader, "step", tick)
-    monkeypatch.setattr(metrics_module, "_check_record", check)
+    monkeypatch.setattr(EventLog, "append", check)
     return seen
 
 
@@ -217,6 +216,71 @@ def test_a_run_or_load_pauses_the_collector_and_restores_it(call, enabled, colle
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+def passes_started(call):
+    """The generation of each collector pass that starts while `call()` runs
+    or when the first container after it is allocated, and what `call()`
+    returned. A pass starts at an allocation once the young generation is
+    over its threshold, so a log left there is walked at the first one."""
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        held = [call()]  # the first container allocated after the call
+    finally:
+        gc.callbacks.remove(note)
+    return starts, held[0]
+
+
+def test_a_run_and_a_load_leave_their_log_in_the_oldest_generation(tmp_path):
+    # the only pass is the pause's own collection of the young generations
+    # as it starts; the log it built is moved to the oldest generation, so
+    # no young pass walks it once the collector is back on
+    starts, (log, _) = passes_started(lambda: run(ward_shift_config()))
+    assert starts == [1]
+    path = tmp_path / "events.jsonl"
+    log.save(path)
+    starts, loaded = passes_started(lambda: EventLog.load(path))
+    assert starts == [1]
+    oldest = {id(o) for o in gc.get_objects(generation=2)}
+    for records in (log.records, loaded.records):
+        assert all(id(r) in oldest for r in records)
+
+
+def test_a_run_keeps_what_the_caller_froze_frozen():
+    # gc.unfreeze() would release the caller's frozen objects as well. The
+    # freeze count itself may fall during a run, as frozen objects die
+    config, mine = short_config(duration_ms=200), [[]]
+    gc.freeze()
+    try:
+        run(config)
+        assert gc.get_freeze_count() > 0
+        assert not any(o is mine for o in gc.get_objects())
+    finally:
+        gc.unfreeze()
+
+
+class Node:
+    """A container that a weak reference can follow."""
+
+
+def test_a_cycle_dropped_before_a_run_is_freed_by_its_end():
+    # the pause collects the young generations as it starts, so it moves
+    # none of the garbage made before it to the oldest generation
+    engine = Engine(short_config(duration_ms=200))
+    gc.collect()
+    cycle = Node()
+    cycle.self = cycle
+    ref = weakref.ref(cycle)
+    del cycle
+    engine.run()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("make", [lambda: load_preset("default"), ward_shift_config],

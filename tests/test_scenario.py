@@ -413,9 +413,13 @@ def test_equal_inputs_give_equal_configs_that_survive_a_pickle_round_trip():
     raw = {"track": _SQUARE, "schedule": [{"time_ms": 9000, "bed": 5}, {"time_ms": 4000, "bed": 6}]}
     a, b = validate(raw), validate(raw)
     assert a == b and a.track is not b.track and hash(a.track) == hash(b.track)
+    assert hash(a) == hash(b)
     for name in preset_names():
         cfg = load_preset(name)
-        assert pickle.loads(pickle.dumps(cfg)) == cfg, name
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg, name
+        # a config is a value, so it can key a cache or sit in a set
+        assert hash(copy) == hash(cfg) == hash(load_preset(name)), name
 
 
 def test_a_built_config_cannot_be_changed():
@@ -544,9 +548,11 @@ def test_a_scenario_drawn_from_the_schema_is_rejected_or_runs(raw):
         cfg = validate(raw)
     except ScenarioValidationError:
         return
-    # a config is a value: a second reading and a pickle round trip equal it
-    assert validate(raw) == cfg
-    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    # a config is a value: a second reading and a pickle round trip equal it,
+    # and hash as it does
+    again, copy = validate(raw), pickle.loads(pickle.dumps(cfg))
+    assert again == cfg and copy == cfg
+    assert hash(again) == hash(copy) == hash(cfg)
     try:
         # whole ticks only, about 2 s of them
         Engine(dataclasses.replace(cfg, duration_ms=2000 // cfg.dt_ms * cfg.dt_ms)).run()
