@@ -76,10 +76,11 @@ class Engine:
         robots, corridor = config.robots, config.robots.corridor
         self.channel = Channel(config.channel, robots.addresses, self.streams["channel"])
 
+        durations = {kind: getattr(config.exec_durations_ms, kind.value) for kind in TaskKind}
         self.corridor = Follower(corridor.address, robots.leader.address,
-                                 frozenset(_MOVING_KINDS), dict(config.exec_durations_ms))
+                                 frozenset(_MOVING_KINDS), durations)
         self.arm = Follower(robots.arm.address, robots.leader.address,
-                            frozenset({TaskKind.ARM_DISPENSE}), dict(config.exec_durations_ms))
+                            frozenset({TaskKind.ARM_DISPENSE}), durations)
         self.followers = {f.address: f for f in (self.corridor, self.arm)}
         # the followers are the leader's roster: it reads their availability
         self.leader = Leader(robots.leader.address, self.followers, config.schedule,
@@ -140,6 +141,17 @@ class Engine:
 
     def _send(self, packet: Packet, extra_delay_ms: float = 0.0):
         self._emit("packet_send", self.channel.send(packet, extra_delay_ms))
+
+    def _emit_meta(self):
+        """Log the run's `meta` record: what the scenario fixes for the
+        metrics, with the alert kinds that have a budget."""
+        cfg = self.config
+        self._emit("meta", {
+            "scenario": cfg.name, "seed": cfg.seed, "dt_ms": cfg.dt_ms,
+            "duration_ms": cfg.duration_ms,
+            "budgets_ms": {k: v for k, v in vars(cfg.budgets_ms).items() if v is not None},
+            "line_width": cfg.track.line_width,
+        })
 
     # -- tick phases -----------------------------------------------------
 
@@ -346,11 +358,7 @@ class Engine:
         run would free nothing. The pause leaves the log in the collector's
         oldest generation."""
         cfg = self.config
-        self._emit("meta", {
-            "scenario": cfg.name, "seed": cfg.seed, "dt_ms": cfg.dt_ms,
-            "duration_ms": cfg.duration_ms, "budgets_ms": dict(cfg.budgets_ms),
-            "line_width": cfg.track.line_width,
-        })
+        self._emit_meta()
         dt_ms, dt_s = cfg.dt_ms, cfg.dt_ms / 1000.0
         leader, corridor, inboxes = self.leader, self.corridor, self._inboxes
         triage, in_flight = self._pending_triage, self.channel.in_flight

@@ -304,7 +304,7 @@ class Leader:
         outbox: list[Packet] = []
         self._consume_inbox(inbox, now)
         self._fire_schedule(now)
-        self._check_timeouts(now, outbox)
+        self._check_timeouts(now)
         self._dispatch(now, outbox)
         return outbox
 
@@ -364,7 +364,7 @@ class Leader:
         if self._schedule_cursor < len(self.schedule):
             self._wake = min(self._wake, self.schedule[self._schedule_cursor].time_ms)
 
-    def _check_timeouts(self, now: int, outbox: list):
+    def _check_timeouts(self, now: int):
         limits = self._wait_limits
         for task in list(self._open.values()):
             deadline = task.last_activity + limits.get(task.state, math.inf)

@@ -28,14 +28,32 @@ from .track import Track, rounded_rect_track
 from .vitals import (BPM_RANGE, SPO2_RANGE, TEMP_RANGE, FallDetectorModel, Flag, LatencyConfig,
                      Posture, SensorNoiseModel)
 
-SCENARIO_KINDS = ("fall", "low_spo2", "high_temp", "no_vitals", "battery_low")
-
-DEFAULT_BUDGETS_MS = {"fall": 3000, "low_spo2": 3000, "high_temp": 4000, "no_vitals": 500}
-
-
 # the `default` track, built once per process and shared by every scenario
 # that uses it; a Track is never changed once built
 default_track = functools.cache(rounded_rect_track)
+
+
+@dataclass(frozen=True)
+class ExecDurations:
+    """How long a follower takes to carry out each kind of task, in ms: a
+    field per `TaskKind` value."""
+    patrol_check: int = DEFAULT_EXEC_DURATIONS_MS[TaskKind.PATROL_CHECK]
+    deliver_medicine: int = DEFAULT_EXEC_DURATIONS_MS[TaskKind.DELIVER_MEDICINE]
+    arm_dispense: int = DEFAULT_EXEC_DURATIONS_MS[TaskKind.ARM_DISPENSE]
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """Each alert kind's latency budget in ms; `battery_low` has none unless
+    set. Its fields are the scenario kinds that a patient event may name."""
+    fall: int = 3000
+    low_spo2: int = 3000
+    high_temp: int = 4000
+    no_vitals: int = 500
+    battery_low: int | None = None
+
+
+SCENARIO_KINDS = tuple(f.name for f in fields(Budgets))
 
 
 class ScenarioValidationError(ValueError):
@@ -140,25 +158,6 @@ class Correction:
                   for key in ("position_gain", "heading_gain")))
 
 
-class FrozenDict(dict):
-    """A dict that cannot be changed once built: every mutator raises
-    TypeError. It reads, compares and copies as a dict, hashes by its items
-    (so equal FrozenDicts hash equal), and a pickle rebuilds it from a plain
-    one (`types.MappingProxyType` does not pickle)."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError(f"{type(self).__name__} does not support changes")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __hash__(self):
-        return hash(frozenset(self.items()))
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 # the scenario's lists of timed events, and its tables
 _EVENT_LISTS = ("patient_script", "schedule", "link_conditions")
 _TABLES = ("exec_durations_ms", "budgets_ms")
@@ -167,8 +166,10 @@ _TABLES = ("exec_durations_ms", "budgets_ms")
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One run's scenario. However it is built (by `validate()`, in code or by
-    `dataclasses.replace`), it checks the facts that span its fields, stores
-    its timed lists as tuples sorted by time and its tables as FrozenDicts."""
+    `dataclasses.replace`), it checks the facts that span its fields and
+    stores its timed lists as tuples sorted by time. Its two tables are
+    sections like any other, so a table set in code keeps the defaults of
+    the keys it leaves out, as one read from a file does."""
     name: str = "<scenario>"
     seed: int = 0
     dt_ms: int = 10
@@ -184,8 +185,8 @@ class ScenarioConfig:
     fall_detector: FallDetectorModel = FallDetectorModel()
     vitals_sample_period_ms: int = 100
     timeout_policy: TimeoutPolicy = TimeoutPolicy()
-    exec_durations_ms: dict[TaskKind, int] = field(default_factory=DEFAULT_EXEC_DURATIONS_MS.copy)
-    budgets_ms: dict[str, int] = field(default_factory=DEFAULT_BUDGETS_MS.copy)
+    exec_durations_ms: ExecDurations = ExecDurations()
+    budgets_ms: Budgets = Budgets()
     battery: Battery = Battery()
     correction: Correction = Correction()
     patrol_always: bool = True
@@ -219,15 +220,13 @@ class ScenarioConfig:
                     "detect_threshold must be in (low_level + noise_frac, high_level"
                     f" - noise_frac], here ({dark:g}, {bright:g}]"),
                    (self.flag_confirm_samples >= 1, "flag_confirm_samples must be at least 1")]
-        checks += ((value >= 0, f"{table}.{getattr(key, 'value', key)} must be nonnegative")
-                   for table in _TABLES for key, value in getattr(self, table).items())
+        checks += ((value >= 0, f"{table}.{key} must be nonnegative") for table in _TABLES
+                   for key, value in vars(getattr(self, table)).items() if value is not None)
         require(*checks)
         # the engine reads each list with a cursor; the sort is stable, so
         # events at the same time keep their given order
         for key in _EVENT_LISTS:
             object.__setattr__(self, key, tuple(sorted(getattr(self, key), key=lambda e: e.time_ms)))
-        for key in _TABLES:
-            object.__setattr__(self, key, FrozenDict(getattr(self, key)))
 
     @property
     def start_pose(self) -> Pose:
@@ -348,28 +347,10 @@ def _flag_names(raw, path: str, errors: list[str]):
     return _FAIL if flags is _FAIL else frozenset(flags)
 
 
-def _table(defaults: dict, keys: dict, raw, path: str, errors: list[str]):
-    """A table of ints over `keys` (a YAML name for each table key); a key
-    left out keeps its value in `defaults`."""
-    if _shape(raw, dict, path, errors) is _FAIL:
-        return _FAIL
-    table = dict(defaults)
-    for name, value in raw.items():
-        if name not in keys:
-            errors.append(f"{path}: unknown key {name!r}")
-        elif value is not None and (value := _read(int, value, f"{path}.{name}", errors)) is not _FAIL:
-            table[keys[name]] = value
-    return table
-
-
 # values whose YAML form is not a mapping of their fields
 _PARSERS = {
     Track: _track,
     frozenset[Flag]: _flag_names,
-    dict[TaskKind, int]: functools.partial(_table, DEFAULT_EXEC_DURATIONS_MS,
-                                           {k.value: k for k in TaskKind}),
-    dict[str, int]: functools.partial(_table, DEFAULT_BUDGETS_MS,  # budgets_ms
-                                      {k: k for k in SCENARIO_KINDS}),
 }
 
 

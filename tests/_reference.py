@@ -37,11 +37,7 @@ class EveryPhaseEngine(Engine):
 
     def run(self):
         cfg = self.config
-        self._emit("meta", {
-            "scenario": cfg.name, "seed": cfg.seed, "dt_ms": cfg.dt_ms,
-            "duration_ms": cfg.duration_ms, "budgets_ms": dict(cfg.budgets_ms),
-            "line_width": cfg.track.line_width,
-        })
+        self._emit_meta()
         dt_ms, dt_s, leader = cfg.dt_ms, cfg.dt_ms / 1000.0, self.leader
         for tick in range(cfg.duration_ms // dt_ms):
             self._now = tick * dt_ms

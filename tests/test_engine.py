@@ -492,7 +492,7 @@ def test_any_error_in_the_tick_loop_aborts_with_the_partial_log():
 
 def test_an_abort_inside_a_leader_step_keeps_the_transitions_it_made(monkeypatch):
     # the step at 0 creates the schedule's two tasks, then fails
-    def check_timeouts(self, now, outbox):
+    def check_timeouts(self, now):
         if self.tasks:
             raise RuntimeError("the timeout check failed")
 

@@ -178,6 +178,9 @@ CORPUS = {
     # turns the line's tangent around
     "against_course": {"robots": {"corridor": {
         "start": {"x": 2.9, "y": 2.0, "theta": -1.5707963267948966}}}},
+    # no jitter and a one-way delay of two ticks: every delivery is due
+    # exactly on a tick, where the engine must still route it
+    "on_tick_delivery": {"channel": {"one_way_jitter_ms": 0, "rtt_ms": 40}},
 }
 
 

@@ -15,9 +15,9 @@ from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, run
 from wardsim.kinematics import ChassisParams, Pose
 from wardsim.line_following import IrGeometry, LineFollower, PidGains
-from wardsim.protocol import TaskKind, TimeoutPolicy
+from wardsim.protocol import DEFAULT_EXEC_DURATIONS_MS, ScheduleEntry, TaskKind, TimeoutPolicy
 from wardsim.rf_channel import ChannelConfig, LinkCondition
-from wardsim.scenario import (DEFAULT_BUDGETS_MS, SCENARIO_KINDS, Battery, Correction,
+from wardsim.scenario import (SCENARIO_KINDS, Battery, Budgets, Correction, ExecDurations,
                               PatientEvent, Robots, ScenarioConfig, ScenarioValidationError,
                               load_preset, load_scenario, preset_names, validate)
 from wardsim.track import Track
@@ -34,7 +34,8 @@ def test_empty_mapping_fills_documented_defaults():
     assert cfg.channel.pdr_clear == pytest.approx(0.96)
     assert cfg.channel.pdr_obstructed == pytest.approx(0.92)
     assert cfg.channel.rtt_ms == pytest.approx(37.0)
-    assert cfg.budgets_ms == DEFAULT_BUDGETS_MS
+    assert cfg.budgets_ms == Budgets()
+    assert (cfg.budgets_ms.fall, cfg.budgets_ms.battery_low) == (3000, None)
     assert cfg.ir_enabled and cfg.correction.enabled
     assert cfg.flag_confirm_samples == 3
     # default start pose sits on the first waypoint facing along the course
@@ -431,12 +432,40 @@ def test_a_built_config_cannot_be_changed():
     # a table would skip its nonnegative check; its pickle stays read-only
     copy = pickle.loads(pickle.dumps(cfg))
     assert copy == cfg
-    for each in (cfg, copy, dataclasses.replace(cfg, budgets_ms={"fall": 10})):
-        with pytest.raises(TypeError):
-            each.budgets_ms["fall"] = -1
-        with pytest.raises(TypeError):
-            each.exec_durations_ms.update({TaskKind.ARM_DISPENSE: -1})
-    assert cfg.budgets_ms["fall"] == 3000 and cfg.exec_durations_ms[TaskKind.ARM_DISPENSE] == 2000
+    for each in (cfg, copy, dataclasses.replace(cfg, budgets_ms=Budgets(fall=10))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            each.budgets_ms.fall = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            each.exec_durations_ms.arm_dispense = -1
+    assert cfg.budgets_ms.fall == 3000 and cfg.exec_durations_ms.arm_dispense == 2000
+
+
+def test_a_table_set_in_code_means_what_it_means_in_a_file():
+    # each key left out keeps its default, in code as in a file. The run
+    # carries out a medication round and a patrol check, so it uses every
+    # execution time, and its meta record logs the budgets
+    events = {"duration_ms": 12_000, "schedule": [{"time_ms": 500}],
+              "patient_script": [{"time_ms": 1000, "kind": "low_spo2", "spo2": 87}]}
+    read = validate({**events, "budgets_ms": {"fall": 10},
+                     "exec_durations_ms": {"patrol_check": 500}})
+    assert read.budgets_ms == Budgets(fall=10, low_spo2=3000, high_temp=4000, no_vitals=500)
+    log = run(read)[0]
+    assert {r["payload"]["kind"] for r in log.records
+            if r["kind"] == "task" and r["payload"]["state"] == "completed"} \
+        == {kind.value for kind in TaskKind}
+    tables = {"budgets_ms": Budgets(fall=10), "exec_durations_ms": ExecDurations(patrol_check=500)}
+    for built in (dataclasses.replace(validate(events), **tables),
+                  ScenarioConfig(duration_ms=12_000, schedule=(ScheduleEntry(500),),
+                                 patient_script=(PatientEvent(1000, "low_spo2", spo2=87.0),),
+                                 **tables)):
+        assert built == read and hash(built) == hash(read)
+        assert run(built)[0].to_jsonl() == log.to_jsonl()
+
+
+def test_the_execution_times_have_a_key_per_task_kind():
+    # a new task kind cannot be left out of the scenario
+    assert [(f.name, f.default) for f in dataclasses.fields(ExecDurations)] \
+        == [(kind.value, DEFAULT_EXEC_DURATIONS_MS[kind]) for kind in TaskKind]
 
 
 def test_a_corridor_start_of_only_x_and_y_runs_from_heading_zero():
@@ -506,7 +535,9 @@ def test_load_scenario_from_file(tmp_path):
 
 _INTS = st.sampled_from([0, 1, -1, 10, 100, 10**400, -10**400]) | st.integers(-10**4, 10**5)
 _FLOATS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]) | st.floats() | _INTS
-_SCALARS = {bool: st.booleans(), int: _INTS, float: _FLOATS, str: st.text(max_size=4)}
+# a string is now and then a scenario kind, which a patient event's kind must be
+_SCALARS = {bool: st.booleans(), int: _INTS, float: _FLOATS,
+            str: st.sampled_from(SCENARIO_KINDS) | st.text(max_size=4)}
 _WRONG = st.sampled_from(["x", True, 0.5, -3, [], {}, [1, 2]])
 _SQUARE = {"waypoints": [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2], [0.2, 1.2]],
            "tags": ["straight"] * 4, "mat_size": [2.0, 2.0]}
@@ -514,8 +545,6 @@ _SQUARE = {"waypoints": [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2], [0.2, 1.2]],
 _PARSED = {
     Track: st.sampled_from(["default", _SQUARE]),
     frozenset[Flag]: st.lists(st.sampled_from([f.value for f in Flag]), max_size=3),
-    dict[TaskKind, int]: st.dictionaries(st.sampled_from([k.value for k in TaskKind]), _INTS),
-    dict[str, int]: st.dictionaries(st.sampled_from(SCENARIO_KINDS), _INTS),
 }
 
 
