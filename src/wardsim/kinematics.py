@@ -75,7 +75,11 @@ class ChassisParams:
     ticks_per_rev_C: int = 1024
 
     def __post_init__(self):
+        # the corridor robot is a small line follower on a floor mat, with a
+        # 3 cm wheel by default; a wheel over 1 m makes no such robot, and a
+        # radius near the float maximum overflows the pose within a few steps
         require((self.wheel_radius_r > 0, "wheel_radius_r must be positive"),
+                (self.wheel_radius_r <= 1, "wheel_radius_r must be at most 1 (m)"),
                 (self.axle_length_L > 0, "axle_length_L must be positive"),
                 (self.ticks_per_rev_C > 0, "ticks_per_rev_C must be positive"))
 

@@ -92,6 +92,12 @@ class PatientEvent:
                   for key, value, (lo, hi) in (("spo2", self.spo2, SPO2_RANGE),
                                                ("bpm", self.bpm, BPM_RANGE),
                                                ("temp", self.temp, TEMP_RANGE))))
+        # the patient model takes these values as they are, and they reach the
+        # log: an int set in code must log as the float a file's value reads as
+        for key in ("spo2", "bpm", "temp"):
+            value = getattr(self, key)
+            if value is not None:
+                object.__setattr__(self, key, float(value))
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,12 @@ class Battery:
     low_speed_factor: float = 0.5
 
     def __post_init__(self):
-        # a negative factor drives the robot backwards once the battery is low
+        # a negative factor drives the robot backwards once the battery is
+        # low, and one above 1 speeds it up (near the float maximum, until
+        # its pose overflows)
         require((self.budget_units >= 0, "budget_units must be nonnegative"),
-                (self.low_speed_factor >= 0, "low_speed_factor must be nonnegative"))
+                (self.low_speed_factor >= 0, "low_speed_factor must be nonnegative"),
+                (self.low_speed_factor <= 1, "low_speed_factor must be at most 1"))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,15 @@ told the time since the previous tick, 0 at tick 0, and it reads the
 corridor's `finished` list after every tick.
 
 `first_difference` names where two logs part, so that a mismatch says which
-record the skips changed."""
+record the skips changed.
 
+`reference_export` writes a run's files as `export_outputs` did before it
+made them in one pass: each line by `json.dumps`, and each of the other
+files from a walk of its own over the whole log."""
+
+import csv
 import json
+import os
 
 from wardsim.engine import _MOVING_KINDS, Engine
 from wardsim.protocol import TaskKind
@@ -83,3 +89,45 @@ def first_difference(jsonl: str, reference_jsonl: str) -> str | None:
             f"{len(lines)} records against the reference's {len(ref_lines)}\n"
             f"  engine:    {lines[i] if i < len(lines) else '(none)'}\n"
             f"  reference: {ref_lines[i] if i < len(ref_lines) else '(none)'}")
+
+
+def reference_export(log, metrics, out_dir):
+    """The files of `export_outputs(log, metrics, out_dir)`, each from its
+    own walk over the log."""
+    os.makedirs(out_dir, exist_ok=True)
+
+    def path(name):
+        return os.path.join(out_dir, name)
+
+    with open(path("events.jsonl"), "w") as f:
+        f.writelines(json.dumps(r, sort_keys=True) + "\n" for r in log.records)
+    with open(path("metrics.txt"), "w") as f:
+        f.write(metrics.as_text())
+    metrics.save_csv(path("metrics.csv"))
+    for name, kind, header, keys in (
+            ("channel.csv", "packet_send",
+             ("time_ms", "src", "dst", "kind", "seq", "condition", "outcome", "delay_ms"),
+             ("src", "dst", "packet_kind", "seq", "condition", "outcome", "delay_ms")),
+            ("tasks.csv", "task",
+             ("time_ms", "task_id", "kind", "origin", "assignee", "state", "retry_count"),
+             ("task_id", "kind", "origin", "assignee", "state", "retry_count"))):
+        with open(path(name), "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows([r["time_ms"], *(r["payload"][k] for k in keys)]
+                        for r in log.records if r["kind"] == kind)
+    with open(path("vitals.csv"), "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["time_ms", "spo2", "bpm", "temp", "valid", "flags", "class"])
+        flags = cls = ""
+        for r in log.records:
+            p = r["payload"]
+            if r["kind"] == "triage":
+                flags, cls = "|".join(p["flags"]), p["class"]
+            elif r["kind"] == "vitals_sample":
+                w.writerow([r["time_ms"], p["spo2"], p["bpm"], p["temp"], p["valid"], flags, cls])
+    with open(path("notifications.log"), "w") as f:
+        for r in log.records:
+            if r["kind"] == "notification":
+                p = r["payload"]
+                f.write(f"{r['time_ms']}\t{p['severity']}\t{p['cause']}\t{p['text']}\n")

@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import EveryPhaseEngine, first_difference
+from _hostile import DuplicatingChannel
+from _reference import EveryPhaseEngine, first_difference, reference_export
 from test_golden import CORPUS, CORPUS_BASE, corpus_config, ward_shift_config
 from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
 from wardsim.cli import main
 from wardsim.engine import (RECORD_KINDS, Engine, EngineAbort, SuiteResult, SuiteRow, export_outputs,
                             run, run_suite)
-from wardsim.metrics import EventLog, MetricsAccumulator, gc_paused, replay_metrics
+from wardsim.kinematics import ChassisParams
+from wardsim.metrics import _BATCH_LINES, EventLog, MetricsAccumulator, gc_paused, replay_metrics
 from wardsim.protocol import TERMINAL_STATES, Leader
 from wardsim.scenario import load_preset, preset_names, validate
 from wardsim.vitals import Flag, TriageClass, TriageDecision, Vitals, classify
@@ -546,6 +548,24 @@ def test_triage_results_are_delivered_by_ready_time_and_stale_ones_dropped():
     assert not engine._pending_triage
 
 
+HOSTILE_RUNS = {**{name: lambda name=name: load_preset(name) for name in preset_names()},
+                **{f"corpus/{name}": lambda name=name: corpus_config(name) for name in CORPUS}}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_RUNS))
+def test_a_run_over_a_link_that_duplicates_packets_late_keeps_triage_in_sample_order(
+        name, monkeypatch):
+    # a duplicated vitals report comes back with a sample time that was
+    # already triaged, which must be dropped as stale, not triaged again
+    monkeypatch.setattr(engine_module, "Channel", DuplicatingChannel)
+    cfg = HOSTILE_RUNS[name]()
+    engine = Engine(dataclasses.replace(cfg, duration_ms=min(cfg.duration_ms, 20_000)))
+    log, _ = engine.run()
+    assert engine.channel.duplicated > 0
+    times = [r["payload"]["sample_time"] for r in log.records if r["kind"] == "triage"]
+    assert times and all(a < b for a, b in zip(times, times[1:]))
+
+
 def test_link_conditions_apply_in_time_order_whatever_their_file_order():
     # the wearable reports to the leader every 100 ms, each send naming the
     # link's condition
@@ -723,6 +743,38 @@ def test_export_outputs_writes_all_artifacts(tmp_path):
                         for e in events], name
 
 
+EXPORTS = ("events.jsonl", "channel.csv", "tasks.csv", "vitals.csv", "notifications.log")
+
+
+def test_the_one_pass_export_writes_what_a_walk_per_file_writes(tmp_path):
+    # 7,810 records, so 8 batches, with triage records and vitals samples on
+    # either side of each batch edge
+    log, metrics = run(ward_shift_config())
+    assert len(log.records) > 7 * _BATCH_LINES
+    export_outputs(log, metrics, tmp_path / "one_pass")
+    reference_export(log, metrics, tmp_path / "reference")
+    for name in (*EXPORTS, "metrics.txt", "metrics.csv"):
+        assert (tmp_path / "one_pass" / name).read_bytes() \
+            == (tmp_path / "reference" / name).read_bytes(), name
+
+
+def test_an_export_that_fails_to_encode_leaves_the_whole_batches_before_it(tmp_path):
+    log, metrics = run(ward_shift_config())
+    b = _BATCH_LINES
+    bad = EventLog()
+    bad.records = log.records[:2 * b + 5] + [{"time_ms": log.records[2 * b + 4]["time_ms"],
+                                              "kind": "x", "payload": {"bad": object()}}]
+    with pytest.raises(TypeError):
+        export_outputs(bad, metrics, tmp_path / "failed")
+    before = EventLog()
+    before.records = log.records[:2 * b]
+    export_outputs(before, metrics, tmp_path / "before")
+    for name in EXPORTS:
+        assert (tmp_path / "failed" / name).read_bytes() \
+            == (tmp_path / "before" / name).read_bytes(), name
+    assert sorted(p.name for p in (tmp_path / "failed").iterdir()) == sorted(EXPORTS)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -780,8 +832,10 @@ def test_cli_run_negative_seed_exits_two(capsys):
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
-def test_cli_run_non_finite_pose_aborts_with_a_partial_log(tmp_path, capsys):
-    # validates, but a wheel radius near the float maximum overflows the pose
+def test_cli_run_non_finite_pose_aborts_with_a_partial_log(tmp_path, capsys, monkeypatch):
+    # a wheel radius near the float maximum overflows the pose; the schema
+    # refuses it, so the chassis' own checks are skipped here
+    monkeypatch.setattr(ChassisParams, "__post_init__", lambda self: None)
     scenario = tmp_path / "huge_wheel.yaml"
     scenario.write_text("duration_ms: 2000\n"
                         "robots: {corridor: {chassis: {wheel_radius_r: 1.7976931348623157e+308}}}\n")

@@ -211,6 +211,12 @@ def test_bool_is_not_accepted_as_int():
     ("budgets_ms: {fall: -1}\n", "top level: budgets_ms.fall must be nonnegative"),
     ("battery: {budget_units: -1}\n", "battery: budget_units must be nonnegative"),
     ("battery: {low_speed_factor: -2.0}\n", "battery: low_speed_factor must be nonnegative"),
+    # physical bounds: each value below validated, then overflowed the pose
+    # and aborted the run
+    ("battery: {low_speed_factor: 1.0e+308, budget_units: 0.5}\n",
+     "battery: low_speed_factor must be at most 1"),
+    ("robots: {corridor: {chassis: {wheel_radius_r: 1.7976931348623157e+308}}}\n",
+     "robots.corridor.chassis: wheel_radius_r must be at most 1 (m)"),
     ("duration_ms: 25\n", "top level: duration_ms must be a multiple of dt_ms (10)"),
     # a uniform draw's span, twice the bound, must be a finite float
     ("channel: {one_way_jitter_ms: 1.0e+308}\n",
@@ -237,7 +243,8 @@ def test_bool_is_not_accepted_as_int():
         "ir_levels_inverted", "timeout_zero", "timeout_negative", "exec_timeout_zero",
         "exec_timeout_negative", "max_retries_negative", "vitals_period_negative",
         "fall_period_negative", "exec_duration_negative", "budget_negative",
-        "battery_budget_negative", "low_speed_factor_negative", "duration_off_tick",
+        "battery_budget_negative", "low_speed_factor_negative", "low_speed_factor_huge",
+        "wheel_radius_huge", "duration_off_tick",
         "jitter_span_overflows", "noise_frac_span_overflows"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
@@ -460,6 +467,20 @@ def test_a_table_set_in_code_means_what_it_means_in_a_file():
                                  **tables)):
         assert built == read and hash(built) == hash(read)
         assert run(built)[0].to_jsonl() == log.to_jsonl()
+
+
+def test_a_patient_event_built_in_code_with_ints_logs_what_a_file_logs():
+    # a file's `spo2: 87` reads as 87.0; an int set in code once logged as 87
+    read = dataclasses.replace(load_preset("alert_low_spo2"), duration_ms=12_000)
+    built = dataclasses.replace(read, patient_script=(
+        PatientEvent(10_000, "low_spo2", spo2=87, bpm=80, temp=37),))
+    event = built.patient_script[0]
+    assert (type(event.spo2), type(event.bpm), type(event.temp)) == (float, float, float)
+    filed = dataclasses.replace(read, patient_script=validate({"patient_script": [
+        {"time_ms": 10_000, "kind": "low_spo2", "spo2": 87, "bpm": 80, "temp": 37}]}
+    ).patient_script)
+    assert built == filed and hash(built) == hash(filed)
+    assert run(built)[0].to_jsonl() == run(filed)[0].to_jsonl()
 
 
 def test_the_execution_times_have_a_key_per_task_kind():
