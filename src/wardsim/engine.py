@@ -23,18 +23,16 @@ a (config, seed) pair fully determines the event log.
 from __future__ import annotations
 
 import contextlib
-import csv
 import heapq
 import math
-import operator
 import os
 import statistics
 from dataclasses import dataclass, field
 
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
-from .metrics import (_BATCH_LINES, EventLog, MetricsAccumulator, RunMetrics, gc_paused,
-                      success_rate)
+from .metrics import (_BATCH_LINES, EventLog, MetricsAccumulator, RowSink, RunMetrics,
+                      gc_paused, success_rate)
 from .protocol import Follower, Leader, StatusLight, TaskKind
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
@@ -434,65 +432,32 @@ def run(config: ScenarioConfig) -> tuple[EventLog, RunMetrics]:
     return Engine(config).run()
 
 
-# channel.csv has a row per packet_send record and tasks.csv one per task
-# record: the record's time, then these payload values
-_CHANNEL_HEADER = ("time_ms", "src", "dst", "kind", "seq", "condition", "outcome", "delay_ms")
-_channel_row = operator.itemgetter("src", "dst", "packet_kind", "seq", "condition", "outcome",
-                                   "delay_ms")
-_TASKS_HEADER = ("time_ms", "task_id", "kind", "origin", "assignee", "state", "retry_count")
-_task_row = operator.itemgetter("task_id", "kind", "origin", "assignee", "state", "retry_count")
-# vitals.csv has a row per vitals_sample record, with the flags and class of
-# the last triage record before it
-_VITALS_HEADER = ("time_ms", "spo2", "bpm", "temp", "valid", "flags", "class")
-
-
 def export_outputs(log: EventLog, metrics: RunMetrics, out_dir):
     """Write the per-run artifacts: event log, metric summaries, CSVs.
 
     One pass over the log, `_BATCH_LINES` records at a time, writes
-    events.jsonl (each batch's `to_jsonl`), channel.csv, tasks.csv,
-    vitals.csv and notifications.log. A batch's lines and rows are all made
-    before any of them is written, so a record that fails to encode raises
-    with each of those files holding the whole batches before it, and no
-    metrics written."""
+    events.jsonl and, through a `RowSink`, channel.csv, tasks.csv,
+    vitals.csv and notifications.log: each batch's `to_jsonl` makes its
+    lines and rows before any of them is written, so a record that fails to
+    encode raises with each of those files holding the whole batches before
+    it, and no metrics written."""
     os.makedirs(out_dir, exist_ok=True)
-    records = log.records
+    rows = RowSink()
     with contextlib.ExitStack() as stack:
         def create(name, newline=None):
             return stack.enter_context(open(os.path.join(out_dir, name), "w", newline=newline))
 
-        events, notifications = create("events.jsonl"), create("notifications.log")
-        channel_csv, tasks_csv, vitals_csv = (
-            csv.writer(create(name, newline="")) for name in ("channel.csv", "tasks.csv",
-                                                              "vitals.csv"))
-        channel_csv.writerow(_CHANNEL_HEADER)
-        tasks_csv.writerow(_TASKS_HEADER)
-        vitals_csv.writerow(_VITALS_HEADER)
-        flags = cls = ""
-        for i in range(0, len(records), _BATCH_LINES):
-            text = log.to_jsonl(i, i + _BATCH_LINES)
-            channel, tasks, vitals, notes = [], [], [], []
-            for r in records[i:i + _BATCH_LINES]:
-                kind = r["kind"]
-                if kind == "vitals_sample":
-                    p = r["payload"]
-                    vitals.append((r["time_ms"], p["spo2"], p["bpm"], p["temp"], p["valid"],
-                                   flags, cls))
-                elif kind == "packet_send":
-                    channel.append((r["time_ms"], *_channel_row(r["payload"])))
-                elif kind == "triage":
-                    p = r["payload"]
-                    flags, cls = "|".join(p["flags"]), p["class"]
-                elif kind == "task":
-                    tasks.append((r["time_ms"], *_task_row(r["payload"])))
-                elif kind == "notification":
-                    p = r["payload"]
-                    notes.append(f"{r['time_ms']}\t{p['severity']}\t{p['cause']}\t{p['text']}\n")
-            events.write(text)
-            channel_csv.writerows(channel)
-            tasks_csv.writerows(tasks)
-            vitals_csv.writerows(vitals)
-            notifications.write("".join(notes))
+        events = create("events.jsonl")
+        # the rows end in csv's own "\r\n", written as they are
+        files = [create(name, newline="") for name in ("channel.csv", "tasks.csv", "vitals.csv")]
+        files.append(create("notifications.log"))
+        for f, header in zip(files, RowSink.HEADERS):
+            f.write(header)
+        for i in range(0, len(log.records), _BATCH_LINES):
+            events.write(log.to_jsonl(i, i + _BATCH_LINES, rows))
+            for f, batch in zip(files, rows.batches):
+                f.write("".join(batch))
+                batch.clear()
     with open(os.path.join(out_dir, "metrics.txt"), "w") as f:
         f.write(metrics.as_text())
     metrics.save_csv(os.path.join(out_dir, "metrics.csv"))

@@ -33,7 +33,7 @@ import os
 import statistics
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 # notification cause -> scenario kind used for alert budgets
 _CAUSE_TO_KIND = {
@@ -64,12 +64,22 @@ _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
 # not exactly its kind's shape as the engine logs it: the envelope keys
 # kind, payload, source and time_ms, the kind's own source, an int time, the
 # kind's payload keys, and each value of the exact type the engine gives it.
-# A finite float is written by %r, as json does; a sum of floats is finite
+# A finite float is written by repr, as json does; a sum of floats is finite
 # only when each of them is, and one that overflows only sends the record to
 # `_encode`. A string is written by json's own escaper, and a list by
 # `_encode`, which writes any value as json does, so its type is not checked.
 # The writers name their kinds' sources and payload keys, as the emit sites,
 # README's table and the exports do.
+#
+# Each writer takes a `RowSink` or None. Given one, the packet_send and
+# vitals_sample writers also add their record's row of channel.csv or
+# vitals.csv, made from the same text as the line: csv writes an int by
+# str, a float by repr and a string as it is unless it holds a delimiter, a
+# quote or a line break. A string whose json escape is itself in quotes
+# holds no quote, backslash, control or non-ASCII character, so one with no
+# comma needs no csv quoting either. A record that is not its kind's shape,
+# or whose row would need quoting, gets its row from `csv.writer`; the
+# triage writer keeps the vitals.csv tail of its flags and class.
 _packet_send_keys = operator.itemgetter("condition", "delay_ms", "dst", "outcome",
                                         "packet_kind", "seq", "src")
 _vitals_sample_keys = operator.itemgetter("bpm", "spo2", "temp", "valid")
@@ -77,6 +87,13 @@ _packet_deliver_keys = operator.itemgetter("dst", "packet_kind", "seq", "src")
 _triage_keys = operator.itemgetter("class", "flags", "probs", "sample_time")
 _nav_keys = operator.itemgetter("distance_to_line", "drift_corrected", "drift_raw", "energy",
                                 "on_line", "tag", "theta", "x", "y")
+# the payload values of a channel.csv, vitals.csv and tasks.csv row, after
+# the record's time
+_channel_cells = operator.itemgetter("src", "dst", "packet_kind", "seq", "condition", "outcome",
+                                     "delay_ms")
+_vitals_cells = operator.itemgetter("spo2", "bpm", "temp", "valid")
+_task_cells = operator.itemgetter("task_id", "kind", "origin", "assignee", "state",
+                                  "retry_count")
 _isfinite = math.isfinite
 
 
@@ -96,38 +113,60 @@ def _payload_values(r, source, keys, size):
     return None
 
 
-def _packet_send_line(r):
-    if (values := _payload_values(r, "channel", _packet_send_keys, 7)) is None:
-        return None
-    cond, delay, dst, outcome, kind, seq, src = values
-    if (int is type(dst) is type(seq) is type(src) and str is type(cond) is type(outcome)
-            is type(kind) and type(delay) is float and _isfinite(delay)):
-        return ('{"kind": "packet_send", "payload": {"condition": %s, "delay_ms": %r, '
-                '"dst": %d, "outcome": %s, "packet_kind": %s, "seq": %d, "src": %d}, '
-                '"source": "channel", "time_ms": %d}\n'
-                % (encode_basestring_ascii(cond), delay, dst, encode_basestring_ascii(outcome),
-                   encode_basestring_ascii(kind), seq, src, r["time_ms"]))
+def _packet_send_line(r, rows=None):
+    if (values := _payload_values(r, "channel", _packet_send_keys, 7)) is not None:
+        cond, delay, dst, outcome, kind, seq, src = values
+        if (int is type(dst) is type(seq) is type(src) and str is type(cond) is type(outcome)
+                is type(kind) and type(delay) is float and _isfinite(delay)):
+            cond_j, outcome_j, kind_j = (encode_basestring_ascii(cond),
+                                         encode_basestring_ascii(outcome),
+                                         encode_basestring_ascii(kind))
+            t, delay_s = str(r["time_ms"]), repr(delay)
+            dst_s, seq_s, src_s = str(dst), str(seq), str(src)
+            if rows is not None:
+                # an escape is never shorter than its string and two quotes
+                if (len(cond_j) + len(outcome_j) + len(kind_j)
+                        == len(cond) + len(outcome) + len(kind) + 6
+                        and "," not in cond and "," not in outcome and "," not in kind):
+                    rows.channel.append("%s,%s,%s,%s,%s,%s,%s,%s\r\n" % (
+                        t, src_s, dst_s, kind, seq_s, cond, outcome, delay_s))
+                else:
+                    rows.channel_csv.writerow((r["time_ms"], src, dst, kind, seq, cond, outcome,
+                                              delay))
+            return ('{"kind": "packet_send", "payload": {"condition": %s, "delay_ms": %s, '
+                    '"dst": %s, "outcome": %s, "packet_kind": %s, "seq": %s, "src": %s}, '
+                    '"source": "channel", "time_ms": %s}\n'
+                    % (cond_j, delay_s, dst_s, outcome_j, kind_j, seq_s, src_s, t))
+    if rows is not None:
+        rows.channel_csv.writerow((r["time_ms"], *_channel_cells(r["payload"])))
     return None
 
 
-def _vitals_sample_line(r):
-    if (values := _payload_values(r, "wearable", _vitals_sample_keys, 4)) is None:
-        return None
-    bpm, spo2, temp, valid = values
-    if type(valid) is not bool:
-        return None
-    if float is type(bpm) is type(spo2) is type(temp) and _isfinite(bpm + spo2 + temp):
-        return ('{"kind": "vitals_sample", "payload": {"bpm": %r, "spo2": %r, "temp": %r, '
-                '"valid": %s}, "source": "wearable", "time_ms": %d}\n'
-                % (bpm, spo2, temp, "true" if valid else "false", r["time_ms"]))
-    if bpm is spo2 is temp is None:  # a sample of a wearable that is not worn
-        return ('{"kind": "vitals_sample", "payload": {"bpm": null, "spo2": null, '
-                '"temp": null, "valid": %s}, "source": "wearable", "time_ms": %d}\n'
-                % ("true" if valid else "false", r["time_ms"]))
+def _vitals_sample_line(r, rows=None):
+    if (values := _payload_values(r, "wearable", _vitals_sample_keys, 4)) is not None:
+        bpm, spo2, temp, valid = values
+        if type(valid) is bool:
+            if float is type(bpm) is type(spo2) is type(temp) and _isfinite(bpm + spo2 + temp):
+                t, bpm, spo2, temp = str(r["time_ms"]), repr(bpm), repr(spo2), repr(temp)
+                if rows is not None:
+                    rows.vitals.append("%s,%s,%s,%s,%s%s" % (t, spo2, bpm, temp, valid, rows.tail))
+                return ('{"kind": "vitals_sample", "payload": {"bpm": %s, "spo2": %s, '
+                        '"temp": %s, "valid": %s}, "source": "wearable", "time_ms": %s}\n'
+                        % (bpm, spo2, temp, "true" if valid else "false", t))
+            if bpm is spo2 is temp is None:  # a sample of a wearable that is not worn
+                t = str(r["time_ms"])
+                if rows is not None:  # csv writes None as an empty cell
+                    rows.vitals.append("%s,,,,%s%s" % (t, valid, rows.tail))
+                return ('{"kind": "vitals_sample", "payload": {"bpm": null, "spo2": null, '
+                        '"temp": null, "valid": %s}, "source": "wearable", "time_ms": %s}\n'
+                        % ("true" if valid else "false", t))
+    if rows is not None:
+        rows.vitals_csv.writerow((r["time_ms"], *_vitals_cells(r["payload"]), rows.flags,
+                                  rows.cls))
     return None
 
 
-def _packet_deliver_line(r):
+def _packet_deliver_line(r, rows=None):
     if (values := _payload_values(r, "channel", _packet_deliver_keys, 4)) is None:
         return None
     dst, kind, seq, src = values
@@ -138,7 +177,10 @@ def _packet_deliver_line(r):
     return None
 
 
-def _triage_line(r):
+def _triage_line(r, rows=None):
+    if rows is not None:
+        p = r["payload"]
+        rows.triage("|".join(p["flags"]), p["class"])
     if (values := _payload_values(r, "leader", _triage_keys, 4)) is None:
         return None
     cls, flags, probs, sample_time = values
@@ -151,7 +193,7 @@ def _triage_line(r):
     return None
 
 
-def _nav_line(r):
+def _nav_line(r, rows=None):
     if (values := _payload_values(r, "navigation", _nav_keys, 9)) is None:
         return None
     dist, drift_corr, drift_raw, energy, on_line, tag, theta, x, y = values
@@ -166,11 +208,65 @@ def _nav_line(r):
     return None
 
 
+# the kinds that have no line writer but a row: each adds its record's row
+# and leaves the line to `_encode`
+def _task_row(r, rows):
+    rows.tasks_csv.writerow((r["time_ms"], *_task_cells(r["payload"])))
+
+
+def _notification_row(r, rows):
+    p = r["payload"]
+    rows.notes.append(f"{r['time_ms']}\t{p['severity']}\t{p['cause']}\t{p['text']}\n")
+
+
 # kind -> its line writer; `to_jsonl` reads it only for a `str` kind, since
-# a kind can be any JSON value and a list or dict does not hash
+# a kind can be any JSON value and a list or dict does not hash. With a row
+# sink it reads `_ROW_WRITERS`, which adds the kinds that only have a row
 _LINE_WRITERS = {"packet_send": _packet_send_line, "vitals_sample": _vitals_sample_line,
                  "packet_deliver": _packet_deliver_line, "triage": _triage_line,
                  "nav": _nav_line}
+_ROW_WRITERS = {**_LINE_WRITERS, "task": _task_row, "notification": _notification_row}
+
+
+class RowSink:
+    """The rows of channel.csv (one per packet_send record), tasks.csv (task),
+    vitals.csv (vitals_sample, with the flags and class of the last triage
+    record before it) and notifications.log (notification), as text, that
+    `EventLog.to_jsonl` adds beside its lines. `batches` holds each file's
+    rows since the caller last wrote and cleared them, in that file order;
+    `HEADERS` holds each file's first line. The last triage carries over
+    from one batch to the next.
+
+    Each `*_csv` is a `csv.writer` that appends to its file's list, so a row
+    that csv must quote takes its place among the rows made as text."""
+
+    HEADERS = ("time_ms,src,dst,kind,seq,condition,outcome,delay_ms\r\n",
+               "time_ms,task_id,kind,origin,assignee,state,retry_count\r\n",
+               "time_ms,spo2,bpm,temp,valid,flags,class\r\n", "")
+
+    def __init__(self):
+        self.batches = self.channel, self.tasks, self.vitals, self.notes = [], [], [], []
+        self._tail_text = []
+        self.channel_csv, self.tasks_csv, self.vitals_csv, self._tail_csv = (
+            csv.writer(SimpleNamespace(write=rows.append))
+            for rows in (self.channel, self.tasks, self.vitals, self._tail_text))
+        self.flags = self.cls = ""
+        self.tail = ",,\r\n"  # the vitals.csv cells after `valid`
+        self._tails = {}
+
+    def triage(self, flags, cls):
+        """Take `flags` (joined) and `cls` as the last triage's. csv quotes
+        each cell on its own, so a row's tail after `valid` is what csv
+        writes for `("", flags, cls)`; it is kept once per pair of `str`s."""
+        self.flags, self.cls = flags, cls
+        key = (flags, cls) if type(cls) is str else None
+        tail = self._tails.get(key)
+        if tail is None:
+            self._tail_csv.writerow(("", flags, cls))
+            tail = self._tail_text.pop()
+            if key is not None:
+                self._tails[key] = tail
+        self.tail = tail
 
 
 @contextlib.contextmanager
@@ -241,16 +337,19 @@ class EventLog:
             raise ValueError("event timestamps must be non-decreasing")
         records.append(record)
 
-    def to_jsonl(self, start=0, stop=None) -> str:
+    def to_jsonl(self, start=0, stop=None, rows: RowSink | None = None) -> str:
         """The lines of `records[start:stop]`, each what
         `json.dumps(record, sort_keys=True)` writes and ended by a newline:
         written by its kind's line writer when it has one that takes the
-        record, else by `_encode`."""
+        record, else by `_encode`. Given `rows`, it also adds each record's
+        row to the sink, by the record's kind; a record that is not a dict
+        with a `str` kind adds none."""
         parts = []
+        writers = _LINE_WRITERS if rows is None else _ROW_WRITERS
         for r in self.records[start:stop]:
             kind = r.get("kind") if type(r) is dict else None
-            write = _LINE_WRITERS.get(kind) if type(kind) is str else None
-            line = None if write is None else write(r)
+            write = writers.get(kind) if type(kind) is str else None
+            line = None if write is None else write(r, rows)
             if line is None:
                 parts += _encode(r, 0)
                 parts.append("\n")

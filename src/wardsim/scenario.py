@@ -270,9 +270,10 @@ def _schema(cls) -> dict:
 
 
 def _build(cls, raw, path: str, errors: list[str], base=None):
-    """An instance of the dataclass `cls` from the mapping `raw`. An absent or
-    null key takes its value from `base` when given, else its field default;
-    a field with neither is required."""
+    """An instance of the dataclass `cls` from the mapping `raw`, or _FAIL
+    when a field is missing or fails to read. An absent or null key takes its
+    value from `base` when given, else its field default; a field with
+    neither is required."""
     if _shape(raw, dict, path, errors) is _FAIL:
         return _FAIL
     schema = _schema(cls)
@@ -282,13 +283,15 @@ def _build(cls, raw, path: str, errors: list[str], base=None):
         if raw.get(name) is None:
             if base is None and default is MISSING:
                 errors.append(f"{path}.{name}: required")
+                kwargs[name] = _FAIL
             continue
         # the top level's own scalars are reported as "top.<key>"
         sub = f"{path}.{name}" if path else f"top.{name}" if hint in (bool, int, float, str) else name
-        value = _read(hint, raw[name], sub, errors, default if base is None else getattr(base, name))
-        if value is not _FAIL:
-            kwargs[name] = value
-    if base is None and any(d is MISSING and k not in kwargs for k, (_, d) in schema.items()):
+        kwargs[name] = _read(hint, raw[name], sub, errors,
+                             default if base is None else getattr(base, name))
+    # a field that failed is already reported; built with its default in its
+    # place, the checks that span fields could report an error that is not one
+    if any(value is _FAIL for value in kwargs.values()):
         return _FAIL
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)

@@ -1,6 +1,7 @@
 """Hypothesis profiles. Tier-1 runs hypothesis' default budget; the
 `schema-fuzz` profile gives the schema-walking scenario test a larger one,
-`log-fuzz` the event-log loader's properties and the line writers' one,
+`log-fuzz` the event-log loader's properties, the line writers' one and the
+export rows' one,
 `protocol-fuzz` the check that the event-driven leader equals one that does
 its full pass every step, and `corridor-fuzz` the checks that the corridor tick's rewritten helpers
 (`line_error` with its fixed weights, `apply_control` with its fixed cap,
@@ -18,7 +19,8 @@ full scan; the `corridor_oracle` marker selects those:
     python -m pytest --hypothesis-profile=log-fuzz \
         "tests/test_metrics.py::test_batch_load_equals_the_per_line_loop" \
         "tests/test_metrics.py::test_save_writes_what_to_jsonl_writes_at_the_batch_edges" \
-        "tests/test_metrics.py::test_the_line_writers_write_what_json_dumps_writes"
+        "tests/test_metrics.py::test_the_line_writers_write_what_json_dumps_writes" \
+        "tests/test_metrics.py::test_the_export_rows_equal_a_walk_per_file_for_changed_records"
     python -m pytest --hypothesis-profile=protocol-fuzz \
         "tests/test_protocol.py::test_the_event_driven_leader_equals_one_that_steps_in_full"
     python -m pytest --hypothesis-profile=corridor-fuzz -m corridor_oracle \

@@ -564,6 +564,10 @@ def test_a_run_over_a_link_that_duplicates_packets_late_keeps_triage_in_sample_o
     assert engine.channel.duplicated > 0
     times = [r["payload"]["sample_time"] for r in log.records if r["kind"] == "triage"]
     assert times and all(a < b for a, b in zip(times, times[1:]))
+    # and a duplicated command must not start its task a second time
+    for follower in (engine.corridor, engine.arm):
+        assert all(n == 1 for n in follower.execution_count.values()), \
+            (follower.address, follower.execution_count)
 
 
 def test_link_conditions_apply_in_time_order_whatever_their_file_order():

@@ -3,7 +3,9 @@ files that one `json.loads` per line accepts, with the same records, and
 names the same first bad record; it keeps one object per distinct kind and
 source string, which keeps a loaded log within 1.35 times the size of the
 live one. The metrics fold: `consume`'s table of folds skips and refuses
-the records that one `==` test per kind did. The run reports: metrics.txt
+the records that one `==` test per kind did. The export's rows, which two
+line writers make from their lines' text: equal to a walk per file with
+`csv.writer`, for odd values near a batch edge. The run reports: metrics.txt
 and metrics.csv, for the rows no preset reaches."""
 
 import enum
@@ -18,9 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import reference_export
 from test_golden import ward_shift_config
 from wardsim import metrics
-from wardsim.engine import run
+from wardsim.engine import export_outputs, run
 from wardsim.metrics import EventLog, RunMetrics
 from wardsim.scenario import load_preset, preset_names, validate
 
@@ -394,6 +397,93 @@ def test_every_record_of_a_kind_with_a_writer_in_a_run_comes_back_from_it():
                 assert write(r) == json.dumps(r, sort_keys=True) + "\n", (config.name, r)
                 seen.add(r["kind"])
     assert seen == set(WRITTEN) == set(metrics._LINE_WRITERS)
+
+
+# -- the export rows ------------------------------------------------------------
+
+@functools.cache
+def ward_shift_run():
+    """The 20 s ward shift's records and metrics: 7,810 records, with
+    packet_send, vitals_sample and triage records on every tick."""
+    log, live = run(ward_shift_config())
+    return tuple(log.records), live
+
+
+EXPORTED = ("events.jsonl", "channel.csv", "tasks.csv", "vitals.csv", "notifications.log",
+            "metrics.txt", "metrics.csv")
+# strings that csv must quote, or that json escapes, and the empty one
+_ROW_STRINGS = [",", "a,b", '"', 'say "hi"', "\r", "\n", "a\r\nb", "é", "", "é,\""]
+# floats that repr writes in exponent form or with a sign, and an int, a
+# bool and None in a float's place
+_ROW_NUMBERS = [-0.0, 1e16, 5e-324, 3, True, False, None]
+# each kind whose rows the writers make, its payload keys that a change
+# sets, and the values it sets them to; "worn_off" sets all three vitals to
+# None. A class of 1, 1.0 or True is one dict key but three csv cells
+ROW_CHANGES = {
+    "packet_send": {"packet_kind": _ROW_STRINGS, "condition": _ROW_STRINGS,
+                    "outcome": _ROW_STRINGS, "delay_ms": _ROW_NUMBERS},
+    "vitals_sample": {"spo2": _ROW_NUMBERS, "bpm": _ROW_NUMBERS, "temp": _ROW_NUMBERS,
+                      "worn_off": [None]},
+    "triage": {"class": [*_ROW_STRINGS, 1, 1.0, True, 2.5, None],
+               "flags": [[","], ["fever", "a,b"], ['"'], ["é", "\n"], [], ["", ""]]},
+}
+
+
+def changed(r, key, value) -> dict:
+    """Record `r` with its payload's `key` set to `value`, or all three
+    vitals for "worn_off"."""
+    keys = ("spo2", "bpm", "temp") if key == "worn_off" else (key,)
+    return {**r, "payload": {**r["payload"], **dict.fromkeys(keys, value)}}
+
+
+def assert_exports_equal(records, live, out):
+    log = EventLog()
+    log.records = list(records)
+    export_outputs(log, live, out / "one_pass")
+    reference_export(log, live, out / "reference")
+    for name in EXPORTED:
+        assert (out / "one_pass" / name).read_bytes() == (out / "reference" / name).read_bytes(), \
+            name
+
+
+@st.composite
+def changed_stretches(draw) -> list[dict]:
+    """A stretch of the ward shift's log one batch and up to 64 records
+    long, so that the export's batch edge falls in it, with one to six
+    records near the edge each given one change of `ROW_CHANGES`."""
+    records, _ = ward_shift_run()
+    extra = draw(st.integers(1, 64))
+    start = draw(st.integers(0, len(records) - B - extra))
+    stretch = list(records[start:start + B + extra])
+    near = [i for i in range(B - 48, len(stretch)) if stretch[i]["kind"] in ROW_CHANGES]
+    for i in draw(st.lists(st.sampled_from(near), min_size=1, max_size=6)):
+        slots = ROW_CHANGES[stretch[i]["kind"]]
+        key = draw(st.sampled_from(sorted(slots)))
+        stretch[i] = changed(stretch[i], key, draw(st.sampled_from(slots[key])))
+    return stretch
+
+
+@settings(deadline=None)
+@given(changed_stretches())
+def test_the_export_rows_equal_a_walk_per_file_for_changed_records(tmp_path_factory, records):
+    assert_exports_equal(records, ward_shift_run()[1], tmp_path_factory.getbasetemp() / "rows")
+
+
+def test_every_row_change_exports_as_a_walk_per_file_writes(tmp_path):
+    # each change of ROW_CHANGES once, on its own record, from 200 records
+    # before the first batch edge on
+    records, live = ward_shift_run()
+    records = list(records[:2 * B])
+    todo = [(kind, key, value) for kind, slots in ROW_CHANGES.items()
+            for key, values in slots.items() for value in values]
+    for i in range(B - 200, len(records)):
+        r = records[i]
+        j = next((j for j, (kind, _, _) in enumerate(todo) if kind == r["kind"]), None)
+        if j is not None:
+            _, key, value = todo.pop(j)
+            records[i] = changed(r, key, value)
+    assert not todo
+    assert_exports_equal(records, live, tmp_path)
 
 
 class ElifAccumulator(metrics.MetricsAccumulator):

@@ -48,6 +48,40 @@ def test_each_stream_is_the_child_of_its_index():
         assert stream.random() == np.random.default_rng(children[i]).random(), name
 
 
+
+# The first four draws of each named stream at seed 0, in the order the
+# engine draws them: a double each from the block-served streams, and
+# `sample_vitals`' two uniforms and one normal, then a double, from
+# `vitals_noise`. numpy does not promise to keep a Generator method's stream
+# across feature releases (NEP 19), so a release that moves one fails the
+# stream's own test here, before any log digest fails.
+FINGERPRINTS = {
+    "channel": [0.9429375528828794, 0.3163371523854981, 0.7223425886498254,
+                0.12560308543269327],
+    "slip": [0.6771968569751019, 0.2429867485428212, 0.6117637963218119, 0.4230998298211348],
+    "ir_noise": [0.8382711479571602, 0.08372444856512495, 0.6176152913826177,
+                 0.7028375859931597],
+    "vitals_noise": [0.3644334333698406, 0.5113367953594365, 0.7041743089255303,
+                     0.2322490458929357],
+    "fall_detector": [0.6529725757834846, 0.32395866639788673, 0.16410961774742827,
+                      0.5776281202998617],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_each_stream_draws_its_pinned_first_values(name):
+    stream = derive_streams(0)[name]
+    if name == "vitals_noise":
+        draws = [stream.random(), stream.random(), stream.standard_normal(), stream.random()]
+    else:
+        draws = [stream.random() for _ in range(4)]
+    assert draws == FINGERPRINTS[name]
+
+
+def test_the_fingerprints_cover_every_stream():
+    assert set(FINGERPRINTS) == set(derive_streams(0))
+
+
 # Tier-1 runs hypothesis' default budget; CI runs the `corridor-fuzz` profile
 @pytest.mark.corridor_oracle
 @given(half=st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, sys.float_info.max / 2]),

@@ -80,10 +80,32 @@ def test_all_errors_collected_not_just_the_first():
            "flag_confirm_samples": 0}
     with pytest.raises(ScenarioValidationError) as exc:
         validate(raw)
+    # a field that fails to read leaves its section, here the top level,
+    # unbuilt, so the section's own checks do not run
+    assert exc.value.errors == ["top.seed: expected int, got str", "budgets_ms: unknown key 'bogus'"]
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate({**raw, "seed": 0})
     # the top level's own checks are one entry, as each section's are
     assert exc.value.errors == [
-        "top.seed: expected int, got str", "budgets_ms: unknown key 'bogus'",
+        "budgets_ms: unknown key 'bogus'",
         "top level: dt_ms must be positive; flag_confirm_samples must be at least 1"]
+
+
+@pytest.mark.parametrize("raw, error", [
+    # checked against the default addresses, the link's end would not be a robot
+    ({"robots": {"leader": {"address": 5}, "corridor": {"address": 5}},
+      "link_conditions": [{"src": 5, "dst": 1}]}, "robots: addresses must be unique"),
+    # checked against the default closed track, two tags would be too few
+    ({"track": {"waypoints": [[0.2, 0.2], [1.2, 0.2], [1.2, 1.2]], "tags": ["straight", "turn"],
+                "closed": "no"}}, "track.closed: expected bool, got str"),
+    # checked against the default pdr_clear, 0.97 would be out of order
+    ({"channel": {"pdr_clear": "x", "pdr_obstructed": 0.97}},
+     "channel.pdr_clear: expected float, got str"),
+], ids=["duplicate_addresses", "track_closed_string", "pdr_clear_string"])
+def test_a_failed_part_adds_no_error_from_the_default_in_its_place(raw, error):
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate(raw)
+    assert exc.value.errors == [error]
 
 
 def test_pdr_ordering_violation_is_reported():
