@@ -1,8 +1,18 @@
 """Acceptance gate: ten release criteria, one test (and one pass/fail line
-under -v) each. Tolerances and frozen figures are stated inline."""
+under -v) each. Tolerances and frozen figures are stated inline.
+
+Each criterion's `report()` line, printed under -s, is pinned, figures and all, in
+`tests/golden/acceptance.txt`: the acceptance output changes only together
+with a change that alters behaviour on purpose, and that change says why.
+To regenerate the file:
+
+    PYTHONPATH=src python -m pytest -q -s tests/test_acceptance.py \
+        | grep -o "criterion [0-9]* (.*" > tests/golden/acceptance.txt
+"""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -10,6 +20,7 @@ from _channel import measure_pdr, measure_rtt
 from _exchange import run_lossy_exchange
 from _odometry import angles_to_arcs
 from _triage import class_from_probs
+from test_golden import _numpy_hint
 from wardsim.engine import run, run_suite
 from wardsim.kinematics import ChassisParams, Pose, normalize_angle, pose_update
 from wardsim.metrics import EventLog, replay_metrics
@@ -21,10 +32,17 @@ from wardsim.scenario import load_preset, validate
 from wardsim.vitals import Flag, TriageClass, Vitals, classify
 
 
+# the committed report, one line a criterion in criterion order
+PINNED = (Path(__file__).parent / "golden" / "acceptance.txt").read_text().splitlines()
+
+
 def report(number: int, name: str, ok: bool, detail: str = ""):
-    print(f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}"
-          + (f" [{detail}]" if detail else ""))
+    line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}" + (
+        f" [{detail}]" if detail else "")
+    print(line)
     assert ok, f"criterion {number} ({name}) failed: {detail}"
+    assert line == PINNED[number - 1], \
+        f"the report moved from the pinned {PINNED[number - 1]!r}{_numpy_hint()}"
 
 
 def test_criterion_01_channel_fidelity_soak():
