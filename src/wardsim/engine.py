@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import itertools
 import math
 import os
 import statistics
@@ -93,9 +94,8 @@ class Engine:
         self.motion = MotionSimulator(config.start_pose, corridor.chassis,
                                       corridor.slip_halfwidth, self.streams["slip"],
                                       slip_bias_halfwidth=corridor.slip_bias_halfwidth)
-        self.follower_ctl = LineFollower(
-            gains=corridor.gains, geometry=corridor.geometry, base_rpm=corridor.base_rpm,
-            detect_threshold=config.detect_threshold)
+        self.follower_ctl = LineFollower(gains=corridor.gains, geometry=corridor.geometry,
+                                         base_rpm=corridor.base_rpm)
         self.dr_raw = DeadReckoner(self.motion.pose, corridor.chassis)
         self.dr_corrected = DeadReckoner(self.motion.pose, corridor.chassis)
 
@@ -103,11 +103,12 @@ class Engine:
         self.acc = MetricsAccumulator()
         self._append = self.log.records.append
         self._inboxes: dict[int, list[Packet]] = {a: [] for a in robots.addresses}
-        # heap of (ready_ms, sample_time, decision). The wearable sends one
-        # report per sample and the channel never duplicates a packet, so a
-        # sample is queued at most once: two entries never tie on
-        # (ready_ms, sample_time), and no two decisions are compared
-        self._pending_triage: list[tuple[int, int, TriageDecision]] = []
+        # heap of (ready_ms, sample_time, push count, decision). A link that
+        # duplicates a report can queue one sample twice on the same tick, so
+        # two entries can tie on (ready_ms, sample_time); the count breaks the
+        # tie, as in Channel.in_flight, and no two decisions are compared
+        self._pending_triage: list[tuple[int, int, int, TriageDecision]] = []
+        self._triage_pushes = itertools.count()
         self._last_triage_sample = -1
         self._script_idx = 0
         self._link_idx = 0
@@ -206,12 +207,13 @@ class Engine:
 
     def _queue_triage(self, sample_time: int, decision: TriageDecision):
         delay = triage_delay_ms(decision.flags, self.config.latency)
-        heapq.heappush(self._pending_triage, (self._now + delay, sample_time, decision))
+        heapq.heappush(self._pending_triage,
+                       (self._now + delay, sample_time, next(self._triage_pushes), decision))
 
     def _triage_ready(self):
         pending = self._pending_triage
         while pending and pending[0][0] <= self._now:
-            _, sample_time, decision = heapq.heappop(pending)
+            _, sample_time, _, decision = heapq.heappop(pending)
             self._deliver_triage(sample_time, decision)
 
     def _deliver_triage(self, sample_time: int, decision):
@@ -298,8 +300,7 @@ class Engine:
         # with the IR array disabled the robot steers by its odometry estimate
         # alone, so slip accumulates in the true pose uncorrected
         sense_pose = self.motion.pose if cfg.ir_enabled else self.dr_raw.pose
-        cmd, err = self.follower_ctl.step(cfg.track, sense_pose, dt_s,
-                                          self.streams["ir_noise"])
+        cmd, err = self.follower_ctl.step(cfg.track, sense_pose, dt_s)
         if self.follower_ctl.faulted:
             self.corridor.nav_fault = True
             self._emit("nav_fault", {"x": self.motion.pose.x, "y": self.motion.pose.y})

@@ -1,10 +1,8 @@
-"""5-way IR reflectance sensing and PID steering for line following.
+"""5-way IR line sensing and PID steering for line following.
 
-Each sensor reads a reflectance level in [0, 1], a fraction of full scale.
-The levels are thresholded into binary detections (the dark line absorbs,
-so low reflectance means "on the line"), and reduced to a lateral error as
-the weighted average of the active sensors with weights (-2, -1, 0, +1, +2)
-ordered left to right.
+Each sensor reports a binary detection: 1 when it is over the dark line.
+The detections are reduced to a lateral error as the weighted average of
+the active sensors with weights (-2, -1, 0, +1, +2) ordered left to right.
 
 Sign convention: positive error means the line lies to the robot's right.
 The mixer adds the control output to the right wheel and subtracts it from
@@ -20,21 +18,12 @@ from operator import mul
 
 from . import ConfigurationError, require
 from .kinematics import Pose
-from .rng import Doubles, symmetric_range, symmetric_range_checks
 from .track import Track
 
 DEFAULT_WEIGHTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 DEFAULT_SPEED_CAP_RPM = 85.0
 DEFAULT_BASE_RPM = 50.0
-DEFAULT_DETECT_THRESHOLD = 0.5  # level below which a sensor sees the line
 HOLD_LOST_S = 0.5  # how long a lost line holds the last control before a fault
-
-
-def threshold(r, t: float) -> tuple[int, ...]:
-    """Binary detections: 1 where the reflectance level is below t (dark line)."""
-    if not 0.0 < t <= 1.0:
-        raise ConfigurationError("threshold must be in (0, 1]")
-    return tuple([1 if ri < t else 0 for ri in r])
 
 
 def line_error(s) -> float | None:
@@ -100,20 +89,9 @@ def apply_control(omega_base: float, u: float) -> WheelCommand:
 
 @dataclass(frozen=True)
 class IrGeometry:
-    """Physical layout of the sensor array on the chassis, and the levels
-    its sensors read, as fractions of full scale."""
+    """Physical layout of the sensor array on the chassis."""
     pitch: float = 0.015          # lateral spacing between adjacent sensors, m
     forward_offset: float = 0.05  # array distance ahead of the axle center, m
-    low_level: float = 0.1        # level on the dark line
-    high_level: float = 0.9       # level on the bare floor
-    noise_frac: float = 0.03      # additive noise, fraction of full scale
-
-    def __post_init__(self):
-        require(*symmetric_range_checks(self.noise_frac, "noise_frac"),
-                (0.0 <= self.low_level < self.high_level <= 1.0,
-                 "require 0 <= low_level < high_level <= 1"))
-        # a sensor's noise is uniform(-noise_frac, noise_frac); as ChannelConfig.jitter_range
-        object.__setattr__(self, "noise_range", symmetric_range(self.noise_frac))
 
 
 def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, float]]:
@@ -131,24 +109,15 @@ def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, floa
             (cx + o1 * s, cy + o1 * nc), (cx + o2 * s, cy + o2 * nc)]
 
 
-def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry, rng: Doubles) -> tuple[float, ...]:
-    """The five levels, left to right, for a pose over the track: sensors
-    within half a line width of the polyline read dark, others bright, plus
-    bounded noise drawn from `rng` (none when `noise_frac` is 0), clamped to
-    [0, 1]. Off-mat poses simply see no line."""
+def simulate_ir(track: Track, pose: Pose, geometry: IrGeometry) -> tuple[int, ...]:
+    """The five detections, left to right, for a pose over the track: 1 for a
+    sensor on the mat within half a line width of the polyline, else 0.
+    Off-mat sensors simply see no line."""
     half = track.line_width / 2.0
     w, h = track.mat_size
-    low, high = geometry.low_level, geometry.high_level
     query = track.query
-    levels = [low if 0.0 <= sx <= w and 0.0 <= sy <= h and query(sx, sy).distance <= half else high
-              for sx, sy in sensor_positions(pose, geometry)]
-    lo, span = geometry.noise_range
-    if not span > 0:
-        return tuple(levels)  # low and high lie in [0, 1]
-    random = rng.random
-    # one noise draw per sensor, left to right, each level clamped to [0, 1]
-    return tuple([0.0 if (v := level + (lo + span * random())) < 0.0 else 1.0 if v > 1.0 else v
-                  for level in levels])
+    return tuple([1 if 0.0 <= sx <= w and 0.0 <= sy <= h and query(sx, sy).distance <= half
+                  else 0 for sx, sy in sensor_positions(pose, geometry)])
 
 
 @dataclass
@@ -162,7 +131,6 @@ class LineFollower:
     gains: PidGains = field(default_factory=PidGains)
     geometry: IrGeometry = field(default_factory=IrGeometry)
     base_rpm: float = DEFAULT_BASE_RPM
-    detect_threshold: float = DEFAULT_DETECT_THRESHOLD
 
     def __post_init__(self):
         self.pid = PidState()
@@ -176,10 +144,9 @@ class LineFollower:
         self._lost_for = 0.0
         self.faulted = False
 
-    def step(self, track: Track, pose: Pose, dt: float, rng: Doubles) -> tuple[WheelCommand, float | None]:
+    def step(self, track: Track, pose: Pose, dt: float) -> tuple[WheelCommand, float | None]:
         """Returns the wheel command and the measured lateral error (None = lost)."""
-        s = threshold(simulate_ir(track, pose, self.geometry, rng), self.detect_threshold)
-        e = line_error(s)
+        e = line_error(simulate_ir(track, pose, self.geometry))
         if e is None:
             self._lost_for += dt
             if self._lost_for > HOLD_LOST_S:

@@ -3,10 +3,11 @@
 Each subsystem draws from its own generator so adding draws in one place
 does not perturb the sequences seen by the others.
 
-The streams that draw only doubles (`channel`, `slip`, `ir_noise` and
-`fall_detector`) are served by `Doubles`, which takes them from
-`Generator.random(N)` blocks, so a block gives exactly the values of one
-scalar call per draw, as plain floats and at a fraction of a call's cost.
+The streams that draw only doubles (`channel`, `slip` and `fall_detector`,
+and `ir_noise`, which nothing draws from) are served by `Doubles`, which
+takes them from `Generator.random(N)` blocks, so a block gives exactly the
+values of one scalar call per draw, as plain floats and at a fraction of a
+call's cost.
 numpy's `uniform(low, high)` is `low + (high - low) * u` with `u` the
 double that `random()` returns, so a uniform draw is written out as
 `low + span * random()`, with `low` and `span = high - low` fixed where the
@@ -24,7 +25,8 @@ import math
 import numpy as np
 
 # A stream's index keys its SeedSequence child, so its values do not depend
-# on how many streams follow it: append only, never reorder.
+# on how many streams follow it: append only, never reorder. Nothing draws
+# from `ir_noise`: it only holds its index, so the streams after it keep theirs.
 _STREAMS = (
     "channel",
     "slip",

@@ -21,7 +21,7 @@ import yaml
 
 from . import ConfigurationError, require
 from .kinematics import ChassisParams, Pose, check_slip
-from .line_following import DEFAULT_BASE_RPM, DEFAULT_DETECT_THRESHOLD, IrGeometry, PidGains
+from .line_following import DEFAULT_BASE_RPM, IrGeometry, PidGains
 from .protocol import DEFAULT_EXEC_DURATIONS_MS, ScheduleEntry, TaskKind, TimeoutPolicy
 from .rf_channel import ChannelConfig, LinkCondition
 from .track import Track, rounded_rect_track
@@ -199,7 +199,6 @@ class ScenarioConfig:
     battery: Battery = Battery()
     correction: Correction = Correction()
     patrol_always: bool = True
-    detect_threshold: float = DEFAULT_DETECT_THRESHOLD
     ir_enabled: bool = True        # False: steer from the odometry estimate only
     flag_confirm_samples: int = 3  # consecutive flagged samples before the leader acts
 
@@ -221,14 +220,7 @@ class ScenarioConfig:
         # an event listed before time 0 would run at the first tick
         checks += ((event.time_ms >= 0, f"{key}[{i}].time_ms must be nonnegative")
                    for key in _EVENT_LISTS for i, event in enumerate(getattr(self, key)))
-        # only in this range does a sensor on the line always read dark, and
-        # one off it never, whatever its noise draw
-        ir = self.robots.corridor.geometry
-        dark, bright = ir.low_level + ir.noise_frac, ir.high_level - ir.noise_frac
-        checks += [(dark < self.detect_threshold <= bright,
-                    "detect_threshold must be in (low_level + noise_frac, high_level"
-                    f" - noise_frac], here ({dark:g}, {bright:g}]"),
-                   (self.flag_confirm_samples >= 1, "flag_confirm_samples must be at least 1")]
+        checks.append((self.flag_confirm_samples >= 1, "flag_confirm_samples must be at least 1"))
         checks += ((value >= 0, f"{table}.{key} must be nonnegative") for table in _TABLES
                    for key, value in vars(getattr(self, table)).items() if value is not None)
         require(*checks)

@@ -3,16 +3,20 @@
 `log-fuzz` the event-log loader's properties, the line writers' one and the
 export rows' one,
 `protocol-fuzz` the check that the event-driven leader equals one that does
-its full pass every step, and `corridor-fuzz` the checks that the corridor tick's rewritten helpers
-(`line_error` with its fixed weights, `apply_control` with its fixed cap,
-`simulate_ir` with the noise stream it requires), `MotionSimulator.step`
-(with its slip, stream and bias all given), `DeadReckoner.update` and
+its full pass every step, `hostile-link` the engine's runs over a link that
+duplicates packets, and `corridor-fuzz` the checks that the corridor tick's
+rewritten helpers (`line_error` with its fixed weights, `apply_control` with
+its fixed cap, `sensor_positions`), `MotionSimulator.step` (with its slip,
+stream and bias all given), `DeadReckoner.update` and
 `Channel.send` equal the expressions they replaced (for `Channel.send`, the
 `packet_send` payloads it returns and the packets it queues, with the
 jitter drawn by `Generator.uniform`), that `symmetric_range`
 draws equal `Generator.uniform`'s, that `Track`'s headings equal atan2
-of the reference tangents, and that a query on its candidate grid equals a
-full scan; the `corridor_oracle` marker selects those:
+of the reference tangents, that a query on its candidate grid equals a
+full scan, and that `simulate_ir` detects the line exactly where a sensor is
+on the mat and within half a line width of it, checked on the lines, on cell
+edges and on and off the mats' borders; the `corridor_oracle` marker selects
+those:
 
     python -m pytest --hypothesis-profile=schema-fuzz \
         "tests/test_scenario.py::test_a_scenario_drawn_from_the_schema_is_rejected_or_runs"
@@ -23,6 +27,8 @@ full scan; the `corridor_oracle` marker selects those:
         "tests/test_metrics.py::test_the_export_rows_equal_a_walk_per_file_for_changed_records"
     python -m pytest --hypothesis-profile=protocol-fuzz \
         "tests/test_protocol.py::test_the_event_driven_leader_equals_one_that_steps_in_full"
+    python -m pytest --hypothesis-profile=hostile-link \
+        "tests/test_engine.py::test_any_duplicating_link_leaves_triage_in_sample_order_and_each_task_run_once"
     python -m pytest --hypothesis-profile=corridor-fuzz -m corridor_oracle \
         tests/test_line_following.py tests/test_kinematics.py tests/test_rf_channel.py \
         tests/test_rng.py tests/test_track.py
@@ -40,6 +46,7 @@ from hypothesis import settings
 settings.register_profile("schema-fuzz", max_examples=2000)
 settings.register_profile("log-fuzz", max_examples=1000)
 settings.register_profile("protocol-fuzz", max_examples=1000)
+settings.register_profile("hostile-link", max_examples=1000)
 settings.register_profile("corridor-fuzz", max_examples=1000)
 
 

@@ -3,6 +3,7 @@ integrity, debouncing, and the CLI surface."""
 
 import csv
 import dataclasses
+import functools
 import gc
 import json
 import weakref
@@ -552,22 +553,47 @@ HOSTILE_RUNS = {**{name: lambda name=name: load_preset(name) for name in preset_
                 **{f"corpus/{name}": lambda name=name: corpus_config(name) for name in CORPUS}}
 
 
-@pytest.mark.parametrize("name", sorted(HOSTILE_RUNS))
-def test_a_run_over_a_link_that_duplicates_packets_late_keeps_triage_in_sample_order(
-        name, monkeypatch):
-    # a duplicated vitals report comes back with a sample time that was
-    # already triaged, which must be dropped as stale, not triaged again
-    monkeypatch.setattr(engine_module, "Channel", DuplicatingChannel)
-    cfg = HOSTILE_RUNS[name]()
-    engine = Engine(dataclasses.replace(cfg, duration_ms=min(cfg.duration_ms, 20_000)))
+def run_over_a_duplicating_link(cfg, **link):
+    """Run `cfg` over a `DuplicatingChannel(**link)` and check what a
+    duplicated packet must not change: the run ends without an abort, the
+    triage records' sample times strictly increase (a duplicated vitals
+    report comes back with a sample time that was already triaged, which must
+    be dropped as stale, not triaged again), and no follower runs a task
+    twice (a duplicated command must not start its task a second time).
+    Returns the engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "Channel", functools.partial(DuplicatingChannel, **link))
+        engine = Engine(cfg)
     log, _ = engine.run()
-    assert engine.channel.duplicated > 0
     times = [r["payload"]["sample_time"] for r in log.records if r["kind"] == "triage"]
     assert times and all(a < b for a, b in zip(times, times[1:]))
-    # and a duplicated command must not start its task a second time
     for follower in (engine.corridor, engine.arm):
         assert all(n == 1 for n in follower.execution_count.values()), \
             (follower.address, follower.execution_count)
+    return engine
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_RUNS))
+def test_a_run_over_a_link_that_duplicates_packets_late_keeps_triage_in_sample_order(name):
+    cfg = HOSTILE_RUNS[name]()
+    engine = run_over_a_duplicating_link(
+        dataclasses.replace(cfg, duration_ms=min(cfg.duration_ms, 20_000)))
+    assert engine.channel.duplicated > 0
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(HOSTILE_RUNS)),
+       duplicate_p=st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0),
+       # the window in ticks: a duplicate on the packet's own tick (a
+       # report and its duplicate then tie on their ready time and sample
+       # time), within one tick, or up to 30 ticks late
+       late_ticks=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 30.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_any_duplicating_link_leaves_triage_in_sample_order_and_each_task_run_once(
+        name, duplicate_p, late_ticks, seed):
+    cfg = HOSTILE_RUNS[name]()
+    run_over_a_duplicating_link(cfg, duplicate_p=duplicate_p, late_ms=late_ticks * cfg.dt_ms,
+                                seed=seed)
 
 
 def test_link_conditions_apply_in_time_order_whatever_their_file_order():

@@ -1,7 +1,6 @@
 """IR sensing, lateral-error reduction, PID, and the closed steering loop."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -14,29 +13,8 @@ from wardsim.rng import Doubles
 from wardsim.line_following import (DEFAULT_SPEED_CAP_RPM, DEFAULT_WEIGHTS, HOLD_LOST_S,
                                     IrGeometry, LineFollower, PidGains, PidState,
                                     apply_control, line_error, pid_step, sensor_positions,
-                                    simulate_ir, threshold)
+                                    simulate_ir)
 from wardsim.track import Track, rounded_rect_track
-
-
-def stream(seed=0):
-    """A noise stream; a geometry with noise_frac 0 draws nothing from it."""
-    return Doubles(np.random.default_rng(seed))
-
-
-def test_threshold_dark_line_reads_active():
-    # the line absorbs light: low reflectance -> detection 1
-    assert threshold((0.1, 0.9, 0.05, 0.5, 0.49), 0.5) == (1, 0, 1, 0, 1)
-    with pytest.raises(ConfigurationError):
-        threshold((0.1,) * 5, 1.5)
-
-
-@given(st.tuples(*[st.floats(0.0, 1.0)] * 5),
-       st.floats(0.05, 0.95))
-def test_threshold_monotone_in_cutoff(r, t):
-    lo = threshold(r, t)
-    hi = threshold(r, min(t + 0.04, 0.99))
-    # raising the cutoff can only add detections, never remove them
-    assert all(a <= b for a, b in zip(lo, hi))
 
 
 def test_line_error_examples():
@@ -179,10 +157,6 @@ def test_sensor_positions_equal_the_numpy_expression(x, y, theta, pitch, forward
 # oracles; repr also tells -0.0 from 0.0 and a numpy float from a float
 
 
-def reference_threshold(r, t):
-    return tuple(1 if ri < t else 0 for ri in r)
-
-
 def reference_line_error(s):
     active = sum(s)
     if active == 0:
@@ -194,36 +168,6 @@ def reference_apply_control(omega_base, u):
     cap = DEFAULT_SPEED_CAP_RPM
     clamp = lambda w: max(-cap, min(cap, w))  # noqa: E731
     return clamp(omega_base + u), clamp(omega_base - u)
-
-
-def reference_simulate_ir(track, pose, geometry, gen):
-    """`simulate_ir` as a per-sensor loop, with its noise drawn by a numpy
-    Generator's own sized `uniform`."""
-    half = track.line_width / 2.0
-    w, h = track.mat_size
-    low, high = geometry.low_level, geometry.high_level
-    noise = None
-    if geometry.noise_frac > 0:
-        noise = gen.uniform(-geometry.noise_frac, geometry.noise_frac, size=5).tolist()
-    vals = []
-    for k, (sx, sy) in enumerate(reference_sensor_positions(pose, geometry).tolist()):
-        if 0.0 <= sx <= w and 0.0 <= sy <= h and track.query(sx, sy).distance <= half:
-            level = low
-        else:
-            level = high
-        if noise is not None:
-            level += noise[k]
-        vals.append(min(max(level, 0.0), 1.0))
-    return tuple(vals)
-
-
-_LEVELS = st.floats(-2.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
-
-
-@pytest.mark.corridor_oracle
-@given(st.tuples(*[_LEVELS] * 5), st.floats(0.0, 1.0, exclude_min=True))
-def test_threshold_equals_the_generator_expression(r, t):
-    assert repr(threshold(r, t)) == repr(reference_threshold(r, t))
 
 
 @pytest.mark.corridor_oracle
@@ -240,48 +184,63 @@ def test_apply_control_equals_the_lambda(omega_base, u):
 
 
 _TRACK = rounded_rect_track()
+# a 0.04 m line along the borders of a 2 x 2 m mat: half of it is off the mat
+_BORDER_TRACK = Track([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)], ["straight"] * 4,
+                      line_width=0.04, mat_size=(2.0, 2.0))
+# coordinates on the default track's straight lines (x = 0.6 or 2.9, y = 0.6
+# or 3.4) and a half line width either side of one, on the mats' near and
+# far borders (the default mat is 3.5 x 4.0 m), just past them and exactly a
+# half line width inside the border track's, and on the 0.1 m candidate-cell
+# edges on and off the mats; with a pitch and forward offset of 0 every
+# sensor sits on the pose
+_COORDS = st.sampled_from([0.6, 0.6 - 0.009, 0.6 + 0.009, 2.9, 3.4, 0.0, -0.0, 0.02, -0.02,
+                           2.0 - 0.02, 2.0, 2.02, 3.5, 4.0]) \
+    | st.integers(-5, 45).map(lambda k: k * 0.1) | st.floats(-0.5, 4.5)
 
 
 @pytest.mark.corridor_oracle
-@given(x=st.floats(-0.5, 4.0), y=st.floats(-0.5, 4.5), theta=st.floats(-math.pi, math.pi),
-       pitch=st.floats(0.0, 0.1), forward_offset=st.floats(-0.2, 0.2),
-       low=st.floats(0.0, 0.5), high=st.floats(0.5, 1.0, exclude_min=True),
-       noise_frac=st.sampled_from([0.0, 0.03, 0.5]), seed=st.integers(0, 2**32 - 1))
-def test_simulate_ir_equals_the_per_sensor_loop(x, y, theta, pitch, forward_offset, low, high,
-                                               noise_frac, seed):
+@given(track=st.sampled_from([_TRACK, _BORDER_TRACK]), x=_COORDS, y=_COORDS,
+       theta=st.sampled_from([0.0, math.pi / 2, math.pi]) | st.floats(-math.pi, math.pi),
+       pitch=st.sampled_from([0.0, 0.015]) | st.floats(0.0, 0.1),
+       forward_offset=st.sampled_from([0.0, 0.05]) | st.floats(-0.2, 0.2))
+def test_simulate_ir_equals_the_per_sensor_loop(track, x, y, theta, pitch, forward_offset):
+    # a sensor detects the line when it is on the mat and within half a line
+    # width of the polyline
     pose = Pose(x, y, theta)
-    geom = IrGeometry(pitch=pitch, forward_offset=forward_offset, low_level=low,
-                      high_level=high, noise_frac=noise_frac)
-    rng, gen = stream(seed), np.random.default_rng(seed)
-    got = simulate_ir(_TRACK, pose, geom, rng)
-    assert repr(got) == repr(reference_simulate_ir(_TRACK, pose, geom, gen))
-    assert rng.random() == gen.random()  # the same number of draws
+    geom = IrGeometry(pitch=pitch, forward_offset=forward_offset)
+    half = track.line_width / 2
+    w, h = track.mat_size
+
+    def on_mat(p):
+        return 0.0 <= p[0] <= w and 0.0 <= p[1] <= h
+
+    got = simulate_ir(track, pose, geom)
+    assert got == tuple(int(on_mat(p) and track.query(*p).distance <= half)
+                        for p in sensor_positions(pose, geom))
+    assert all(type(v) is int for v in got)
 
 
 def test_simulate_ir_centered_on_line():
     track = rounded_rect_track()
-    geom = IrGeometry(noise_frac=0.0)
     # place the robot mid-bottom-edge heading along the track (+x)
     pose = Pose(1.75, 0.6, 0.0)
-    s = threshold(simulate_ir(track, pose, geom, stream()), 0.5)
+    s = simulate_ir(track, pose, IrGeometry())
     assert s == (0, 0, 1, 0, 0)
     assert line_error(s) == 0.0
 
 
 def test_simulate_ir_offset_shifts_detection():
     track = rounded_rect_track()
-    geom = IrGeometry(noise_frac=0.0)
     # robot displaced 15 mm to the left of the line: line appears one
     # sensor to the right
     pose = Pose(1.75, 0.6 + 0.015, 0.0)
-    s = threshold(simulate_ir(track, pose, geom, stream()), 0.5)
+    s = simulate_ir(track, pose, IrGeometry())
     assert line_error(s) == 1.0
 
 
 def test_simulate_ir_far_from_line_sees_nothing():
     track = rounded_rect_track()
-    geom = IrGeometry(noise_frac=0.0)
-    s = threshold(simulate_ir(track, Pose(1.75, 2.0, 0.0), geom, stream()), 0.5)
+    s = simulate_ir(track, Pose(1.75, 2.0, 0.0), IrGeometry())
     assert line_error(s) is None
 
 
@@ -289,36 +248,10 @@ def test_sensors_off_the_mat_see_no_line():
     # a line along the mat's edge y = 0, wide enough to reach three sensors
     track = Track([(0.2, 0.0), (1.2, 0.0), (1.2, 1.0), (0.2, 1.0)], ["straight"] * 4,
                   line_width=0.04, mat_size=(2.0, 2.0))
-    geom = IrGeometry(noise_frac=0.0)
     # sensors at y = 0.03, 0.015, 0, -0.015, -0.03: the one at -0.015 is
     # within half a line width of the line but off the mat
-    s = threshold(simulate_ir(track, Pose(0.6, 0.0, 0.0), geom, stream()), 0.5)
+    s = simulate_ir(track, Pose(0.6, 0.0, 0.0), IrGeometry())
     assert s == (0, 1, 1, 0, 0)
-
-
-def test_simulate_ir_noise_is_bounded():
-    track = rounded_rect_track()
-    geom = IrGeometry(noise_frac=0.03)
-    rng = stream(2)
-    for _ in range(50):
-        n = simulate_ir(track, Pose(1.75, 0.6, 0.0), geom, rng)
-        assert len(n) == 5 and all(0.0 <= x <= 1.0 for x in n)
-        assert n[2] <= geom.low_level + geom.noise_frac + 1e-12
-        assert n[0] >= geom.high_level - geom.noise_frac - 1e-12
-    # levels at the ends of the scale with wide noise: the clamp keeps
-    # every level in [0, 1]
-    geom = IrGeometry(low_level=0.0, high_level=1.0, noise_frac=0.5)
-    levels = [x for _ in range(50) for x in simulate_ir(track, Pose(1.75, 0.6, 0.0), geom, rng)]
-    assert all(0.0 <= x <= 1.0 for x in levels)
-    assert 0.0 in levels and 1.0 in levels
-
-
-def test_geometry_refuses_a_noise_whose_span_overflows():
-    # the draw spans 2 * noise_frac, which must be a finite float
-    with pytest.raises(ConfigurationError, match="noise_frac must be at most half the float maximum"):
-        IrGeometry(noise_frac=1e308)
-    half_max = sys.float_info.max / 2
-    assert IrGeometry(noise_frac=half_max).noise_range == (-half_max, sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +262,28 @@ def test_follower_steers_toward_the_line():
     """Right-offset line (e > 0) must slow the right wheel so the robot
     turns right, and symmetrically for the left."""
     track = rounded_rect_track()
-    fol = LineFollower(geometry=IrGeometry(noise_frac=0.0))
-    cmd, e = fol.step(track, Pose(1.75, 0.6 + 0.015, 0.0), 0.01, stream())
+    fol = LineFollower()
+    cmd, e = fol.step(track, Pose(1.75, 0.6 + 0.015, 0.0), 0.01)
     assert e == 1.0
     assert cmd.omega_right < cmd.omega_left
 
     fol.reset()
-    cmd, e = fol.step(track, Pose(1.75, 0.6 - 0.015, 0.0), 0.01, stream())
+    cmd, e = fol.step(track, Pose(1.75, 0.6 - 0.015, 0.0), 0.01)
     assert e == -1.0
     assert cmd.omega_right > cmd.omega_left
 
 
 def test_follower_holds_last_control_then_faults():
     track = rounded_rect_track()
-    fol = LineFollower(geometry=IrGeometry(noise_frac=0.0))
-    rng, dt = stream(), 0.125  # a binary fraction, so the lost time adds up exactly
+    fol = LineFollower()
+    dt = 0.125  # a binary fraction, so the lost time adds up exactly
     # establish a control value on the line
-    fol.step(track, Pose(1.75, 0.6 + 0.015, 0.0), dt, rng)
+    fol.step(track, Pose(1.75, 0.6 + 0.015, 0.0), dt)
     for _ in range(round(HOLD_LOST_S / dt)):  # lost to the end of the hold
-        held, e = fol.step(track, Pose(1.75, 2.0, 0.0), dt, rng)
+        held, e = fol.step(track, Pose(1.75, 2.0, 0.0), dt)
         assert e is None and not fol.faulted
         assert held.omega_right != held.omega_left  # last correction still applied
-    cmd, e = fol.step(track, Pose(1.75, 2.0, 0.0), dt, rng)
+    cmd, e = fol.step(track, Pose(1.75, 2.0, 0.0), dt)
     assert e is None and fol.faulted
     assert cmd.omega_right == cmd.omega_left == 0.0
     fol.reset()
@@ -363,11 +296,12 @@ def test_follower_converges_from_offset_start():
     from wardsim.kinematics import ChassisParams, MotionSimulator
 
     track = rounded_rect_track()
-    fol = LineFollower(geometry=IrGeometry(noise_frac=0.0))
-    sim = MotionSimulator(Pose(1.2, 0.6 + 0.010, 0.0), ChassisParams(), 0.0, stream(), 0.0)
+    fol = LineFollower()
+    sim = MotionSimulator(Pose(1.2, 0.6 + 0.010, 0.0), ChassisParams(), 0.0,
+                          Doubles(np.random.default_rng(0)), 0.0)
     pose = sim.pose
     for _ in range(100):
-        cmd, _ = fol.step(track, pose, 0.01, stream())
+        cmd, _ = fol.step(track, pose, 0.01)
         pose, _ = sim.step(cmd.omega_right, cmd.omega_left, 0.01)
     assert track.query(pose.x, pose.y).distance < 0.005
     assert not fol.faulted

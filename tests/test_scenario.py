@@ -14,7 +14,7 @@ from wardsim import ConfigurationError, InvariantError
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, run
 from wardsim.kinematics import ChassisParams, Pose
-from wardsim.line_following import IrGeometry, LineFollower, PidGains
+from wardsim.line_following import LineFollower, PidGains
 from wardsim.protocol import DEFAULT_EXEC_DURATIONS_MS, ScheduleEntry, TaskKind, TimeoutPolicy
 from wardsim.rf_channel import ChannelConfig, LinkCondition
 from wardsim.scenario import (SCENARIO_KINDS, Battery, Budgets, Correction, ExecDurations,
@@ -52,8 +52,8 @@ def test_empty_mapping_fills_documented_defaults():
     assert cfg.correction == Correction()
     assert cfg.fall_detector == FallDetectorModel()
     corridor, follower = cfg.robots.corridor, LineFollower()
-    assert (follower.gains, follower.geometry, follower.base_rpm, follower.detect_threshold) \
-        == (corridor.gains, corridor.geometry, corridor.base_rpm, cfg.detect_threshold)
+    assert (follower.gains, follower.geometry, follower.base_rpm) \
+        == (corridor.gains, corridor.geometry, corridor.base_rpm)
 
 
 def test_non_mapping_input_rejected():
@@ -179,23 +179,10 @@ def test_bool_is_not_accepted_as_int():
     # as a silently different scenario
     ("robots: {corridor: {slip_halfwidth: 0.5}}\n",
      "robots.corridor: slip_halfwidth must be in [0, 0.1]"),
-    ("detect_threshold: 7.0\n",
-     "top level: detect_threshold must be in (low_level + noise_frac,"),
-    # at the default levels (0.1 and 0.9, noise 0.03) a threshold of 0.95 sees
-    # the line under every sensor and 0.05 under none
-    ("detect_threshold: 0.95\n", "top level: detect_threshold must be in (low_level + noise_frac,"
-     " high_level - noise_frac], here (0.13, 0.87]"),
-    ("detect_threshold: 0.05\n",
-     "top level: detect_threshold must be in (low_level + noise_frac,"),
-    ("robots: {corridor: {geometry: {noise_frac: 0.45}}}\n",
-     "top level: detect_threshold must be in (low_level + noise_frac, high_level - noise_frac],"
-     " here (0.55, 0.45]"),
     ("correction: {position_gain: 5.0}\n", "correction: position_gain must be in [0, 1]"),
     ("link_conditions: [{src: 9, dst: 1, condition: obstructed}]\n",
      "top level: link_conditions[0].src must be a robot address, got 9"),
     # a number that is not finite, read anywhere in the schema
-    ("robots: {corridor: {geometry: {noise_frac: .inf}}}\n",
-     "robots.corridor.geometry.noise_frac: must be a finite number"),
     ("channel: {one_way_jitter_ms: .inf}\n", "channel.one_way_jitter_ms: must be a finite number"),
     ("robots: {corridor: {chassis: {wheel_radius_r: .inf}}}\n",
      "robots.corridor.chassis.wheel_radius_r: must be a finite number"),
@@ -211,13 +198,17 @@ def test_bool_is_not_accepted_as_int():
      "latency.vitals_transmit_ms: must be a finite number"),
     (f"latency: {{fall_path_ms: {10 ** 400}}}\n", "latency.fall_path_ms: must be a finite number"),
     (f"budgets_ms: {{fall: {-10 ** 400}}}\n", "budgets_ms.fall: must be a finite number"),
-    # the IR array's ranges
+    # the IR array reports detections, with no levels, noise or threshold to
+    # set: a key that would set one is unknown, not silently ignored
     ("robots: {corridor: {geometry: {v_max: -5.0}}}\n",
      "robots.corridor.geometry: unknown key 'v_max'"),
-    ("robots: {corridor: {geometry: {noise_frac: -0.1}}}\n",
-     "robots.corridor.geometry: noise_frac must be nonnegative"),
-    ("robots: {corridor: {geometry: {low_level: 0.9, high_level: 0.1}}}\n",
-     "robots.corridor.geometry: require 0 <= low_level < high_level <= 1"),
+    ("detect_threshold: 0.5\n", "top level: unknown key 'detect_threshold'"),
+    ("robots: {corridor: {geometry: {low_level: 0.1}}}\n",
+     "robots.corridor.geometry: unknown key 'low_level'"),
+    ("robots: {corridor: {geometry: {high_level: 0.9}}}\n",
+     "robots.corridor.geometry: unknown key 'high_level'"),
+    ("robots: {corridor: {geometry: {noise_frac: 0.03}}}\n",
+     "robots.corridor.geometry: unknown key 'noise_frac'"),
     # values that would run as a silently different scenario
     ("timeout_policy: {timeout_ms: 0}\n", "timeout_policy: timeout_ms must be positive"),
     ("timeout_policy: {timeout_ms: -5}\n", "timeout_policy: timeout_ms must be positive"),
@@ -243,8 +234,6 @@ def test_bool_is_not_accepted_as_int():
     # a uniform draw's span, twice the bound, must be a finite float
     ("channel: {one_way_jitter_ms: 1.0e+308}\n",
      "channel: one_way_jitter_ms must be at most half the float maximum"),
-    ("robots: {corridor: {geometry: {noise_frac: 1.0e+308}}}\n",
-     "robots.corridor.geometry: noise_frac must be at most half the float maximum"),
 ], ids=["negative_seed", "vitals_period_off_tick", "fall_period_off_tick", "fall_period_not_int",
         "budget_not_int", "exec_durations_list", "exec_duration_float", "fall_detector_list",
         "robots_list", "robot_scalar", "budgets_scalar", "schedule_scalar",
@@ -255,19 +244,17 @@ def test_bool_is_not_accepted_as_int():
         "line_width_string", "track_empty", "mat_size_huge", "waypoint_nan",
         "track_name_misspelt", "start_x_string", "name_int", "max_retries_string",
         "geometry_pitch_string", "waypoint_string", "waypoint_bool", "mat_size_bool",
-        "tag_int", "ai_flags_mapping", "slip_out_of_range", "threshold_out_of_range",
-        "threshold_above_the_bright_levels", "threshold_below_the_dark_levels",
-        "ir_levels_overlap_with_noise",
-        "correction_gain_out_of_range", "link_end_not_a_robot", "noise_frac_inf", "jitter_inf",
+        "tag_int", "ai_flags_mapping", "slip_out_of_range",
+        "correction_gain_out_of_range", "link_end_not_a_robot", "jitter_inf",
         "wheel_radius_inf", "rtt_nan", "base_rpm_nan", "dt_huge", "ticks_per_rev_huge",
         "vitals_transmit_huge", "fall_path_huge", "budget_huge_negative", "v_max_negative",
-        "noise_frac_negative",
-        "ir_levels_inverted", "timeout_zero", "timeout_negative", "exec_timeout_zero",
+        "detect_threshold_removed", "low_level_removed", "high_level_removed",
+        "noise_frac_removed", "timeout_zero", "timeout_negative", "exec_timeout_zero",
         "exec_timeout_negative", "max_retries_negative", "vitals_period_negative",
         "fall_period_negative", "exec_duration_negative", "budget_negative",
         "battery_budget_negative", "low_speed_factor_negative", "low_speed_factor_huge",
         "wheel_radius_huge", "duration_off_tick",
-        "jitter_span_overflows", "noise_frac_span_overflows"])
+        "jitter_span_overflows"])
 def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsys, text, error):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
@@ -299,10 +286,6 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
      "latency: vitals_transmit_ms must be nonnegative; fall_path_ms must be nonnegative"),
     ({"patient_script": [{"kind": "nap", "spo2": 20}]},
      "patient_script[0]: unknown scenario kind 'nap'; spo2 must be in [50, 100], got 20.0"),
-    ({"robots": {"corridor": {"geometry": {"noise_frac": 1.0e+308, "low_level": 0.9,
-                                           "high_level": 0.1}}}},
-     "robots.corridor.geometry: noise_frac must be at most half the float maximum;"
-     " require 0 <= low_level < high_level <= 1"),
     ({"noise": {"spo2_tol": -1, "bpm_tol": -1, "temp_mean_abs_err": -1}},
      "noise: spo2_tol must be nonnegative; bpm_tol must be nonnegative;"
      " temp_mean_abs_err must be nonnegative"),
@@ -312,7 +295,7 @@ def test_scenario_that_would_fail_or_alias_at_run_time_exits_two(tmp_path, capsy
      "track: track needs at least two 2-D waypoints; line_width must be positive;"
      " mat_size must be two positive finite numbers"),
 ], ids=["channel_pdr_and_rtt", "channel_rtt_and_jitter", "timeout_policy", "battery", "gains",
-        "slip", "fall_detector", "latency", "patient_event", "ir_geometry", "sensor_noise",
+        "slip", "fall_detector", "latency", "patient_event", "sensor_noise",
         "chassis", "track"])
 def test_a_section_reports_every_check_it_fails(raw, error):
     with pytest.raises(ScenarioValidationError) as exc:
@@ -369,31 +352,11 @@ def _square_track(**kw):
     (ChassisParams, "ticks_per_rev_C"),
     (SensorNoiseModel, "spo2_tol"), (SensorNoiseModel, "bpm_tol"),
     (SensorNoiseModel, "temp_mean_abs_err"),
-    (IrGeometry, "noise_frac"), (IrGeometry, "low_level"), (IrGeometry, "high_level"),
     (_square_track, "line_width"),
 ], ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", None))
 def test_a_nan_parameter_is_refused(build, key):
     with pytest.raises(ConfigurationError):
         build(**{key: math.nan})
-
-
-@pytest.mark.parametrize("geometry", [{}, {"low_level": 0.0, "high_level": 1.0, "noise_frac": 0.0},
-                                      {"low_level": 0.3, "high_level": 0.6, "noise_frac": 0.1}])
-def test_detect_threshold_edges(geometry):
-    """A threshold must lie above every level a sensor on the line reads and
-    at or below every level one off it reads: (low + noise, high - noise]."""
-    geom = IrGeometry(**geometry)
-    dark, bright = geom.low_level + geom.noise_frac, geom.high_level - geom.noise_frac
-    raw = {"robots": {"corridor": {"geometry": geometry}}, "duration_ms": 200}
-    for t in (math.nextafter(dark, 1.0), bright):
-        cfg = validate({**raw, "detect_threshold": t})
-        assert cfg.detect_threshold == t
-        Engine(cfg).run()  # and it runs
-    for t in (dark, math.nextafter(bright, 2.0)):
-        with pytest.raises(ScenarioValidationError) as exc:
-            validate({**raw, "detect_threshold": t})
-        assert any(e.startswith("top level: detect_threshold must be in ")
-                   for e in exc.value.errors), t
 
 
 def test_patient_values_at_the_model_ranges_validate():
@@ -630,5 +593,6 @@ def test_a_scenario_drawn_from_the_schema_is_rejected_or_runs(raw):
         Engine(dataclasses.replace(cfg, duration_ms=2000 // cfg.dt_ms * cfg.dt_ms)).run()
     except EngineAbort as exc:
         # the engine turns any error into an abort; a validated scenario may
-        # only end in an invariant failure or a state out of range
-        assert isinstance(exc.__cause__, (InvariantError, ConfigurationError)), exc
+        # only end in an invariant failure, never in a state out of the range
+        # its constructors accept, which a bound in the schema must keep out
+        assert isinstance(exc.__cause__, InvariantError), exc
