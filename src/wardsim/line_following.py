@@ -93,6 +93,13 @@ class IrGeometry:
     pitch: float = 0.015          # lateral spacing between adjacent sensors, m
     forward_offset: float = 0.05  # array distance ahead of the axle center, m
 
+    def __post_init__(self):
+        # a negative pitch puts the sensors right to left, so the weights
+        # turn the robot away from the line it detects
+        require((self.pitch >= 0 and math.isfinite(self.pitch),
+                 "pitch must be nonnegative and finite"),
+                (math.isfinite(self.forward_offset), "forward_offset must be finite"))
+
 
 def sensor_positions(pose: Pose, geometry: IrGeometry) -> list[tuple[float, float]]:
     """World (x, y) of the five sensors, left to right: the array's centre

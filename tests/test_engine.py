@@ -581,6 +581,19 @@ def test_a_run_over_a_link_that_duplicates_packets_late_keeps_triage_in_sample_o
     assert engine.channel.duplicated > 0
 
 
+# each of these runs aborted when the triage heap held bare (ready time,
+# sample time, decision) entries: a vitals report duplicated within a tick of
+# itself tied with the original on both times, and heapq compared the two
+# decisions
+@pytest.mark.parametrize("name", ["alert_high_temp", "alert_low_spo2", "task_suite"])
+@pytest.mark.parametrize("late_ms", [0, 5])
+def test_a_report_duplicated_within_its_own_tick_does_not_abort_the_run(name, late_ms):
+    cfg = dataclasses.replace(load_preset(name), duration_ms=60_000)
+    assert late_ms < cfg.dt_ms
+    engine = run_over_a_duplicating_link(cfg, duplicate_p=0.5, late_ms=late_ms)
+    assert engine.channel.duplicated > 0
+
+
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(HOSTILE_RUNS)),
        duplicate_p=st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0),

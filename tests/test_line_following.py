@@ -220,6 +220,34 @@ def test_simulate_ir_equals_the_per_sensor_loop(track, x, y, theta, pitch, forwa
     assert all(type(v) is int for v in got)
 
 
+# a pose on the border track with a pitch and forward offset of 0, so all five
+# sensors sit on it: a sensor detects the line up to and including half a line
+# width from it and on the mat up to and including its borders
+@pytest.mark.parametrize("x, y, detected", [
+    (1.0, 0.0, 1), (1.0, 0.02, 1), (1.0, math.nextafter(0.02, 1.0), 0), (1.0, -0.01, 0),
+    (2.0, 1.0, 1), (math.nextafter(2.0, 3.0), 1.0, 0), (2.0, 2.0, 1), (-0.0, 0.0, 1),
+    (0.3, 0.0, 1), (0.3, 0.1, 0), (1.0, 1.0, 0),
+], ids=["on_the_line", "half_a_line_width_from_it", "just_past_half_a_line_width",
+        "off_the_mat_within_half_a_line_width", "on_the_far_border", "just_past_the_far_border",
+        "on_the_far_corner", "on_the_near_corner_at_minus_zero", "on_a_cell_edge_on_the_line",
+        "on_a_cell_corner_off_the_line", "mid_mat"])
+def test_simulate_ir_at_a_point(x, y, detected):
+    got = simulate_ir(_BORDER_TRACK, Pose(x, y, 0.3), IrGeometry(pitch=0.0, forward_offset=0.0))
+    assert got == (detected,) * 5
+
+
+@pytest.mark.parametrize("geometry, error", [
+    ({"pitch": -0.015}, "pitch must be nonnegative and finite"),
+    ({"pitch": math.inf}, "pitch must be nonnegative and finite"),
+    ({"forward_offset": -math.inf}, "forward_offset must be finite"),
+    ({"pitch": -0.015, "forward_offset": math.inf},
+     "pitch must be nonnegative and finite; forward_offset must be finite"),
+], ids=["pitch_negative", "pitch_inf", "forward_offset_inf", "both"])
+def test_geometry_refuses_an_array_it_cannot_lay_out(geometry, error):
+    with pytest.raises(ConfigurationError, match=f"^{error}$"):
+        IrGeometry(**geometry)
+
+
 def test_simulate_ir_centered_on_line():
     track = rounded_rect_track()
     # place the robot mid-bottom-edge heading along the track (+x)

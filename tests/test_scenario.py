@@ -14,7 +14,7 @@ from wardsim import ConfigurationError, InvariantError
 from wardsim.cli import main
 from wardsim.engine import Engine, EngineAbort, run
 from wardsim.kinematics import ChassisParams, Pose
-from wardsim.line_following import LineFollower, PidGains
+from wardsim.line_following import IrGeometry, LineFollower, PidGains
 from wardsim.protocol import DEFAULT_EXEC_DURATIONS_MS, ScheduleEntry, TaskKind, TimeoutPolicy
 from wardsim.rf_channel import ChannelConfig, LinkCondition
 from wardsim.scenario import (SCENARIO_KINDS, Battery, Budgets, Correction, ExecDurations,
@@ -209,6 +209,9 @@ def test_bool_is_not_accepted_as_int():
      "robots.corridor.geometry: unknown key 'high_level'"),
     ("robots: {corridor: {geometry: {noise_frac: 0.03}}}\n",
      "robots.corridor.geometry: unknown key 'noise_frac'"),
+    # sensors laid out right to left steer the robot away from the line
+    ("robots: {corridor: {geometry: {pitch: -0.015}}}\n",
+     "robots.corridor.geometry: pitch must be nonnegative and finite"),
     # values that would run as a silently different scenario
     ("timeout_policy: {timeout_ms: 0}\n", "timeout_policy: timeout_ms must be positive"),
     ("timeout_policy: {timeout_ms: -5}\n", "timeout_policy: timeout_ms must be positive"),
@@ -249,7 +252,7 @@ def test_bool_is_not_accepted_as_int():
         "wheel_radius_inf", "rtt_nan", "base_rpm_nan", "dt_huge", "ticks_per_rev_huge",
         "vitals_transmit_huge", "fall_path_huge", "budget_huge_negative", "v_max_negative",
         "detect_threshold_removed", "low_level_removed", "high_level_removed",
-        "noise_frac_removed", "timeout_zero", "timeout_negative", "exec_timeout_zero",
+        "noise_frac_removed", "geometry_pitch_negative", "timeout_zero", "timeout_negative", "exec_timeout_zero",
         "exec_timeout_negative", "max_retries_negative", "vitals_period_negative",
         "fall_period_negative", "exec_duration_negative", "budget_negative",
         "battery_budget_negative", "low_speed_factor_negative", "low_speed_factor_huge",
@@ -352,6 +355,7 @@ def _square_track(**kw):
     (ChassisParams, "ticks_per_rev_C"),
     (SensorNoiseModel, "spo2_tol"), (SensorNoiseModel, "bpm_tol"),
     (SensorNoiseModel, "temp_mean_abs_err"),
+    (IrGeometry, "pitch"), (IrGeometry, "forward_offset"),
     (_square_track, "line_width"),
 ], ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", None))
 def test_a_nan_parameter_is_refused(build, key):
