@@ -3,8 +3,8 @@
 Tick order (one pass per dt): patient script, wearable sampling, triage
 pipeline, leader step, channel deliveries, follower steps, camera checks,
 corridor motion with line following, status light, notifications; each
-record takes its source and its metrics fold from `RECORD_KINDS`, and is
-folded as it is made. Only the leader steps on
+record takes its source and its metrics fold from `metrics.RECORD_KINDS`,
+and is folded as it is made. Only the leader steps on
 every tick; the tick loop calls every other phase only when it has work due:
 the script when its next event or link change is due, the wearable on a
 sample tick, the triage pipeline when its earliest result is ready, the
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
-from .metrics import (_BATCH_LINES, EventLog, MetricsAccumulator, RowSink, RunMetrics,
-                      gc_paused, success_rate)
+from .metrics import (_BATCH_LINES, RECORD_KINDS, EventLog, MetricsAccumulator, RowSink,
+                      RunMetrics, gc_paused, success_rate)
 from .protocol import Follower, Leader, StatusLight, TaskKind
 from .rf_channel import Channel, Packet, PacketKind
 from .rng import derive_streams
@@ -50,16 +50,6 @@ _LATCH_KEYS = (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR, _SEVERE)
 
 # the corridor drives while it carries out one of these
 _MOVING_KINDS = (TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE)
-
-# every kind of record the engine logs: its source, the one place that names
-# it, and its fold in the metrics (None for a kind they do not read)
-RECORD_KINDS = {kind: (source, MetricsAccumulator.FOLDS.get(kind)) for kind, source in (
-    ("meta", "engine"), ("script", "script"), ("vitals_sample", "wearable"),
-    ("triage", "leader"), ("task", "protocol"), ("packet_send", "channel"),
-    ("packet_deliver", "channel"), ("fall_check", "camera"), ("nav_fault", "navigation"),
-    ("battery_low", "power"), ("nav", "navigation"), ("status_light", "corridor"),
-    ("notification", "leader"))}
-
 
 class EngineAbort(RuntimeError):
     """The tick loop stopped on an exception: an internal invariant failed,
@@ -109,7 +99,7 @@ class Engine:
         # tie, as in Channel.in_flight, and no two decisions are compared
         self._pending_triage: list[tuple[int, int, int, TriageDecision]] = []
         self._triage_pushes = itertools.count()
-        self._last_triage_sample = -1
+        self._last_triage_sample = self._last_debounced_sample = -1
         self._script_idx = 0
         self._link_idx = 0
         self._energy = 0.0
@@ -129,7 +119,7 @@ class Engine:
 
     def _emit(self, kind: str, payload: dict):
         # the clock never runs back, so EventLog.append's check is not needed
-        source, fold = RECORD_KINDS[kind]
+        source, fold, _ = RECORD_KINDS[kind]
         self._append({"time_ms": self._now, "source": source, "kind": kind, "payload": payload})
         if fold is not None:
             fold(self.acc, self._now, payload)
@@ -238,8 +228,12 @@ class Engine:
                 "seq": pkt.seq,
             })
             if pkt.kind is PacketKind.VITALS_REPORT and pkt.dst == self.leader.address:
+                # a report no newer than the last one debounced, such as a
+                # duplicate, must not count toward a latch again
                 sample = pkt.payload["sample"]
-                self._queue_triage(sample.sample_time, self._debounce(classify(sample)))
+                if sample.sample_time > self._last_debounced_sample:
+                    self._last_debounced_sample = sample.sample_time
+                    self._queue_triage(sample.sample_time, self._debounce(classify(sample)))
             else:
                 self._inboxes[pkt.dst].append(pkt)
 

@@ -33,7 +33,7 @@ import os
 import statistics
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType, NoneType, SimpleNamespace
 
 # notification cause -> scenario kind used for alert budgets
 _CAUSE_TO_KIND = {
@@ -56,20 +56,239 @@ _BATCH_LINES = 1024
 _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
                          ": ", ", ", True, False, True)
 
+
+def success_rate(completed: int, escalated: int) -> float | None:
+    """The share of settled tasks that completed; None when none settled."""
+    settled = completed + escalated
+    return completed / settled if settled else None
+
+
+@dataclass
+class RunMetrics:
+    pdr: dict[str, float] = field(default_factory=dict)          # per condition
+    rtt_mean_ms: float | None = None
+    rtt_std_ms: float | None = None
+    line_on_track: dict[str, float] = field(default_factory=dict)  # per segment tag
+    tasks_created: int = 0
+    tasks_completed: int = 0
+    tasks_escalated: int = 0
+    alert_latency_ms: dict[str, float] = field(default_factory=dict)  # per scenario kind
+    alert_verdicts: dict[str, str] = field(default_factory=dict)      # "pass" | "fail"
+    drift_final_raw_m: float | None = None
+    drift_final_corrected_m: float | None = None
+    energy_units: float = 0.0
+
+    @property
+    def task_success_rate(self) -> float | None:
+        return success_rate(self.tasks_completed, self.tasks_escalated)
+
+    def _rows(self) -> list[tuple[str, object, str | None]]:
+        """Each metric once, in file order, as (metrics.csv key, value,
+        metrics.txt line or None). A value of None is an empty cell and no
+        line; a verdict has no line of its own, since its alert's line ends
+        with it, and an alert that never came reads "none"."""
+        def row(name, value, spec, sub=None):
+            key, label = (name, name) if sub is None else (f"{name}_{sub}", f"{name}[{sub}]")
+            return key, value, None if value is None else f"{label}: {value:{spec}}"
+
+        rows = [row("pdr", v, ".4f", cond) for cond, v in sorted(self.pdr.items())]
+        rows += [row("rtt_mean_ms", self.rtt_mean_ms, ".2f"),
+                 row("rtt_std_ms", self.rtt_std_ms, ".2f")]
+        rows += [row("line_on_track", v, ".4f", tag) for tag, v in sorted(self.line_on_track.items())]
+        rows += [row(name, getattr(self, name), "d")
+                 for name in ("tasks_created", "tasks_completed", "tasks_escalated")]
+        rows.append(row("task_success_rate", self.task_success_rate, ".4f"))
+        for kind in sorted(self.alert_latency_ms.keys() | self.alert_verdicts.keys()):
+            latency, verdict = self.alert_latency_ms.get(kind), self.alert_verdicts.get(kind)
+            shown = "none" if latency is None else f"{latency:.0f}"
+            rows += [(f"alert_latency_ms_{kind}", latency,
+                      f"alert_latency_ms[{kind}]: {shown} ({verdict or 'n/a'})"),
+                     (f"alert_verdict_{kind}", verdict, None)]
+        return rows + [row("drift_final_raw_m", self.drift_final_raw_m, ".4f"),
+                       row("drift_final_corrected_m", self.drift_final_corrected_m, ".4f"),
+                       row("energy_units", self.energy_units, ".2f")]
+
+    def as_text(self) -> str:
+        return "".join(line + "\n" for _, _, line in self._rows() if line is not None)
+
+    def save_csv(self, path):
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["metric", "value"])
+            w.writerows((key, value) for key, value, _ in self._rows())
+
+
+class MetricsAccumulator:
+    def __init__(self):
+        self._budgets: dict[str, int] = {}
+        self._sent: dict[str, int] = {}
+        self._delivered: dict[str, int] = {}
+        self._cmd_sends: dict[tuple, float] = {}
+        self._rtts: list[float] = []
+        self._nav_counts: dict[str, list[int]] = {}   # tag -> [on, total]
+        self._task_terminal: dict[int, str] = {}
+        self._task_seen: set[int] = set()
+        self._onsets: dict[str, float] = {}           # scenario kind -> onset time
+        self._latencies: dict[str, float] = {}
+        self._drift_raw = None
+        self._drift_corr = None
+        self._energy = 0.0
+
+    def consume(self, record: dict):
+        kind, t, p = record["kind"], record["time_ms"], record.get("payload", _NO_PAYLOAD)
+        try:
+            fold = self.FOLDS.get(kind)
+        except TypeError:  # an unhashable kind, such as a list, has no fold
+            return
+        if fold is not None:
+            fold(self, t, p)
+
+    def _meta(self, t, p):
+        # a run's one meta record is checked in full: one without its
+        # budgets would read as a run with none
+        fields = {name: types for name, *types in RECORD_KINDS["meta"][2]}
+        if p.keys() != fields.keys():
+            raise ValueError(f"a meta payload must have exactly the keys {', '.join(fields)}, "
+                             f"not {', '.join(map(str, p)) or 'none'}")
+        for name, value in p.items():
+            if type(value) not in fields[name]:
+                raise ValueError(f"meta {name} must be "
+                                 f"{' or '.join(c.__name__ for c in fields[name])}, not {value!r}")
+        self._budgets = dict(p["budgets_ms"])
+
+    def _packet_send(self, t, p):
+        cond = p["condition"]
+        self._sent[cond] = self._sent.get(cond, 0) + 1
+        if p["outcome"] == "delivered":
+            self._delivered[cond] = self._delivered.get(cond, 0) + 1
+            if p["packet_kind"] == "command":
+                self._cmd_sends[(p["src"], p["dst"], p["seq"])] = t
+            elif p["packet_kind"] == "ack":
+                send_t = self._cmd_sends.pop((p["dst"], p["src"], p["seq"]), None)
+                if send_t is not None:
+                    self._rtts.append(t + p["delay_ms"] - send_t)
+
+    def _nav(self, t, p):
+        tag = p["tag"]
+        bucket = self._nav_counts.setdefault(tag, [0, 0])
+        bucket[1] += 1
+        if p["on_line"]:
+            bucket[0] += 1
+        self._drift_raw = p["drift_raw"]
+        self._drift_corr = p["drift_corrected"]
+        self._energy = p["energy"]
+
+    def _task(self, t, p):
+        self._task_seen.add(p["task_id"])
+        if p["state"] in ("completed", "escalated"):
+            self._task_terminal[p["task_id"]] = p["state"]
+
+    def _script(self, t, p):
+        sk = p.get("scenario_kind")
+        if sk and sk not in self._onsets:
+            self._onsets[sk] = t
+
+    def _notification(self, t, p):
+        sk = _CAUSE_TO_KIND.get(p.get("cause"))
+        if sk and sk in self._onsets and sk not in self._latencies:
+            self._latencies[sk] = t - self._onsets[sk]
+
+    def result(self) -> RunMetrics:
+        # the values sorted here or formatted in RunMetrics' reports must have
+        # the engine's types; checked once a log, not once a record
+        for what, keys in (("packet condition", self._sent), ("nav tag", self._nav_counts)):
+            for key in keys:
+                if type(key) is not str:
+                    raise ValueError(f"{what} must be a string, not {key!r}")
+        _check_number("nav energy", self._energy)
+        if self._drift_raw is not None:
+            _check_number("nav drift_raw", self._drift_raw)
+            _check_number("nav drift_corrected", self._drift_corr)
+        m = RunMetrics()
+        m.pdr = {c: self._delivered.get(c, 0) / n for c, n in sorted(self._sent.items())}
+        if self._rtts:
+            m.rtt_mean_ms = statistics.fmean(self._rtts)
+            m.rtt_std_ms = statistics.pstdev(self._rtts) if len(self._rtts) > 1 else 0.0
+        m.line_on_track = {tag: on / total for tag, (on, total) in sorted(self._nav_counts.items())}
+        m.tasks_created = len(self._task_seen)
+        m.tasks_completed = sum(1 for s in self._task_terminal.values() if s == "completed")
+        m.tasks_escalated = sum(1 for s in self._task_terminal.values() if s == "escalated")
+        m.alert_latency_ms = dict(sorted(self._latencies.items()))
+        for sk, onset in self._onsets.items():
+            budget = self._budgets.get(sk)
+            if budget is None:
+                continue
+            _check_number(f"budgets_ms[{sk}]", budget)
+            latency = self._latencies.get(sk)
+            m.alert_verdicts[sk] = "pass" if latency is not None and latency <= budget else "fail"
+        m.drift_final_raw_m = self._drift_raw
+        m.drift_final_corrected_m = self._drift_corr
+        m.energy_units = self._energy
+        return m
+
+
+def _check_number(name: str, value):
+    if type(value) is not int and type(value) is not float:
+        raise ValueError(f"{name} must be a number, not {value!r}")
+
+
+# the payload that `consume` passes a fold for a record that has none, and
+# that `EventLog.load` accepts; read-only, so no fold can change it
+_NO_PAYLOAD = MappingProxyType({})
+
+# The event log's schema, and the one place that states a kind's source and
+# payload: every kind of record the engine logs, with its source, its fold
+# in the metrics (None for a kind they do not read) and its payload's fields
+# in the order in which the engine builds the payload. A field is its name
+# and the exact types its value may have (a bool is no int); a field that may
+# be null lists NoneType. README's "Event log" table writes it out. A fold is
+# a plain function, called as fold(acc, t, payload), so no accumulator refers
+# back to itself.
+RECORD_KINDS = {
+    "meta": ("engine", MetricsAccumulator._meta, (
+        ("scenario", str), ("seed", int), ("dt_ms", int), ("duration_ms", int),
+        ("budgets_ms", dict), ("line_width", float))),
+    "script": ("script", MetricsAccumulator._script, (
+        ("scenario_kind", str, NoneType), ("spo2", float, NoneType), ("bpm", float, NoneType),
+        ("temp", float, NoneType), ("posture", str, NoneType), ("wearing", bool, NoneType))),
+    "vitals_sample": ("wearable", None, (
+        ("spo2", float, NoneType), ("bpm", float, NoneType), ("temp", float, NoneType),
+        ("valid", bool))),
+    "triage": ("leader", None, (
+        ("sample_time", int), ("flags", list), ("class", str), ("probs", list))),
+    "task": ("protocol", MetricsAccumulator._task, (
+        ("task_id", int), ("kind", str), ("origin", str), ("assignee", int, NoneType),
+        ("state", str), ("emergency", bool), ("retry_count", int))),
+    "packet_send": ("channel", MetricsAccumulator._packet_send, (
+        ("src", int), ("dst", int), ("packet_kind", str), ("seq", int), ("condition", str),
+        ("outcome", str), ("delay_ms", float))),
+    "packet_deliver": ("channel", None, (
+        ("src", int), ("dst", int), ("packet_kind", str), ("seq", int))),
+    "fall_check": ("camera", None, (("posture", str), ("outcome", str))),
+    "nav_fault": ("navigation", None, (("x", float), ("y", float))),
+    "battery_low": ("power", None, (("energy", float),)),
+    "nav": ("navigation", MetricsAccumulator._nav, (
+        ("x", float), ("y", float), ("theta", float), ("distance_to_line", float), ("tag", str),
+        ("on_line", bool), ("drift_raw", float), ("drift_corrected", float), ("energy", float))),
+    "status_light": ("corridor", None, (("value", str),)),
+    "notification": ("leader", MetricsAccumulator._notification, (
+        ("severity", str), ("text", str), ("cause", str), ("recipients", list))),
+}
+MetricsAccumulator.FOLDS = {kind: fold for kind, (_, fold, _) in RECORD_KINDS.items() if fold}
+
+
 # Line writers for the five kinds that make 99 % of a run's records. For
 # each record the C encoder sorts and escapes the keys of both of its dicts
 # again, which is most of its cost; a writer has its kind's keys written out
 # in sorted order in one %-format. It returns exactly
 # `json.dumps(record, sort_keys=True) + "\n"`, or None for a record that is
-# not exactly its kind's shape as the engine logs it: the envelope keys
+# not exactly its kind's shape as `RECORD_KINDS` states it: the envelope keys
 # kind, payload, source and time_ms, the kind's own source, an int time, the
 # kind's payload keys, and each value of the exact type the engine gives it.
 # A finite float is written by repr, as json does; a sum of floats is finite
 # only when each of them is, and one that overflows only sends the record to
 # `_encode`. A string is written by json's own escaper, and a list by
 # `_encode`, which writes any value as json does, so its type is not checked.
-# The writers name their kinds' sources and payload keys, as the emit sites,
-# README's table and the exports do.
 #
 # Each writer takes a `RowSink` or None. Given one, the packet_send and
 # vitals_sample writers also add their record's row of channel.csv or
@@ -80,41 +299,39 @@ _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
 # comma needs no csv quoting either. A record that is not its kind's shape,
 # or whose row would need quoting, gets its row from `csv.writer`; the
 # triage writer keeps the vitals.csv tail of its flags and class.
-_packet_send_keys = operator.itemgetter("condition", "delay_ms", "dst", "outcome",
-                                        "packet_kind", "seq", "src")
-_vitals_sample_keys = operator.itemgetter("bpm", "spo2", "temp", "valid")
-_packet_deliver_keys = operator.itemgetter("dst", "packet_kind", "seq", "src")
-_triage_keys = operator.itemgetter("class", "flags", "probs", "sample_time")
-_nav_keys = operator.itemgetter("distance_to_line", "drift_corrected", "drift_raw", "energy",
-                                "on_line", "tag", "theta", "x", "y")
+def _payload_reader(kind: str):
+    """A function that returns the payload values of a record `r` in sorted
+    key order if `r` has exactly the envelope keys, with `kind`'s source, an
+    int time and a payload dict of exactly `kind`'s keys; else None."""
+    source, _, fields = RECORD_KINDS[kind]
+    size, keys = len(fields), operator.itemgetter(*sorted(field[0] for field in fields))
+
+    def values(r):
+        if len(r) == 4:
+            p, s, t = r.get("payload"), r.get("source"), r.get("time_ms")
+            if type(p) is dict and len(p) == size and type(s) is str and s == source \
+                    and type(t) is int:
+                try:
+                    return keys(p)
+                except KeyError:
+                    return None
+        return None
+    return values
+
+
+_packet_send_values, _vitals_sample_values, _packet_deliver_values, _triage_values, _nav_values = (
+    map(_payload_reader, ("packet_send", "vitals_sample", "packet_deliver", "triage", "nav")))
 # the payload values of a channel.csv, vitals.csv and tasks.csv row, after
-# the record's time
-_channel_cells = operator.itemgetter("src", "dst", "packet_kind", "seq", "condition", "outcome",
-                                     "delay_ms")
-_vitals_cells = operator.itemgetter("spo2", "bpm", "temp", "valid")
+# the record's time; the first two are the payload in emit order
+_channel_cells, _vitals_cells = (operator.itemgetter(*(f[0] for f in RECORD_KINDS[kind][2]))
+                                 for kind in ("packet_send", "vitals_sample"))
 _task_cells = operator.itemgetter("task_id", "kind", "origin", "assignee", "state",
                                   "retry_count")
 _isfinite = math.isfinite
 
 
-def _payload_values(r, source, keys, size):
-    """`keys(payload)` of record `r` if `r` has exactly the envelope keys,
-    with `source` as its source, an int time and a payload dict of exactly
-    the `size` keys that `keys` gets; else None. `to_jsonl` has checked that
-    `r` is a dict with a `str` kind."""
-    if len(r) == 4:
-        p, s, t = r.get("payload"), r.get("source"), r.get("time_ms")
-        if type(p) is dict and len(p) == size and type(s) is str and s == source \
-                and type(t) is int:
-            try:
-                return keys(p)
-            except KeyError:
-                return None
-    return None
-
-
 def _packet_send_line(r, rows=None):
-    if (values := _payload_values(r, "channel", _packet_send_keys, 7)) is not None:
+    if (values := _packet_send_values(r)) is not None:
         cond, delay, dst, outcome, kind, seq, src = values
         if (int is type(dst) is type(seq) is type(src) and str is type(cond) is type(outcome)
                 is type(kind) and type(delay) is float and _isfinite(delay)):
@@ -143,7 +360,7 @@ def _packet_send_line(r, rows=None):
 
 
 def _vitals_sample_line(r, rows=None):
-    if (values := _payload_values(r, "wearable", _vitals_sample_keys, 4)) is not None:
+    if (values := _vitals_sample_values(r)) is not None:
         bpm, spo2, temp, valid = values
         if type(valid) is bool:
             if float is type(bpm) is type(spo2) is type(temp) and _isfinite(bpm + spo2 + temp):
@@ -167,7 +384,7 @@ def _vitals_sample_line(r, rows=None):
 
 
 def _packet_deliver_line(r, rows=None):
-    if (values := _payload_values(r, "channel", _packet_deliver_keys, 4)) is None:
+    if (values := _packet_deliver_values(r)) is None:
         return None
     dst, kind, seq, src = values
     if int is type(dst) is type(seq) is type(src) and type(kind) is str:
@@ -181,7 +398,7 @@ def _triage_line(r, rows=None):
     if rows is not None:
         p = r["payload"]
         rows.triage("|".join(p["flags"]), p["class"])
-    if (values := _payload_values(r, "leader", _triage_keys, 4)) is None:
+    if (values := _triage_values(r)) is None:
         return None
     cls, flags, probs, sample_time = values
     # `_encode` writes the two lists, or any value in their place, as json does
@@ -194,7 +411,7 @@ def _triage_line(r, rows=None):
 
 
 def _nav_line(r, rows=None):
-    if (values := _payload_values(r, "navigation", _nav_keys, 9)) is None:
+    if (values := _nav_values(r)) is None:
         return None
     dist, drift_corr, drift_raw, energy, on_line, tag, theta, x, y = values
     if (type(on_line) is bool and type(tag) is str and float is type(dist) is type(drift_corr)
@@ -298,15 +515,6 @@ def gc_paused():
             gc.unfreeze()
         gc.enable()
 
-
-def _check_number(name: str, value):
-    if type(value) is not int and type(value) is not float:
-        raise ValueError(f"{name} must be a number, not {value!r}")
-
-
-# the payload that `consume` passes a fold for a record that has none, and
-# that `EventLog.load` accepts; read-only, so no fold can change it
-_NO_PAYLOAD = MappingProxyType({})
 
 
 class EventLog:
@@ -429,178 +637,12 @@ class EventLog:
             append(record)
 
 
-def success_rate(completed: int, escalated: int) -> float | None:
-    """The share of settled tasks that completed; None when none settled."""
-    settled = completed + escalated
-    return completed / settled if settled else None
-
-
-@dataclass
-class RunMetrics:
-    pdr: dict[str, float] = field(default_factory=dict)          # per condition
-    rtt_mean_ms: float | None = None
-    rtt_std_ms: float | None = None
-    line_on_track: dict[str, float] = field(default_factory=dict)  # per segment tag
-    tasks_created: int = 0
-    tasks_completed: int = 0
-    tasks_escalated: int = 0
-    alert_latency_ms: dict[str, float] = field(default_factory=dict)  # per scenario kind
-    alert_verdicts: dict[str, str] = field(default_factory=dict)      # "pass" | "fail"
-    drift_final_raw_m: float | None = None
-    drift_final_corrected_m: float | None = None
-    energy_units: float = 0.0
-
-    @property
-    def task_success_rate(self) -> float | None:
-        return success_rate(self.tasks_completed, self.tasks_escalated)
-
-    def _rows(self) -> list[tuple[str, object, str | None]]:
-        """Each metric once, in file order, as (metrics.csv key, value,
-        metrics.txt line or None). A value of None is an empty cell and no
-        line; a verdict has no line of its own, since its alert's line ends
-        with it, and an alert that never came reads "none"."""
-        def row(name, value, spec, sub=None):
-            key, label = (name, name) if sub is None else (f"{name}_{sub}", f"{name}[{sub}]")
-            return key, value, None if value is None else f"{label}: {value:{spec}}"
-
-        rows = [row("pdr", v, ".4f", cond) for cond, v in sorted(self.pdr.items())]
-        rows += [row("rtt_mean_ms", self.rtt_mean_ms, ".2f"),
-                 row("rtt_std_ms", self.rtt_std_ms, ".2f")]
-        rows += [row("line_on_track", v, ".4f", tag) for tag, v in sorted(self.line_on_track.items())]
-        rows += [row(name, getattr(self, name), "d")
-                 for name in ("tasks_created", "tasks_completed", "tasks_escalated")]
-        rows.append(row("task_success_rate", self.task_success_rate, ".4f"))
-        for kind in sorted(self.alert_latency_ms.keys() | self.alert_verdicts.keys()):
-            latency, verdict = self.alert_latency_ms.get(kind), self.alert_verdicts.get(kind)
-            shown = "none" if latency is None else f"{latency:.0f}"
-            rows += [(f"alert_latency_ms_{kind}", latency,
-                      f"alert_latency_ms[{kind}]: {shown} ({verdict or 'n/a'})"),
-                     (f"alert_verdict_{kind}", verdict, None)]
-        return rows + [row("drift_final_raw_m", self.drift_final_raw_m, ".4f"),
-                       row("drift_final_corrected_m", self.drift_final_corrected_m, ".4f"),
-                       row("energy_units", self.energy_units, ".2f")]
-
-    def as_text(self) -> str:
-        return "".join(line + "\n" for _, _, line in self._rows() if line is not None)
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["metric", "value"])
-            w.writerows((key, value) for key, value, _ in self._rows())
-
-
-class MetricsAccumulator:
-    def __init__(self):
-        self._budgets: dict[str, int] = {}
-        self._sent: dict[str, int] = {}
-        self._delivered: dict[str, int] = {}
-        self._cmd_sends: dict[tuple, float] = {}
-        self._rtts: list[float] = []
-        self._nav_counts: dict[str, list[int]] = {}   # tag -> [on, total]
-        self._task_terminal: dict[int, str] = {}
-        self._task_seen: set[int] = set()
-        self._onsets: dict[str, float] = {}           # scenario kind -> onset time
-        self._latencies: dict[str, float] = {}
-        self._drift_raw = None
-        self._drift_corr = None
-        self._energy = 0.0
-
-    def consume(self, record: dict):
-        kind, t, p = record["kind"], record["time_ms"], record.get("payload", _NO_PAYLOAD)
-        try:
-            fold = self.FOLDS.get(kind)
-        except TypeError:  # an unhashable kind, such as a list, has no fold
-            return
-        if fold is not None:
-            fold(self, t, p)
-
-    def _meta(self, t, p):
-        self._budgets = dict(p.get("budgets_ms", {}))
-
-    def _packet_send(self, t, p):
-        cond = p["condition"]
-        self._sent[cond] = self._sent.get(cond, 0) + 1
-        if p["outcome"] == "delivered":
-            self._delivered[cond] = self._delivered.get(cond, 0) + 1
-            if p["packet_kind"] == "command":
-                self._cmd_sends[(p["src"], p["dst"], p["seq"])] = t
-            elif p["packet_kind"] == "ack":
-                send_t = self._cmd_sends.pop((p["dst"], p["src"], p["seq"]), None)
-                if send_t is not None:
-                    self._rtts.append(t + p["delay_ms"] - send_t)
-
-    def _nav(self, t, p):
-        tag = p["tag"]
-        bucket = self._nav_counts.setdefault(tag, [0, 0])
-        bucket[1] += 1
-        if p["on_line"]:
-            bucket[0] += 1
-        self._drift_raw = p["drift_raw"]
-        self._drift_corr = p["drift_corrected"]
-        self._energy = p["energy"]
-
-    def _task(self, t, p):
-        self._task_seen.add(p["task_id"])
-        if p["state"] in ("completed", "escalated"):
-            self._task_terminal[p["task_id"]] = p["state"]
-
-    def _script(self, t, p):
-        sk = p.get("scenario_kind")
-        if sk and sk not in self._onsets:
-            self._onsets[sk] = t
-
-    def _notification(self, t, p):
-        sk = _CAUSE_TO_KIND.get(p.get("cause"))
-        if sk and sk in self._onsets and sk not in self._latencies:
-            self._latencies[sk] = t - self._onsets[sk]
-
-    # kind -> its fold of a record's (time_ms, payload), called as
-    # fold(acc, t, payload); other kinds fold to nothing. Plain functions, so
-    # no accumulator refers back to itself
-    FOLDS = {"meta": _meta, "packet_send": _packet_send, "nav": _nav, "task": _task,
-             "script": _script, "notification": _notification}
-
-    def result(self) -> RunMetrics:
-        # the values sorted here or formatted in RunMetrics' reports must have
-        # the engine's types; checked once a log, not once a record
-        for what, keys in (("packet condition", self._sent), ("nav tag", self._nav_counts)):
-            for key in keys:
-                if type(key) is not str:
-                    raise ValueError(f"{what} must be a string, not {key!r}")
-        _check_number("nav energy", self._energy)
-        if self._drift_raw is not None:
-            _check_number("nav drift_raw", self._drift_raw)
-            _check_number("nav drift_corrected", self._drift_corr)
-        m = RunMetrics()
-        m.pdr = {c: self._delivered.get(c, 0) / n for c, n in sorted(self._sent.items())}
-        if self._rtts:
-            m.rtt_mean_ms = statistics.fmean(self._rtts)
-            m.rtt_std_ms = statistics.pstdev(self._rtts) if len(self._rtts) > 1 else 0.0
-        m.line_on_track = {tag: on / total for tag, (on, total) in sorted(self._nav_counts.items())}
-        m.tasks_created = len(self._task_seen)
-        m.tasks_completed = sum(1 for s in self._task_terminal.values() if s == "completed")
-        m.tasks_escalated = sum(1 for s in self._task_terminal.values() if s == "escalated")
-        m.alert_latency_ms = dict(sorted(self._latencies.items()))
-        for sk, onset in self._onsets.items():
-            budget = self._budgets.get(sk)
-            if budget is None:
-                continue
-            _check_number(f"budgets_ms[{sk}]", budget)
-            latency = self._latencies.get(sk)
-            m.alert_verdicts[sk] = "pass" if latency is not None and latency <= budget else "fail"
-        m.drift_final_raw_m = self._drift_raw
-        m.drift_final_corrected_m = self._drift_corr
-        m.energy_units = self._energy
-        return m
-
-
 def replay_metrics(log: EventLog) -> RunMetrics:
     acc = MetricsAccumulator()
     for i, record in enumerate(log.records):
         try:
             acc.consume(record)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed event log at record {i}: {exc}") from exc
     try:
         return acc.result()

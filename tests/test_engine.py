@@ -8,10 +8,10 @@ import gc
 import json
 import weakref
 from pathlib import Path
-from types import SimpleNamespace
+from types import NoneType, SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from _hostile import DuplicatingChannel
@@ -20,10 +20,11 @@ from test_golden import CORPUS, CORPUS_BASE, corpus_config, ward_shift_config
 from wardsim import AddressingError, cli
 from wardsim import engine as engine_module
 from wardsim.cli import main
-from wardsim.engine import (RECORD_KINDS, Engine, EngineAbort, SuiteResult, SuiteRow, export_outputs,
+from wardsim.engine import (Engine, EngineAbort, SuiteResult, SuiteRow, export_outputs,
                             run, run_suite)
 from wardsim.kinematics import ChassisParams
-from wardsim.metrics import _BATCH_LINES, EventLog, MetricsAccumulator, gc_paused, replay_metrics
+from wardsim.metrics import (_BATCH_LINES, RECORD_KINDS, EventLog, MetricsAccumulator,
+                             gc_paused, replay_metrics)
 from wardsim.protocol import TERMINAL_STATES, Leader
 from wardsim.scenario import load_preset, preset_names, validate
 from wardsim.vitals import Flag, TriageClass, TriageDecision, Vitals, classify
@@ -133,23 +134,43 @@ def test_the_engine_equals_one_that_runs_every_phase_every_tick(name):
     assert metrics == ref_metrics
 
 
+def assert_records_have_their_kinds_fields(log) -> set:
+    """Require every record of `log` to have the envelope keys in the
+    engine's order, its kind's source, and exactly its kind's payload fields
+    as `RECORD_KINDS` states them, keys in order and each value of one of its
+    field's types; return the kinds seen."""
+    kinds = set()
+    for i, r in enumerate(log.records):
+        assert list(r) == ["time_ms", "source", "kind", "payload"], (i, r)
+        source, _, fields = RECORD_KINDS[r["kind"]]
+        assert r["source"] == source, (i, r)
+        assert list(r["payload"]) == [name for name, *_ in fields], (i, r)
+        assert all(type(r["payload"][name]) in types for name, *types in fields), (i, r)
+        kinds.add(r["kind"])
+    return kinds
+
+
+def test_every_record_has_its_kinds_source_and_fields():
+    # the runs over a duplicating link check their records too
+    # (run_over_a_duplicating_link)
+    seen = set()
+    for config in ORACLE_RUNS.values():
+        seen |= assert_records_have_their_kinds_fields(run(config())[0])
+    assert seen == set(RECORD_KINDS)
+
+
 def test_the_readme_states_each_record_kind_with_its_source_and_payload_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Event log\n", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
-    documented = {kind.strip(" `"): (source.strip(" `"), [k.strip(" `") for k in keys.split(",")])
+    documented = {kind.strip(" `"): (source.strip(" `"),
+                                     [tuple(key.strip().split(" ", 1)) for key in keys.split(",")])
                   for kind, source, keys in rows}
-    assert ({kind: source for kind, (source, _) in documented.items()}
-            == {kind: source for kind, (source, _) in RECORD_KINDS.items()})
-    # between them, these runs log every kind
-    seen = set()
-    for config in (load_preset("alert_fall"), corpus_config("lost_line"),
-                   corpus_config("battery_low")):
-        for record in run(config)[0].records:
-            seen.add(kind := record["kind"])
-            assert record["source"] == documented[kind][0]
-            assert list(record["payload"]) == documented[kind][1], kind
-    assert seen == set(RECORD_KINDS)
+    assert documented == {
+        kind: (source, [(f"`{name}`", " or ".join("None" if t is NoneType else t.__name__
+                                                   for t in types))
+                        for name, *types in fields])
+        for kind, (source, _, fields) in RECORD_KINDS.items()}
 
 
 def test_zero_duration_run_yields_only_the_meta_record():
@@ -469,7 +490,7 @@ def test_status_light_changes_are_logged_once_per_change():
 
 def test_engine_abort_carries_partial_log():
     engine = Engine(short_config())
-    engine._emit("meta", {})
+    engine._emit_meta()
     # corrupt the corridor follower so the next leader packet is misrouted
     engine.corridor.address = 99
     with pytest.raises(EngineAbort) as exc:
@@ -555,18 +576,29 @@ HOSTILE_RUNS = {**{name: lambda name=name: load_preset(name) for name in preset_
 
 def run_over_a_duplicating_link(cfg, **link):
     """Run `cfg` over a `DuplicatingChannel(**link)` and check what a
-    duplicated packet must not change: the run ends without an abort, the
-    triage records' sample times strictly increase (a duplicated vitals
-    report comes back with a sample time that was already triaged, which must
-    be dropped as stale, not triaged again), and no follower runs a task
-    twice (a duplicated command must not start its task a second time).
-    Returns the engine."""
+    duplicated packet must not change: the run ends without an abort, each
+    sample time is debounced and queued for triage at most once (a
+    duplicated vitals report comes back with a sample time that was already
+    debounced, which must not count toward a latch again), the triage
+    records' sample times strictly increase, no follower runs a task twice
+    (a duplicated command must not start its task a second time), and every
+    record has its kind's source and fields. Returns the engine."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "Channel", functools.partial(DuplicatingChannel, **link))
         engine = Engine(cfg)
+    queued = []
+
+    def queue_triage(sample_time, decision, queue=engine._queue_triage):
+        queued.append(sample_time)
+        queue(sample_time, decision)
+
+    engine._queue_triage = queue_triage
     log, _ = engine.run()
+    assert len(set(queued)) == len(queued), \
+        sorted(t for t in set(queued) if queued.count(t) > 1)
     times = [r["payload"]["sample_time"] for r in log.records if r["kind"] == "triage"]
     assert times and all(a < b for a, b in zip(times, times[1:]))
+    assert_records_have_their_kinds_fields(log)
     for follower in (engine.corridor, engine.arm):
         assert all(n == 1 for n in follower.execution_count.values()), \
             (follower.address, follower.execution_count)
@@ -594,7 +626,10 @@ def test_a_report_duplicated_within_its_own_tick_does_not_abort_the_run(name, la
     assert engine.channel.duplicated > 0
 
 
-@settings(deadline=None)
+# each example is a whole run, so hypothesis' explain phase, which reruns a
+# failing example many times to say which of its parts matter, would hold a
+# failure back for minutes
+@settings(deadline=None, phases=[phase for phase in Phase if phase is not Phase.explain])
 @given(name=st.sampled_from(sorted(HOSTILE_RUNS)),
        duplicate_p=st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0),
        # the window in ticks: a duplicate on the packet's own tick (a
@@ -925,6 +960,13 @@ def test_cli_replay_malformed_log_exits_two(tmp_path, capsys):
     assert main(["replay", str(path)]) == 2
 
 
+def meta_record(**fields):
+    """A `meta` record with each of its fields, some set by `fields`."""
+    return {"kind": "meta", "source": "engine", "time_ms": 0, "payload": {
+        "scenario": "x", "seed": 0, "dt_ms": 10, "duration_ms": 0, "budgets_ms": {},
+        "line_width": 0.02, **fields}}
+
+
 @pytest.mark.parametrize("bad", [
     "[1, 2]",
     "5",
@@ -939,11 +981,39 @@ def test_cli_replay_malformed_log_exits_two(tmp_path, capsys):
         "meta-payload", "notification-payload"])
 def test_cli_replay_malformed_record_shape_exits_two(tmp_path, capsys, bad):
     # a good record and a blank line come first, so the bad record is number 2
-    good = '{"kind": "meta", "payload": {}, "source": "engine", "time_ms": 0}'
+    good = json.dumps(meta_record())
     path = tmp_path / "shape.jsonl"
     path.write_text(f"{good}\n\n{bad}\n")
     assert main(["replay", str(path)]) == 2
     assert "malformed event log at record 2:" in capsys.readouterr().err
+
+
+def test_cli_replay_refuses_a_meta_record_without_its_fields(tmp_path, capsys):
+    # a meta record without its budgets would replay as a run with none: its
+    # alert's verdict would read n/a, not pass
+    log, _ = run(load_preset("alert_low_spo2"))
+    path = tmp_path / "events.jsonl"
+    log.save(path)
+    assert main(["replay", str(path)]) == 0
+    assert "alert_latency_ms[low_spo2]: 2320 (pass)\n" in capsys.readouterr().out
+    meta = log.records[0]["payload"]
+    # a saved log sorts each payload's keys
+    keys = "a meta payload must have exactly the keys scenario, seed, dt_ms, duration_ms, " \
+           "budgets_ms, line_width, not"
+    for payload, message in [
+            ({}, f"{keys} none"),
+            ({k: v for k, v in meta.items() if k != "budgets_ms"},
+             f"{keys} dt_ms, duration_ms, line_width, scenario, seed"),
+            ({**meta, "extra": 1},
+             f"{keys} budgets_ms, dt_ms, duration_ms, extra, line_width, scenario, seed"),
+            ({**meta, "budgets_ms": [3000]}, "meta budgets_ms must be dict, not [3000]"),
+            ({**meta, "seed": True}, "meta seed must be int, not True"),
+            ({**meta, "line_width": None}, "meta line_width must be float, not None")]:
+        log.records[0]["payload"] = payload
+        log.save(path)
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"cannot replay: malformed event log at record 0: {message}\n")
 
 
 def _nav(**fields):
@@ -961,8 +1031,7 @@ def _packet_send(condition):
 @pytest.mark.parametrize("records, message", [
     ([_nav(energy="x")], "nav energy must be a number, not 'x'"),
     ([_nav(drift_raw="y")], "nav drift_raw must be a number, not 'y'"),
-    ([{"kind": "meta", "source": "engine", "time_ms": 0,
-       "payload": {"budgets_ms": {"low_spo2": "x"}}},
+    ([meta_record(budgets_ms={"low_spo2": "x"}),
       {"kind": "script", "source": "script", "time_ms": 10,
        "payload": {"scenario_kind": "low_spo2"}},
       {"kind": "notification", "source": "leader", "time_ms": 20,

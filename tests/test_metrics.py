@@ -546,7 +546,10 @@ def test_records_whose_kind_has_no_fold_replay_as_before(preset, tmp_path, monke
 ])
 def test_a_malformed_record_fails_replay_as_before(record, monkeypatch):
     log = EventLog()
-    log.records += [{"time_ms": 0, "kind": "meta", "payload": {}}, record]
+    # a meta record with all of its fields, which replay checks
+    meta = {"scenario": "x", "seed": 0, "dt_ms": 10, "duration_ms": 0, "budgets_ms": {},
+            "line_width": 0.02}
+    log.records += [{"time_ms": 0, "kind": "meta", "payload": meta}, record]
 
     def replay():
         try:
