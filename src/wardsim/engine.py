@@ -3,8 +3,8 @@
 Tick order (one pass per dt): patient script, wearable sampling, triage
 pipeline, leader step, channel deliveries, follower steps, camera checks,
 corridor motion with line following, status light, notifications; each
-record takes its source and its metrics fold from `metrics.RECORD_KINDS`,
-and is folded as it is made. Only the leader steps on
+record is logged as a row, its values in its kind's `metrics.RECORD_KINDS`
+field order, and is folded as it is made. Only the leader steps on
 every tick; the tick loop calls every other phase only when it has work due:
 the script when its next event or link change is due, the wearable on a
 sample tick, the triage pipeline when its earliest result is ready, the
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .kinematics import DeadReckoner, MotionSimulator, Pose, drift_error, normalize_angle
 from .line_following import LineFollower
-from .metrics import (_BATCH_LINES, RECORD_KINDS, EventLog, MetricsAccumulator, RowSink,
+from .metrics import (_BATCH_LINES, PAYLOAD_VALUES, EventLog, MetricsAccumulator, RowSink,
                       RunMetrics, gc_paused, success_rate)
 from .protocol import Follower, Leader, StatusLight, TaskKind
 from .rf_channel import Channel, Packet, PacketKind
@@ -50,6 +50,11 @@ _LATCH_KEYS = (Flag.LOW_SPO2, Flag.FEVER, Flag.ABNORMAL_HR, _SEVERE)
 
 # the corridor drives while it carries out one of these
 _MOVING_KINDS = (TaskKind.PATROL_CHECK, TaskKind.DELIVER_MEDICINE)
+
+_FOLDS = MetricsAccumulator.FOLDS
+# the values of the packet_send payload that Channel.send returns
+_send_values = PAYLOAD_VALUES["packet_send"]
+
 
 class EngineAbort(RuntimeError):
     """The tick loop stopped on an exception: an internal invariant failed,
@@ -91,7 +96,7 @@ class Engine:
 
         self.log = EventLog()
         self.acc = MetricsAccumulator()
-        self._append = self.log.records.append
+        self._append = self.log.rows.append
         self._inboxes: dict[int, list[Packet]] = {a: [] for a in robots.addresses}
         # heap of (ready_ms, sample_time, push count, decision). A link that
         # duplicates a report can queue one sample twice on the same tick, so
@@ -117,33 +122,34 @@ class Engine:
 
     # -- event plumbing --------------------------------------------------
 
-    def _emit(self, kind: str, payload: dict):
-        # the clock never runs back, so EventLog.append's check is not needed
-        source, fold, _ = RECORD_KINDS[kind]
-        self._append({"time_ms": self._now, "source": source, "kind": kind, "payload": payload})
+    def _emit(self, kind: str, *values):
+        """Log the row of a `kind` record at the engine's clock, its values
+        in the kind's field order, and fold it. The clock never runs back,
+        so EventLog.append's check is not needed."""
+        row = (self._now, kind) + values
+        self._append(row)
+        fold = _FOLDS.get(kind)
         if fold is not None:
-            fold(self.acc, self._now, payload)
+            fold(self.acc, row)
 
     def _drain(self, entries: list, kind: str):
         """Log the payloads of a list of the leader's (time_ms, payload)
         pairs at the engine's clock, then clear the list."""
+        values = PAYLOAD_VALUES[kind]
         for _, payload in entries:
-            self._emit(kind, payload)
+            self._emit(kind, *values(payload))
         entries.clear()
 
     def _send(self, packet: Packet, extra_delay_ms: float = 0.0):
-        self._emit("packet_send", self.channel.send(packet, extra_delay_ms))
+        self._emit("packet_send", *_send_values(self.channel.send(packet, extra_delay_ms)))
 
     def _emit_meta(self):
         """Log the run's `meta` record: what the scenario fixes for the
         metrics, with the alert kinds that have a budget."""
         cfg = self.config
-        self._emit("meta", {
-            "scenario": cfg.name, "seed": cfg.seed, "dt_ms": cfg.dt_ms,
-            "duration_ms": cfg.duration_ms,
-            "budgets_ms": {k: v for k, v in vars(cfg.budgets_ms).items() if v is not None},
-            "line_width": cfg.track.line_width,
-        })
+        self._emit("meta", cfg.name, cfg.seed, cfg.dt_ms, cfg.duration_ms,
+                   {k: v for k, v in vars(cfg.budgets_ms).items() if v is not None},
+                   cfg.track.line_width)
 
     # -- tick phases -----------------------------------------------------
 
@@ -164,12 +170,8 @@ class Engine:
                 self.patient.posture = ev.posture
             if ev.wearing is not None:
                 self.patient.wearing_sensor = ev.wearing
-            self._emit("script", {
-                "scenario_kind": ev.kind,
-                "spo2": ev.spo2, "bpm": ev.bpm, "temp": ev.temp,
-                "posture": None if ev.posture is None else ev.posture.value,
-                "wearing": ev.wearing,
-            })
+            self._emit("script", ev.kind, ev.spo2, ev.bpm, ev.temp,
+                       None if ev.posture is None else ev.posture.value, ev.wearing)
         links = self.config.link_conditions
         while self._link_idx < len(links) and links[self._link_idx].time_ms <= self._now:
             lc = links[self._link_idx]
@@ -182,10 +184,7 @@ class Engine:
     def _sample_wearable(self):
         cfg = self.config
         sample = sample_vitals(self.patient, cfg.noise, self.streams["vitals_noise"], self._now)
-        self._emit("vitals_sample", {
-            "spo2": sample.spo2, "bpm": sample.bpm, "temp": sample.temp,
-            "valid": sample.valid,
-        })
+        self._emit("vitals_sample", sample.spo2, sample.bpm, sample.temp, sample.valid)
         if not sample.valid:
             # a disconnected wearable is noticed locally, with no radio leg
             self._deliver_triage(sample.sample_time, classify(sample))
@@ -212,21 +211,15 @@ class Engine:
         if sample_time <= self._last_triage_sample:
             return
         self._last_triage_sample = sample_time
-        self._emit("triage", {
-            "sample_time": sample_time,
-            "flags": list(decision.flag_names),
-            "class": decision.triage_class._value_,  # as in Channel.send
-            "probs": list(decision.probs),
-        })
+        self._emit("triage", sample_time, list(decision.flag_names),
+                   decision.triage_class._value_,  # as in Channel.send
+                   list(decision.probs))
         self.leader.handle_triage(decision, self._now)
         self._drain(self.leader.transitions, "task")
 
     def _route_deliveries(self):
         for pkt in self.channel.deliveries_due(self._now):
-            self._emit("packet_deliver", {
-                "src": pkt.src, "dst": pkt.dst, "packet_kind": pkt.kind._value_,
-                "seq": pkt.seq,
-            })
+            self._emit("packet_deliver", pkt.src, pkt.dst, pkt.kind._value_, pkt.seq)
             if pkt.kind is PacketKind.VITALS_REPORT and pkt.dst == self.leader.address:
                 # a report no newer than the last one debounced, such as a
                 # duplicate, must not count toward a latch again
@@ -275,8 +268,7 @@ class Engine:
         self._patrol_check_due = False
         outcome = detect_fall(self.patient.posture, cfg.fall_detector,
                               self.streams["fall_detector"])
-        self._emit("fall_check", {"posture": self.patient.posture.value,
-                                  "outcome": outcome.value})
+        self._emit("fall_check", self.patient.posture.value, outcome.value)
         fall_seen = (outcome is FallOutcome.FALLEN_DETECTED
                      or (self.patient.posture is Posture.STANDING
                          and outcome is FallOutcome.MISCLASSIFIED))
@@ -297,7 +289,7 @@ class Engine:
         cmd, err = self.follower_ctl.step(cfg.track, sense_pose, dt_s)
         if self.follower_ctl.faulted:
             self.corridor.nav_fault = True
-            self._emit("nav_fault", {"x": self.motion.pose.x, "y": self.motion.pose.y})
+            self._emit("nav_fault", self.motion.pose.x, self.motion.pose.y)
             # operator re-places the robot on the line and it resumes
             q = cfg.track.query(self.motion.pose.x, self.motion.pose.y)
             self.motion.pose = Pose(q.point[0], q.point[1], q.heading)
@@ -314,16 +306,11 @@ class Engine:
         if cfg.battery.budget_units > 0 and not self._battery_low \
                 and self._energy > cfg.battery.budget_units:
             self._battery_low = True
-            self._emit("battery_low", {"energy": self._energy})
+            self._emit("battery_low", self._energy)
         q = cfg.track.query(pose.x, pose.y)
-        self._emit("nav", {
-            "x": pose.x, "y": pose.y, "theta": pose.theta,
-            "distance_to_line": q.distance, "tag": q.tag,
-            "on_line": q.distance < cfg.track.line_width,
-            "drift_raw": drift_error(raw, pose),
-            "drift_corrected": drift_error(corr, pose),
-            "energy": self._energy,
-        })
+        self._emit("nav", pose.x, pose.y, pose.theta, q.distance, q.tag,
+                   q.distance < cfg.track.line_width, drift_error(raw, pose),
+                   drift_error(corr, pose), self._energy)
 
     def _correct_estimate(self, est: Pose) -> Pose:
         cfg = self.config
@@ -341,7 +328,7 @@ class Engine:
         light = self.corridor.status_light()
         if light is not self._last_light:
             self._last_light = light
-            self._emit("status_light", {"value": light.value})
+            self._emit("status_light", light.value)
 
     # -- main loop -------------------------------------------------------
 
@@ -349,10 +336,10 @@ class Engine:
         """Run the scenario to its end; return the log and its metrics.
 
         The tick loop runs with the cyclic garbage collector paused
-        (`metrics.gc_paused`): its records are trees of dicts and lists, and
-        a tick makes no cyclic garbage, so the collector's passes during a
-        run would free nothing. The pause leaves the log in the collector's
-        oldest generation."""
+        (`metrics.gc_paused`): its records are rows of plain values and
+        lists, and a tick makes no cyclic garbage, so the collector's passes
+        during a run would free nothing. The pause leaves the log in the
+        collector's oldest generation."""
         cfg = self.config
         self._emit_meta()
         dt_ms, dt_s = cfg.dt_ms, cfg.dt_ms / 1000.0
@@ -448,7 +435,7 @@ def export_outputs(log: EventLog, metrics: RunMetrics, out_dir):
         files.append(create("notifications.log"))
         for f, header in zip(files, RowSink.HEADERS):
             f.write(header)
-        for i in range(0, len(log.records), _BATCH_LINES):
+        for i in range(0, len(log.rows), _BATCH_LINES):
             events.write(log.to_jsonl(i, i + _BATCH_LINES, rows))
             for f, batch in zip(files, rows.batches):
                 f.write("".join(batch))

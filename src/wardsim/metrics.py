@@ -5,12 +5,14 @@ record to its kind's fold in `MetricsAccumulator.FOLDS`, and replay_metrics
 feeds a saved log to a fresh accumulator's `consume`, which looks up the
 same table, so live and replayed metrics agree by construction.
 
-Building a log allocates a dict per record and per payload, and CPython's
-cyclic garbage collector starts a pass every 700 container allocations. A
-log is a tree of dicts and lists with no reference cycles, and no engine or
-accumulator sits in one, so reference counting frees a dropped log at once
-and those passes free nothing: a 120 s ward shift's run and its
-`EventLog.load` each triggered about 170 of them. `gc_paused` turns the
+Building a log allocates a tuple per record (a row, see `EventLog`), and
+loading one also a dict per record and per payload as json decodes them,
+and CPython's cyclic garbage collector starts a pass every 700 container
+allocations. A log is a list of rows and dicts, holding lists and dicts,
+with no reference cycles, and no engine or accumulator sits in one, so
+reference counting frees a dropped log at once and those passes free
+nothing: a 120 s ward shift's run triggered about 100 of them, and its
+`EventLog.load` about 200. `gc_paused` turns the
 collector off while `EventLog.load` and `Engine.run`'s tick loop build a log;
 nothing else pauses it. Once on again, the collector would still walk the
 whole new log in its next young-generation pass, which took about 20 ms
@@ -22,6 +24,7 @@ Cyclic garbage made inside a pause therefore waits for a full pass.
 
 from __future__ import annotations
 
+import collections.abc
 import contextlib
 import csv
 import gc
@@ -119,6 +122,11 @@ class RunMetrics:
 
 
 class MetricsAccumulator:
+    """The metrics of a log, folded one record at a time. A fold reads a row
+    by place (`_places`); it reads a dict record's time and payload through
+    a `_Payload`, by the same places, with the errors that reading the
+    payload by key raises."""
+
     def __init__(self):
         self._budgets: dict[str, int] = {}
         self._sent: dict[str, int] = {}
@@ -134,68 +142,69 @@ class MetricsAccumulator:
         self._drift_corr = None
         self._energy = 0.0
 
-    def consume(self, record: dict):
+    def consume(self, record):
+        if type(record) is tuple:  # a row: its kind is one of RECORD_KINDS
+            fold = self.FOLDS.get(record[1])
+            if fold is not None:
+                fold(self, record)
+            return
         kind, t, p = record["kind"], record["time_ms"], record.get("payload", _NO_PAYLOAD)
         try:
             fold = self.FOLDS.get(kind)
         except TypeError:  # an unhashable kind, such as a list, has no fold
             return
         if fold is not None:
-            fold(self, t, p)
+            fold(self, _Payload(t, p, _FIELD_NAMES[kind]))
 
-    def _meta(self, t, p):
-        # a run's one meta record is checked in full: one without its
-        # budgets would read as a run with none
-        fields = {name: types for name, *types in RECORD_KINDS["meta"][2]}
-        if p.keys() != fields.keys():
-            raise ValueError(f"a meta payload must have exactly the keys {', '.join(fields)}, "
-                             f"not {', '.join(map(str, p)) or 'none'}")
-        for name, value in p.items():
-            if type(value) not in fields[name]:
-                raise ValueError(f"meta {name} must be "
-                                 f"{' or '.join(c.__name__ for c in fields[name])}, not {value!r}")
-        self._budgets = dict(p["budgets_ms"])
+    def _meta(self, v):
+        if type(v) is _Payload:  # a row has its fields' types
+            _check_meta(v.payload)
+        self._budgets = dict(v[_META_BUDGETS])
 
-    def _packet_send(self, t, p):
-        cond = p["condition"]
+    def _packet_send(self, v):
+        cond = v[_SEND_CONDITION]
         self._sent[cond] = self._sent.get(cond, 0) + 1
-        if p["outcome"] == "delivered":
+        if v[_SEND_OUTCOME] == "delivered":
             self._delivered[cond] = self._delivered.get(cond, 0) + 1
-            if p["packet_kind"] == "command":
-                self._cmd_sends[(p["src"], p["dst"], p["seq"])] = t
-            elif p["packet_kind"] == "ack":
-                send_t = self._cmd_sends.pop((p["dst"], p["src"], p["seq"]), None)
+            kind = v[_SEND_KIND]
+            if kind == "command":
+                self._cmd_sends[(v[_SEND_SRC], v[_SEND_DST], v[_SEND_SEQ])] = v[0]
+            elif kind == "ack":
+                send_t = self._cmd_sends.pop((v[_SEND_DST], v[_SEND_SRC], v[_SEND_SEQ]), None)
                 if send_t is not None:
-                    self._rtts.append(t + p["delay_ms"] - send_t)
+                    self._rtts.append(v[0] + v[_SEND_DELAY] - send_t)
 
-    def _nav(self, t, p):
-        tag = p["tag"]
+    def _nav(self, v):
+        tag = v[_NAV_TAG]
         bucket = self._nav_counts.setdefault(tag, [0, 0])
         bucket[1] += 1
-        if p["on_line"]:
+        if v[_NAV_ON_LINE]:
             bucket[0] += 1
-        self._drift_raw = p["drift_raw"]
-        self._drift_corr = p["drift_corrected"]
-        self._energy = p["energy"]
+        self._drift_raw = v[_NAV_DRIFT_RAW]
+        self._drift_corr = v[_NAV_DRIFT_CORRECTED]
+        self._energy = v[_NAV_ENERGY]
 
-    def _task(self, t, p):
-        self._task_seen.add(p["task_id"])
-        if p["state"] in ("completed", "escalated"):
-            self._task_terminal[p["task_id"]] = p["state"]
+    def _task(self, v):
+        self._task_seen.add(v[_TASK_ID])
+        if v[_TASK_STATE] in ("completed", "escalated"):
+            self._task_terminal[v[_TASK_ID]] = v[_TASK_STATE]
 
-    def _script(self, t, p):
-        sk = p.get("scenario_kind")
+    # a script or notification record that is not a row may lack the field
+    # its fold reads, which then reads as None
+    def _script(self, v):
+        sk = v[_SCRIPT_KIND] if type(v) is tuple else v.get(_SCRIPT_KIND)
         if sk and sk not in self._onsets:
-            self._onsets[sk] = t
+            self._onsets[sk] = v[0]
 
-    def _notification(self, t, p):
-        sk = _CAUSE_TO_KIND.get(p.get("cause"))
+    def _notification(self, v):
+        sk = _CAUSE_TO_KIND.get(v[_NOTE_CAUSE] if type(v) is tuple else v.get(_NOTE_CAUSE))
         if sk and sk in self._onsets and sk not in self._latencies:
-            self._latencies[sk] = t - self._onsets[sk]
+            self._latencies[sk] = v[0] - self._onsets[sk]
 
     def result(self) -> RunMetrics:
         # the values sorted here or formatted in RunMetrics' reports must have
-        # the engine's types; checked once a log, not once a record
+        # the engine's types, which a dict record need not; checked once a
+        # log, not once a record
         for what, keys in (("packet condition", self._sent), ("nav tag", self._nav_counts)):
             for key in keys:
                 if type(key) is not str:
@@ -227,6 +236,37 @@ class MetricsAccumulator:
         return m
 
 
+class _Payload:
+    """A dict record's time and payload as a fold reads a row: place 0 is
+    the time, and the place of each field of its kind is the payload's
+    value at that field's key, with the KeyError or TypeError that reading
+    the payload raises; `get` reads as the payload's own `get` does."""
+
+    __slots__ = ("time_ms", "payload", "_names")
+
+    def __init__(self, time_ms, payload, names):
+        self.time_ms, self.payload, self._names = time_ms, payload, names
+
+    def __getitem__(self, place):
+        return self.time_ms if place == 0 else self.payload[self._names[place - 2]]
+
+    def get(self, place):
+        return self.payload.get(self._names[place - 2])
+
+
+def _check_meta(p):
+    # a run's one meta record is checked in full: one without its budgets
+    # would read as a run with none
+    fields = {name: types for name, *types in RECORD_KINDS["meta"][2]}
+    if p.keys() != fields.keys():
+        raise ValueError(f"a meta payload must have exactly the keys {', '.join(fields)}, "
+                         f"not {', '.join(map(str, p)) or 'none'}")
+    for name, value in p.items():
+        if type(value) not in fields[name]:
+            raise ValueError(f"meta {name} must be "
+                             f"{' or '.join(c.__name__ for c in fields[name])}, not {value!r}")
+
+
 def _check_number(name: str, value):
     if type(value) is not int and type(value) is not float:
         raise ValueError(f"{name} must be a number, not {value!r}")
@@ -242,8 +282,8 @@ _NO_PAYLOAD = MappingProxyType({})
 # in the order in which the engine builds the payload. A field is its name
 # and the exact types its value may have (a bool is no int); a field that may
 # be null lists NoneType. README's "Event log" table writes it out. A fold is
-# a plain function, called as fold(acc, t, payload), so no accumulator refers
-# back to itself.
+# a plain function, called as fold(acc, row), so no accumulator refers back
+# to itself.
 RECORD_KINDS = {
     "meta": ("engine", MetricsAccumulator._meta, (
         ("scenario", str), ("seed", int), ("dt_ms", int), ("duration_ms", int),
@@ -277,172 +317,256 @@ RECORD_KINDS = {
 MetricsAccumulator.FOLDS = {kind: fold for kind, (_, fold, _) in RECORD_KINDS.items() if fold}
 
 
+# A record is stored as a row: the tuple (time_ms, kind, *values), with the
+# values of its payload in its kind's field order. The source is the kind's.
+_FIELD_NAMES = {kind: tuple(f[0] for f in fields) for kind, (_, _, fields) in RECORD_KINDS.items()}
+
+
+def _places(kind: str, *names: str) -> tuple[int, ...]:
+    """The places of `kind`'s fields `names` in its rows."""
+    return tuple(_FIELD_NAMES[kind].index(name) + 2 for name in names)
+
+
+def _getter(*keys):
+    """A function that returns the items of a dict or tuple at `keys`, as a
+    tuple even for one key, with the KeyError or TypeError of the first
+    that fails."""
+    get = operator.itemgetter(*keys)
+    return get if len(keys) > 1 else lambda x: (get(x),)
+
+
+(_META_BUDGETS,) = _places("meta", "budgets_ms")
+(_SCRIPT_KIND,) = _places("script", "scenario_kind")
+_TASK_ID, _TASK_STATE = _places("task", "task_id", "state")
+_SEND_SRC, _SEND_DST, _SEND_KIND, _SEND_SEQ, _SEND_CONDITION, _SEND_OUTCOME, _SEND_DELAY = (
+    _places("packet_send", "src", "dst", "packet_kind", "seq", "condition", "outcome", "delay_ms"))
+_NAV_TAG, _NAV_ON_LINE, _NAV_DRIFT_RAW, _NAV_DRIFT_CORRECTED, _NAV_ENERGY = _places(
+    "nav", "tag", "on_line", "drift_raw", "drift_corrected", "energy")
+(_NOTE_CAUSE,) = _places("notification", "cause")
+
+_isfinite = math.isfinite
+
+# kind -> the values of a payload dict of that kind, in field order
+PAYLOAD_VALUES = {kind: _getter(*names) for kind, names in _FIELD_NAMES.items()}
+
+
+def _row_builder(kind: str):
+    """`build(r, share, last_time)`: the row of a `kind` record dict `r` if
+    it is exactly the kind's schema, else None. That is the envelope keys
+    kind, payload, source and time_ms, the kind's source, an int time and a
+    payload dict of exactly the kind's keys, each value of one of its
+    field's exact types (a bool is no int) and each float finite. Each
+    string of the row is the one that `share`, a dict's `setdefault`, keeps
+    for an equal string, and a time equal to the int `last_time` is that
+    object, as the engine's records of one tick share their time.
+
+    Its source is made from the kind's fields and run, as
+    `collections.namedtuple` makes its class: a `type(v) is T` test written
+    out per value costs about half of a loop over the fields."""
+    source, _, fields = RECORD_KINDS[kind]
+    names, tests, values = [f"v{i}" for i in range(len(fields))], [], []
+    for v, (_, *types) in zip(names, fields):
+        (t,) = (t for t in types if t is not NoneType)
+        test, value = f"type({v}) is {t.__name__}", f"share({v}, {v})" if t is str else v
+        if t is float:  # v - v is 0.0 only for a finite v
+            test += f" and {v} - {v} == 0.0"
+        if NoneType in types:
+            test = f"({v} is None or {test})"
+            if t is str:
+                value = f"(None if {v} is None else {value})"
+        tests.append(test)
+        values.append(value)
+    code = (f"def build(r, share, last_time):\n"
+            f"    try:\n"
+            f"        t, p, s = r['time_ms'], r['payload'], r['source']\n"
+            f"        if not (len(r) == 4 and type(t) is int and type(s) is str\n"
+            f"                and s == {source!r} and type(p) is dict and len(p) == {len(fields)}):\n"
+            f"            return None\n"
+            f"        {', '.join(names)}, = {', '.join(f'p[{f[0]!r}]' for f in fields)},\n"
+            f"    except KeyError:\n"
+            f"        return None\n"
+            f"    if {' and '.join(tests)}:\n"
+            f"        return (last_time if t == last_time and type(last_time) is int else t,\n"
+            f"                {kind!r}, {', '.join(values)})\n"
+            f"    return None\n")
+    namespace = {}
+    exec(code, namespace)
+    return namespace["build"]
+
+
+# kind -> its row builder
+_ROW_BUILDERS = {kind: _row_builder(kind) for kind in RECORD_KINDS}
+# each kind and source string of the table, as itself
+_TABLE_STRINGS = {s: s for kind, (source, _, _) in RECORD_KINDS.items() for s in (kind, source)}
+
+
+def _as_row(record, share, last_time=None):
+    """The row of `record` if it is a dict whose `str` kind has a row
+    builder that takes it (`_row_builder`), else `record` itself."""
+    kind = record.get("kind") if type(record) is dict else None
+    build = _ROW_BUILDERS.get(kind) if type(kind) is str else None
+    return record if build is None else build(record, share, last_time) or record
+
+
+def _record(row) -> dict:
+    """The record dict of a row; a dict record is itself."""
+    if type(row) is not tuple:
+        return row
+    kind = row[1]
+    return {"time_ms": row[0], "source": RECORD_KINDS[kind][0], "kind": kind,
+            "payload": dict(zip(_FIELD_NAMES[kind], row[2:]))}
+
+
 # Line writers for the five kinds that make 99 % of a run's records. For
 # each record the C encoder sorts and escapes the keys of both of its dicts
-# again, which is most of its cost; a writer has its kind's keys written out
-# in sorted order in one %-format. It returns exactly
-# `json.dumps(record, sort_keys=True) + "\n"`, or None for a record that is
-# not exactly its kind's shape as `RECORD_KINDS` states it: the envelope keys
-# kind, payload, source and time_ms, the kind's own source, an int time, the
-# kind's payload keys, and each value of the exact type the engine gives it.
-# A finite float is written by repr, as json does; a sum of floats is finite
-# only when each of them is, and one that overflows only sends the record to
-# `_encode`. A string is written by json's own escaper, and a list by
-# `_encode`, which writes any value as json does, so its type is not checked.
+# again, which is most of its cost; a writer takes a row and has its kind's
+# keys written out in sorted order in one %-format. It returns exactly
+# `json.dumps(record, sort_keys=True) + "\n"` for the row's record, or None
+# for a row that `to_jsonl` must give to `_encode`: one with a non-finite
+# float, which no row that `_as_row` makes holds, and a vitals sample whose
+# values are neither all floats nor all None. A finite float is written by
+# repr, as json does; a sum of floats is finite only when each of them is,
+# and one that overflows only sends the record to `_encode`. A string is
+# written by json's own escaper, and a list by `_encode`.
 #
 # Each writer takes a `RowSink` or None. Given one, the packet_send and
 # vitals_sample writers also add their record's row of channel.csv or
-# vitals.csv, made from the same text as the line: csv writes an int by
-# str, a float by repr and a string as it is unless it holds a delimiter, a
-# quote or a line break. A string whose json escape is itself in quotes
-# holds no quote, backslash, control or non-ASCII character, so one with no
-# comma needs no csv quoting either. A record that is not its kind's shape,
-# or whose row would need quoting, gets its row from `csv.writer`; the
-# triage writer keeps the vitals.csv tail of its flags and class.
-def _payload_reader(kind: str):
-    """A function that returns the payload values of a record `r` in sorted
-    key order if `r` has exactly the envelope keys, with `kind`'s source, an
-    int time and a payload dict of exactly `kind`'s keys; else None."""
-    source, _, fields = RECORD_KINDS[kind]
-    size, keys = len(fields), operator.itemgetter(*sorted(field[0] for field in fields))
-
-    def values(r):
-        if len(r) == 4:
-            p, s, t = r.get("payload"), r.get("source"), r.get("time_ms")
-            if type(p) is dict and len(p) == size and type(s) is str and s == source \
-                    and type(t) is int:
-                try:
-                    return keys(p)
-                except KeyError:
-                    return None
-        return None
-    return values
-
-
-_packet_send_values, _vitals_sample_values, _packet_deliver_values, _triage_values, _nav_values = (
-    map(_payload_reader, ("packet_send", "vitals_sample", "packet_deliver", "triage", "nav")))
-# the payload values of a channel.csv, vitals.csv and tasks.csv row, after
-# the record's time; the first two are the payload in emit order
-_channel_cells, _vitals_cells = (operator.itemgetter(*(f[0] for f in RECORD_KINDS[kind][2]))
-                                 for kind in ("packet_send", "vitals_sample"))
-_task_cells = operator.itemgetter("task_id", "kind", "origin", "assignee", "state",
-                                  "retry_count")
-_isfinite = math.isfinite
-
-
+# vitals.csv, whose columns are the row's, made from the same text as the
+# line: csv writes an int by str, a float by repr and a string as it is
+# unless it holds a delimiter, a quote or a line break. A string whose json
+# escape is itself in quotes holds no quote, backslash, control or
+# non-ASCII character, so one with no comma needs no csv quoting either. A
+# row that the writer gives to `_encode`, or that would need quoting, gets
+# its csv row from `csv.writer`; the triage writer keeps the vitals.csv tail
+# of its flags and class.
 def _packet_send_line(r, rows=None):
-    if (values := _packet_send_values(r)) is not None:
-        cond, delay, dst, outcome, kind, seq, src = values
-        if (int is type(dst) is type(seq) is type(src) and str is type(cond) is type(outcome)
-                is type(kind) and type(delay) is float and _isfinite(delay)):
-            cond_j, outcome_j, kind_j = (encode_basestring_ascii(cond),
-                                         encode_basestring_ascii(outcome),
-                                         encode_basestring_ascii(kind))
-            t, delay_s = str(r["time_ms"]), repr(delay)
-            dst_s, seq_s, src_s = str(dst), str(seq), str(src)
-            if rows is not None:
-                # an escape is never shorter than its string and two quotes
-                if (len(cond_j) + len(outcome_j) + len(kind_j)
-                        == len(cond) + len(outcome) + len(kind) + 6
-                        and "," not in cond and "," not in outcome and "," not in kind):
-                    rows.channel.append("%s,%s,%s,%s,%s,%s,%s,%s\r\n" % (
-                        t, src_s, dst_s, kind, seq_s, cond, outcome, delay_s))
-                else:
-                    rows.channel_csv.writerow((r["time_ms"], src, dst, kind, seq, cond, outcome,
-                                              delay))
-            return ('{"kind": "packet_send", "payload": {"condition": %s, "delay_ms": %s, '
-                    '"dst": %s, "outcome": %s, "packet_kind": %s, "seq": %s, "src": %s}, '
-                    '"source": "channel", "time_ms": %s}\n'
-                    % (cond_j, delay_s, dst_s, outcome_j, kind_j, seq_s, src_s, t))
+    t, _, src, dst, kind, seq, cond, outcome, delay = r
+    if not _isfinite(delay):
+        if rows is not None:
+            rows.channel_csv.writerow((t, *r[2:]))
+        return None
+    cond_j, outcome_j, kind_j = (encode_basestring_ascii(cond), encode_basestring_ascii(outcome),
+                                 encode_basestring_ascii(kind))
+    t_s, delay_s, dst_s, seq_s, src_s = str(t), repr(delay), str(dst), str(seq), str(src)
     if rows is not None:
-        rows.channel_csv.writerow((r["time_ms"], *_channel_cells(r["payload"])))
-    return None
+        # an escape is never shorter than its string and two quotes
+        if (len(cond_j) + len(outcome_j) + len(kind_j) == len(cond) + len(outcome) + len(kind) + 6
+                and "," not in cond and "," not in outcome and "," not in kind):
+            rows.channel.append("%s,%s,%s,%s,%s,%s,%s,%s\r\n" % (
+                t_s, src_s, dst_s, kind, seq_s, cond, outcome, delay_s))
+        else:
+            rows.channel_csv.writerow((t, *r[2:]))
+    return ('{"kind": "packet_send", "payload": {"condition": %s, "delay_ms": %s, '
+            '"dst": %s, "outcome": %s, "packet_kind": %s, "seq": %s, "src": %s}, '
+            '"source": "channel", "time_ms": %s}\n'
+            % (cond_j, delay_s, dst_s, outcome_j, kind_j, seq_s, src_s, t_s))
 
 
 def _vitals_sample_line(r, rows=None):
-    if (values := _vitals_sample_values(r)) is not None:
-        bpm, spo2, temp, valid = values
-        if type(valid) is bool:
-            if float is type(bpm) is type(spo2) is type(temp) and _isfinite(bpm + spo2 + temp):
-                t, bpm, spo2, temp = str(r["time_ms"]), repr(bpm), repr(spo2), repr(temp)
-                if rows is not None:
-                    rows.vitals.append("%s,%s,%s,%s,%s%s" % (t, spo2, bpm, temp, valid, rows.tail))
-                return ('{"kind": "vitals_sample", "payload": {"bpm": %s, "spo2": %s, '
-                        '"temp": %s, "valid": %s}, "source": "wearable", "time_ms": %s}\n'
-                        % (bpm, spo2, temp, "true" if valid else "false", t))
-            if bpm is spo2 is temp is None:  # a sample of a wearable that is not worn
-                t = str(r["time_ms"])
-                if rows is not None:  # csv writes None as an empty cell
-                    rows.vitals.append("%s,,,,%s%s" % (t, valid, rows.tail))
-                return ('{"kind": "vitals_sample", "payload": {"bpm": null, "spo2": null, '
-                        '"temp": null, "valid": %s}, "source": "wearable", "time_ms": %s}\n'
-                        % ("true" if valid else "false", t))
+    t, _, spo2, bpm, temp, valid = r
+    if float is type(bpm) is type(spo2) is type(temp) and _isfinite(bpm + spo2 + temp):
+        t, bpm, spo2, temp = str(t), repr(bpm), repr(spo2), repr(temp)
+        if rows is not None:
+            rows.vitals.append("%s,%s,%s,%s,%s%s" % (t, spo2, bpm, temp, valid, rows.tail))
+        return ('{"kind": "vitals_sample", "payload": {"bpm": %s, "spo2": %s, '
+                '"temp": %s, "valid": %s}, "source": "wearable", "time_ms": %s}\n'
+                % (bpm, spo2, temp, "true" if valid else "false", t))
+    if bpm is spo2 is temp is None:  # a sample of a wearable that is not worn
+        if rows is not None:  # csv writes None as an empty cell
+            rows.vitals.append("%d,,,,%s%s" % (t, valid, rows.tail))
+        return ('{"kind": "vitals_sample", "payload": {"bpm": null, "spo2": null, '
+                '"temp": null, "valid": %s}, "source": "wearable", "time_ms": %d}\n'
+                % ("true" if valid else "false", t))
     if rows is not None:
-        rows.vitals_csv.writerow((r["time_ms"], *_vitals_cells(r["payload"]), rows.flags,
-                                  rows.cls))
+        rows.vitals_csv.writerow((t, *r[2:], rows.flags, rows.cls))
     return None
 
 
 def _packet_deliver_line(r, rows=None):
-    if (values := _packet_deliver_values(r)) is None:
-        return None
-    dst, kind, seq, src = values
-    if int is type(dst) is type(seq) is type(src) and type(kind) is str:
-        return ('{"kind": "packet_deliver", "payload": {"dst": %d, "packet_kind": %s, '
-                '"seq": %d, "src": %d}, "source": "channel", "time_ms": %d}\n'
-                % (dst, encode_basestring_ascii(kind), seq, src, r["time_ms"]))
-    return None
+    t, _, src, dst, kind, seq = r
+    return ('{"kind": "packet_deliver", "payload": {"dst": %d, "packet_kind": %s, '
+            '"seq": %d, "src": %d}, "source": "channel", "time_ms": %d}\n'
+            % (dst, encode_basestring_ascii(kind), seq, src, t))
 
 
 def _triage_line(r, rows=None):
+    t, _, sample_time, flags, cls, probs = r
     if rows is not None:
-        p = r["payload"]
-        rows.triage("|".join(p["flags"]), p["class"])
-    if (values := _triage_values(r)) is None:
-        return None
-    cls, flags, probs, sample_time = values
-    # `_encode` writes the two lists, or any value in their place, as json does
-    if type(cls) is str and type(sample_time) is int:
-        return ('{"kind": "triage", "payload": {"class": %s, "flags": %s, "probs": %s, '
-                '"sample_time": %d}, "source": "leader", "time_ms": %d}\n'
-                % (encode_basestring_ascii(cls), "".join(_encode(flags, 0)),
-                   "".join(_encode(probs, 0)), sample_time, r["time_ms"]))
-    return None
+        rows.triage("|".join(flags), cls)
+    # `_encode` writes the two lists as json does
+    return ('{"kind": "triage", "payload": {"class": %s, "flags": %s, "probs": %s, '
+            '"sample_time": %d}, "source": "leader", "time_ms": %d}\n'
+            % (encode_basestring_ascii(cls), "".join(_encode(flags, 0)),
+               "".join(_encode(probs, 0)), sample_time, t))
 
 
 def _nav_line(r, rows=None):
-    if (values := _nav_values(r)) is None:
-        return None
-    dist, drift_corr, drift_raw, energy, on_line, tag, theta, x, y = values
-    if (type(on_line) is bool and type(tag) is str and float is type(dist) is type(drift_corr)
-            is type(drift_raw) is type(energy) is type(theta) is type(x) is type(y)
-            and _isfinite(dist + drift_corr + drift_raw + energy + theta + x + y)):
+    t, _, x, y, theta, dist, tag, on_line, drift_raw, drift_corr, energy = r
+    if _isfinite(dist + drift_corr + drift_raw + energy + theta + x + y):
         return ('{"kind": "nav", "payload": {"distance_to_line": %r, "drift_corrected": %r, '
                 '"drift_raw": %r, "energy": %r, "on_line": %s, "tag": %s, "theta": %r, '
                 '"x": %r, "y": %r}, "source": "navigation", "time_ms": %d}\n'
                 % (dist, drift_corr, drift_raw, energy, "true" if on_line else "false",
-                   encode_basestring_ascii(tag), theta, x, y, r["time_ms"]))
+                   encode_basestring_ascii(tag), theta, x, y, t))
     return None
 
 
-# the kinds that have no line writer but a row: each adds its record's row
+# the payload values of a tasks.csv row, after the record's time: by key in
+# a dict record's payload, and by place in a row
+_TASK_COLUMNS = ("task_id", "kind", "origin", "assignee", "state", "retry_count")
+_task_keys = operator.itemgetter(*_TASK_COLUMNS)
+_task_cells = operator.itemgetter(*_places("task", *_TASK_COLUMNS))
+
+
+# the kinds that have no line writer but a row: each adds its row's csv row
 # and leaves the line to `_encode`
 def _task_row(r, rows):
-    rows.tasks_csv.writerow((r["time_ms"], *_task_cells(r["payload"])))
+    rows.tasks_csv.writerow((r[0], *_task_cells(r)))
 
 
 def _notification_row(r, rows):
-    p = r["payload"]
-    rows.notes.append(f"{r['time_ms']}\t{p['severity']}\t{p['cause']}\t{p['text']}\n")
+    t, _, severity, text, cause, _ = r
+    rows.notes.append(f"{t}\t{severity}\t{cause}\t{text}\n")
 
 
-# kind -> its line writer; `to_jsonl` reads it only for a `str` kind, since
-# a kind can be any JSON value and a list or dict does not hash. With a row
-# sink it reads `_ROW_WRITERS`, which adds the kinds that only have a row
+# kind -> its row's line writer. With a row sink `to_jsonl` reads
+# `_ROW_WRITERS`, which adds the kinds that only have a csv row
 _LINE_WRITERS = {"packet_send": _packet_send_line, "vitals_sample": _vitals_sample_line,
                  "packet_deliver": _packet_deliver_line, "triage": _triage_line,
                  "nav": _nav_line}
 _ROW_WRITERS = {**_LINE_WRITERS, "task": _task_row, "notification": _notification_row}
+
+
+# A dict record is any record that is not exactly its kind's schema: its
+# line is `_encode`'s, and its csv row, by its kind, is `csv.writer`'s of its
+# payload's values at the kind's keys, with the KeyError or TypeError of the
+# first that fails
+def _dict_packet_send_row(r, rows):
+    rows.channel_csv.writerow((r["time_ms"], *PAYLOAD_VALUES["packet_send"](r["payload"])))
+
+
+def _dict_vitals_sample_row(r, rows):
+    rows.vitals_csv.writerow((r["time_ms"], *PAYLOAD_VALUES["vitals_sample"](r["payload"]),
+                              rows.flags, rows.cls))
+
+
+def _dict_triage_row(r, rows):
+    p = r["payload"]
+    rows.triage("|".join(p["flags"]), p["class"])
+
+
+def _dict_task_row(r, rows):
+    rows.tasks_csv.writerow((r["time_ms"], *_task_keys(r["payload"])))
+
+
+def _dict_notification_row(r, rows):
+    p = r["payload"]
+    rows.notes.append(f"{r['time_ms']}\t{p['severity']}\t{p['cause']}\t{p['text']}\n")
+
+
+_DICT_ROWS = {"packet_send": _dict_packet_send_row, "vitals_sample": _dict_vitals_sample_row,
+              "triage": _dict_triage_row, "task": _dict_task_row,
+              "notification": _dict_notification_row}
 
 
 class RowSink:
@@ -516,9 +640,46 @@ def gc_paused():
         gc.enable()
 
 
+class Records(collections.abc.Sequence):
+    """A read-only view of a log's records as dicts, in log order: a row's
+    dict (`_record`) is built each time the record is read, so reading the
+    view holds no more than the records that the caller keeps; a dict record
+    is itself. A slice is a list. It equals a list, tuple or view of equal
+    records."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list):
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return list(map(_record, self._rows[i]))
+        return _record(self._rows[i])
+
+    def __iter__(self):
+        return map(_record, self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Records, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self):
+        return f"Records({list(self)!r})"
+
 
 class EventLog:
-    """Append-only, monotonically timestamped record list.
+    """Append-only, monotonically timestamped list of records.
+
+    `rows` holds each record as the row of its kind (`_as_row`): the tuple
+    (time_ms, kind, *values), with the payload's values in `RECORD_KINDS`
+    field order, which holds a record in well under half the memory of its
+    two dicts. A record that is not exactly its kind's schema is kept as the
+    dict it is. `records` reads the log as dicts.
 
     Saved as JSON lines: one object per line, written with sorted keys, with
     non-decreasing `time_ms`; `load` skips blank lines. `load` decodes
@@ -529,40 +690,61 @@ class EventLog:
     read again line by line, which names the first bad record; a batch can
     also fail where each of its lines loads, such as a line that ends in a
     form feed, which `str.strip` drops and JSON does not count as space.
-    `json.loads` decodes a new string for every value, so `load` keeps one
-    object per distinct `kind` string and `source` string, as the live log
-    does (`_extend`). `load` runs with the cyclic garbage collector paused
+    `json.loads` decodes a new string for every value, so a log keeps one
+    object per distinct string value of its rows, and per distinct `kind`
+    and `source` string of its dict records (`_extend`), as the live log
+    does. `load` runs with the cyclic garbage collector paused
     (`gc_paused`), since the records it builds hold no reference cycles.
     """
 
     def __init__(self):
-        self.records: list[dict] = []
+        self.rows: list = []
+        # the log's string for each distinct string value; a row's kind and
+        # source are the table's, so a dict record's are too
+        self._share = dict(_TABLE_STRINGS).setdefault
 
-    def append(self, record: dict):
-        t = record["time_ms"]
-        records = self.records
-        if records and t < records[-1]["time_ms"]:
-            raise ValueError("event timestamps must be non-decreasing")
-        records.append(record)
+    @property
+    def records(self) -> Records:
+        return Records(self.rows)
+
+    def append(self, record):
+        """Append a record dict, as its row when it is exactly its kind's
+        schema (`_as_row`), or a row."""
+        rows = self.rows
+        t = record[0] if type(record) is tuple else record["time_ms"]
+        last_time = None
+        if rows:
+            last = rows[-1]
+            last_time = last[0] if type(last) is tuple else last["time_ms"]
+            if t < last_time:
+                raise ValueError("event timestamps must be non-decreasing")
+        if type(record) is not tuple:
+            record = _as_row(record, self._share, last_time)
+        rows.append(record)
 
     def to_jsonl(self, start=0, stop=None, rows: RowSink | None = None) -> str:
         """The lines of `records[start:stop]`, each what
         `json.dumps(record, sort_keys=True)` writes and ended by a newline:
-        written by its kind's line writer when it has one that takes the
-        record, else by `_encode`. Given `rows`, it also adds each record's
-        row to the sink, by the record's kind; a record that is not a dict
-        with a `str` kind adds none."""
+        a row's by its kind's line writer when it has one that takes the
+        row, else by `_encode`. Given `rows`, it also adds each record's
+        csv row to the sink, by the record's kind; a record that is not a
+        row or a dict with a `str` kind adds none."""
         parts = []
         writers = _LINE_WRITERS if rows is None else _ROW_WRITERS
-        for r in self.records[start:stop]:
-            kind = r.get("kind") if type(r) is dict else None
-            write = writers.get(kind) if type(kind) is str else None
-            line = None if write is None else write(r, rows)
-            if line is None:
-                parts += _encode(r, 0)
-                parts.append("\n")
-            else:
-                parts.append(line)
+        for r in self.rows[start:stop]:
+            if type(r) is tuple:
+                write = writers.get(r[1])
+                if write is not None and (line := write(r, rows)) is not None:
+                    parts.append(line)
+                    continue
+                r = _record(r)
+            elif rows is not None and type(r) is dict:
+                kind = r.get("kind")
+                add = _DICT_ROWS.get(kind) if type(kind) is str else None
+                if add is not None:
+                    add(r, rows)
+            parts += _encode(r, 0)
+            parts.append("\n")
         return "".join(parts)
 
     def save(self, path):
@@ -571,7 +753,7 @@ class EventLog:
         before its batch is written: the file then holds the whole lines of
         the batches before it."""
         with open(path, "w") as f:
-            for i in range(0, len(self.records), _BATCH_LINES):
+            for i in range(0, len(self.rows), _BATCH_LINES):
                 f.write(self.to_jsonl(i, i + _BATCH_LINES))
 
     @classmethod
@@ -583,63 +765,72 @@ class EventLog:
         # over two lines
         mark = os.urandom(16).hex()
         joint = f',"{mark}",'
-        share = {}.setdefault
         with gc_paused(), open(path) as f:
             first = 0
             while lines := list(itertools.islice(f, _BATCH_LINES)):
                 texts = [line for line in lines if not line.isspace()]
-                size = len(log.records)
+                size = len(log.rows)
                 try:
                     values = json.loads("[" + joint.join(texts) + "]")
                     n = len(texts)
                     if len(values) != 2 * n - 1 or values[1::2].count(mark) != n - 1:
                         raise ValueError("the batch does not decode to one value per line")
-                    log._extend(values[::2], share)
+                    log._extend(values[::2])
                 except (KeyError, ValueError):
-                    del log.records[size:]
-                    log._load_lines(lines, first, share)
+                    del log.rows[size:]
+                    log._load_lines(lines, first)
                 first += len(lines)
         return log
 
-    def _load_lines(self, lines, first, share):
+    def _load_lines(self, lines, first):
         for i, line in enumerate(lines, first):
             line = line.strip()
             if not line:
                 continue
             try:
-                self._extend((json.loads(line),), share)
+                self._extend((json.loads(line),))
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"malformed event log at record {i}: {exc}") from exc
 
-    def _extend(self, records, share):
-        """Append each of the decoded `records` with `append`, its `str` kind
-        and source replaced by the first equal string passed to `share`, a
-        dict's `setdefault`. Raise ValueError (KeyError for a missing time)
-        at the first record without the shape that `append` and
-        `MetricsAccumulator.consume` read. The checks sit inline, not in a
-        function per record, since every record of a load passes them."""
-        append, isfinite = self.append, math.isfinite
+    def _extend(self, records):
+        """Append each of the decoded `records` with `append`, as its row when
+        it is exactly its kind's schema. Raise ValueError (KeyError for a
+        missing time) at the first other record without the shape that
+        `append` and `MetricsAccumulator.consume` read; such a record gets
+        the log's shared string for its `str` kind and source. The checks
+        sit inline, not in a function per record, since every record of a
+        load passes them. The batch's first row does not share the time of
+        the row before it."""
+        append, isfinite, share, last_time = self.append, math.isfinite, self._share, None
         for record in records:
-            if type(record) is not dict:
-                raise ValueError(f"a record must be an object, not {type(record).__name__}")
-            t = record["time_ms"]
-            if not (type(t) is int or type(t) is float and isfinite(t)):
-                raise ValueError(f"time_ms must be a finite number, not {t!r}")
-            payload = record.get("payload", _NO_PAYLOAD)
-            if type(payload) is not dict and payload is not _NO_PAYLOAD:
-                raise ValueError("payload must be an object")
-            kind = record.get("kind")
-            if type(kind) is str:
-                record["kind"] = share(kind, kind)
-            source = record.get("source")
-            if type(source) is str:
-                record["source"] = share(source, source)
-            append(record)
+            # `_as_row`, inline: it is called for every record of a load
+            kind = record.get("kind") if type(record) is dict else None
+            build = _ROW_BUILDERS.get(kind) if type(kind) is str else None
+            row = None if build is None else build(record, share, last_time)
+            if row is None:
+                if type(record) is not dict:
+                    raise ValueError(f"a record must be an object, not {type(record).__name__}")
+                t = record["time_ms"]
+                if not (type(t) is int or type(t) is float and isfinite(t)):
+                    raise ValueError(f"time_ms must be a finite number, not {t!r}")
+                payload = record.get("payload", _NO_PAYLOAD)
+                if type(payload) is not dict and payload is not _NO_PAYLOAD:
+                    raise ValueError("payload must be an object")
+                if type(kind) is str:
+                    record["kind"] = share(kind, kind)
+                source = record.get("source")
+                if type(source) is str:
+                    record["source"] = share(source, source)
+                append(record)
+                last_time = None
+            else:
+                append(row)
+                last_time = row[0]
 
 
 def replay_metrics(log: EventLog) -> RunMetrics:
     acc = MetricsAccumulator()
-    for i, record in enumerate(log.records):
+    for i, record in enumerate(log.rows):
         try:
             acc.consume(record)
         except (KeyError, TypeError, ValueError) as exc:

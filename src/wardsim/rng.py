@@ -21,6 +21,7 @@ so `sample_vitals` writes them out the same way on the Generator.
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -56,17 +57,58 @@ def symmetric_range(half_width: float) -> tuple[float, float]:
     return -half_width, half_width - -half_width
 
 
+class _Blocks:
+    """The endless blocks of `size` doubles of `gen`, each drawn when it is
+    asked for; `start` is the generator's state before the current block
+    was drawn (None before the first), and `current` an iterator over it."""
+
+    __slots__ = ("gen", "size", "start", "current")
+
+    def __init__(self, gen: np.random.Generator, size: int):
+        self.gen, self.size, self.start, self.current = gen, size, None, iter(())
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.start = self.gen.bit_generator.state
+        self.current = iter(self.gen.random(self.size).tolist())
+        return self.current
+
+
 class Doubles:
     """The doubles of a Generator, drawn `block` at a time: `random()` gives
-    the values of the same calls on the Generator itself, as floats."""
+    the values of the same calls on the Generator itself, as floats.
+
+    A Doubles pickles as its generator's state before the current block was
+    drawn and the count already drawn from that block, and not as the
+    itertools objects that serve it, whose pickling Python 3.12 deprecates
+    and 3.14 removes."""
 
     def __init__(self, gen: np.random.Generator, block: int = _BLOCK):
         if block < 1:  # empty blocks would chain forever
             raise ValueError("block must be at least 1")
-        # the next double of an endless chain of blocks, each drawn when the
-        # one before runs out: one C call per draw
-        blocks = map(np.ndarray.tolist, map(gen.random, itertools.repeat(block)))
-        self.random = itertools.chain.from_iterable(blocks).__next__
+        self._blocks = _Blocks(gen, block)
+        # the next double of the chain of blocks: one C call per draw
+        self.random = itertools.chain.from_iterable(self._blocks).__next__
+
+    def __reduce__(self):
+        blocks = self._blocks
+        if blocks.start is None:
+            return Doubles, (blocks.gen, blocks.size)
+        drawn = blocks.size - operator.length_hint(blocks.current)
+        return _resume, (type(blocks.gen.bit_generator), blocks.start, blocks.size, drawn)
+
+
+def _resume(bit_generator: type, state: dict, block: int, drawn: int) -> Doubles:
+    """The Doubles whose current block was drawn from a generator at
+    `state`, with `drawn` doubles of it already drawn."""
+    bits = bit_generator()
+    bits.state = state
+    doubles = Doubles(np.random.Generator(bits), block)
+    for _ in range(drawn):
+        doubles.random()
+    return doubles
 
 
 def derive_streams(root_seed: int) -> dict[str, np.random.Generator | Doubles]:

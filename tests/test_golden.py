@@ -48,6 +48,7 @@ paths unrun.
 
 import dataclasses
 import hashlib
+import math
 import os
 import trace
 from pathlib import Path
@@ -74,6 +75,32 @@ def _numpy_hint() -> str:
         return ""
     return (f"; the digests were made with numpy {DIGEST_NUMPY}.x, this run uses "
             f"numpy {np.__version__}, whose random streams may differ")
+
+
+# The digests also depend on the C library's `sin` and `cos`, which the
+# corridor's pose update, IR sensor layout and track call about 96,000 times
+# each over the presets. glibc does not promise correct rounding, and another
+# libm (musl, macOS, CORE-MATH's correctly rounded functions) can round an
+# argument differently. Each entry is an argument that a preset passes, with
+# the result of the libm the digests were made with (glibc 2.36), which is
+# not correctly rounded there; the comment gives the correctly rounded
+# value, found with a 120-digit decimal Taylor series. On a host whose libm
+# differs, this test fails by name beside the digests.
+LIBM_FINGERPRINT = {
+    "sin": [(3.0047696466210816, 0.13639650639328793),    # rounded: 0.13639650639328796
+            (-2.7007604362655293, -0.4266922674875967),   # rounded: -0.42669226748759675
+            (-0.17300727108529257, -0.1721455001562877)],  # rounded: -0.17214550015628774
+    "cos": [(-3.129936523654675, -0.999932068086606),     # rounded: -0.9999320680866058
+            (-2.5281026038212575, -0.8176436941230412),   # rounded: -0.817643694123041
+            (-1.803296681545384, -0.2304113197630696)],   # rounded: -0.23041131976306964
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBM_FINGERPRINT))
+def test_the_libm_rounds_as_the_one_the_digests_were_made_with(name):
+    fn = getattr(math, name)
+    assert [(x, fn(x)) for x, _ in LIBM_FINGERPRINT[name]] == LIBM_FINGERPRINT[name], (
+        f"this host's libm {name} differs from the one the golden digests were made with")
 
 
 def test_every_preset_has_a_digest():
@@ -128,28 +155,31 @@ def test_preset_metrics_match_golden_digests(name, preset_exports):
             file + _numpy_hint()
 
 
+# 20 s of a ward shift: a vitals sample every tick, the leader-corridor link
+# obstructed both ways, a medication round every 5 s and one low-SpO2
+# episode, with the corridor driving only while it has a task
+WARD_SHIFT = {
+    "name": "ward_shift_20s",
+    "seed": 11,
+    "duration_ms": 20_000,
+    "patrol_always": False,
+    "vitals_sample_period_ms": 10,
+    "exec_durations_ms": {"patrol_check": 500, "deliver_medicine": 500,
+                          "arm_dispense": 500},
+    "link_conditions": [
+        {"time_ms": 0, "src": 1, "dst": 2, "condition": "obstructed"},
+        {"time_ms": 0, "src": 2, "dst": 1, "condition": "obstructed"},
+    ],
+    "schedule": [{"time_ms": t, "bed": 1 + t // 5000 % 2, "slot": t // 5000 % 2}
+                 for t in range(5000, 20_000, 5000)],
+    "patient_script": [{"time_ms": 6000, "kind": "low_spo2", "spo2": 87},
+                       {"time_ms": 13_000, "spo2": 98}],
+    "budgets_ms": {"low_spo2": 3000},
+}
+
+
 def ward_shift_config():
-    """20 s of a ward shift: a vitals sample every tick, the leader-corridor
-    link obstructed both ways, a medication round every 5 s and one low-SpO2
-    episode, with the corridor driving only while it has a task."""
-    return validate({
-        "name": "ward_shift_20s",
-        "seed": 11,
-        "duration_ms": 20_000,
-        "patrol_always": False,
-        "vitals_sample_period_ms": 10,
-        "exec_durations_ms": {"patrol_check": 500, "deliver_medicine": 500,
-                              "arm_dispense": 500},
-        "link_conditions": [
-            {"time_ms": 0, "src": 1, "dst": 2, "condition": "obstructed"},
-            {"time_ms": 0, "src": 2, "dst": 1, "condition": "obstructed"},
-        ],
-        "schedule": [{"time_ms": t, "bed": 1 + t // 5000 % 2, "slot": t // 5000 % 2}
-                     for t in range(5000, 20_000, 5000)],
-        "patient_script": [{"time_ms": 6000, "kind": "low_spo2", "spo2": 87},
-                           {"time_ms": 13_000, "spo2": 98}],
-        "budgets_ms": {"low_spo2": 3000},
-    })
+    return validate(WARD_SHIFT)
 
 
 def test_ward_shift_log_matches_golden_digest():

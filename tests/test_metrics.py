@@ -198,10 +198,38 @@ def ward_shift_log_sizes(path) -> tuple[int, int]:
 
 
 def test_a_loaded_ward_shift_log_is_at_most_1_35_times_the_size_of_the_live_one(tmp_path):
-    # json decodes a new string for every value; shared kinds and sources
-    # took the ratio from 1.51 to 1.27
+    # json decodes a new object for every value; shared kinds and sources
+    # took the ratio from 1.51 to 1.27 when records were dicts. As rows, a
+    # loaded log shares each string value, and each time with the row
+    # before it, as the engine's rows of one tick do
     live, loaded = ward_shift_log_sizes(tmp_path / "events.jsonl")
     assert loaded <= 1.35 * live, (live, loaded)
+
+
+def test_a_live_ward_shift_log_holds_its_records_as_rows():
+    # 3.7 MB as a dict and a payload dict a record; about 1 MB as rows
+    live = log_size(lambda: run(ward_shift_config())[0])
+    assert live <= 1.5e6, live
+
+
+def test_the_records_view_is_read_only_and_builds_one_record_at_a_time():
+    log = run(ward_shift_config())[0]
+    records = log.records
+    with pytest.raises(AttributeError):
+        log.records = []
+    with pytest.raises(TypeError):
+        records[0] = {}
+    # a walk over the view, as perfbench's summary makes twice, holds one
+    # record's dicts at a time, not the whole log's
+    tracemalloc.start()
+    try:
+        for r in records:
+            assert r["kind"] in metrics.RECORD_KINDS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000, peak
+    assert len(records) == len(log.rows) and records[-1] == records[len(records) - 1]
 
 
 def test_to_jsonl_writes_what_json_dumps_writes():
@@ -215,15 +243,33 @@ def test_to_jsonl_writes_what_json_dumps_writes():
     assert EventLog().to_jsonl() == ""
 
 
-def log_of(lines) -> EventLog:
+def log_of(records) -> EventLog:
+    """A log of `records`, appended one by one."""
     log = EventLog()
-    log.records += map(json.loads, lines)
+    for r in records:
+        log.append(r)
     return log
+
+
+def log_of_any(records) -> EventLog:
+    """A log of `records` in any time order, with a time or none: each kept
+    as its row when it is exactly its kind's schema, as `EventLog.append`
+    keeps it, but with no check of its time."""
+    log = EventLog()
+    log.rows += (metrics._as_row(r, log._share) for r in records)
+    return log
+
+
+def row_of(r) -> tuple:
+    """The row of a record that is exactly its kind's schema."""
+    row = metrics._as_row(r, {}.setdefault)
+    assert type(row) is tuple, r
+    return row
 
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
 def test_save_writes_what_to_jsonl_writes_at_the_batch_edges(tmp_path, n):
-    log = log_of(run_lines()[:n])
+    log = log_of(map(json.loads, run_lines()[:n]))
     path = tmp_path / "events.jsonl"
     log.save(path)
     text = log.to_jsonl()
@@ -233,9 +279,10 @@ def test_save_writes_what_to_jsonl_writes_at_the_batch_edges(tmp_path, n):
 
 
 def test_a_record_that_fails_to_encode_leaves_the_whole_batches_before_it(tmp_path):
-    log = log_of(run_lines()[:2 * B])
-    log.records.insert(B + 5, {"time_ms": log.records[B + 4]["time_ms"], "kind": "x",
-                               "payload": {"bad": object()}})
+    records = list(map(json.loads, run_lines()[:2 * B]))
+    records.insert(B + 5, {"time_ms": records[B + 4]["time_ms"], "kind": "x",
+                           "payload": {"bad": object()}})
+    log = log_of(records)
     path = tmp_path / "events.jsonl"
     with pytest.raises(TypeError):
         log.save(path)
@@ -362,21 +409,20 @@ def test_each_one_thing_change_of_a_written_kind_is_written_as_json_dumps_writes
     records = [firsts[kind] for kind in sorted(WRITTEN)]
     records.append({**worn, "payload": {**worn["payload"], "spo2": None, "bpm": None,
                                         "temp": None, "valid": False}})
-    log = EventLog()
+    changes = []
     for r in records:
-        assert metrics._LINE_WRITERS[r["kind"]](r) is not None, r
-        log.records += one_thing_changes(r)
-    assert len(log.records) > 500
-    lines = log.to_jsonl().splitlines(keepends=True)
-    assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in log.records]
+        assert metrics._LINE_WRITERS[r["kind"]](row_of(r)) is not None, r
+        changes += one_thing_changes(r)
+    assert len(changes) > 500
+    lines = log_of_any(changes).to_jsonl().splitlines(keepends=True)
+    assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in changes]
 
 
 @settings(deadline=None)
 @given(st.lists(written_records(), min_size=1, max_size=5))
 def test_the_line_writers_write_what_json_dumps_writes(tmp_path_factory, drawn):
     records = [r for _, r in drawn]
-    log = EventLog()
-    log.records += records
+    log = log_of_any(records)
     expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     assert log.to_jsonl() == expected
     path = tmp_path_factory.getbasetemp() / "line_writers.jsonl"
@@ -384,17 +430,19 @@ def test_the_line_writers_write_what_json_dumps_writes(tmp_path_factory, drawn):
     assert path.read_text() == expected
     for change, r in drawn:
         if change == "none":  # the engine's shape is never left to the encoder
-            assert metrics._LINE_WRITERS[r["kind"]](r) == json.dumps(r, sort_keys=True) + "\n"
+            assert metrics._LINE_WRITERS[r["kind"]](row_of(r)) \
+                == json.dumps(r, sort_keys=True) + "\n"
 
 
 def test_every_record_of_a_kind_with_a_writer_in_a_run_comes_back_from_it():
     # a payload change that sends these kinds to the encoder fails here
     seen = set()
     for config in [*map(load_preset, preset_names()), ward_shift_config()]:
-        for r in run(config)[0].records:
+        log = run(config)[0]
+        for row, r in zip(log.rows, log.records):
             write = metrics._LINE_WRITERS.get(r["kind"])
             if write is not None:
-                assert write(r) == json.dumps(r, sort_keys=True) + "\n", (config.name, r)
+                assert write(row) == json.dumps(r, sort_keys=True) + "\n", (config.name, r)
                 seen.add(r["kind"])
     assert seen == set(WRITTEN) == set(metrics._LINE_WRITERS)
 
@@ -437,8 +485,7 @@ def changed(r, key, value) -> dict:
 
 
 def assert_exports_equal(records, live, out):
-    log = EventLog()
-    log.records = list(records)
+    log = log_of(records)
     export_outputs(log, live, out / "one_pass")
     reference_export(log, live, out / "reference")
     for name in EXPORTED:
@@ -491,12 +538,16 @@ class ElifAccumulator(metrics.MetricsAccumulator):
     folded kind, in turn, so any kind that equals none of them is skipped."""
 
     def consume(self, record):
-        kind = record["kind"]
-        t = record["time_ms"]
-        p = record.get("payload", {})
+        if type(record) is tuple:  # a row, which a fold reads as it is
+            kind, t, p = record[1], None, None
+        else:
+            kind = record["kind"]
+            t = record["time_ms"]
+            p = record.get("payload", {})
         for name in ("meta", "packet_send", "nav", "task", "script", "notification"):
             if kind == name:
-                getattr(self, "_" + name)(t, p)
+                fold = getattr(self, "_" + name)
+                fold(record if p is None else metrics._Payload(t, p, metrics._FIELD_NAMES[name]))
                 break
 
 
@@ -545,11 +596,10 @@ def test_records_whose_kind_has_no_fold_replay_as_before(preset, tmp_path, monke
     {"time_ms": 5, "kind": 7, "payload": [1]},  # the same, with no fold
 ])
 def test_a_malformed_record_fails_replay_as_before(record, monkeypatch):
-    log = EventLog()
     # a meta record with all of its fields, which replay checks
     meta = {"scenario": "x", "seed": 0, "dt_ms": 10, "duration_ms": 0, "budgets_ms": {},
             "line_width": 0.02}
-    log.records += [{"time_ms": 0, "kind": "meta", "payload": meta}, record]
+    log = log_of_any([{"time_ms": 0, "kind": "meta", "payload": meta}, record])
 
     def replay():
         try:

@@ -1,6 +1,7 @@
 """Block-drawn random streams against numpy's scalar Generator calls."""
 
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -23,6 +24,19 @@ def test_block_server_gives_the_scalar_generators_values(seed, block, n):
         got, want = served.random(), scalar.random()
         assert got == want
         assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 500, 1023, 1024, 1025, 3000])
+def test_a_pickled_stream_gives_the_next_draws_of_the_original(drawn):
+    # 500 and 3000 are mid-block; 1024 has used up the first block and not
+    # yet drawn the second
+    stream = Doubles(np.random.default_rng(5))
+    for _ in range(drawn):
+        stream.random()
+    data = pickle.dumps(stream)
+    assert b"itertools" not in data
+    copy = pickle.loads(data)
+    assert [copy.random() for _ in range(2000)] == [stream.random() for _ in range(2000)]
 
 
 @pytest.mark.parametrize("block", [0, -1])
